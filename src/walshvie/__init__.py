@@ -13,8 +13,8 @@ Quick start::
 
     problem = builtin_example(1)
     cfg = BasisConfig.from_resolution(16)
-    path = sample_path(cfg, seed=7)
-    result = solve(problem, path, cfg)
+    path = sample_path(cfg, seed=7)  # m comes from the path from here on
+    result = solve(problem, path)
     print(result.x_colloc)
 """
 
@@ -29,15 +29,7 @@ from .experiment import (
     monte_carlo,
 )
 from .expressions import ExpressionError, compile_expression
-from .operational import (
-    IntegrationMatrix,
-    StochasticMatrix,
-    diag_extract,
-    diag_lift,
-    integration_matrix,
-    stochastic_matrix,
-    walsh_domain,
-)
+from .operational import integration_matrix, stochastic_matrix, walsh_domain
 from .oracle import OracleResult, euler_maruyama
 from .problemfile import encode_problem, parse_problem_file, problem_from_text
 from .solver import (
@@ -46,19 +38,15 @@ from .solver import (
     ProblemSpec,
     SolveResult,
     SolverOptions,
-    assemble_H,
     builtin_example,
-    collocation_values,
     problem_from_sources,
     reconstruct,
     solve,
 )
 from .walsh import (
     BasisConfig,
-    CoefficientVector,
-    KernelMatrix,
-    WalshMatrix,
     build_walsh_matrix,
+    fast_walsh_transform,
     midpoint_floor_index,
     project_function,
     project_kernel,
@@ -71,12 +59,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisConfig",
     "BrownianPath",
-    "CoefficientVector",
     "ConvergenceReport",
     "ErrorStats",
     "ExpressionError",
-    "IntegrationMatrix",
-    "KernelMatrix",
     "NonConvergenceError",
     "NonFiniteIterateError",
     "OracleResult",
@@ -84,19 +69,14 @@ __all__ = [
     "REPORT_TIMES",
     "SolveResult",
     "SolverOptions",
-    "StochasticMatrix",
-    "WalshMatrix",
-    "assemble_H",
     "build_walsh_matrix",
     "builtin_example",
     "coefficient_error_norm",
-    "collocation_values",
     "compile_expression",
     "convergence_study",
-    "diag_extract",
-    "diag_lift",
     "encode_problem",
     "error_at",
+    "fast_walsh_transform",
     "euler_maruyama",
     "integration_matrix",
     "midpoint_floor_index",

@@ -17,7 +17,9 @@ from .walsh import _readonly, midpoint_floor_index
 
 @dataclass(frozen=True)
 class BrownianPath:
-    half_step: float
+    """B at the 2m+1 half-step grid points j/(2m); the length of
+    ``values`` is the one source of the resolution m."""
+
     values: np.ndarray
     seed: object
 
@@ -30,6 +32,10 @@ class BrownianPath:
     @property
     def m(self):
         return (len(self.values) - 1) // 2
+
+    @property
+    def half_step(self):
+        return 1.0 / (len(self.values) - 1)
 
     def value_at(self, t):
         """B(t) for t exactly on the half-step grid; off-grid t is an error."""
@@ -56,13 +62,11 @@ def sample_path(cfg, seed):
     derive independent per-trial streams from one base seed.
     """
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    half = cfg.h / 2.0
-    increments = gen.standard_normal(2 * cfg.m) * np.sqrt(half)
+    increments = gen.standard_normal(2 * cfg.m) * np.sqrt(cfg.h / 2.0)
     values = np.concatenate([[0.0], np.cumsum(increments)])
-    return BrownianPath(half_step=half, values=_readonly(values), seed=seed)
+    return BrownianPath(values=_readonly(values), seed=seed)
 
 
 def zero_path(cfg):
     """The identically-zero path, useful for deterministic reductions."""
-    values = np.zeros(2 * cfg.m + 1)
-    return BrownianPath(half_step=cfg.h / 2.0, values=_readonly(values), seed=None)
+    return BrownianPath(values=_readonly(np.zeros(2 * cfg.m + 1)), seed=None)

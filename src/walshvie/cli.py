@@ -27,7 +27,7 @@ from .operational import integration_matrix, stochastic_matrix, walsh_domain
 from .oracle import euler_maruyama
 from .problemfile import parse_problem_file
 from .solver import NonConvergenceError, NonFiniteIterateError, builtin_example, solve
-from .walsh import BasisConfig, CoefficientVector, build_walsh_matrix
+from .walsh import BasisConfig, build_walsh_matrix
 
 DEFAULT_SEED = 42
 MIN_RESOLUTION = 2
@@ -102,7 +102,8 @@ def _write_rows(outdir, name, header, rows, comments=()):
 
 
 def _write_matrix(outdir, name, matrix, integer=False):
-    rows = [[str(int(v)) if integer else _fmt(v) for v in row] for row in matrix]
+    # A generator, so only one row of m formatted strings exists at a time.
+    rows = ([str(int(v)) if integer else _fmt(v) for v in row] for row in matrix)
     return _write_rows(outdir, name, None, rows)
 
 
@@ -136,7 +137,7 @@ def _cmd_run(args, seed):
 
     path = sample_path(cfg, (seed, 1))
     try:
-        result = solve(problem, path, cfg)
+        result = solve(problem, path)
     except (NonConvergenceError, NonFiniteIterateError) as exc:
         raise CLIError(f"solve failed on trial 1 (seed {seed}): {exc}")
 
@@ -147,14 +148,11 @@ def _cmd_run(args, seed):
         exact_vals = [float(problem.exact(t, path)) for t in cfg.midpoints]
         header.append("exact")
         columns.append(exact_vals)
-        gap = coefficient_error_norm(
-            CoefficientVector(cfg.m, result.x_colloc * cfg.h),
-            CoefficientVector(cfg.m, [v * cfg.h for v in exact_vals]),
-        )
+        gap = coefficient_error_norm(result.x_colloc * cfg.h, [v * cfg.h for v in exact_vals])
         comments.append(f"coefficient_error_inf = {_fmt(gap)}")
     if args.oracle:
         try:
-            em = euler_maruyama(problem, path, cfg)
+            em = euler_maruyama(problem, path)
         except NonFiniteIterateError as exc:
             raise CLIError(f"oracle failed on trial 1 (seed {seed}): {exc}")
         header.append("em_oracle")
@@ -193,14 +191,13 @@ def _cmd_converge(args, seed):
 def _cmd_matrices(args, seed):
     cfg = BasisConfig.from_resolution(args.m)
     path = sample_path(cfg, seed)
-    T = build_walsh_matrix(cfg)
     P = integration_matrix(cfg)
-    PS = stochastic_matrix(path, cfg)
-    _write_matrix(args.out, "tw.csv", T.entries, integer=True)
-    _write_matrix(args.out, "p.csv", P.entries)
-    _write_matrix(args.out, "ps.csv", PS.entries)
-    _write_matrix(args.out, "lambda.csv", walsh_domain(P, T))
-    _write_matrix(args.out, "lambda_s.csv", walsh_domain(PS, T))
+    PS = stochastic_matrix(path)
+    _write_matrix(args.out, "tw.csv", build_walsh_matrix(cfg), integer=True)
+    _write_matrix(args.out, "p.csv", P)
+    _write_matrix(args.out, "ps.csv", PS)
+    _write_matrix(args.out, "lambda.csv", walsh_domain(P))
+    _write_matrix(args.out, "lambda_s.csv", walsh_domain(PS))
     return 0
 
 

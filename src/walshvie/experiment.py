@@ -18,7 +18,7 @@ import numpy as np
 
 from .brownian import sample_path
 from .solver import NonConvergenceError, NonFiniteIterateError, solve
-from .walsh import BasisConfig, build_walsh_matrix, midpoint_floor_index
+from .walsh import BasisConfig, fast_walsh_transform, midpoint_floor_index
 
 REPORT_TIMES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -61,21 +61,22 @@ def error_at(result, problem, path, t):
         raise ValueError(f"problem {problem.label!r} has no exact solution")
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must lie in [0, 1), got {t}")
-    j = midpoint_floor_index(result.cfg.m, t)
+    j = midpoint_floor_index(len(result.x_colloc), t)
     return abs(float(problem.exact(t, path)) - float(result.x_colloc[j]))
 
 
 def coefficient_error_norm(x, y):
     """Max absolute difference of Walsh coefficient vectors.
 
-    Inputs are block-integral coefficient vectors; the Walsh
-    coefficients of either solution are T_W @ values, i.e.
+    Inputs are block-integral coefficient vectors of one length m; the
+    Walsh coefficients of either solution are T_W @ values, i.e.
     (1/m) T_W applied to the block values.
     """
-    if x.m != y.m:
-        raise ValueError(f"resolution mismatch: {x.m} vs {y.m}")
-    T = build_walsh_matrix(BasisConfig.from_resolution(x.m)).as_float()
-    return float(np.max(np.abs(T @ (np.asarray(x) - np.asarray(y)))))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"resolution mismatch: {len(x)} vs {len(y)}")
+    return float(np.max(np.abs(fast_walsh_transform(x - y))))
 
 
 def _trial_errors(problem, cfg, n, base_seed, report_times):
@@ -85,7 +86,7 @@ def _trial_errors(problem, cfg, n, base_seed, report_times):
     for trial in range(1, n + 1):
         path = sample_path(cfg, (base_seed, trial))
         try:
-            result = solve(problem, path, cfg)
+            result = solve(problem, path)
         except (NonConvergenceError, NonFiniteIterateError):
             failures += 1
             continue

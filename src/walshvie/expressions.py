@@ -32,13 +32,18 @@ FUNCTIONS = {
 
 
 class ExpressionError(ValueError):
-    """Parse or evaluation failure, carrying a 1-based line and column."""
+    """Parse or evaluation failure, carrying a 1-based line and column.
+
+    ``key`` names the problem key whose expression failed, when the
+    error comes from building a problem.
+    """
 
     def __init__(self, message, line, col):
         super().__init__(f"{message} (line {line}, column {col})")
         self.bare_message = message
         self.line = line
         self.col = col
+        self.key = None
 
 
 def _tokenize(src, line):

@@ -3,88 +3,49 @@
 Both matrices act on block-integral coefficient vectors: if F represents
 f, then F @ P represents the running integral of f evaluated at the
 block midpoints, and F @ P_S does the same for the Ito integral against
-a sampled Brownian path.
+a sampled Brownian path.  Both are returned as read-only (m, m) arrays.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .walsh import _readonly
+from .walsh import BasisConfig, _readonly, fast_walsh_transform
 
 
-@dataclass(frozen=True)
-class IntegrationMatrix:
+def integration_matrix(cfg):
     """Upper triangular matrix P: h/2 on the diagonal, h above it.
 
     Column j sums to the midpoint t_j, so integrating the constant 1
     up to a midpoint is exact.
     """
-
-    m: int
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class StochasticMatrix:
-    """Stochastic counterpart of P for one sampled Brownian path.
-
-    Above the diagonal, entry (i, j) is the full-block increment
-    B((i+1)h) - B(ih); on the diagonal it is the half-block increment
-    B(t_j) - B(jh).  Column j telescopes to B(t_j).
-    """
-
-    m: int
-    entries: np.ndarray
-
-
-def integration_matrix(cfg):
     m, h = cfg.m, cfg.h
     P = np.triu(np.full((m, m), h), 1)
     np.fill_diagonal(P, h / 2.0)
-    return IntegrationMatrix(m=m, entries=_readonly(P))
+    return _readonly(P)
 
 
-def stochastic_matrix(path, cfg):
-    """Build P_S from a Brownian path sampled on the half-step grid."""
-    m = cfg.m
+def stochastic_matrix(path):
+    """Stochastic counterpart P_S of P for one sampled Brownian path.
+
+    The resolution m is the path's, and must be a power of two.  Above
+    the diagonal, entry (i, j) is the full-block increment
+    B((i+1)h) - B(ih); on the diagonal it is the half-block increment
+    B(t_j) - B(jh).  Column j telescopes to B(t_j).
+    """
+    m = BasisConfig.from_resolution(path.m).m
     v = path.values
-    if len(v) != 2 * m + 1 or path.half_step != cfg.h / 2.0:
-        raise ValueError(
-            f"path grid (step {path.half_step}, {len(v)} points) does not match m={m}"
-        )
     full = v[2::2] - v[:-2:2]  # B((i+1)h) - B(ih)
     half = v[1::2] - v[:-2:2]  # B(t_j) - B(jh)
     PS = np.triu(np.repeat(full[:, None], m, axis=1), 1)
     np.fill_diagonal(PS, half)
-    return StochasticMatrix(m=m, entries=_readonly(PS))
+    return _readonly(PS)
 
 
-def walsh_domain(matrix, walsh_matrix):
-    """Conjugate a block pulse operator into the Walsh domain.
+def walsh_domain(M):
+    """Conjugate an (m, m) block pulse operator into the Walsh domain.
 
-    Returns (1/m) * T_W @ M @ T_W.  Applying the transform twice gives
-    back M, since T_W is its own inverse up to the factor m.
+    Returns (1/m) * T_W @ M @ T_W, computed with the fast transform.
+    Applying it twice gives back M, since T_W is its own inverse up to
+    the factor m.
     """
-    M = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
-    m = walsh_matrix.m
-    if M.shape != (m, m):
-        raise ValueError(f"operator shape {M.shape} does not match m={m}")
-    T = walsh_matrix.as_float()
-    return (T @ M @ T) / m
-
-
-def diag_lift(v):
-    """Square diagonal matrix with the coefficient vector on the diagonal."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {arr.shape}")
-    return np.diag(arr)
-
-
-def diag_extract(M):
-    """Diagonal of a square matrix as a fresh vector."""
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    return np.diagonal(M).copy()
+    M = np.asarray(M, dtype=float)
+    return fast_walsh_transform(fast_walsh_transform(M).T).T / len(M)

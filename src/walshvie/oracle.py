@@ -17,7 +17,7 @@ from numbers import Real
 import numpy as np
 
 from .solver import NonFiniteIterateError
-from .walsh import _readonly
+from .walsh import BasisConfig, _readonly
 
 
 @dataclass(frozen=True)
@@ -34,16 +34,15 @@ def _as_kernel(k):
     return k
 
 
-def euler_maruyama(problem, path, cfg):
-    """Integrate one path on the full grid of cfg.
+def euler_maruyama(problem, path):
+    """Integrate one path on its full grid; m is the path's, a power of two.
 
     Returns the m+1 grid iterates plus values at the collocation
     midpoints obtained by averaging adjacent iterates.
     """
+    cfg = BasisConfig.from_resolution(path.m)
     m, h = cfg.m, cfg.h
     v = path.values
-    if len(v) != 2 * m + 1 or path.half_step != h / 2.0:
-        raise ValueError("path grid does not match the basis resolution")
     k1 = _as_kernel(problem.k1)
     k2 = _as_kernel(problem.k2)
     y = np.empty(m + 1)

@@ -51,31 +51,8 @@ def problem_from_text(text, name="problem file"):
     try:
         return problem_from_sources(sources, label=label)
     except ExpressionError as exc:
-        key = _offending_key(sources, exc)
-        if key is not None:
-            lineno, col0 = lines[key]
-            raise ExpressionError(exc.bare_message, lineno, col0 + exc.col - 1) from None
-        raise
-
-
-def _offending_key(sources, exc):
-    """Recover which key failed by recompiling individually."""
-    from . import expressions
-
-    variable_sets = {
-        "x0": (),
-        "k1": ("s", "t"),
-        "k2": ("s", "t"),
-        "beta": ("x",),
-        "sigma": ("x",),
-        "exact": ("t", "B"),
-    }
-    for key, src in sources.items():
-        try:
-            expressions.compile_expression(src, variable_sets[key])
-        except ExpressionError:
-            return key
-    return None
+        lineno, col0 = lines[exc.key]
+        raise ExpressionError(exc.bare_message, lineno, col0 + exc.col - 1) from None
 
 
 def parse_problem_file(path):

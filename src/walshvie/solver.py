@@ -20,9 +20,8 @@ from numbers import Real
 import numpy as np
 
 from . import expressions
-from .brownian import BrownianPath
 from .operational import integration_matrix, stochastic_matrix
-from .walsh import CoefficientVector, _eval_grid, _readonly, project_kernel
+from .walsh import BasisConfig, _eval_grid, _readonly, project_kernel
 
 
 class NonConvergenceError(RuntimeError):
@@ -73,45 +72,25 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Converged collocation solution at one resolution.
+    """Converged collocation solution at one resolution m = len(x_colloc).
 
-    ``x_colloc[j]`` approximates x(t_j); ``z1``/``z2`` hold the block
-    integrals of beta(x) and sigma(x) recomputed from the final
-    iterate, so m * z1[j] = beta(x_colloc[j]) exactly.
+    ``x_colloc[j]`` approximates x(t_j); ``z1``/``z2`` are read-only
+    arrays of the block integrals of beta(x) and sigma(x) recomputed
+    from the final iterate, so m * z1[j] = beta(x_colloc[j]) exactly.
     """
 
-    cfg: object
     x_colloc: np.ndarray
-    z1: CoefficientVector
-    z2: CoefficientVector
+    z1: np.ndarray
+    z2: np.ndarray
     iterations: int
     residual: float
-
-
-def assemble_H(K, Z, M):
-    """m * K^T diag(Z) M for a kernel matrix, coefficient vector and
-    operational matrix."""
-    Km = np.asarray(getattr(K, "entries", K), dtype=float)
-    Mm = np.asarray(getattr(M, "entries", M), dtype=float)
-    z = np.asarray(Z, dtype=float)
-    m = z.shape[0]
-    if Km.shape != (m, m) or Mm.shape != (m, m):
-        raise ValueError("operand shapes do not match")
-    return m * (Km.T @ np.diag(z) @ Mm)
-
-
-def collocation_values(H1, H2, x0):
-    """Solution values at the midpoints: x0 + m^2 (diag H1 + diag H2)."""
-    H1 = np.asarray(H1)
-    m = H1.shape[0]
-    return x0 + m * m * (np.diagonal(H1) + np.diagonal(H2))
 
 
 def reconstruct(result, t):
     """Block-constant solution value at any t in [0, 1)."""
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must lie in [0, 1), got {t}")
-    return float(result.x_colloc[int(t * result.cfg.m)])
+    return float(result.x_colloc[int(t * len(result.x_colloc))])
 
 
 def _nonlinearity(f, x, what):
@@ -121,27 +100,25 @@ def _nonlinearity(f, x, what):
     return vals
 
 
-def solve(problem, path, cfg, options=None):
-    """Fixed point solve of the collocated system.
+def solve(problem, path, options=None):
+    """Fixed point solve of the collocated system on one Brownian path.
 
-    Each sweep recomputes the block integrals z1 = h*beta(x),
-    z2 = h*sigma(x) from the current midpoint values and updates
-    x[j] = x0 + m^2 (H1[j][j] + H2[j][j]).  Only the diagonals of the
-    H matrices are needed, so they are accumulated directly; the full
-    assemble_H product gives the identical diagonal.  A damping factor
-    of 0.5 is engaged for the remaining sweeps after any residual
-    increase.  Divergence surfaces as NonFiniteIterateError and
-    stagnation as NonConvergenceError; neither is silently absorbed.
+    The resolution m is the path's and must be a power of two.  Each
+    sweep recomputes the block integrals z1 = h*beta(x), z2 = h*sigma(x)
+    from the current midpoint values and updates
+    x[j] = x0 + m^2 (H1[j][j] + H2[j][j]), where H = m K^T diag(z) M.
+    Only the diagonals of the H matrices are needed, so they are
+    accumulated directly.  A damping factor of 0.5 is engaged for the
+    remaining sweeps after any residual increase.  Divergence surfaces
+    as NonFiniteIterateError and stagnation as NonConvergenceError;
+    neither is silently absorbed.
     """
     opts = options or SolverOptions()
+    cfg = BasisConfig.from_resolution(path.m)
     m, h = cfg.m, cfg.h
-    K1 = project_kernel(problem.k1, cfg)
-    K2 = project_kernel(problem.k2, cfg)
-    P = integration_matrix(cfg)
-    PS = stochastic_matrix(path, cfg)
-    # diag(assemble_H(K, Z, M))[j] = m * sum_i K[i][j] Z[i] M[i][j]
-    G1 = m**3 * (K1.entries * P.entries)
-    G2 = m**3 * (K2.entries * PS.entries)
+    # diag(H)[j] = m * sum_i K[i][j] z[i] M[i][j]
+    G1 = m**3 * (project_kernel(problem.k1, cfg) * integration_matrix(cfg))
+    G2 = m**3 * (project_kernel(problem.k2, cfg) * stochastic_matrix(path))
     x0 = float(problem.x0)
     x = np.full(m, x0)
     previous = np.inf
@@ -163,10 +140,9 @@ def solve(problem, path, cfg, options=None):
             z1 = h * _nonlinearity(problem.beta, x, "beta")
             z2 = h * _nonlinearity(problem.sigma, x, "sigma")
             return SolveResult(
-                cfg=cfg,
                 x_colloc=_readonly(x),
-                z1=CoefficientVector(m=m, values=_readonly(z1)),
-                z2=CoefficientVector(m=m, values=_readonly(z2)),
+                z1=_readonly(z1),
+                z2=_readonly(z2),
                 iterations=sweep,
                 residual=residual,
             )
@@ -205,23 +181,35 @@ def _constant_function(c):
     return fn
 
 
+# The variables each problem key's expression may use.
+_VARIABLES = {
+    "x0": (),
+    "k1": ("s", "t"),
+    "k2": ("s", "t"),
+    "beta": ("x",),
+    "sigma": ("x",),
+    "exact": ("t", "B"),
+}
+
+
+def _compile(sources, key):
+    try:
+        return expressions.compile_expression(sources[key], _VARIABLES[key])
+    except expressions.ExpressionError as exc:
+        exc.key = key
+        raise
+
+
 def problem_from_sources(sources, label="problem"):
     """Build a ProblemSpec from a mapping of expression strings.
 
     Required keys: x0, k1, k2, beta, sigma.  Optional: exact.  Kernel
     expressions may use s and t, beta/sigma use x, exact uses t and B,
     and x0 must be constant.  In ``exact``, B is the path value at the
-    last collocation midpoint at or below t.
+    last collocation midpoint at or below t.  An ExpressionError raised
+    here names the failing key in its ``key`` attribute.
     """
-    compiled = {}
-    for key, variables in (
-        ("x0", ()),
-        ("k1", ("s", "t")),
-        ("k2", ("s", "t")),
-        ("beta", ("x",)),
-        ("sigma", ("x",)),
-    ):
-        compiled[key] = expressions.compile_expression(sources[key], variables)
+    compiled = {key: _compile(sources, key) for key in ("x0", "k1", "k2", "beta", "sigma")}
     if not isinstance(compiled["x0"], Real):
         raise ValueError("x0 must be a constant expression")
     for key in ("beta", "sigma"):
@@ -229,7 +217,7 @@ def problem_from_sources(sources, label="problem"):
             compiled[key] = _constant_function(compiled[key])
     exact = None
     if sources.get("exact") is not None:
-        g = expressions.compile_expression(sources["exact"], ("t", "B"))
+        g = _compile(sources, "exact")
         if isinstance(g, Real):
             exact = lambda t, path: float(g)
         else:

@@ -36,7 +36,7 @@ def rms_error(problem, m, n, base_seed):
     sq = []
     for trial in range(1, n + 1):
         path = sample_path(cfg, (base_seed, trial))
-        res = solve(problem, path, cfg)
+        res = solve(problem, path)
         sq.extend(error_at(res, problem, path, t) ** 2 for t in REPORT_TIMES)
     return float(np.sqrt(np.mean(sq)))
 
@@ -46,16 +46,16 @@ def test_criterion_1_exact_algebraic_identities(acceptance_report):
     ps_gap = 0.0
     for m in (1, 2, 4, 8, 16, 32, 64, 128, 256):
         cfg = BasisConfig.from_resolution(m)
-        T = build_walsh_matrix(cfg).entries
+        T = build_walsh_matrix(cfg)
         assert (T == T.T).all(), f"T_W not symmetric at m={m}"
         assert (T @ T == m * np.eye(m, dtype=np.int64)).all(), f"T_W^2 != mI at m={m}"
         # orthonormality (1/m) sum_j w_i w_l = delta_il, exact in ints
         assert (T @ T.T == m * np.eye(m, dtype=np.int64)).all()
-        P = integration_matrix(cfg).entries
+        P = integration_matrix(cfg)
         assert (P.sum(axis=0) == cfg.midpoints).all(), f"P column sums off at m={m}"
         for seed in range(100):
             path = sample_path(cfg, seed)
-            sums = stochastic_matrix(path, cfg).entries.sum(axis=0)
+            sums = stochastic_matrix(path).sum(axis=0)
             ps_gap = max(ps_gap, float(np.max(np.abs(sums - path.values[1::2]))))
     elapsed = time.perf_counter() - start
     ok = ps_gap <= 1e-13 and elapsed < 1.0
@@ -81,7 +81,7 @@ def test_criterion_2_deterministic_reduction(acceptance_report):
         label="exp",
     )
     cfg = BasisConfig.from_resolution(32)
-    res = solve(prob, zero_path(cfg), cfg)
+    res = solve(prob, zero_path(cfg))
     sup = float(np.max(np.abs(res.x_colloc - np.exp(cfg.midpoints))))
     report = convergence_study(prob, (8, 16, 32, 64, 128), 2, base_seed=1)
     order = report.estimated_order
@@ -102,11 +102,11 @@ def test_criterion_3_trivial_stochastic_fixed_points(acceptance_report):
         cfg = BasisConfig.from_resolution(m)
         p1 = builtin_example(1)
         zp = zero_path(cfg)
-        res1 = solve(p1, zp, cfg)
+        res1 = solve(p1, zp)
         gap1 = max(abs(float(res1.x_colloc[j]) - p1.exact(t, zp)) for j, t in enumerate(cfg.midpoints))
         p2 = builtin_example(2, a="0")
         path = sample_path(cfg, seed=m)
-        res2 = solve(p2, path, cfg)
+        res2 = solve(p2, path)
         gap2 = max(abs(float(res2.x_colloc[j]) - p2.exact(t, path)) for j, t in enumerate(cfg.midpoints))
         worst = max(worst, gap1, gap2)
     ok = worst <= 1e-10
@@ -184,8 +184,8 @@ def test_criterion_6_oracle_equivalence(acceptance_report):
             gaps = []
             for seed in range(20):
                 path = sample_path(cfg, (4000 + example_id, seed))
-                res = solve(prob, path, cfg)
-                em = euler_maruyama(prob, path, cfg)
+                res = solve(prob, path)
+                em = euler_maruyama(prob, path)
                 gaps.append(float(np.max(np.abs(res.x_colloc - em.midpoint_values))))
             mean_disc[m] = float(np.mean(gaps))
         decreasing = decreasing and mean_disc[16] > mean_disc[32] > mean_disc[64]

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from walshvie.brownian import BrownianPath, sample_path, zero_path
+from walshvie.operational import stochastic_matrix
+from walshvie.oracle import euler_maruyama
+from walshvie.solver import builtin_example, solve
 from walshvie.walsh import BasisConfig
 
 
@@ -73,11 +76,27 @@ class TestLookups:
 class TestValidation:
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
-            BrownianPath(half_step=0.25, values=np.zeros(4), seed=None)
+            BrownianPath(values=np.zeros(4), seed=None)
 
     def test_nonzero_origin_rejected(self):
         with pytest.raises(ValueError):
-            BrownianPath(half_step=0.25, values=np.ones(5), seed=None)
+            BrownianPath(values=np.ones(5), seed=None)
+
+    @pytest.mark.parametrize(
+        "consumer",
+        [
+            lambda path: solve(builtin_example(1), path),
+            lambda path: euler_maruyama(builtin_example(1), path),
+            stochastic_matrix,
+        ],
+        ids=["solve", "euler_maruyama", "stochastic_matrix"],
+    )
+    def test_non_power_of_two_resolution_rejected(self, consumer):
+        # the path is the only source of m; 7 values give m = 3
+        path = BrownianPath(values=np.linspace(0.0, 0.3, 7), seed=None)
+        assert path.m == 3
+        with pytest.raises(ValueError):
+            consumer(path)
 
 
 class TestDistribution:

@@ -16,7 +16,7 @@ from walshvie.experiment import (
     monte_carlo,
 )
 from walshvie.solver import ProblemSpec, builtin_example, solve
-from walshvie.walsh import BasisConfig, CoefficientVector
+from walshvie.walsh import BasisConfig
 
 
 def exp_problem():
@@ -49,7 +49,7 @@ class TestErrorAt:
         cfg = BasisConfig.from_resolution(16)
         prob = builtin_example(1)
         path = sample_path(cfg, seed=21)
-        res = solve(prob, path, cfg)
+        res = solve(prob, path)
         # 0.9 maps to midpoint index 13 (27/32)
         expected = abs(prob.exact(0.9, path) - res.x_colloc[13])
         assert error_at(res, prob, path, 0.9) == expected
@@ -58,7 +58,7 @@ class TestErrorAt:
         cfg = BasisConfig.from_resolution(8)
         prob = builtin_example(2)
         path = sample_path(cfg, seed=2)
-        res = solve(prob, path, cfg)
+        res = solve(prob, path)
         t = cfg.midpoints[5]
         assert error_at(res, prob, path, t) == abs(prob.exact(t, path) - res.x_colloc[5])
 
@@ -66,7 +66,7 @@ class TestErrorAt:
         cfg = BasisConfig.from_resolution(8)
         prob = ProblemSpec(x0=0.0, k1=0.0, k2=0.0, beta=lambda x: x, sigma=lambda x: x)
         path = sample_path(cfg, seed=2)
-        res = solve(prob, path, cfg)
+        res = solve(prob, path)
         with pytest.raises(ValueError):
             error_at(res, prob, path, 0.5)
 
@@ -74,26 +74,26 @@ class TestErrorAt:
         cfg = BasisConfig.from_resolution(8)
         prob = constant_problem()
         path = sample_path(cfg, seed=2)
-        res = solve(prob, path, cfg)
+        res = solve(prob, path)
         with pytest.raises(ValueError):
             error_at(res, prob, path, 1.0)
 
 
 class TestCoefficientErrorNorm:
     def test_zero_for_equal(self):
-        x = CoefficientVector(4, np.array([1.0, 2.0, 3.0, 4.0]))
+        x = np.array([1.0, 2.0, 3.0, 4.0])
         assert coefficient_error_norm(x, x) == 0.0
 
     def test_single_block_difference(self):
         # Walsh column for block 0 is all ones, so the norm is the gap
-        x = CoefficientVector(4, np.array([1.0, 2.0, 3.0, 4.0]))
-        y = CoefficientVector(4, np.array([1.25, 2.0, 3.0, 4.0]))
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        y = np.array([1.25, 2.0, 3.0, 4.0])
         assert abs(coefficient_error_norm(x, y) - 0.25) < 1e-15
 
     def test_resolution_mismatch(self):
         with pytest.raises(ValueError):
             coefficient_error_norm(
-                CoefficientVector(2, np.zeros(2)), CoefficientVector(4, np.zeros(4))
+                np.zeros(2), np.zeros(4)
             )
 
 
@@ -127,7 +127,7 @@ class TestMonteCarlo:
         manual = []
         for trial in range(1, 6):
             path = sample_path(cfg, (31, trial))
-            res = solve(prob, path, cfg)
+            res = solve(prob, path)
             manual.append(error_at(res, prob, path, 0.5))
         assert stats[0].mean == np.mean(manual)
 

@@ -4,36 +4,46 @@ import numpy as np
 import pytest
 
 from walshvie.brownian import sample_path, zero_path
-from walshvie.operational import (
-    diag_extract,
-    diag_lift,
-    integration_matrix,
-    stochastic_matrix,
-    walsh_domain,
-)
+from walshvie.operational import integration_matrix, stochastic_matrix, walsh_domain
 from walshvie.walsh import BasisConfig, build_walsh_matrix
+
+
+def diag_lift(v):
+    """Reference: square diagonal matrix with the coefficient vector on the diagonal."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {arr.shape}")
+    return np.diag(arr)
+
+
+def diag_extract(M):
+    """Reference: diagonal of a square matrix as a fresh vector."""
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    return np.diagonal(M).copy()
 
 
 class TestIntegrationMatrix:
     def test_m1(self):
-        P = integration_matrix(BasisConfig.from_resolution(1)).entries
+        P = integration_matrix(BasisConfig.from_resolution(1))
         assert P.shape == (1, 1)
         assert P[0, 0] == 0.5
 
     def test_m2(self):
-        P = integration_matrix(BasisConfig.from_resolution(2)).entries
+        P = integration_matrix(BasisConfig.from_resolution(2))
         assert (P == np.array([[0.25, 0.5], [0.0, 0.25]])).all()
 
     @pytest.mark.parametrize("m", [1, 2, 4, 16, 128])
     def test_column_sums_are_midpoints(self, m):
         # dyadic values, so the sums come out exact
         cfg = BasisConfig.from_resolution(m)
-        P = integration_matrix(cfg).entries
+        P = integration_matrix(cfg)
         assert (P.sum(axis=0) == cfg.midpoints).all()
 
     def test_strictly_upper_is_h(self):
         cfg = BasisConfig.from_resolution(8)
-        P = integration_matrix(cfg).entries
+        P = integration_matrix(cfg)
         iu = np.triu_indices(8, 1)
         assert (P[iu] == cfg.h).all()
         assert (P[np.tril_indices(8, -1)] == 0.0).all()
@@ -42,7 +52,7 @@ class TestIntegrationMatrix:
         # for piecewise constant f with block values c, the represented
         # running integral m * (P^T F)[j] equals h*sum(c[:j]) + c[j]*h/2
         cfg = BasisConfig.from_resolution(8)
-        P = integration_matrix(cfg).entries
+        P = integration_matrix(cfg)
         c = np.array([3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, -6.0])
         F = c * cfg.h
         represented = cfg.m * (P.T @ F)
@@ -56,7 +66,7 @@ class TestStochasticMatrix:
         cfg = BasisConfig.from_resolution(2)
         path = sample_path(cfg, seed=123)
         v = path.values  # grid 0, 1/4, 1/2, 3/4, 1
-        PS = stochastic_matrix(path, cfg).entries
+        PS = stochastic_matrix(path)
         assert PS[0, 0] == v[1] - v[0]
         assert PS[0, 1] == v[2] - v[0]
         assert PS[1, 1] == v[3] - v[2]
@@ -67,27 +77,22 @@ class TestStochasticMatrix:
         cfg = BasisConfig.from_resolution(m)
         for seed in range(10):
             path = sample_path(cfg, seed=seed)
-            PS = stochastic_matrix(path, cfg).entries
+            PS = stochastic_matrix(path)
             sums = PS.sum(axis=0)
             mids = path.values[1::2]  # B(t_j)
             assert np.allclose(sums, mids, rtol=0, atol=1e-13)
 
     def test_zero_path_gives_zero_matrix(self):
         cfg = BasisConfig.from_resolution(16)
-        PS = stochastic_matrix(zero_path(cfg), cfg).entries
+        PS = stochastic_matrix(zero_path(cfg))
         assert (PS == 0.0).all()
-
-    def test_grid_mismatch_rejected(self):
-        path = sample_path(BasisConfig.from_resolution(8), seed=1)
-        with pytest.raises(ValueError):
-            stochastic_matrix(path, BasisConfig.from_resolution(16))
 
 
 class TestWalshDomain:
     def test_m2_integration(self):
         # (1/2) T P T with T = [[1,1],[1,-1]], hand multiplied
         cfg = BasisConfig.from_resolution(2)
-        L = walsh_domain(integration_matrix(cfg), build_walsh_matrix(cfg))
+        L = walsh_domain(integration_matrix(cfg))
         expected = np.array([[0.5, -0.25], [0.25, 0.0]])
         assert np.allclose(L, expected, rtol=0, atol=1e-15)
 
@@ -95,25 +100,31 @@ class TestWalshDomain:
         # conjugating the Walsh-domain operator back with T/m recovers P
         cfg = BasisConfig.from_resolution(16)
         T = build_walsh_matrix(cfg)
-        P = integration_matrix(cfg).entries
-        L = walsh_domain(P, T)
-        Tf = T.as_float()
+        P = integration_matrix(cfg)
+        L = walsh_domain(P)
         # conjugating back must reproduce P
-        back = Tf @ L @ Tf / cfg.m
+        back = T @ L @ T / cfg.m
         assert np.allclose(back, P, rtol=0, atol=1e-14)
 
     def test_double_transform_is_identity(self):
         cfg = BasisConfig.from_resolution(8)
-        T = build_walsh_matrix(cfg)
         path = sample_path(cfg, seed=9)
-        PS = stochastic_matrix(path, cfg).entries
-        again = walsh_domain(walsh_domain(PS, T), T)
+        PS = stochastic_matrix(path)
+        again = walsh_domain(walsh_domain(PS))
         assert np.allclose(again, PS, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("m", [1, 2, 8, 64, 1024])
+    def test_matches_dense_conjugation(self, m):
+        # the fast transform against (1/m) T P_S T with the dense T
+        cfg = BasisConfig.from_resolution(m)
+        T = build_walsh_matrix(cfg).astype(float)
+        PS = stochastic_matrix(sample_path(cfg, seed=m))
+        assert np.allclose(walsh_domain(PS), T @ PS @ T / m, rtol=0, atol=1e-14)
+
     def test_shape_mismatch_rejected(self):
-        T = build_walsh_matrix(BasisConfig.from_resolution(4))
+        # only a power-of-two size has a Walsh matrix
         with pytest.raises(ValueError):
-            walsh_domain(np.eye(8), T)
+            walsh_domain(np.eye(6))
 
 
 class TestDiagHelpers:

@@ -41,8 +41,8 @@ class TestParsing:
     def test_solve_agrees_with_builtin(self):
         cfg = BasisConfig.from_resolution(16)
         path = sample_path(cfg, seed=5)
-        a = solve(problem_from_text(EXAMPLE2_TEXT), path, cfg)
-        b = solve(builtin_example(2), path, cfg)
+        a = solve(problem_from_text(EXAMPLE2_TEXT), path)
+        b = solve(builtin_example(2), path)
         assert np.array_equal(a.x_colloc, b.x_colloc)
 
     def test_comments_and_blanks_ignored(self):
@@ -64,7 +64,7 @@ class TestParsing:
         assert (prob.sigma(np.zeros(4)) == 1.0).all()
         cfg = BasisConfig.from_resolution(8)
         path = sample_path(cfg, seed=13)
-        res = solve(prob, path, cfg)
+        res = solve(prob, path)
         # x(t_j) = (1/30) B(t_j) exactly: the integrand is constant
         expect = np.array([prob.exact(t, path) for t in cfg.midpoints])
         assert np.allclose(res.x_colloc, expect, rtol=0, atol=1e-14)
@@ -109,6 +109,16 @@ class TestParseErrors:
         assert err.value.col == 13
         assert "y" in err.value.bare_message
 
+    def test_expression_error_located_at_failing_key(self):
+        # two bad keys: the error raised is beta's, so its position must
+        # be beta's line, not that of the first bad key in file order
+        text = "sigma = q\nx0 = 0\nk1 = 1\nk2 = 0\nbeta = x + y\n"
+        with pytest.raises(ExpressionError) as err:
+            problem_from_text(text)
+        assert err.value.line == 5
+        assert err.value.col == 12
+        assert "y" in err.value.bare_message
+
     def test_non_constant_x0_rejected(self):
         text = "x0 = x\nk1 = 1\nk2 = 0\nbeta = x\nsigma = x\n"
         with pytest.raises((ValueError, ExpressionError)):
@@ -143,8 +153,8 @@ class TestRoundTrip:
         assert reparsed.sources == builtin.sources
         cfg = BasisConfig.from_resolution(16)
         path = sample_path(cfg, seed=23)
-        a = solve(builtin, path, cfg)
-        b = solve(reparsed, path, cfg)
+        a = solve(builtin, path)
+        b = solve(reparsed, path)
         assert np.array_equal(a.x_colloc, b.x_colloc)
         assert a.iterations == b.iterations
 

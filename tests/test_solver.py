@@ -10,13 +10,31 @@ from walshvie.solver import (
     NonFiniteIterateError,
     ProblemSpec,
     SolverOptions,
-    assemble_H,
     builtin_example,
-    collocation_values,
     reconstruct,
     solve,
 )
 from walshvie.walsh import BasisConfig, project_kernel
+
+
+def assemble_H(K, Z, M):
+    """Reference: m * K^T diag(Z) M for a kernel matrix, coefficient
+    vector and operational matrix, the product whose diagonal solve()
+    accumulates directly."""
+    Km = np.asarray(K, dtype=float)
+    Mm = np.asarray(M, dtype=float)
+    z = np.asarray(Z, dtype=float)
+    m = z.shape[0]
+    if Km.shape != (m, m) or Mm.shape != (m, m):
+        raise ValueError("operand shapes do not match")
+    return m * (Km.T @ np.diag(z) @ Mm)
+
+
+def collocation_values(H1, H2, x0):
+    """Reference: solution values at the midpoints, x0 + m^2 (diag H1 + diag H2)."""
+    H1 = np.asarray(H1)
+    m = H1.shape[0]
+    return x0 + m * m * (np.diagonal(H1) + np.diagonal(H2))
 
 
 def exponential_problem():
@@ -66,7 +84,7 @@ class TestDeterministicSolve:
         # with sigma=0 the collocated system is linear triangular:
         # x_j = 1 + h*sum_{i<j} x_i + (h/2) x_j, solvable directly
         cfg = BasisConfig.from_resolution(16)
-        res = solve(exponential_problem(), zero_path(cfg), cfg)
+        res = solve(exponential_problem(), zero_path(cfg))
         h = cfg.h
         direct = np.empty(16)
         acc = 0.0
@@ -77,13 +95,13 @@ class TestDeterministicSolve:
 
     def test_exponential_accuracy(self):
         cfg = BasisConfig.from_resolution(32)
-        res = solve(exponential_problem(), zero_path(cfg), cfg)
+        res = solve(exponential_problem(), zero_path(cfg))
         err = np.max(np.abs(res.x_colloc - np.exp(cfg.midpoints)))
         assert err <= 0.05
 
     def test_callable_constant_kernel_agrees(self):
         cfg = BasisConfig.from_resolution(8)
-        res_const = solve(exponential_problem(), zero_path(cfg), cfg)
+        res_const = solve(exponential_problem(), zero_path(cfg))
         prob = ProblemSpec(
             x0=1.0,
             k1=lambda s, t: np.ones_like(s * t),
@@ -91,7 +109,7 @@ class TestDeterministicSolve:
             beta=lambda x: x,
             sigma=lambda x: 0.0 * x,
         )
-        res_callable = solve(prob, zero_path(cfg), cfg)
+        res_callable = solve(prob, zero_path(cfg))
         assert np.allclose(res_const.x_colloc, res_callable.x_colloc, rtol=0, atol=1e-12)
 
 
@@ -100,7 +118,7 @@ class TestStochasticFixedPoints:
         # on the zero path the solution of example 1 is identically 0
         cfg = BasisConfig.from_resolution(16)
         prob = builtin_example(1)
-        res = solve(prob, zero_path(cfg), cfg)
+        res = solve(prob, zero_path(cfg))
         assert np.max(np.abs(res.x_colloc)) <= 1e-10
         for t in cfg.midpoints:
             assert abs(prob.exact(t, zero_path(cfg))) <= 1e-15
@@ -110,14 +128,14 @@ class TestStochasticFixedPoints:
         cfg = BasisConfig.from_resolution(16)
         prob = builtin_example(2, a="0")
         path = sample_path(cfg, seed=99)
-        res = solve(prob, path, cfg)
+        res = solve(prob, path)
         assert np.max(np.abs(res.x_colloc - 0.1)) <= 1e-10
         for t in cfg.midpoints:
             assert abs(prob.exact(t, path) - 0.1) <= 1e-12
 
     def test_example1_degenerate_noise(self):
         cfg = BasisConfig.from_resolution(8)
-        res = solve(builtin_example(1, a="0"), sample_path(cfg, seed=1), cfg)
+        res = solve(builtin_example(1, a="0"), sample_path(cfg, seed=1))
         assert np.max(np.abs(res.x_colloc)) <= 1e-10
 
 
@@ -126,7 +144,7 @@ class TestSolveOnSampledPaths:
         cfg = BasisConfig.from_resolution(16)
         prob = builtin_example(1)
         path = sample_path(cfg, seed=42)
-        res = solve(prob, path, cfg)
+        res = solve(prob, path)
         exact = np.array([prob.exact(t, path) for t in cfg.midpoints])
         assert np.max(np.abs(res.x_colloc - exact)) <= 1e-3
 
@@ -139,24 +157,24 @@ class TestSolveOnSampledPaths:
         j = 9
         bumped_values = base.values.copy()
         bumped_values[2 * j + 2 :] += 0.5
-        bumped = type(base)(half_step=base.half_step, values=bumped_values, seed=None)
-        res_a = solve(prob, base, cfg)
-        res_b = solve(prob, bumped, cfg)
+        bumped = type(base)(values=bumped_values, seed=None)
+        res_a = solve(prob, base)
+        res_b = solve(prob, bumped)
         assert np.allclose(res_a.x_colloc[: j + 1], res_b.x_colloc[: j + 1], rtol=0, atol=1e-10)
         assert not np.allclose(res_a.x_colloc[j + 1 :], res_b.x_colloc[j + 1 :], atol=1e-10)
 
     def test_coefficients_recomputed_from_final_iterate(self):
         cfg = BasisConfig.from_resolution(8)
         prob = builtin_example(1)
-        res = solve(prob, sample_path(cfg, seed=3), cfg)
-        assert np.array_equal(cfg.m * np.asarray(res.z1), prob.beta(res.x_colloc))
-        assert np.array_equal(cfg.m * np.asarray(res.z2), prob.sigma(res.x_colloc))
+        res = solve(prob, sample_path(cfg, seed=3))
+        assert np.array_equal(cfg.m * res.z1, prob.beta(res.x_colloc))
+        assert np.array_equal(cfg.m * res.z2, prob.sigma(res.x_colloc))
 
     def test_determinism(self):
         cfg = BasisConfig.from_resolution(16)
         prob = builtin_example(2)
-        a = solve(prob, sample_path(cfg, seed=5), cfg)
-        b = solve(prob, sample_path(cfg, seed=5), cfg)
+        a = solve(prob, sample_path(cfg, seed=5))
+        b = solve(prob, sample_path(cfg, seed=5))
         assert np.array_equal(a.x_colloc, b.x_colloc)
         assert a.iterations == b.iterations
 
@@ -165,7 +183,7 @@ class TestFailureModes:
     def test_non_convergence(self):
         cfg = BasisConfig.from_resolution(16)
         with pytest.raises(NonConvergenceError) as err:
-            solve(exponential_problem(), zero_path(cfg), cfg, SolverOptions(max_iter=2))
+            solve(exponential_problem(), zero_path(cfg), SolverOptions(max_iter=2))
         assert err.value.iterations == 2
         assert np.isfinite(err.value.residual)
 
@@ -180,20 +198,20 @@ class TestFailureModes:
             sigma=lambda x: 0.0 * x,
         )
         with pytest.raises(NonFiniteIterateError):
-            solve(prob, zero_path(cfg), cfg)
+            solve(prob, zero_path(cfg))
 
 
 class TestReconstruct:
     def test_block_constant(self):
         cfg = BasisConfig.from_resolution(4)
-        res = solve(exponential_problem(), zero_path(cfg), cfg)
+        res = solve(exponential_problem(), zero_path(cfg))
         assert reconstruct(res, 0.0) == res.x_colloc[0]
         assert reconstruct(res, 0.26) == res.x_colloc[1]
         assert reconstruct(res, 0.999) == res.x_colloc[3]
 
     def test_domain(self):
         cfg = BasisConfig.from_resolution(4)
-        res = solve(exponential_problem(), zero_path(cfg), cfg)
+        res = solve(exponential_problem(), zero_path(cfg))
         with pytest.raises(ValueError):
             reconstruct(res, 1.0)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from walshvie.walsh import (
     BasisConfig,
     build_walsh_matrix,
+    fast_walsh_transform,
     midpoint_floor_index,
     project_function,
     project_kernel,
@@ -86,7 +87,7 @@ class TestWalsh:
 
 class TestWalshMatrix:
     def test_m4_entries(self):
-        T = build_walsh_matrix(BasisConfig.from_resolution(4)).entries
+        T = build_walsh_matrix(BasisConfig.from_resolution(4))
         expected = np.array(
             [
                 [1, 1, 1, 1],
@@ -99,7 +100,7 @@ class TestWalshMatrix:
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64, 128, 256])
     def test_involution_and_symmetry(self, m):
-        T = build_walsh_matrix(BasisConfig.from_resolution(m)).entries
+        T = build_walsh_matrix(BasisConfig.from_resolution(m))
         assert T.dtype == np.int64
         assert (T == T.T).all()
         assert (T @ T == m * np.eye(m, dtype=np.int64)).all()
@@ -107,13 +108,26 @@ class TestWalshMatrix:
     @pytest.mark.parametrize("m", [2, 8, 32])
     def test_orthonormality(self, m):
         # (1/m) sum_j w_i(t_j) w_l(t_j) = delta_il, exact in ints
-        T = build_walsh_matrix(BasisConfig.from_resolution(m)).entries
+        T = build_walsh_matrix(BasisConfig.from_resolution(m))
         gram = T @ T.T
         assert (gram == m * np.eye(m, dtype=np.int64)).all()
 
+    @pytest.mark.parametrize("m", [2**k for k in range(11)])
+    def test_fast_transform_is_exact(self, m):
+        # integer input: the butterflies reproduce T @ a bit for bit
+        T = build_walsh_matrix(BasisConfig.from_resolution(m))
+        a = np.random.default_rng(m).integers(-1000, 1000, size=(m, 3))
+        assert np.array_equal(fast_walsh_transform(a), T @ a)
+        assert np.array_equal(fast_walsh_transform(a[:, 0]), T @ a[:, 0])
+
+    @pytest.mark.parametrize("m", [0, 3, 6, 12])
+    def test_fast_transform_rejects_non_powers(self, m):
+        with pytest.raises(ValueError):
+            fast_walsh_transform(np.ones(m))
+
     def test_rows_match_scalar_walsh(self):
         cfg = BasisConfig.from_resolution(16)
-        T = build_walsh_matrix(cfg).entries
+        T = build_walsh_matrix(cfg)
         for n in (0, 1, 5, 10, 15):
             row = [walsh(n, t) for t in cfg.midpoints]
             assert (T[n] == row).all()
@@ -123,19 +137,19 @@ class TestProjection:
     def test_constant(self):
         cfg = BasisConfig.from_resolution(8)
         F = project_function(lambda t: 1.0, cfg)
-        assert np.allclose(F.values, cfg.h, rtol=0, atol=1e-16)
+        assert np.allclose(F, cfg.h, rtol=0, atol=1e-16)
 
     def test_linear(self):
         # integral of t over [0, 1/2) and [1/2, 1)
         cfg = BasisConfig.from_resolution(2)
         F = project_function(lambda t: t, cfg)
-        assert abs(F.values[0] - 0.125) < 1e-15
-        assert abs(F.values[1] - 0.375) < 1e-15
+        assert abs(F[0] - 0.125) < 1e-15
+        assert abs(F[1] - 0.375) < 1e-15
 
     def test_reconstruction_scale(self):
         cfg = BasisConfig.from_resolution(16)
         F = project_function(lambda t: 3.25, cfg)
-        assert np.allclose(cfg.m * F.values, 3.25, rtol=0, atol=1e-12)
+        assert np.allclose(cfg.m * F, 3.25, rtol=0, atol=1e-12)
 
     def test_quadrature_degree(self):
         # 5-point Gauss is exact for degree 9
@@ -143,7 +157,7 @@ class TestProjection:
         F = project_function(lambda t: t**9, cfg)
         edges = np.arange(5) / 4
         exact = (edges[1:] ** 10 - edges[:-1] ** 10) / 10
-        assert np.allclose(F.values, exact, rtol=1e-13, atol=1e-18)
+        assert np.allclose(F, exact, rtol=1e-13, atol=1e-18)
 
     def test_rejects_non_finite(self):
         cfg = BasisConfig.from_resolution(4)
@@ -153,7 +167,7 @@ class TestProjection:
     def test_parseval_piecewise_constant(self):
         # coefficients (1/m) T v: sum of squares = mean of squares, exact
         cfg = BasisConfig.from_resolution(8)
-        T = build_walsh_matrix(cfg).entries
+        T = build_walsh_matrix(cfg)
         v = np.array([3, -1, 4, 1, -5, 9, 2, -6])
         coeffs = T @ v  # m times the true coefficients
         assert (coeffs @ coeffs) == cfg.m * (v @ v)
@@ -164,14 +178,14 @@ class TestKernelProjection:
         cfg = BasisConfig.from_resolution(16)
         c = -((1 / 30) ** 2) / 2
         K = project_kernel(c, cfg)
-        assert (K.entries == c * cfg.h * cfg.h).all()
+        assert (K == c * cfg.h * cfg.h).all()
 
     def test_separable_product(self):
         # k(s,t) = s*t over [0,1/2)^2 integrates to (1/8)^2
         cfg = BasisConfig.from_resolution(2)
         K = project_kernel(lambda s, t: s * t, cfg)
-        assert abs(K.entries[0, 0] - 0.015625) < 1e-15
-        assert abs(K.entries[1, 1] - 0.375**2) < 1e-15
+        assert abs(K[0, 0] - 0.015625) < 1e-15
+        assert abs(K[1, 1] - 0.375**2) < 1e-15
 
     def test_matches_function_projection_on_slices(self):
         # integrating k(s,t)=exp(s-t) over a block rectangle factorises
@@ -179,7 +193,7 @@ class TestKernelProjection:
         K = project_kernel(lambda s, t: np.exp(s - t), cfg)
         Fs = project_function(np.exp, cfg)
         Ft = project_function(lambda t: np.exp(-t), cfg)
-        assert np.allclose(K.entries, np.outer(Fs.values, Ft.values), rtol=1e-12, atol=0)
+        assert np.allclose(K, np.outer(Fs, Ft), rtol=1e-12, atol=0)
 
     def test_scalar_only_kernel_falls_back(self):
         cfg = BasisConfig.from_resolution(2)
@@ -191,7 +205,7 @@ class TestKernelProjection:
 
         K = project_kernel(k, cfg)
         Kv = project_kernel(lambda s, t: s + t, cfg)
-        assert np.allclose(K.entries, Kv.entries, rtol=0, atol=1e-15)
+        assert np.allclose(K, Kv, rtol=0, atol=1e-15)
 
 
 class TestMidpointFloorIndex:
@@ -228,7 +242,7 @@ class TestMidpointFloorIndex:
 def test_matrix_rows_equal_scalar_definition(k, n):
     cfg = BasisConfig.from_exponent(k)
     n = n % cfg.m
-    T = build_walsh_matrix(cfg).entries
+    T = build_walsh_matrix(cfg)
     assert (T[n] == [walsh(n, t) for t in cfg.midpoints]).all()
 
 
@@ -239,7 +253,7 @@ def test_matrix_rows_equal_scalar_definition(k, n):
 @settings(max_examples=50)
 def test_transform_preserves_integer_inner_products(u, v):
     # <Tu, Tv> = m <u, v>, the polarised form of Parseval
-    T = build_walsh_matrix(BasisConfig.from_resolution(8)).entries
+    T = build_walsh_matrix(BasisConfig.from_resolution(8))
     u = np.array(u)
     v = np.array(v)
     assert (T @ u) @ (T @ v) == 8 * (u @ v)
