@@ -183,7 +183,7 @@ def _cmd_converge(args, seed):
         f"converge_{_slug(problem.label)}.csv",
         ["m", "h", "rms_error"],
         rows,
-        comments=[f"estimated_order = {order}"],
+        comments=[f"estimated_order = {order}", f"failures = {sum(report.failures)}"],
     )
     return 0
 

@@ -17,10 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import sample_path
-from .solver import NonConvergenceError, NonFiniteIterateError, solve
+from .solver import SolveResult, _batch_solver
 from .walsh import BasisConfig, fast_walsh_transform, midpoint_floor_index
 
 REPORT_TIMES = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+# Trials are solved in chunks of max(1, _CHUNK_ELEMENTS // m) paths, so
+# memory stays bounded for any trial count.  On a 1000-trial converge
+# ladder (m = 8..256) 4096-element chunks raised the peak RSS from 38.6
+# to 39.3 MB, above the 38.7 MB of solving one trial at a time.
+_CHUNK_ELEMENTS = 2048
 
 # RMS floor below which a convergence study is treated as degenerate
 # (errors at rounding level carry no slope information).
@@ -50,9 +56,13 @@ class ErrorStats:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """RMS error per resolution over the trials that succeeded, and
+    ``failures``, the number of trials per resolution that did not."""
+
     resolutions: tuple
     rms_errors: tuple
     estimated_order: object  # float, or None when the study is degenerate
+    failures: tuple
 
 
 def error_at(result, problem, path, t):
@@ -80,17 +90,24 @@ def coefficient_error_norm(x, y):
 
 
 def _trial_errors(problem, cfg, n, base_seed, report_times):
-    """Per-trial error rows; failed trials are counted, never absorbed."""
+    """Per-trial error rows; failed trials are counted, never absorbed.
+
+    The operators are built once; each chunk of trials has its paths
+    sampled just before it is solved.  The engine solves every row on
+    its own, so a trial's values do not depend on the chunking.
+    """
+    solve_paths = _batch_solver(problem, cfg)
+    per_chunk = max(1, _CHUNK_ELEMENTS // cfg.m)
     rows = []
     failures = 0
-    for trial in range(1, n + 1):
-        path = sample_path(cfg, (base_seed, trial))
-        try:
-            result = solve(problem, path)
-        except (NonConvergenceError, NonFiniteIterateError):
-            failures += 1
-            continue
-        rows.append([error_at(result, problem, path, t) for t in report_times])
+    for first in range(1, n + 1, per_chunk):
+        trials = range(first, min(first + per_chunk, n + 1))
+        paths = [sample_path(cfg, (base_seed, trial)) for trial in trials]
+        for path, outcome in zip(paths, solve_paths(paths)):
+            if isinstance(outcome, SolveResult):
+                rows.append([error_at(outcome, problem, path, t) for t in report_times])
+            else:
+                failures += 1
     return np.asarray(rows, dtype=float), failures
 
 
@@ -131,7 +148,8 @@ def convergence_study(problem, resolutions, n, base_seed, report_times=REPORT_TI
     """RMS error per resolution and the least-squares order in h.
 
     When every RMS sits at rounding level the order is reported as
-    None rather than a meaningless slope.
+    None rather than a meaningless slope.  Failed trials are left out
+    of the RMS and counted in the report's ``failures``.
     """
     resolutions = tuple(int(m) for m in resolutions)
     if len(resolutions) < 3:
@@ -139,12 +157,14 @@ def convergence_study(problem, resolutions, n, base_seed, report_times=REPORT_TI
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ValueError("resolutions must be strictly increasing")
     rms = []
+    failures = []
     for m in resolutions:
         cfg = BasisConfig.from_resolution(m)
-        errors, _failures = _trial_errors(problem, cfg, n, base_seed, report_times)
+        errors, failed = _trial_errors(problem, cfg, n, base_seed, report_times)
         if errors.shape[0] < 1:
             raise ValueError(f"every trial failed at m={m}")
         rms.append(float(np.sqrt(np.mean(np.square(errors)))))
+        failures.append(failed)
     if max(rms) <= DEGENERATE_RMS:
         order = None
     else:
@@ -154,4 +174,5 @@ def convergence_study(problem, resolutions, n, base_seed, report_times=REPORT_TI
         resolutions=resolutions,
         rms_errors=tuple(rms),
         estimated_order=order,
+        failures=tuple(failures),
     )

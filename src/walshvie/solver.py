@@ -28,6 +28,20 @@ to c[j], and block j itself contributes the same with the bracket
 replaced by -dB1^2/2 - h/4: the Ito drift -k2^2 sigma sigma'/2 plus the
 Milstein term.  sigma' comes from the complex step
 Im sigma(x + i eta) / eta, exact to rounding for analytic sigma.
+
+One engine solves a block of paths as the rows of an (n, m) array;
+``solve`` is its one-path case and Monte Carlo runs feed it chunks of
+trials.  The operators that do not depend on the path are built once
+per engine.  For a constant kernel c they are cumulative sums: the k1
+term is c (sum of z1[i] over i < j + z1[j]/2) and the stochastic term c
+times the sum of the earlier blocks' values plus c times the block's
+own, so a sweep costs O(m) per path and no m x m array exists.  Other
+kernels are projected once and applied to one row at a time.  Every
+row keeps its own sweep count, residual and damping flag, and leaves
+the block when it converges or fails: a non-finite beta, sigma or
+iterate ends it with NonFiniteIterateError, max_iter with
+NonConvergenceError, and the other rows go on.  A row's values
+therefore never depend on the rows solved beside it.
 """
 
 from dataclasses import dataclass, field
@@ -114,13 +128,6 @@ def reconstruct(result, t):
     return float(result.x_colloc[int(t * len(result.x_colloc))])
 
 
-def _nonlinearity(f, x, what):
-    vals = _eval_grid(f, x)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteIterateError(f"{what}(x) is not finite at the current iterate")
-    return vals
-
-
 # Complex step for sigma'(x) = Im sigma(x + i eta) / eta (Squire and
 # Trapp, SIAM Rev. 40, 1998): no subtraction, so no cancellation.
 _COMPLEX_STEP = 1e-20
@@ -129,7 +136,7 @@ _COMPLEX_STEP = 1e-20
 def _sigma_with_slope(sigma, x):
     """sigma(x) and sigma'(x) from one complex-step evaluation; a sigma
     that cannot take complex input is an error, never a silent zero
-    slope."""
+    slope.  Finiteness is left to the caller, which judges it per row."""
     z = x + 1j * _COMPLEX_STEP
     try:
         vals = np.asarray(sigma(z))
@@ -141,9 +148,154 @@ def _sigma_with_slope(sigma, x):
             "for its complex-step slope (use numpy functions such as np.exp, not "
             "math.exp, and no np.abs)"
         )
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteIterateError("sigma(x) is not finite at the current iterate")
     return vals.real, vals.imag / _COMPLEX_STEP
+
+
+def _exclusive_cumsum(a):
+    """Per row, out[:, j] = a[:, 0] + ... + a[:, j-1], summed in order."""
+    out = np.empty_like(a)
+    out[:, 0] = 0.0
+    np.add.accumulate(a[:, :-1], axis=1, out=out[:, 1:])
+    return out
+
+
+def _by_row(a, M):
+    # one GEMV per row: a GEMM over the block could round a row
+    # differently depending on how many rows share it
+    return np.array([row @ M for row in a])
+
+
+def _volterra_sums(problem, cfg):
+    """The path-independent operators of one sweep, built once.
+
+    Returns (drift, noise, k2_ss): drift(z1) = z1 @ m^3 (K1 o P) and
+    noise(w) = w @ m^2 triu(K2, 1), each row on its own, and
+    k2_ss = m^2 diag(K2), the block average of k2(s, s).  A constant
+    kernel c gives c (exclusive_cumsum(z1) + z1/2), c exclusive_cumsum(w)
+    and c, so no m x m array is built.
+    """
+    m = cfg.m
+    if isinstance(problem.k1, Real):
+        c1 = float(problem.k1)
+        drift = lambda z: c1 * (_exclusive_cumsum(z) + 0.5 * z)
+    else:
+        G1 = project_kernel(problem.k1, cfg) * integration_matrix(cfg)
+        G1 *= m**3
+        drift = lambda z: _by_row(z, G1)
+    if isinstance(problem.k2, Real):
+        c2 = float(problem.k2)
+        return drift, lambda w: c2 * _exclusive_cumsum(w), c2
+    K2 = project_kernel(problem.k2, cfg)
+    # m^3 K2 times h sigma is m^2 K2 times sigma
+    upper = np.triu(K2, 1)
+    upper *= m * m
+    return drift, lambda w: _by_row(w, upper), m * m * np.diagonal(K2)
+
+
+_BETA = "beta(x) is not finite at the current iterate"
+_SIGMA = "sigma(x) is not finite at the current iterate"
+
+
+def _fail_non_finite(rows, checks, outcomes):
+    """Record a NonFiniteIterateError for each row of ``rows`` where an
+    array of ``checks`` (pairs of array and message, in the order they
+    are checked) is not finite, with the message of the first such
+    array.  Returns the mask of the failed rows."""
+    failed = np.zeros(len(rows), dtype=bool)
+    finite = [np.isfinite(a) for a, _ in checks]
+    if all(f.all() for f in finite):
+        return failed
+    for f, (_, message) in zip(finite, checks):
+        new = ~f.all(axis=1) & ~failed
+        for r in rows[new]:
+            outcomes[r] = NonFiniteIterateError(message)
+        failed |= new
+    return failed
+
+
+def _batch_solver(problem, cfg, options=None):
+    """The solve engine at resolution cfg.m.
+
+    Builds the path-independent operators once and returns
+    ``solve_paths(paths)``, which solves a block of paths of that
+    resolution as the rows of one (n, m) array.  It returns, per path,
+    the SolveResult or the NonFiniteIterateError / NonConvergenceError
+    that ended its row; every row runs the sweeps of ``solve``'s
+    docstring with its own residual and damping flag, and a row that
+    finishes leaves the block, so no row depends on the others.
+    """
+    opts = options or SolverOptions()
+    m, h = cfg.m, cfg.h
+    drift, noise, k2_ss = _volterra_sums(problem, cfg)
+    ito = bool(np.any(k2_ss))
+    x0 = float(problem.x0)
+
+    def solve_paths(paths):
+        v = np.stack([path.values for path in paths])
+        n = len(v)
+        full = v[:, 2::2] - v[:, :-2:2]  # B((i+1)h) - B(ih)
+        dB1 = v[:, 1::2] - v[:, :-2:2]  # B(t_i) - B(ih)
+        dB2 = v[:, 2::2] - v[:, 1::2]  # B((i+1)h) - B(t_i)
+        # the correction per unit sigma*sigma'(x[i]), above and on the diagonal
+        c_full = k2_ss * 0.5 * (dB2**2 - dB1**2 - h)
+        c_half = k2_ss * (-0.5 * dB1**2 - h / 4.0)
+        outcomes = [None] * n
+        # the rows still iterating: index, iterate, residual, damping
+        # flag and their path data
+        live = (
+            np.arange(n), np.full((n, m), x0), np.full(n, np.inf), np.zeros(n, dtype=bool),
+            full, dB1, c_full, c_half,
+        )
+        for sweep in range(1, opts.max_iter + 1):
+            rows, x, previous, damped, full, dB1, c_full, c_half = live
+            z1 = h * _eval_grid(problem.beta, x)
+            if ito:
+                sig, slope = _sigma_with_slope(problem.sigma, x)
+            else:
+                sig, slope = _eval_grid(problem.sigma, x), np.zeros_like(x)
+            w = sig * (full + slope * c_full)
+            u = sig * (dB1 + slope * c_half)
+            # a row whose beta or sigma is not finite turns nan here and
+            # fails below with that cause; it warns no further
+            with np.errstate(invalid="ignore"):
+                candidate = x0 + drift(z1) + noise(w) + k2_ss * u
+            checks = ((z1, _BETA), (sig, _SIGMA), (slope, _SIGMA), (candidate, "iterate is not finite"))
+            failed = _fail_non_finite(rows, checks, outcomes)
+            residual = np.maximum.reduce(np.abs(candidate - x), axis=1)
+            damped = damped | (residual > previous)
+            if damped.any():
+                candidate[damped] = x[damped] + opts.damping * (candidate[damped] - x[damped])
+                residual[damped] = np.maximum.reduce(np.abs(candidate[damped] - x[damped]), axis=1)
+            done = (residual <= opts.tol) & ~failed
+            if done.any():
+                _finish(problem, h, rows[done], candidate[done], sweep, residual[done], outcomes)
+            live = (rows, candidate, residual, damped, full, dB1, c_full, c_half)
+            keep = ~(failed | done)
+            if not keep.all():
+                live = tuple(a[keep] for a in live)
+            if not keep.any():
+                break
+        for r, residual in zip(live[0], live[2]):
+            outcomes[r] = NonConvergenceError(residual=float(residual), iterations=opts.max_iter)
+        return outcomes
+
+    return solve_paths
+
+
+def _finish(problem, h, rows, x, sweeps, residuals, outcomes):
+    """Results of the rows that converged, with z1 and z2 recomputed
+    from their final iterates."""
+    z1 = h * _eval_grid(problem.beta, x)
+    z2 = h * _eval_grid(problem.sigma, x)
+    failed = _fail_non_finite(rows, ((z1, _BETA), (z2, _SIGMA)), outcomes)
+    for k in np.flatnonzero(~failed):
+        outcomes[rows[k]] = SolveResult(
+            x_colloc=_readonly(x[k]),
+            z1=_readonly(z1[k]),
+            z2=_readonly(z2[k]),
+            iterations=sweeps,
+            residual=float(residuals[k]),
+        )
 
 
 def solve(problem, path, options=None):
@@ -155,65 +307,20 @@ def solve(problem, path, options=None):
     where H = m K^T diag(z) M and c is the Ito correction of the module
     docstring.  Only the diagonals are needed, so they are accumulated
     directly; H2 and c share the strict upper triangle and the diagonal
-    of K2, so together they are one product with it.  A damping factor
-    of 0.5 is engaged for the remaining sweeps after any residual
+    of K2, so together they are one product with it.  For a constant
+    kernel c the products are cumulative sums: c times the sum of the
+    earlier blocks' values plus, for k1, half the block's own.  A damping
+    factor of 0.5 is engaged for the remaining sweeps after any residual
     increase.  Divergence surfaces as NonFiniteIterateError and
     stagnation as NonConvergenceError; neither is silently absorbed.
+
+    This is the one-path case of the batched engine that Monte Carlo
+    runs use, and gives the same bits as that path solved in any batch.
     """
-    opts = options or SolverOptions()
-    cfg = BasisConfig.from_resolution(path.m)
-    m, h = cfg.m, cfg.h
-    # diag(H)[j] = m * sum_i K[i][j] z[i] M[i][j]
-    G1 = project_kernel(problem.k1, cfg) * integration_matrix(cfg)
-    G1 *= m**3
-    K2 = project_kernel(problem.k2, cfg)
-    # m^3 K2 times h sigma is m^2 K2 times sigma; m^2 K2[i][i] is the
-    # block average of k2(s, s), the inner factor of the correction
-    upper2 = np.triu(K2, 1)
-    upper2 *= m * m
-    k2_ss = m * m * np.diagonal(K2)
-    v = path.values
-    full = v[2::2] - v[:-2:2]  # B((i+1)h) - B(ih)
-    dB1 = v[1::2] - v[:-2:2]  # B(t_i) - B(ih)
-    dB2 = v[2::2] - v[1::2]  # B((i+1)h) - B(t_i)
-    # the correction per unit sigma*sigma'(x[i]), above and on the diagonal
-    c_full = k2_ss * 0.5 * (dB2**2 - dB1**2 - h)
-    c_half = k2_ss * (-0.5 * dB1**2 - h / 4.0)
-    ito = bool(np.any(k2_ss))
-    x0 = float(problem.x0)
-    x = np.full(m, x0)
-    previous = np.inf
-    damped = False
-    for sweep in range(1, opts.max_iter + 1):
-        z1 = h * _nonlinearity(problem.beta, x, "beta")
-        if ito:
-            sig, slope = _sigma_with_slope(problem.sigma, x)
-        else:
-            sig, slope = _nonlinearity(problem.sigma, x, "sigma"), 0.0
-        w = sig * (full + slope * c_full)
-        u = sig * (dB1 + slope * c_half)
-        candidate = x0 + z1 @ G1 + w @ upper2 + k2_ss * u
-        if not np.all(np.isfinite(candidate)):
-            raise NonFiniteIterateError("iterate is not finite")
-        residual = float(np.max(np.abs(candidate - x)))
-        if residual > previous:
-            damped = True
-        if damped:
-            candidate = x + opts.damping * (candidate - x)
-            residual = float(np.max(np.abs(candidate - x)))
-        x = candidate
-        if residual <= opts.tol:
-            z1 = h * _nonlinearity(problem.beta, x, "beta")
-            z2 = h * _nonlinearity(problem.sigma, x, "sigma")
-            return SolveResult(
-                x_colloc=_readonly(x),
-                z1=_readonly(z1),
-                z2=_readonly(z2),
-                iterations=sweep,
-                residual=residual,
-            )
-        previous = residual
-    raise NonConvergenceError(residual=residual, iterations=opts.max_iter)
+    outcome, = _batch_solver(problem, BasisConfig.from_resolution(path.m), options)([path])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 _BUILTIN_FORMS = {

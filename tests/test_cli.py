@@ -105,8 +105,9 @@ class TestConverge:
         assert rows[0] == ["m", "h", "rms_error"]
         assert [r[0] for r in rows[1:]] == ["4", "8", "16"]
         assert float(rows[1][1]) == 0.25
-        assert len(comments) == 1
+        assert len(comments) == 2
         assert comments[0].startswith("# estimated_order =")
+        assert comments[1] == "# failures = 0"
 
     def test_requires_exact(self, tmp_path, capsys):
         f = tmp_path / "prob.txt"

@@ -1,21 +1,33 @@
 """Monte Carlo error statistics and convergence studies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from walshvie.brownian import sample_path
+from walshvie.brownian import BrownianPath, sample_path
 from walshvie.experiment import (
+    _CHUNK_ELEMENTS,
     DEGENERATE_RMS,
     REPORT_TIMES,
     ErrorStats,
+    _trial_errors,
     coefficient_error_norm,
     convergence_study,
     error_at,
     monte_carlo,
 )
-from walshvie.solver import ProblemSpec, builtin_example, solve
+from walshvie.solver import (
+    NonConvergenceError,
+    NonFiniteIterateError,
+    ProblemSpec,
+    SolveResult,
+    SolverOptions,
+    _batch_solver,
+    builtin_example,
+    solve,
+)
 from walshvie.walsh import BasisConfig
 
 
@@ -30,6 +42,27 @@ def exp_problem():
         exact=lambda t, path: math.exp(t),
         label="exp",
     )
+
+
+def feedback_problem():
+    # positive feedback makes solve diverge on wide paths only
+    return ProblemSpec(
+        x0=0.5,
+        k1=0.0,
+        k2=0.8,
+        beta=lambda x: 0.0 * x,
+        sigma=lambda x: np.exp(x * x),
+        exact=lambda t, path: 0.5,
+        label="feedback",
+    )
+
+
+def outcome(problem, path, options=None):
+    """The SolveResult of one path alone, or the failure that ended it."""
+    try:
+        return solve(problem, path, options)
+    except (NonConvergenceError, NonFiniteIterateError) as exc:
+        return exc
 
 
 def constant_problem():
@@ -144,18 +177,8 @@ class TestMonteCarlo:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_failures_counted_not_absorbed(self):
-        # positive feedback makes solve diverge on wide paths only
         cfg = BasisConfig.from_resolution(8)
-        prob = ProblemSpec(
-            x0=0.5,
-            k1=0.0,
-            k2=0.8,
-            beta=lambda x: 0.0 * x,
-            sigma=lambda x: np.exp(x * x),
-            exact=lambda t, path: 0.5,
-            label="feedback",
-        )
-        stats = monte_carlo(prob, cfg, 12, base_seed=0)
+        stats = monte_carlo(feedback_problem(), cfg, 12, base_seed=0)
         assert stats[0].failures >= 1
         assert stats[0].n >= 2
         assert stats[0].n + stats[0].failures == 12
@@ -177,6 +200,97 @@ class TestMonteCarlo:
         assert 1.25 <= np.mean(ratios) <= 1.6
 
 
+    def test_peak_allocation_stays_small_at_large_m(self):
+        # constant kernels need no m x m operator and trials are solved
+        # in bounded chunks; dense per-trial operators peaked at 768 MB
+        prob = builtin_example(2)
+        cfg = BasisConfig.from_resolution(4096)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            monte_carlo(prob, cfg, 16, base_seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
+
+class TestBatchInvariance:
+    # Path scales, per (example, m), that make a row engage damping,
+    # diverge, and (example 1 only) stall at max_iter.
+    SCALES = {
+        (1, 16): (300, 1e5, 3000),
+        (1, 256): (3000, 1e5, 2000),
+        (2, 16): (68, 100, None),
+        (2, 256): (60, 100, None),
+    }
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("example_id, m", sorted(SCALES))
+    def test_trial_alone_equals_trial_in_chunk(self, example_id, m):
+        prob = builtin_example(example_id)
+        cfg = BasisConfig.from_resolution(m)
+        paths = [sample_path(cfg, (42, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)]
+        damped, diverging, stalled = self.SCALES[example_id, m]
+        base = paths[2].values
+        paths[1] = BrownianPath(values=base * damped, seed=None)
+        paths[2] = BrownianPath(values=base * diverging, seed=None)
+        if stalled is not None:
+            paths[3] = BrownianPath(values=base * stalled, seed=None)
+        chunk = _batch_solver(prob, cfg)(paths)
+        for path, in_chunk in zip(paths, chunk):
+            alone = outcome(prob, path)
+            assert type(alone) is type(in_chunk)
+            if isinstance(alone, SolveResult):
+                assert np.array_equal(alone.x_colloc, in_chunk.x_colloc)
+                assert alone.iterations == in_chunk.iterations
+                assert alone.residual == in_chunk.residual
+            elif isinstance(alone, NonConvergenceError):
+                assert (alone.residual, alone.iterations) == (in_chunk.residual, in_chunk.iterations)
+        # the chunk holds a row that engaged damping, one that diverged
+        # and, for example 1, one that stalled
+        undamped = outcome(prob, paths[1], SolverOptions(damping=1.0))
+        assert isinstance(chunk[1], SolveResult)
+        assert not (isinstance(undamped, SolveResult) and undamped.iterations == chunk[1].iterations)
+        assert isinstance(chunk[2], NonFiniteIterateError)
+        if stalled is not None:
+            assert isinstance(chunk[3], NonConvergenceError)
+        assert sum(isinstance(r, SolveResult) for r in chunk) >= len(chunk) - 3
+
+    def test_kernels_that_are_not_constant(self):
+        # applied with one GEMV per row: a GEMM over the chunk rounds
+        # most rows differently from the same row solved alone
+        prob = ProblemSpec(
+            x0=0.1,
+            k1=lambda s, t: -((1 / 30) ** 2) * np.exp(s - t),
+            k2=lambda s, t: (1 / 30) * np.exp((s - t) / 2),
+            beta=lambda x: x * (1 - x * x),
+            sigma=lambda x: 1 - x * x,
+        )
+        cfg = BasisConfig.from_resolution(64)
+        paths = [sample_path(cfg, (5, trial)) for trial in range(1, _CHUNK_ELEMENTS // 64 + 1)]
+        for path, in_chunk in zip(paths, _batch_solver(prob, cfg)(paths)):
+            alone = solve(prob, path)
+            assert np.array_equal(alone.x_colloc, in_chunk.x_colloc)
+            assert alone.iterations == in_chunk.iterations
+
+    @pytest.mark.parametrize("example_id", [1, 2])
+    @pytest.mark.parametrize("m", [16, 256])
+    def test_trial_errors_match_trials_solved_alone(self, example_id, m):
+        # two chunks and a part of a third
+        prob = builtin_example(example_id)
+        cfg = BasisConfig.from_resolution(m)
+        n = 2 * (_CHUNK_ELEMENTS // m) + 3
+        errors, failures = _trial_errors(prob, cfg, n, 17, REPORT_TIMES)
+        rows = []
+        for trial in range(1, n + 1):
+            path = sample_path(cfg, (17, trial))
+            res = solve(prob, path)
+            rows.append([error_at(res, prob, path, t) for t in REPORT_TIMES])
+        assert failures == 0
+        assert np.array_equal(errors, np.asarray(rows, dtype=float))
+
+
 class TestErrorStatsValidation:
     def test_rejects_single_trial(self):
         with pytest.raises(ValueError):
@@ -195,6 +309,24 @@ class TestConvergenceStudy:
     def test_rms_decreases(self):
         report = convergence_study(exp_problem(), (8, 32, 128), 2, base_seed=1)
         assert report.rms_errors[0] > report.rms_errors[1] > report.rms_errors[2]
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_failures_reported_per_resolution(self):
+        prob = feedback_problem()
+        resolutions, n = (4, 8, 16), 12
+        report = convergence_study(prob, resolutions, n, base_seed=0)
+        assert len(report.failures) == len(resolutions)
+        for m, failed, rms in zip(resolutions, report.failures, report.rms_errors):
+            cfg = BasisConfig.from_resolution(m)
+            rows = []
+            for trial in range(1, n + 1):
+                path = sample_path(cfg, (0, trial))
+                res = outcome(prob, path)
+                if isinstance(res, SolveResult):
+                    rows.append([error_at(res, prob, path, t) for t in REPORT_TIMES])
+            assert 0 < failed < n
+            assert failed + len(rows) == n
+            assert rms == float(np.sqrt(np.mean(np.square(np.asarray(rows)))))
 
     def test_degenerate_study_has_no_order(self):
         report = convergence_study(constant_problem(), (4, 8, 16), 3, base_seed=5)

@@ -1,5 +1,6 @@
 """Collocation assembly and the fixed point solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +39,44 @@ def collocation_values(H1, H2, x0):
     H1 = np.asarray(H1)
     m = H1.shape[0]
     return x0 + m * m * (np.diagonal(H1) + np.diagonal(H2))
+
+
+def dense_solve(problem, path, options=None):
+    """Reference: the dense formulation of solve(), with the operators
+    G1 = m^3 K1 o P, m^2 triu(K2, 1) and m^2 diag(K2) built as m x m
+    arrays and applied by matrix products.  Returns the solution and
+    the sweep count."""
+    opts = options or SolverOptions()
+    cfg = BasisConfig.from_resolution(path.m)
+    m, h = cfg.m, cfg.h
+    G1 = m**3 * (project_kernel(problem.k1, cfg) * integration_matrix(cfg))
+    K2 = project_kernel(problem.k2, cfg)
+    upper2 = m * m * np.triu(K2, 1)
+    k2_ss = m * m * np.diagonal(K2)
+    v = path.values
+    full, dB1, dB2 = v[2::2] - v[:-2:2], v[1::2] - v[:-2:2], v[2::2] - v[1::2]
+    c_full = k2_ss * 0.5 * (dB2**2 - dB1**2 - h)
+    c_half = k2_ss * (-0.5 * dB1**2 - h / 4.0)
+    x0 = float(problem.x0)
+    x = np.full(m, x0)
+    previous, damped = np.inf, False
+    for sweep in range(1, opts.max_iter + 1):
+        z1 = h * problem.beta(x)
+        s = problem.sigma(x + 1e-20j)
+        sig, slope = s.real, s.imag / 1e-20
+        w = sig * (full + slope * c_full)
+        u = sig * (dB1 + slope * c_half)
+        candidate = x0 + z1 @ G1 + w @ upper2 + k2_ss * u
+        residual = np.max(np.abs(candidate - x))
+        damped = damped or residual > previous
+        if damped:
+            candidate = x + opts.damping * (candidate - x)
+            residual = np.max(np.abs(candidate - x))
+        x = candidate
+        if residual <= opts.tol:
+            return x, sweep
+        previous = residual
+    raise NonConvergenceError(residual=residual, iterations=opts.max_iter)
 
 
 def exponential_problem():
@@ -180,6 +219,35 @@ class TestSolveOnSampledPaths:
         b = solve(prob, sample_path(cfg, seed=5))
         assert np.array_equal(a.x_colloc, b.x_colloc)
         assert a.iterations == b.iterations
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("example_id", [1, 2])
+    @pytest.mark.parametrize("m", [8, 256, 1024])
+    def test_cumulative_sums_match_dense_operators(self, example_id, m):
+        prob = builtin_example(example_id)
+        cfg = BasisConfig.from_resolution(m)
+        for trial in range(1, 4):
+            path = sample_path(cfg, (11, trial))
+            res = solve(prob, path)
+            x_ref, sweeps = dense_solve(prob, path)
+            assert np.max(np.abs(res.x_colloc - x_ref)) <= 1e-14
+            assert res.iterations == sweeps
+
+    @pytest.mark.parametrize("example_id", [1, 2])
+    def test_callable_constant_kernels_match_folded(self, example_id):
+        # a callable kernel is projected by quadrature and applied as a
+        # dense operator; the folded constant takes the cumulative sums
+        prob = builtin_example(example_id)
+        c1, c2 = prob.k1, prob.k2
+        callable_prob = dataclasses.replace(
+            prob, k1=lambda s, t: c1 + 0 * s * t, k2=lambda s, t: c2 + 0 * s * t
+        )
+        cfg = BasisConfig.from_resolution(64)
+        for trial in range(1, 4):
+            path = sample_path(cfg, (12, trial))
+            folded = solve(prob, path).x_colloc
+            assert np.max(np.abs(solve(callable_prob, path).x_colloc - folded)) <= 1e-12
 
 
 class TestItoCorrection:
