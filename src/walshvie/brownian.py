@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walsh import _readonly, midpoint_floor_index
+from .walsh import _readonly
 
 
 @dataclass(frozen=True)
@@ -32,27 +32,6 @@ class BrownianPath:
     @property
     def m(self):
         return (len(self.values) - 1) // 2
-
-    @property
-    def half_step(self):
-        return 1.0 / (len(self.values) - 1)
-
-    def value_at(self, t):
-        """B(t) for t exactly on the half-step grid; off-grid t is an error."""
-        idx = t / self.half_step
-        j = int(round(idx))
-        if not 0 <= j < len(self.values) or j * self.half_step != t:
-            raise ValueError(f"t={t!r} is not a point of the half-step grid")
-        return float(self.values[j])
-
-    def last_midpoint_value(self, t):
-        """B at the last collocation midpoint <= t (clipped to the first one).
-
-        Midpoints are the odd half-grid points; this lookup never
-        interpolates the path.
-        """
-        j = midpoint_floor_index(self.m, t)
-        return float(self.values[2 * j + 1])
 
 
 def sample_path(cfg, seed):

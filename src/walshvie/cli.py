@@ -145,10 +145,10 @@ def _cmd_run(args, seed):
     columns = [cfg.midpoints, result.x_colloc]
     comments = []
     if problem.exact is not None:
-        exact_vals = [float(problem.exact(t, path)) for t in cfg.midpoints]
+        exact_vals = problem.exact(cfg.midpoints, path.values[1::2])
         header.append("exact")
         columns.append(exact_vals)
-        gap = coefficient_error_norm(result.x_colloc * cfg.h, [v * cfg.h for v in exact_vals])
+        gap = coefficient_error_norm(result.x_colloc * cfg.h, exact_vals * cfg.h)
         comments.append(f"coefficient_error_inf = {_fmt(gap)}")
     if args.oracle:
         try:

@@ -1,14 +1,14 @@
 """Monte Carlo error statistics and convergence studies.
 
-Errors are measured at the collocation grid: for a report time t the
-numerical value is the block value at the last collocation midpoint
-t_j <= t, and the exact solution reads the driving path through the
-same midpoint (``BrownianPath.last_midpoint_value``).  Comparing both
-sides at the identical path point isolates the scheme error instead of
-the half-block noise of the path itself, and never interpolates the
-path.  Report times are taken as given for the explicit time argument
-of the exact solution, so block constancy still shows up for
-deterministic problems.
+This module is the one place that maps a report time t to the grid:
+errors are read at the last collocation midpoint t_j <= t, the
+numerical value as x[j] and the path as B = values[2j + 1], the same
+point, and the error is |exact(t, B) - x[j]|.  Comparing both sides at
+the identical path point isolates the scheme error instead of the
+half-block noise of the path itself, and never interpolates the path.
+Report times are taken as given for the explicit time argument of the
+exact solution, so block constancy still shows up for deterministic
+problems.  A chunk of trials needs one call of ``exact`` on arrays.
 """
 
 import math
@@ -65,14 +65,23 @@ class ConvergenceReport:
     failures: tuple
 
 
-def error_at(result, problem, path, t):
-    """|exact(t, path) - x_m| at the last collocation midpoint <= t."""
+def _midpoint_errors(problem, x, values, report_times):
+    """|exact(t, B) - x[:, j]| for solutions x of shape (n, m) and their
+    paths' values (n, 2m + 1), one column per report time t, with j the
+    last collocation midpoint t_j <= t and B = values[:, 2j + 1]."""
     if problem.exact is None:
         raise ValueError(f"problem {problem.label!r} has no exact solution")
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must lie in [0, 1), got {t}")
-    j = midpoint_floor_index(len(result.x_colloc), t)
-    return abs(float(problem.exact(t, path)) - float(result.x_colloc[j]))
+    j = np.array([midpoint_floor_index(x.shape[1], t) for t in report_times], dtype=np.intp)
+    t = np.array(report_times, dtype=float)
+    return np.abs(problem.exact(t, values[:, 2 * j + 1]) - x[:, j])
+
+
+def error_at(result, problem, path, t):
+    """|exact(t, B) - x[j]| at the last collocation midpoint t_j <= t,
+    with B the path's value there: the one-trial case of the per-chunk
+    errors of Monte Carlo runs."""
+    errors = _midpoint_errors(problem, result.x_colloc[None], path.values[None], (t,))
+    return float(errors[0, 0])
 
 
 def coefficient_error_norm(x, y):
@@ -93,8 +102,9 @@ def _trial_errors(problem, cfg, n, base_seed, report_times):
     """Per-trial error rows; failed trials are counted, never absorbed.
 
     The operators are built once; each chunk of trials has its paths
-    sampled just before it is solved.  The engine solves every row on
-    its own, so a trial's values do not depend on the chunking.
+    sampled just before it is solved, and the errors of its successful
+    trials come from one call of ``exact``.  The engine solves every row
+    on its own, so a trial's values do not depend on the chunking.
     """
     solve_paths = _batch_solver(problem, cfg)
     per_chunk = max(1, _CHUNK_ELEMENTS // cfg.m)
@@ -103,11 +113,12 @@ def _trial_errors(problem, cfg, n, base_seed, report_times):
     for first in range(1, n + 1, per_chunk):
         trials = range(first, min(first + per_chunk, n + 1))
         paths = [sample_path(cfg, (base_seed, trial)) for trial in trials]
-        for path, outcome in zip(paths, solve_paths(paths)):
-            if isinstance(outcome, SolveResult):
-                rows.append([error_at(outcome, problem, path, t) for t in report_times])
-            else:
-                failures += 1
+        solved = [(p, o) for p, o in zip(paths, solve_paths(paths)) if isinstance(o, SolveResult)]
+        failures += len(paths) - len(solved)
+        if solved:
+            x = np.stack([o.x_colloc for _, o in solved])
+            values = np.stack([p.values for p, _ in solved])
+            rows.extend(_midpoint_errors(problem, x, values, report_times))
     return np.asarray(rows, dtype=float), failures
 
 
@@ -121,7 +132,7 @@ def monte_carlo(problem, cfg, n, base_seed, report_times=REPORT_TIMES):
     if n < 2:
         raise ValueError("need at least two trials")
     errors, failures = _trial_errors(problem, cfg, n, base_seed, report_times)
-    n_eff = errors.shape[0] if errors.size else 0
+    n_eff = errors.shape[0]
     if n_eff < 2:
         raise ValueError(f"only {n_eff} of {n} trials succeeded; cannot form statistics")
     stats = []

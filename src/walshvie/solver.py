@@ -79,13 +79,14 @@ class ProblemSpec:
     ``sigma`` must also accept complex input and return complex values
     (np.exp, np.tanh and every expression of the expression language
     do; np.abs and math.exp do not), since the solver differentiates it
-    by the complex step.  ``exact``,
-    when present, is a callable of (t, path); implementations that
-    depend on the driving noise must read it through
-    ``path.last_midpoint_value`` so that comparisons line up with the
-    collocation grid.  ``sources`` optionally keeps the expression
-    strings the problem was built from, which is what makes re-encoding
-    to a problem file lossless.
+    by the complex step.  ``exact``, when present, is the closed-form
+    solution as a callable of (t, B), where B is the path value at the
+    last collocation midpoint at or below t, the point the numerical
+    value is read at.  It must take numpy arrays and follow numpy
+    broadcasting (np.exp, not math.exp), since errors are computed for
+    many report times and trials in one call.  ``sources`` optionally
+    keeps the expression strings the problem was built from, which is
+    what makes re-encoding to a problem file lossless.
     """
 
     x0: float
@@ -109,14 +110,10 @@ class SolverOptions:
 class SolveResult:
     """Converged collocation solution at one resolution m = len(x_colloc).
 
-    ``x_colloc[j]`` approximates x(t_j); ``z1``/``z2`` are read-only
-    arrays of the block integrals of beta(x) and sigma(x) recomputed
-    from the final iterate, so m * z1[j] = beta(x_colloc[j]) exactly.
+    ``x_colloc[j]`` is a read-only array approximating x(t_j).
     """
 
     x_colloc: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
     iterations: int
     residual: float
 
@@ -267,8 +264,8 @@ def _batch_solver(problem, cfg, options=None):
                 candidate[damped] = x[damped] + opts.damping * (candidate[damped] - x[damped])
                 residual[damped] = np.maximum.reduce(np.abs(candidate[damped] - x[damped]), axis=1)
             done = (residual <= opts.tol) & ~failed
-            if done.any():
-                _finish(problem, h, rows[done], candidate[done], sweep, residual[done], outcomes)
+            for r, x_done, res in zip(rows[done], candidate[done], residual[done]):
+                outcomes[r] = SolveResult(x_colloc=_readonly(x_done), iterations=sweep, residual=float(res))
             live = (rows, candidate, residual, damped, full, dB1, c_full, c_half)
             keep = ~(failed | done)
             if not keep.all():
@@ -280,22 +277,6 @@ def _batch_solver(problem, cfg, options=None):
         return outcomes
 
     return solve_paths
-
-
-def _finish(problem, h, rows, x, sweeps, residuals, outcomes):
-    """Results of the rows that converged, with z1 and z2 recomputed
-    from their final iterates."""
-    z1 = h * _eval_grid(problem.beta, x)
-    z2 = h * _eval_grid(problem.sigma, x)
-    failed = _fail_non_finite(rows, ((z1, _BETA), (z2, _SIGMA)), outcomes)
-    for k in np.flatnonzero(~failed):
-        outcomes[rows[k]] = SolveResult(
-            x_colloc=_readonly(x[k]),
-            z1=_readonly(z1[k]),
-            z2=_readonly(z2[k]),
-            iterations=sweeps,
-            residual=float(residuals[k]),
-        )
 
 
 def solve(problem, path, options=None):
@@ -344,12 +325,13 @@ _BUILTIN_FORMS = {
 
 
 def _constant_function(c):
-    """Pointwise constant usable as a beta/sigma nonlinearity."""
+    """Pointwise constant usable as beta, sigma or exact: the shape its
+    arguments broadcast to."""
     c = float(c)
 
-    def fn(x):
+    def fn(*args):
         # complex in, complex out, so the complex-step slope is 0
-        arr = np.full(np.shape(x), c, dtype=np.result_type(x, float))
+        arr = np.full(np.broadcast(*args).shape, c, dtype=np.result_type(*args, float))
         return arr if arr.ndim else arr[()]
 
     return fn
@@ -380,29 +362,20 @@ def problem_from_sources(sources, label="problem"):
     Required keys: x0, k1, k2, beta, sigma.  Optional: exact.  Kernel
     expressions may use s and t, beta/sigma use x, exact uses t and B,
     and x0 must be constant.  In ``exact``, B is the path value at the
-    last collocation midpoint at or below t.  An ExpressionError raised
-    here names the failing key in its ``key`` attribute.
+    last collocation midpoint at or below t (see ``ProblemSpec``).  An
+    ExpressionError raised here names the failing key in its ``key``
+    attribute.
     """
     compiled = {key: _compile(sources, key) for key in ("x0", "k1", "k2", "beta", "sigma")}
     if not isinstance(compiled["x0"], Real):
         raise ValueError("x0 must be a constant expression")
-    for key in ("beta", "sigma"):
-        if isinstance(compiled[key], Real):
-            compiled[key] = _constant_function(compiled[key])
-    exact = None
     if sources.get("exact") is not None:
-        g = _compile(sources, "exact")
-        if isinstance(g, Real):
-            exact = lambda t, path: float(g)
-        else:
-            exact = lambda t, path: float(g(t, path.last_midpoint_value(t)))
+        compiled["exact"] = _compile(sources, "exact")
+    for key in ("beta", "sigma", "exact"):
+        if isinstance(compiled.get(key), Real):
+            compiled[key] = _constant_function(compiled[key])
     return ProblemSpec(
-        x0=compiled["x0"],
-        k1=compiled["k1"],
-        k2=compiled["k2"],
-        beta=compiled["beta"],
-        sigma=compiled["sigma"],
-        exact=exact,
+        **compiled,
         label=label,
         sources={k: v for k, v in sources.items() if v is not None},
     )

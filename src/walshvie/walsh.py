@@ -117,20 +117,9 @@ def build_walsh_matrix(cfg):
 
     Returns the read-only (m, m) int64 matrix T with T[n][j] = w_n(t_j).
     Entries are +-1; T is symmetric and satisfies T @ T = m * I exactly
-    in integer arithmetic.  Row n is built as row (n with lowest bit
-    cleared) times the matching Rademacher row, which is exactly the
-    product in the definition of w_n but shares work across rows.
+    in integer arithmetic.  It is the fast transform of the identity.
     """
-    m, k = cfg.m, cfg.k
-    rad = np.empty((k, m), dtype=np.int64)
-    for q in range(1, k + 1):
-        rad[q - 1] = [rademacher(q, t) for t in cfg.midpoints]
-    T = np.empty((m, m), dtype=np.int64)
-    T[0] = 1
-    for n in range(1, m):
-        low = n & -n
-        T[n] = T[n ^ low] * rad[low.bit_length() - 1]
-    return _readonly(T)
+    return _readonly(fast_walsh_transform(np.eye(cfg.m, dtype=np.int64)))
 
 
 def fast_walsh_transform(a):

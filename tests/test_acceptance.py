@@ -83,7 +83,7 @@ def test_criterion_2_deterministic_reduction(acceptance_report):
         k2=0.0,
         beta=lambda x: x,
         sigma=lambda x: 0.0 * x,
-        exact=lambda t, path: float(np.exp(t)),
+        exact=lambda t, B: np.exp(t),
         label="exp",
     )
     cfg = BasisConfig.from_resolution(32)
@@ -109,11 +109,11 @@ def test_criterion_3_trivial_stochastic_fixed_points(acceptance_report):
         p1 = builtin_example(1)
         zp = zero_path(cfg)
         res1 = solve(p1, zp)
-        gap1 = max(abs(float(res1.x_colloc[j]) - p1.exact(t, zp)) for j, t in enumerate(cfg.midpoints))
+        gap1 = max(abs(float(res1.x_colloc[j]) - p1.exact(t, zp.values[2 * j + 1])) for j, t in enumerate(cfg.midpoints))
         p2 = builtin_example(2, a="0")
         path = sample_path(cfg, seed=m)
         res2 = solve(p2, path)
-        gap2 = max(abs(float(res2.x_colloc[j]) - p2.exact(t, path)) for j, t in enumerate(cfg.midpoints))
+        gap2 = max(abs(float(res2.x_colloc[j]) - p2.exact(t, path.values[2 * j + 1])) for j, t in enumerate(cfg.midpoints))
         worst = max(worst, gap1, gap2)
     ok = worst <= 1e-10
     record(

@@ -45,34 +45,6 @@ class TestSampling:
         assert path.m == 8
 
 
-class TestLookups:
-    def test_value_at_grid_points(self):
-        cfg = BasisConfig.from_resolution(8)
-        path = sample_path(cfg, seed=7)
-        for j in range(17):
-            assert path.value_at(j * cfg.h / 2.0) == path.values[j]
-
-    def test_value_at_off_grid_rejected(self):
-        cfg = BasisConfig.from_resolution(8)
-        path = sample_path(cfg, seed=7)
-        with pytest.raises(ValueError):
-            path.value_at(3 * cfg.h / 7.0)
-
-    def test_last_midpoint_value(self):
-        cfg = BasisConfig.from_resolution(16)
-        path = sample_path(cfg, seed=11)
-        # 0.9 falls between midpoints 27/32 and 29/32
-        assert path.last_midpoint_value(0.9) == path.values[27]
-        assert path.last_midpoint_value(27 / 32) == path.values[27]
-        assert path.last_midpoint_value(0.0) == path.values[1]
-
-    def test_midpoint_lookup_matches_value_at(self):
-        cfg = BasisConfig.from_resolution(8)
-        path = sample_path(cfg, seed=3)
-        for j, t in enumerate(cfg.midpoints):
-            assert path.last_midpoint_value(t) == path.value_at(t)
-
-
 class TestValidation:
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from walshvie.brownian import sample_path
 from walshvie.cli import main
+from walshvie.solver import builtin_example
+from walshvie.walsh import BasisConfig
 
 EXAMPLE2_TEXT = """\
 label = file-problem
@@ -48,6 +51,10 @@ class TestRun:
         # midpoint grid in the first column
         ts = [float(r[0]) for r in rows[1:]]
         assert ts == [(2 * j + 1) / 16 for j in range(8)]
+        # exact reads trial 1's path at the same midpoints
+        cfg = BasisConfig.from_resolution(8)
+        want = builtin_example(2).exact(cfg.midpoints, sample_path(cfg, (1, 1)).values[1::2])
+        assert [r[2] for r in rows[1:]] == [f"{v:.8e}" for v in want]
 
     def test_oracle_column_off_by_default(self, tmp_path):
         main(["run", "--example", "2", "--m", "8", "--trials", "3", "--seed", "1", "--out", str(tmp_path)])
@@ -115,6 +122,86 @@ class TestConverge:
         rc = main(["converge", "--problem", str(f), "--out", str(tmp_path)])
         assert rc == 1
         assert "exact" in capsys.readouterr().err
+
+
+# Problems whose exact solution is a constant and a function of t alone,
+# with the outputs of `run --m 4 --trials 3 --seed 1` and
+# `converge --resolutions 2,4,8 --trials 2 --seed 1` they must give.
+EXACT_FORMS = {
+    "half": (
+        "label = half\nx0 = 1/2\nk1 = 0\nk2 = 1/30\nbeta = 0\nsigma = 0\nexact = 1/2\n",
+        {
+            "solution_half_m4.csv": """\
+t,x_m,exact
+1.25000000e-01,5.00000000e-01,5.00000000e-01
+3.75000000e-01,5.00000000e-01,5.00000000e-01
+6.25000000e-01,5.00000000e-01,5.00000000e-01
+8.75000000e-01,5.00000000e-01,5.00000000e-01
+# coefficient_error_inf = 0.00000000e+00
+""",
+            "stats_half_m4.csv": """\
+t,mean,sd,ci_lower,ci_upper,n_effective,failures
+1.00000000e-01,0.00000000e+00,0.00000000e+00,0.00000000e+00,0.00000000e+00,3,0
+3.00000000e-01,0.00000000e+00,0.00000000e+00,0.00000000e+00,0.00000000e+00,3,0
+5.00000000e-01,0.00000000e+00,0.00000000e+00,0.00000000e+00,0.00000000e+00,3,0
+7.00000000e-01,0.00000000e+00,0.00000000e+00,0.00000000e+00,0.00000000e+00,3,0
+9.00000000e-01,0.00000000e+00,0.00000000e+00,0.00000000e+00,0.00000000e+00,3,0
+""",
+            "converge_half.csv": """\
+m,h,rms_error
+2,5.00000000e-01,0.00000000e+00
+4,2.50000000e-01,0.00000000e+00
+8,1.25000000e-01,0.00000000e+00
+# estimated_order = nan
+# failures = 0
+""",
+        },
+    ),
+    "expt": (
+        "label = expt\nx0 = 1\nk1 = 1\nk2 = 0\nbeta = x\nsigma = 0\nexact = exp(t)\n",
+        {
+            "solution_expt_m4.csv": """\
+t,x_m,exact
+1.25000000e-01,1.14285714e+00,1.13314845e+00
+3.75000000e-01,1.46938776e+00,1.45499141e+00
+6.25000000e-01,1.88921283e+00,1.86824596e+00
+8.75000000e-01,2.42898792e+00,2.39887529e+00
+# coefficient_error_inf = 1.87961321e-02
+""",
+            "stats_expt_m4.csv": """\
+t,mean,sd,ci_lower,ci_upper,n_effective,failures
+1.00000000e-01,3.76862248e-02,0.00000000e+00,3.76862248e-02,3.76862248e-02,3,0
+3.00000000e-01,2.07001665e-01,0.00000000e+00,2.07001665e-01,2.07001665e-01,3,0
+5.00000000e-01,1.79333516e-01,0.00000000e+00,1.79333516e-01,1.79333516e-01,3,0
+7.00000000e-01,1.24539879e-01,0.00000000e+00,1.24539879e-01,1.24539879e-01,3,0
+9.00000000e-01,3.06151895e-02,0.00000000e+00,3.06151895e-02,3.06151895e-02,3,0
+""",
+            "converge_expt.csv": """\
+m,h,rms_error
+2,5.00000000e-01,3.66366194e-01
+4,2.50000000e-01,1.36292276e-01
+8,1.25000000e-01,1.18863793e-01
+# estimated_order = 8.11988532e-01
+# failures = 0
+""",
+        },
+    ),
+}
+
+
+class TestExactForms:
+    @pytest.mark.parametrize("name", sorted(EXACT_FORMS))
+    def test_run_and_converge_outputs(self, tmp_path, name):
+        text, expected = EXACT_FORMS[name]
+        f = tmp_path / "prob.txt"
+        f.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        common = ["--problem", str(f), "--seed", "1", "--out", str(out)]
+        assert main(["run", "--m", "4", "--trials", "3"] + common) == 0
+        assert main(["converge", "--resolutions", "2,4,8", "--trials", "2"] + common) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+        for fname, want in expected.items():
+            assert (out / fname).read_text(encoding="utf-8") == want
 
 
 class TestMatrices:

@@ -1,6 +1,5 @@
 """Monte Carlo error statistics and convergence studies."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -39,7 +38,7 @@ def exp_problem():
         k2=0.0,
         beta=lambda x: x,
         sigma=lambda x: 0.0 * x,
-        exact=lambda t, path: math.exp(t),
+        exact=lambda t, B: np.exp(t),
         label="exp",
     )
 
@@ -52,7 +51,7 @@ def feedback_problem():
         k2=0.8,
         beta=lambda x: 0.0 * x,
         sigma=lambda x: np.exp(x * x),
-        exact=lambda t, path: 0.5,
+        exact=lambda t, B: 0.5,
         label="feedback",
     )
 
@@ -72,7 +71,7 @@ def constant_problem():
         k2=0.0,
         beta=lambda x: 0.0 * x,
         sigma=lambda x: 0.0 * x,
-        exact=lambda t, path: 0.5,
+        exact=lambda t, B: 0.5,
         label="const",
     )
 
@@ -84,7 +83,7 @@ class TestErrorAt:
         path = sample_path(cfg, seed=21)
         res = solve(prob, path)
         # 0.9 maps to midpoint index 13 (27/32)
-        expected = abs(prob.exact(0.9, path) - res.x_colloc[13])
+        expected = abs(prob.exact(0.9, path.values[2 * 13 + 1]) - res.x_colloc[13])
         assert error_at(res, prob, path, 0.9) == expected
 
     def test_at_exact_midpoint(self):
@@ -93,7 +92,7 @@ class TestErrorAt:
         path = sample_path(cfg, seed=2)
         res = solve(prob, path)
         t = cfg.midpoints[5]
-        assert error_at(res, prob, path, t) == abs(prob.exact(t, path) - res.x_colloc[5])
+        assert error_at(res, prob, path, t) == abs(prob.exact(t, path.values[2 * 5 + 1]) - res.x_colloc[5])
 
     def test_requires_exact(self):
         cfg = BasisConfig.from_resolution(8)

@@ -162,8 +162,8 @@ class TestStochasticFixedPoints:
         prob = builtin_example(1)
         res = solve(prob, zero_path(cfg))
         assert np.max(np.abs(res.x_colloc)) <= 1e-10
-        for t in cfg.midpoints:
-            assert abs(prob.exact(t, zero_path(cfg))) <= 1e-15
+        for j, t in enumerate(cfg.midpoints):
+            assert abs(prob.exact(t, zero_path(cfg).values[2 * j + 1])) <= 1e-15
 
     def test_example2_degenerate_noise(self):
         # a = 0 freezes example 2 at its initial value 0.1
@@ -172,8 +172,8 @@ class TestStochasticFixedPoints:
         path = sample_path(cfg, seed=99)
         res = solve(prob, path)
         assert np.max(np.abs(res.x_colloc - 0.1)) <= 1e-10
-        for t in cfg.midpoints:
-            assert abs(prob.exact(t, path) - 0.1) <= 1e-12
+        for j, t in enumerate(cfg.midpoints):
+            assert abs(prob.exact(t, path.values[2 * j + 1]) - 0.1) <= 1e-12
 
     def test_example1_degenerate_noise(self):
         cfg = BasisConfig.from_resolution(8)
@@ -187,7 +187,7 @@ class TestSolveOnSampledPaths:
         prob = builtin_example(1)
         path = sample_path(cfg, seed=42)
         res = solve(prob, path)
-        exact = np.array([prob.exact(t, path) for t in cfg.midpoints])
+        exact = prob.exact(cfg.midpoints, path.values[1::2])
         assert np.max(np.abs(res.x_colloc - exact)) <= 1e-3
 
     def test_causality(self):
@@ -204,13 +204,6 @@ class TestSolveOnSampledPaths:
         res_b = solve(prob, bumped)
         assert np.allclose(res_a.x_colloc[: j + 1], res_b.x_colloc[: j + 1], rtol=0, atol=1e-10)
         assert not np.allclose(res_a.x_colloc[j + 1 :], res_b.x_colloc[j + 1 :], atol=1e-10)
-
-    def test_coefficients_recomputed_from_final_iterate(self):
-        cfg = BasisConfig.from_resolution(8)
-        prob = builtin_example(1)
-        res = solve(prob, sample_path(cfg, seed=3))
-        assert np.array_equal(cfg.m * res.z1, prob.beta(res.x_colloc))
-        assert np.array_equal(cfg.m * res.z2, prob.sigma(res.x_colloc))
 
     def test_determinism(self):
         cfg = BasisConfig.from_resolution(16)
@@ -374,6 +367,24 @@ class TestBuiltins:
         with pytest.raises(ValueError) as err:
             builtin_example(3)
         assert "1, 2" in str(err.value)
+
+    def test_constant_exact_broadcasts(self):
+        # exact = 1/2 folds to a constant, which takes the shape of (t, B)
+        sources = {"x0": "0", "k1": "0", "k2": "0", "beta": "0", "sigma": "0", "exact": "1/2"}
+        exact = problem_from_sources(sources).exact
+        got = exact(np.array([0.1, 0.3]), np.zeros((3, 2)))
+        assert got.shape == (3, 2)
+        assert (got == 0.5).all()
+
+    @pytest.mark.parametrize("example_id", [1, 2])
+    def test_exact_on_arrays_matches_scalars(self, example_id):
+        exact = builtin_example(example_id).exact
+        cfg = BasisConfig.from_resolution(256)
+        B = np.stack([sample_path(cfg, (3, trial)).values[1::2] for trial in range(1, 5)])
+        got = exact(cfg.midpoints, B)
+        assert got.shape == B.shape
+        scalar = [[exact(float(t), float(b)) for t, b in zip(cfg.midpoints, row)] for row in B]
+        assert np.array_equal(got, np.array(scalar))
 
     def test_nonlinearities(self):
         p1 = builtin_example(1)

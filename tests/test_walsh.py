@@ -19,6 +19,17 @@ from walshvie.walsh import (
 )
 
 
+def walsh_matrix_by_definition(m):
+    """T[n][j] = w_n(t_j) as the product of the Rademacher rows r_q(t_j)
+    over the set bits of n, each entry from scalar ``rademacher``."""
+    cfg = BasisConfig.from_resolution(m)
+    T = np.ones((m, m), dtype=np.int64)
+    for q in range(1, cfg.k + 1):
+        row = np.array([rademacher(q, t) for t in cfg.midpoints], dtype=np.int64)
+        T[(np.arange(m) >> (q - 1)) & 1 == 1] *= row
+    return T
+
+
 class TestBasisConfig:
     def test_from_resolution(self):
         cfg = BasisConfig.from_resolution(8)
@@ -114,8 +125,9 @@ class TestWalshMatrix:
 
     @pytest.mark.parametrize("m", [2**k for k in range(11)])
     def test_fast_transform_is_exact(self, m):
-        # integer input: the butterflies reproduce T @ a bit for bit
-        T = build_walsh_matrix(BasisConfig.from_resolution(m))
+        # integer input: the butterflies reproduce T @ a bit for bit,
+        # with T built from the definition, not from the transform
+        T = walsh_matrix_by_definition(m)
         a = np.random.default_rng(m).integers(-1000, 1000, size=(m, 3))
         assert np.array_equal(fast_walsh_transform(a), T @ a)
         assert np.array_equal(fast_walsh_transform(a[:, 0]), T @ a[:, 0])
@@ -126,11 +138,12 @@ class TestWalshMatrix:
             fast_walsh_transform(np.ones(m))
 
     def test_rows_match_scalar_walsh(self):
-        cfg = BasisConfig.from_resolution(16)
-        T = build_walsh_matrix(cfg)
-        for n in (0, 1, 5, 10, 15):
-            row = [walsh(n, t) for t in cfg.midpoints]
-            assert (T[n] == row).all()
+        for k in range(8):
+            cfg = BasisConfig.from_resolution(2**k)
+            T = build_walsh_matrix(cfg)
+            for n in range(cfg.m):
+                row = [walsh(n, t) for t in cfg.midpoints]
+                assert (T[n] == row).all()
 
 
 class TestProjection:
