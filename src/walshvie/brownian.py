@@ -21,7 +21,6 @@ class BrownianPath:
     ``values`` is the one source of the resolution m."""
 
     values: np.ndarray
-    seed: object
 
     def __post_init__(self):
         if len(self.values) < 3 or len(self.values) % 2 == 0:
@@ -43,9 +42,9 @@ def sample_path(cfg, seed):
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     increments = gen.standard_normal(2 * cfg.m) * np.sqrt(cfg.h / 2.0)
     values = np.concatenate([[0.0], np.cumsum(increments)])
-    return BrownianPath(values=_readonly(values), seed=seed)
+    return BrownianPath(values=_readonly(values))
 
 
 def zero_path(cfg):
     """The identically-zero path, useful for deterministic reductions."""
-    return BrownianPath(values=_readonly(np.zeros(2 * cfg.m + 1)), seed=None)
+    return BrownianPath(values=_readonly(np.zeros(2 * cfg.m + 1)))

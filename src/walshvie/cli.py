@@ -16,13 +16,14 @@ both.
 """
 
 import argparse
-import csv
 import os
 import sys
 
+import numpy as np
+
 from .brownian import sample_path
 from .expressions import ExpressionError
-from .experiment import REPORT_TIMES, coefficient_error_norm, convergence_study, monte_carlo
+from .experiment import coefficient_error_norm, convergence_study, monte_carlo
 from .operational import integration_matrix, stochastic_matrix, walsh_domain
 from .oracle import euler_maruyama
 from .problemfile import parse_problem_file
@@ -87,32 +88,42 @@ def _load_problem(args):
         raise CLIError(str(exc))
 
 
-def _write_rows(outdir, name, header, rows, comments=()):
+def _write_rows(outdir, name, rows, comments=()):
+    # Headers are fixed names and every cell is a formatted number, so no
+    # field can hold a comma, quote or newline that would need CSV quoting.
     os.makedirs(outdir, exist_ok=True)
     dest = os.path.join(outdir, name)
     with open(dest, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if header is not None:
-            writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            fh.write(",".join(row) + "\n")
         for comment in comments:
             fh.write(f"# {comment}\n")
     print(f"wrote {dest}")
     return dest
 
 
-def _write_matrix(outdir, name, matrix, integer=False):
-    # A generator, so only one row of m formatted strings exists at a time.
-    rows = ([str(int(v)) if integer else _fmt(v) for v in row] for row in matrix)
-    return _write_rows(outdir, name, None, rows)
+def _write_matrix(outdir, name, matrix):
+    # Each row formats only its distinct values, in one %-operation, and
+    # expands them through the inverse index.  The keys are the int64
+    # bits, because float keys would merge -0.0 into 0.0.  Nothing is
+    # cached across rows, so memory stays O(m).
+    fmt = "%d" if matrix.dtype.kind == "i" else "%.8e"
+
+    def rows():
+        for row in matrix:
+            _, first, inverse = np.unique(row.view(np.int64), return_index=True, return_inverse=True)
+            text = ",".join([fmt] * len(first)) % tuple(row[first].tolist())
+            yield np.array(text.split(","), dtype=object)[inverse]
+
+    return _write_rows(outdir, name, rows())
 
 
 def _dump_paths(outdir, cfg, seed, trials, prefix="path"):
     grid = [i * cfg.h / 2.0 for i in range(2 * cfg.m + 1)]
     for trial in range(1, trials + 1):
         path = sample_path(cfg, (seed, trial))
-        rows = [[_fmt(t), _fmt(v)] for t, v in zip(grid, path.values)]
-        _write_rows(outdir, f"{prefix}_{trial:03d}.csv", ["t", "B"], rows)
+        rows = [["t", "B"]] + [[_fmt(t), _fmt(v)] for t, v in zip(grid, path.values)]
+        _write_rows(outdir, f"{prefix}_{trial:03d}.csv", rows)
 
 
 def _cmd_run(args, seed):
@@ -122,16 +133,11 @@ def _cmd_run(args, seed):
 
     if problem.exact is not None:
         stats = monte_carlo(problem, cfg, args.trials, seed)
-        rows = [
+        rows = [["t", "mean", "sd", "ci_lower", "ci_upper", "n_effective", "failures"]] + [
             [_fmt(s.t), _fmt(s.mean), _fmt(s.sd), _fmt(s.ci_lower), _fmt(s.ci_upper), str(s.n), str(s.failures)]
             for s in stats
         ]
-        _write_rows(
-            args.out,
-            f"stats_{tag}.csv",
-            ["t", "mean", "sd", "ci_lower", "ci_upper", "n_effective", "failures"],
-            rows,
-        )
+        _write_rows(args.out, f"stats_{tag}.csv", rows)
     else:
         print("note: problem has no exact solution; skipping error statistics", file=sys.stderr)
 
@@ -158,7 +164,7 @@ def _cmd_run(args, seed):
         header.append("em_oracle")
         columns.append(em.midpoint_values)
     rows = [[_fmt(col[j]) for col in columns] for j in range(cfg.m)]
-    _write_rows(args.out, f"solution_{tag}.csv", header, rows, comments)
+    _write_rows(args.out, f"solution_{tag}.csv", [header] + rows, comments)
 
     if args.dump_paths:
         _dump_paths(args.out, cfg, seed, args.trials)
@@ -173,15 +179,13 @@ def _cmd_converge(args, seed):
         report = convergence_study(problem, args.resolutions, args.trials, seed)
     except ValueError as exc:
         raise CLIError(str(exc))
-    rows = [
-        [str(m), _fmt(1.0 / m), _fmt(rms)]
-        for m, rms in zip(report.resolutions, report.rms_errors)
+    rows = [["m", "h", "rms_error"]] + [
+        [str(m), _fmt(1.0 / m), _fmt(rms)] for m, rms in zip(report.resolutions, report.rms_errors)
     ]
     order = "nan" if report.estimated_order is None else _fmt(report.estimated_order)
     _write_rows(
         args.out,
         f"converge_{_slug(problem.label)}.csv",
-        ["m", "h", "rms_error"],
         rows,
         comments=[f"estimated_order = {order}", f"failures = {sum(report.failures)}"],
     )
@@ -193,7 +197,7 @@ def _cmd_matrices(args, seed):
     path = sample_path(cfg, seed)
     P = integration_matrix(cfg)
     PS = stochastic_matrix(path)
-    _write_matrix(args.out, "tw.csv", build_walsh_matrix(cfg), integer=True)
+    _write_matrix(args.out, "tw.csv", build_walsh_matrix(cfg))
     _write_matrix(args.out, "p.csv", P)
     _write_matrix(args.out, "ps.csv", PS)
     _write_matrix(args.out, "lambda.csv", walsh_domain(P))

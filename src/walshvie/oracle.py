@@ -22,7 +22,6 @@ from .walsh import BasisConfig, _readonly
 
 @dataclass(frozen=True)
 class OracleResult:
-    grid: np.ndarray
     values: np.ndarray
     midpoint_values: np.ndarray
 
@@ -58,10 +57,8 @@ def euler_maruyama(problem, path):
         )
         if not np.isfinite(y[j + 1]):
             raise NonFiniteIterateError(f"oracle iterate is not finite at step {j + 1}")
-    grid = np.arange(m + 1) * h
     midpoints = 0.5 * (y[:-1] + y[1:])
     return OracleResult(
-        grid=_readonly(grid),
         values=_readonly(y),
         midpoint_values=_readonly(midpoints),
     )

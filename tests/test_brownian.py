@@ -48,11 +48,11 @@ class TestSampling:
 class TestValidation:
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
-            BrownianPath(values=np.zeros(4), seed=None)
+            BrownianPath(values=np.zeros(4))
 
     def test_nonzero_origin_rejected(self):
         with pytest.raises(ValueError):
-            BrownianPath(values=np.ones(5), seed=None)
+            BrownianPath(values=np.ones(5))
 
     @pytest.mark.parametrize(
         "consumer",
@@ -65,7 +65,7 @@ class TestValidation:
     )
     def test_non_power_of_two_resolution_rejected(self, consumer):
         # the path is the only source of m; 7 values give m = 3
-        path = BrownianPath(values=np.linspace(0.0, 0.3, 7), seed=None)
+        path = BrownianPath(values=np.linspace(0.0, 0.3, 7))
         assert path.m == 3
         with pytest.raises(ValueError):
             consumer(path)

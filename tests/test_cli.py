@@ -1,12 +1,17 @@
 """Command-line interface behaviour."""
 
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from walshvie.brownian import sample_path
-from walshvie.cli import main
+from walshvie.cli import _write_matrix, main
+from walshvie.operational import integration_matrix, stochastic_matrix, walsh_domain
 from walshvie.solver import builtin_example
-from walshvie.walsh import BasisConfig
+from walshvie.walsh import BasisConfig, build_walsh_matrix
 
 EXAMPLE2_TEXT = """\
 label = file-problem
@@ -24,6 +29,14 @@ def read_rows(path):
     comments = [l for l in lines if l.startswith("#")]
     rows = [l.split(",") for l in lines if l and not l.startswith("#")]
     return rows, comments
+
+
+def reference_matrix_csv(matrix, integer=False):
+    """The matrix as csv.writer wrote it, one cell formatted at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows([str(int(v)) if integer else f"{float(v):.8e}" for v in row] for row in matrix)
+    return buf.getvalue().encode("utf-8")
 
 
 class TestRun:
@@ -234,6 +247,54 @@ class TestMatrices:
         # CSV carries 9 significant digits
         assert abs(PS[0, 0] - (v[1] - v[0])) < 1e-8
         assert abs(PS[0, 1] - (v[2] - v[0])) < 1e-8
+
+
+class TestMatrixWriter:
+    @pytest.mark.parametrize("m", [64, 256])
+    def test_matrices_match_reference(self, tmp_path, m):
+        assert main(["matrices", "--m", str(m), "--seed", "5", "--out", str(tmp_path)]) == 0
+        cfg = BasisConfig.from_resolution(m)
+        P = integration_matrix(cfg)
+        PS = stochastic_matrix(sample_path(cfg, 5))
+        expected = {
+            "tw.csv": reference_matrix_csv(build_walsh_matrix(cfg), integer=True),
+            "p.csv": reference_matrix_csv(P),
+            "ps.csv": reference_matrix_csv(PS),
+            "lambda.csv": reference_matrix_csv(walsh_domain(P)),
+            "lambda_s.csv": reference_matrix_csv(walsh_domain(PS)),
+        }
+        for name, want in expected.items():
+            assert (tmp_path / name).read_bytes() == want, name
+
+    def test_signed_zeros_repeats_and_subnormals(self, tmp_path):
+        tiny = 5e-324
+        M = np.array(
+            [
+                [-0.0, 0.0, -0.0, 0.0, 1.5, 1.5],
+                [tiny, -tiny, tiny, 2.2250738585072014e-309, -0.0, -0.0],
+                [np.inf, -np.inf, np.nan, 0.1, 0.1 + 2e-17, 0.30000000000000004],
+                [1e-300, -2.5, 3.0, 7e12, -8.5e-5, 0.25],
+            ]
+        )
+        _write_matrix(tmp_path, "m.csv", M)
+        assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv(M)
+
+    def test_integer_signs(self, tmp_path):
+        T = build_walsh_matrix(BasisConfig.from_resolution(16))
+        _write_matrix(tmp_path, "tw.csv", T)
+        assert (tmp_path / "tw.csv").read_bytes() == reference_matrix_csv(T, integer=True)
+
+    def test_memory_is_per_row(self, tmp_path):
+        # 1024**2 distinct values: their strings take over 100 MB, so a
+        # cache across rows would show here.
+        M = np.random.default_rng(3).standard_normal((1024, 1024))
+        tracemalloc.start()
+        try:
+            _write_matrix(tmp_path, "big.csv", M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestPaths:

@@ -232,10 +232,10 @@ class TestBatchInvariance:
         paths = [sample_path(cfg, (42, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)]
         damped, diverging, stalled = self.SCALES[example_id, m]
         base = paths[2].values
-        paths[1] = BrownianPath(values=base * damped, seed=None)
-        paths[2] = BrownianPath(values=base * diverging, seed=None)
+        paths[1] = BrownianPath(values=base * damped)
+        paths[2] = BrownianPath(values=base * diverging)
         if stalled is not None:
-            paths[3] = BrownianPath(values=base * stalled, seed=None)
+            paths[3] = BrownianPath(values=base * stalled)
         chunk = _batch_solver(prob, cfg)(paths)
         for path, in_chunk in zip(paths, chunk):
             alone = outcome(prob, path)

@@ -43,10 +43,8 @@ class TestDeterministicStepping:
     def test_shapes_and_grid(self):
         cfg = BasisConfig.from_resolution(8)
         out = euler_maruyama(exponential_problem(), zero_path(cfg))
-        assert out.grid.shape == (9,)
         assert out.values.shape == (9,)
         assert out.midpoint_values.shape == (8,)
-        assert (out.grid == np.arange(9) / 8).all()
 
     def test_midpoints_average_adjacent(self):
         cfg = BasisConfig.from_resolution(8)

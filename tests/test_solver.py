@@ -199,7 +199,7 @@ class TestSolveOnSampledPaths:
         j = 9
         bumped_values = base.values.copy()
         bumped_values[2 * j + 2 :] += 0.5
-        bumped = type(base)(values=bumped_values, seed=None)
+        bumped = type(base)(values=bumped_values)
         res_a = solve(prob, base)
         res_b = solve(prob, bumped)
         assert np.allclose(res_a.x_colloc[: j + 1], res_b.x_colloc[: j + 1], rtol=0, atol=1e-10)
