@@ -118,12 +118,12 @@ def _write_matrix(outdir, name, matrix):
     return _write_rows(outdir, name, rows())
 
 
-def _dump_paths(outdir, cfg, seed, trials, prefix="path"):
+def _dump_paths(outdir, cfg, seed, trials):
     grid = [i * cfg.h / 2.0 for i in range(2 * cfg.m + 1)]
     for trial in range(1, trials + 1):
         path = sample_path(cfg, (seed, trial))
         rows = [["t", "B"]] + [[_fmt(t), _fmt(v)] for t, v in zip(grid, path.values)]
-        _write_rows(outdir, f"{prefix}_{trial:03d}.csv", rows)
+        _write_rows(outdir, f"path_{trial:03d}.csv", rows)
 
 
 def _cmd_run(args, seed):

@@ -36,12 +36,13 @@ per engine.  For a constant kernel c they are cumulative sums: the k1
 term is c (sum of z1[i] over i < j + z1[j]/2) and the stochastic term c
 times the sum of the earlier blocks' values plus c times the block's
 own, so a sweep costs O(m) per path and no m x m array exists.  Other
-kernels are projected once and applied to one row at a time.  Every
-row keeps its own sweep count, residual and damping flag, and leaves
-the block when it converges or fails: a non-finite beta, sigma or
-iterate ends it with NonFiniteIterateError, max_iter with
-NonConvergenceError, and the other rows go on.  A row's values
-therefore never depend on the rows solved beside it.
+kernels are projected once on the triangle s <= t that the sums read
+and applied to one row at a time.  Every row keeps its own sweep
+count, residual and damping flag, and leaves the block when it
+converges or fails: a non-finite beta, sigma or iterate ends it with
+NonFiniteIterateError, max_iter with NonConvergenceError, and the
+other rows go on.  A row's values therefore never depend on the rows
+solved beside it.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +51,6 @@ from numbers import Real
 import numpy as np
 
 from . import expressions
-from .operational import integration_matrix
 from .walsh import BasisConfig, _eval_grid, _readonly, project_kernel
 
 
@@ -169,24 +169,26 @@ def _volterra_sums(problem, cfg):
     noise(w) = w @ m^2 triu(K2, 1), each row on its own, and
     k2_ss = m^2 diag(K2), the block average of k2(s, s).  A constant
     kernel c gives c (exclusive_cumsum(z1) + z1/2), c exclusive_cumsum(w)
-    and c, so no m x m array is built.
+    and c, so no m x m array is built.  Other kernels build them from the
+    projected triangle: h is a power of two, so m^3 (K1 o P) is exactly
+    m^2 K1 with its diagonal halved.
     """
     m = cfg.m
     if isinstance(problem.k1, Real):
         c1 = float(problem.k1)
         drift = lambda z: c1 * (_exclusive_cumsum(z) + 0.5 * z)
     else:
-        G1 = project_kernel(problem.k1, cfg) * integration_matrix(cfg)
-        G1 *= m**3
+        G1 = m * m * project_kernel(problem.k1, cfg)
+        G1[np.diag_indices(m)] *= 0.5
         drift = lambda z: _by_row(z, G1)
     if isinstance(problem.k2, Real):
         c2 = float(problem.k2)
         return drift, lambda w: c2 * _exclusive_cumsum(w), c2
-    K2 = project_kernel(problem.k2, cfg)
     # m^3 K2 times h sigma is m^2 K2 times sigma
-    upper = np.triu(K2, 1)
-    upper *= m * m
-    return drift, lambda w: _by_row(w, upper), m * m * np.diagonal(K2)
+    upper = m * m * project_kernel(problem.k2, cfg)
+    k2_ss = np.diagonal(upper).copy()
+    np.fill_diagonal(upper, 0.0)
+    return drift, lambda w: _by_row(w, upper), k2_ss
 
 
 _BETA = "beta(x) is not finite at the current iterate"

@@ -180,33 +180,31 @@ def project_kernel(kernel, cfg):
     """Project a kernel k(s, t) onto the block pulse product basis.
 
     Returns the read-only (m, m) block integrals K[i][j] of k over the
-    block rectangles, s in block i and t in block j.  ``kernel`` may be
-    a plain number, in which case every entry is exactly c * h**2, or a
-    callable of (s, t) integrated with a 5x5 tensor Gauss-Legendre rule
-    per block rectangle.
+    block rectangles, s in block i and t in block j, on the triangle
+    i <= j that the Volterra integrals read; below it every entry is
+    exactly +0.0.  ``kernel`` may be a plain number, in which case every
+    entry of the triangle is exactly c * h**2, or a callable of (s, t)
+    integrated with a 5x5 tensor Gauss-Legendre rule per block
+    rectangle, called once per s-block i on node arrays that broadcast
+    to (5, m - i, 5).
     """
     m, h = cfg.m, cfg.h
     if isinstance(kernel, Real):
-        cell = float(kernel) * (h * h)
-        return _readonly(np.full((m, m), cell))
+        return _readonly(np.triu(np.full((m, m), float(kernel) * (h * h))))
     starts = np.arange(m) * h
     pts = starts[:, None] + (_GL_NODES[None, :] + 1.0) * (h / 2.0)  # (m, 5)
-    entries = np.empty((m, m))
-    t_nodes = pts[None, :, :]  # broadcast over the s axis of one row
+    entries = np.zeros((m, m))
     for i in range(m):
-        s_nodes = pts[i][:, None, None]
-        svals = np.broadcast_to(s_nodes, (5, m, 5))
-        tvals = np.broadcast_to(t_nodes, (5, m, 5))
+        shape = (5, m - i, 5)
+        s_nodes, t_nodes = pts[i][:, None, None], pts[None, i:, :]
         try:
-            kv = np.asarray(kernel(svals, tvals), dtype=float)
-            if kv.shape != (5, m, 5):
-                raise ValueError
+            kv = np.broadcast_to(np.asarray(kernel(s_nodes, t_nodes), dtype=float), shape)
         except (TypeError, ValueError):
-            kv = np.array(
-                [kernel(sv, tv) for sv, tv in zip(svals.ravel(), tvals.ravel())],
-                dtype=float,
-            ).reshape(5, m, 5)
+            svals, tvals = np.broadcast_arrays(s_nodes, t_nodes)
+            kv = np.array([kernel(sv, tv) for sv, tv in zip(svals.ravel(), tvals.ravel())], dtype=float)
+            kv = kv.reshape(shape)
         if not np.all(np.isfinite(kv)):
             raise ValueError("kernel evaluation produced a non-finite value at a quadrature node")
-        entries[i] = h * h * np.einsum("a,ajb,b->j", _GL_WEIGHTS, kv, _GL_WEIGHTS)
+        entries[i, i:] = (_GL_WEIGHTS @ kv.reshape(5, -1)).reshape(m - i, 5) @ _GL_WEIGHTS
+    entries *= h * h
     return _readonly(entries)

@@ -13,6 +13,7 @@ from walshvie.solver import (
     NonFiniteIterateError,
     ProblemSpec,
     SolverOptions,
+    _volterra_sums,
     builtin_example,
     problem_from_sources,
     reconstruct,
@@ -215,6 +216,26 @@ class TestSolveOnSampledPaths:
 
 
 class TestDenseReference:
+    @pytest.mark.parametrize("m", [8, 256])
+    def test_callable_kernel_operators_match_dense(self, m):
+        # the engine builds G1 and the strict upper K2 operator straight
+        # from the projected triangle; applied to the identity they must
+        # equal the dense products of the same projection bit for bit
+        prob = problem_from_sources({
+            "x0": "1/10",
+            "k1": "-(1/30)^2*exp(-(t-s))",
+            "k2": "(1/30)*exp(-(t-s)/2)",
+            "beta": "x*(1-x^2)",
+            "sigma": "1-x^2",
+        })
+        cfg = BasisConfig.from_resolution(m)
+        drift, noise, k2_ss = _volterra_sums(prob, cfg)
+        K1 = project_kernel(prob.k1, cfg)
+        K2 = project_kernel(prob.k2, cfg)
+        assert np.array_equal(drift(np.eye(m)), m**3 * (K1 * integration_matrix(cfg)))
+        assert np.array_equal(noise(np.eye(m)), m * m * np.triu(K2, 1))
+        assert np.array_equal(k2_ss, m * m * np.diagonal(K2))
+
     @pytest.mark.parametrize("example_id", [1, 2])
     @pytest.mark.parametrize("m", [8, 256, 1024])
     def test_cumulative_sums_match_dense_operators(self, example_id, m):

@@ -1,12 +1,14 @@
 """Walsh basis, projections, and the midpoint grid."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walshvie.expressions import compile_expression
 from walshvie.walsh import (
     BasisConfig,
     build_walsh_matrix,
@@ -28,6 +30,36 @@ def walsh_matrix_by_definition(m):
         row = np.array([rademacher(q, t) for t in cfg.midpoints], dtype=np.int64)
         T[(np.arange(m) >> (q - 1)) & 1 == 1] *= row
     return T
+
+
+def project_kernel_square(kernel, cfg):
+    """Reference: the block integrals of k over every block rectangle of
+    the m x m square, each row from one call on full (5, m, 5) node
+    arrays (or one node at a time for a scalar-only kernel) reduced by
+    one three-operand einsum."""
+    m, h = cfg.m, cfg.h
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    weights = weights / weights.sum()
+    pts = (np.arange(m) * h)[:, None] + (nodes[None, :] + 1.0) * (h / 2.0)
+    entries = np.empty((m, m))
+    for i in range(m):
+        svals = np.broadcast_to(pts[i][:, None, None], (5, m, 5))
+        tvals = np.broadcast_to(pts[None, :, :], (5, m, 5))
+        try:
+            kv = np.asarray(kernel(svals, tvals), dtype=float)
+            if kv.shape != (5, m, 5):
+                raise ValueError
+        except (TypeError, ValueError):
+            kv = np.array([kernel(sv, tv) for sv, tv in zip(svals.ravel(), tvals.ravel())]).reshape(5, m, 5)
+        entries[i] = h * h * np.einsum("a,ajb,b->j", weights, kv, weights)
+    return entries
+
+
+def scalar_only_sum(s, t):
+    """s + t, refusing arrays, so projections must call it pointwise."""
+    if not np.isscalar(s) and not isinstance(s, float):
+        raise TypeError("scalars only")
+    return float(s) + float(t)
 
 
 class TestBasisConfig:
@@ -191,7 +223,10 @@ class TestKernelProjection:
         cfg = BasisConfig.from_resolution(16)
         c = -((1 / 30) ** 2) / 2
         K = project_kernel(c, cfg)
-        assert (K == c * cfg.h * cfg.h).all()
+        upper = np.triu_indices(16)
+        assert (K[upper] == c * cfg.h * cfg.h).all()
+        lower = np.tril_indices(16, -1)
+        assert (K[lower] == 0.0).all() and not np.signbit(K[lower]).any()
 
     def test_separable_product(self):
         # k(s,t) = s*t over [0,1/2)^2 integrates to (1/8)^2
@@ -206,19 +241,49 @@ class TestKernelProjection:
         K = project_kernel(lambda s, t: np.exp(s - t), cfg)
         Fs = project_function(np.exp, cfg)
         Ft = project_function(lambda t: np.exp(-t), cfg)
-        assert np.allclose(K, np.outer(Fs, Ft), rtol=1e-12, atol=0)
+        assert np.allclose(K, np.triu(np.outer(Fs, Ft)), rtol=1e-12, atol=0)
 
     def test_scalar_only_kernel_falls_back(self):
         cfg = BasisConfig.from_resolution(2)
-
-        def k(s, t):
-            if not np.isscalar(s) and not isinstance(s, float):
-                raise TypeError("scalars only")
-            return float(s) + float(t)
-
-        K = project_kernel(k, cfg)
+        K = project_kernel(scalar_only_sum, cfg)
         Kv = project_kernel(lambda s, t: s + t, cfg)
         assert np.allclose(K, Kv, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 2, 16, 256])
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            compile_expression("-(1/30)^2*exp(-(t-s))", ("s", "t")),
+            compile_expression("(1/30)*exp(-(t-s)/2)", ("s", "t")),
+            lambda s, t: np.exp(-t),
+            lambda s, t: np.cos(s),
+            scalar_only_sum,
+        ],
+        ids=["kernel-file-k1", "kernel-file-k2", "t-only", "s-only", "scalar-only"],
+    )
+    def test_triangle_of_square_projection(self, kernel, m):
+        # the quadrature is unchanged, only the order of the weighted
+        # sums is, so each entry stays within a few ulp
+        cfg = BasisConfig.from_resolution(m)
+        K = project_kernel(kernel, cfg)
+        ref = np.triu(project_kernel_square(kernel, cfg))
+        assert not K.flags.writeable
+        upper = np.triu_indices(m)
+        assert np.all(np.abs(K[upper] - ref[upper]) <= 2e-15 * np.abs(ref[upper]))
+        lower = np.tril_indices(m, -1)
+        assert (K[lower] == 0.0).all() and not np.signbit(K[lower]).any()
+
+    def test_memory_is_the_output(self):
+        # the output alone is 8 MB at m = 1024; a row's nodes add little
+        cfg = BasisConfig.from_resolution(1024)
+        k1 = compile_expression("-(1/30)^2*exp(-(t-s))", ("s", "t"))
+        tracemalloc.start()
+        try:
+            project_kernel(k1, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestMidpointFloorIndex:
