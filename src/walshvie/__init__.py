@@ -42,18 +42,14 @@ from .solver import (
     SolverOptions,
     builtin_example,
     problem_from_sources,
-    reconstruct,
     solve,
 )
 from .walsh import (
     BasisConfig,
     build_walsh_matrix,
     fast_walsh_transform,
-    midpoint_floor_index,
     project_function,
     project_kernel,
-    rademacher,
-    walsh,
 )
 
 __version__ = "0.1.0"
@@ -81,19 +77,15 @@ __all__ = [
     "fast_walsh_transform",
     "euler_maruyama",
     "integration_matrix",
-    "midpoint_floor_index",
     "monte_carlo",
     "parse_problem_file",
     "problem_from_sources",
     "problem_from_text",
     "project_function",
     "project_kernel",
-    "rademacher",
-    "reconstruct",
     "sample_path",
     "solve",
     "stochastic_matrix",
-    "walsh",
     "walsh_domain",
     "zero_path",
 ]

@@ -88,42 +88,122 @@ def _load_problem(args):
         raise CLIError(str(exc))
 
 
-def _write_rows(outdir, name, rows, comments=()):
-    # Headers are fixed names and every cell is a formatted number, so no
-    # field can hold a comma, quote or newline that would need CSV quoting.
+def _write(outdir, name, chunks):
+    # Every output file is written here, from chunks of bytes.
     os.makedirs(outdir, exist_ok=True)
     dest = os.path.join(outdir, name)
-    with open(dest, "w", encoding="utf-8", newline="") as fh:
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-        for comment in comments:
-            fh.write(f"# {comment}\n")
+    with open(dest, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
     print(f"wrote {dest}")
     return dest
 
 
+def _lines(rows):
+    # Headers are fixed names and every cell is a formatted number, so no
+    # field can hold a comma, quote or newline that would need CSV quoting.
+    return "".join(",".join(row) + "\n" for row in rows).encode("utf-8")
+
+
+# Floats are formatted about 2**16 at a time, so the writer's memory does
+# not grow with the matrix.
+_BLOCK_VALUES = 1 << 16
+
+
+def _scientific(x):
+    """The "%.8e" digits of a flat float64 array, where numpy can decide them.
+
+    Returns the nine significant digits as one integer-valued float, the
+    decimal exponent and the mask of entries they are right for: zeros
+    (digits 0, exponent 0) and finite x whose exponent e lies in
+    [-14, 8], so that 10**(8 - e) is exact and y = |x| * 10**(8 - e)
+    carries one rounding of at most 6e-8, unless y lies within 1e-6 of a
+    half-integer, where that rounding could decide the last digit.  A
+    carry of rint(y) to 10**9 moves into the exponent.
+    """
+    a = np.abs(x)
+    pow10 = np.array([float(10**k) for k in range(23)])
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(a))
+        e = np.where(np.isfinite(e), e, 0).astype(np.int64)
+        y = a * pow10[np.clip(8 - e, 0, 22)]
+        e += y >= 1e9  # log10 rounds near powers of ten
+        e -= y < 1e8
+        y = a * pow10[np.clip(8 - e, 0, 22)]
+        digits = np.rint(y)
+        fast = (e >= -14) & (e <= 8) & (y >= 1e8) & (y < 1e9) & (np.abs(y - np.floor(y) - 0.5) > 1e-6)
+    carry = digits == 1e9
+    digits[carry] = 1e8
+    e += carry
+    zero = a == 0
+    e[zero] = 0
+    fast |= zero
+    digits[~fast] = 0
+    return digits, e, fast
+
+
+def _ascii_table(strings):
+    """Four-byte ASCII strings as uint32 words, for gathering by index."""
+    return np.array(strings, dtype="S4").view(np.uint8).view(np.uint32)
+
+
+def _csv_rows(matrix):
+    """Yield the rows of a 2-D float array as "%.8e" CSV lines, in bytes.
+
+    A field takes a 16-byte slot: four 4-byte words from lookup tables,
+    indexed by sign and digits 1-2 ("-d.d"), digits 3-6, digits 7-9 with
+    'e' and the exponent ("+dd"), whose last byte becomes ',' or '\\n'.
+    A positive value leaves its sign byte NUL.  Values that _scientific
+    cannot decide are formatted by Python and spliced into their slots,
+    widened to 17 bytes if one needs 16 characters, so the bytes equal
+    "%.8e" % x for every double.  The NUL bytes are dropped at the end.
+    """
+    heads = _ascii_table([f"{s}{d // 10}.{d % 10}" for s in ("\0", "-") for d in range(100)])
+    quads = _ascii_table([f"{d:04d}" for d in range(10**4)])
+    tails = _ascii_table([f"{d:03d}e" for d in range(10**3)])
+    exps = _ascii_table([f"{d:+03d}\0" for d in range(-99, 100)])
+    step = max(1, _BLOCK_VALUES // matrix.shape[1])
+    for r in range(0, len(matrix), step):
+        block = np.asarray(matrix[r : r + step], dtype=np.float64)
+        x = block.ravel()
+        digits, e, fast = _scientific(x)
+        head = np.floor(digits / 1e7)
+        body = np.floor(digits / 1e3)
+        words = np.empty((x.size, 4), dtype=np.uint32)
+        words[:, 0] = heads[head.astype(np.intp) + 100 * np.signbit(x)]
+        words[:, 1] = quads[(body - head * 1e4).astype(np.intp)]
+        words[:, 2] = tails[(digits - body * 1e3).astype(np.intp)]
+        words[:, 3] = exps[np.clip(e + 99, 0, 198)]
+        buf = words.view(np.uint8)
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            text = np.array(["%.8e" % v for v in x[slow].tolist()], dtype="S")
+            if text.itemsize == 16:
+                buf = np.insert(buf, 15, 0, axis=1)
+            width = buf.shape[1] - 1
+            buf[slow, :width] = text.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+        fields = buf.reshape(block.shape[0], block.shape[1], -1)
+        fields[:, :-1, -1] = ord(",")
+        fields[:, -1, -1] = ord("\n")
+        yield buf.tobytes().replace(b"\0", b"")
+
+
 def _write_matrix(outdir, name, matrix):
-    # Each row formats only its distinct values, in one %-operation, and
-    # expands them through the inverse index.  The keys are the int64
-    # bits, because float keys would merge -0.0 into 0.0.  Nothing is
-    # cached across rows, so memory stays O(m).
-    fmt = "%d" if matrix.dtype.kind == "i" else "%.8e"
-
-    def rows():
-        for row in matrix:
-            _, first, inverse = np.unique(row.view(np.int64), return_index=True, return_inverse=True)
-            text = ",".join([fmt] * len(first)) % tuple(row[first].tolist())
-            yield np.array(text.split(","), dtype=object)[inverse]
-
-    return _write_rows(outdir, name, rows())
+    # Integer matrices (T_W) are written a row at a time with %d; floats
+    # go through _csv_rows.  Neither keeps more than a block of text.
+    if matrix.dtype.kind == "i":
+        fmt = ",".join(["%d"] * matrix.shape[1]) + "\n"
+        chunks = ((fmt % tuple(row.tolist())).encode("ascii") for row in matrix)
+    else:
+        chunks = _csv_rows(matrix)
+    return _write(outdir, name, chunks)
 
 
 def _dump_paths(outdir, cfg, seed, trials):
-    grid = [i * cfg.h / 2.0 for i in range(2 * cfg.m + 1)]
+    grid = np.arange(2 * cfg.m + 1) * cfg.h / 2.0
     for trial in range(1, trials + 1):
         path = sample_path(cfg, (seed, trial))
-        rows = [["t", "B"]] + [[_fmt(t), _fmt(v)] for t, v in zip(grid, path.values)]
-        _write_rows(outdir, f"path_{trial:03d}.csv", rows)
+        _write(outdir, f"path_{trial:03d}.csv", [b"t,B\n", *_csv_rows(np.column_stack([grid, path.values]))])
 
 
 def _cmd_run(args, seed):
@@ -137,7 +217,7 @@ def _cmd_run(args, seed):
             [_fmt(s.t), _fmt(s.mean), _fmt(s.sd), _fmt(s.ci_lower), _fmt(s.ci_upper), str(s.n), str(s.failures)]
             for s in stats
         ]
-        _write_rows(args.out, f"stats_{tag}.csv", rows)
+        _write(args.out, f"stats_{tag}.csv", [_lines(rows)])
     else:
         print("note: problem has no exact solution; skipping error statistics", file=sys.stderr)
 
@@ -163,8 +243,8 @@ def _cmd_run(args, seed):
             raise CLIError(f"oracle failed on trial 1 (seed {seed}): {exc}")
         header.append("em_oracle")
         columns.append(em.midpoint_values)
-    rows = [[_fmt(col[j]) for col in columns] for j in range(cfg.m)]
-    _write_rows(args.out, f"solution_{tag}.csv", [header] + rows, comments)
+    table = _csv_rows(np.column_stack(columns))
+    _write(args.out, f"solution_{tag}.csv", [_lines([header]), *table, _lines([f"# {c}"] for c in comments)])
 
     if args.dump_paths:
         _dump_paths(args.out, cfg, seed, args.trials)
@@ -183,25 +263,23 @@ def _cmd_converge(args, seed):
         [str(m), _fmt(1.0 / m), _fmt(rms)] for m, rms in zip(report.resolutions, report.rms_errors)
     ]
     order = "nan" if report.estimated_order is None else _fmt(report.estimated_order)
-    _write_rows(
-        args.out,
-        f"converge_{_slug(problem.label)}.csv",
-        rows,
-        comments=[f"estimated_order = {order}", f"failures = {sum(report.failures)}"],
-    )
+    rows += [[f"# estimated_order = {order}"], [f"# failures = {sum(report.failures)}"]]
+    _write(args.out, f"converge_{_slug(problem.label)}.csv", [_lines(rows)])
     return 0
 
 
 def _cmd_matrices(args, seed):
     cfg = BasisConfig.from_resolution(args.m)
     path = sample_path(cfg, seed)
-    P = integration_matrix(cfg)
-    PS = stochastic_matrix(path)
+    # Each matrix is built just before it is written, P and P_S a second
+    # time for their transforms (cheap next to writing them), so at most
+    # an operand and its transform are alive: two m x m arrays, 268 MB at
+    # m = 4096.
     _write_matrix(args.out, "tw.csv", build_walsh_matrix(cfg))
-    _write_matrix(args.out, "p.csv", P)
-    _write_matrix(args.out, "ps.csv", PS)
-    _write_matrix(args.out, "lambda.csv", walsh_domain(P))
-    _write_matrix(args.out, "lambda_s.csv", walsh_domain(PS))
+    _write_matrix(args.out, "p.csv", integration_matrix(cfg))
+    _write_matrix(args.out, "ps.csv", stochastic_matrix(path))
+    _write_matrix(args.out, "lambda.csv", walsh_domain(integration_matrix(cfg)))
+    _write_matrix(args.out, "lambda_s.csv", walsh_domain(stochastic_matrix(path)))
     return 0
 
 

@@ -15,7 +15,7 @@ Ito-Taylor correction on top of it; see ``walshvie.solver``.
 
 import numpy as np
 
-from .walsh import BasisConfig, _readonly, fast_walsh_transform
+from .walsh import _TEMP_ELEMENTS, BasisConfig, _readonly, fast_walsh_transform
 
 
 def integration_matrix(cfg):
@@ -25,7 +25,9 @@ def integration_matrix(cfg):
     up to a midpoint is exact.
     """
     m, h = cfg.m, cfg.h
-    P = np.triu(np.full((m, m), h), 1)
+    P = np.zeros((m, m))
+    for i in range(m):
+        P[i, i + 1 :] = h
     np.fill_diagonal(P, h / 2.0)
     return _readonly(P)
 
@@ -44,7 +46,9 @@ def stochastic_matrix(path):
     v = path.values
     full = v[2::2] - v[:-2:2]  # B((i+1)h) - B(ih)
     half = v[1::2] - v[:-2:2]  # B(t_j) - B(jh)
-    PS = np.triu(np.repeat(full[:, None], m, axis=1), 1)
+    PS = np.zeros((m, m))
+    for i in range(m):
+        PS[i, i + 1 :] = full[i]
     np.fill_diagonal(PS, half)
     return _readonly(PS)
 
@@ -54,7 +58,13 @@ def walsh_domain(M):
 
     Returns (1/m) * T_W @ M @ T_W, computed with the fast transform.
     Applying it twice gives back M, since T_W is its own inverse up to
-    the factor m.
+    the factor m.  The result is the one m x m array made: T_W @ M,
+    whose rows are then transformed in place a few at a time and
+    divided by m.
     """
-    M = np.asarray(M, dtype=float)
-    return fast_walsh_transform(fast_walsh_transform(M).T).T / len(M)
+    W = fast_walsh_transform(np.asarray(M, dtype=float))
+    rows = max(1, _TEMP_ELEMENTS // W.shape[1])
+    for r in range(0, len(W), rows):
+        W[r : r + rows] = fast_walsh_transform(W[r : r + rows].T).T
+    W /= len(W)
+    return W

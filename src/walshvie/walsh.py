@@ -23,6 +23,11 @@ import numpy as np
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 _GL_WEIGHTS = _GL_WEIGHTS / _GL_WEIGHTS.sum()
 
+# Largest temporary, in elements, of the in-place transforms (512 KB of
+# float64): at m = 1024 the transforms then stay within about 1 MB of
+# their m x m output.
+_TEMP_ELEMENTS = 1 << 16
+
 
 def _readonly(a):
     a = np.asarray(a)
@@ -117,9 +122,15 @@ def build_walsh_matrix(cfg):
 
     Returns the read-only (m, m) int64 matrix T with T[n][j] = w_n(t_j).
     Entries are +-1; T is symmetric and satisfies T @ T = m * I exactly
-    in integer arithmetic.  It is the fast transform of the identity.
+    in integer arithmetic.  The butterflies of the fast transform run in
+    place on the bit-reversal permutation matrix, so T is the only m x m
+    array made.
     """
-    return _readonly(fast_walsh_transform(np.eye(cfg.m, dtype=np.int64)))
+    m = cfg.m
+    T = np.zeros((m, m), dtype=np.int64)
+    T[np.arange(m), _bit_reversal(m)] = 1
+    _butterflies(T)
+    return _readonly(T)
 
 
 def fast_walsh_transform(a):
@@ -128,23 +139,47 @@ def fast_walsh_transform(a):
     T is the Sylvester-ordered Hadamard matrix with its columns in
     bit-reversed order, so a fast Walsh-Hadamard transform (Fino and
     Algazi, IEEE Trans. Comput. C-25, 1976) applies it in m log2(m)
-    additions per column without forming T.  Integer input gives T @ a
-    exactly; float input agrees with the dense product to rounding.
+    additions per column without forming T.  The result is a new array:
+    one bit-reversed copy of a, on which the butterflies run in place.
+    Integer input gives T @ a exactly; float input agrees with the dense
+    product to rounding.
     """
     a = np.asarray(a)
     m = len(a)
     if m < 1 or m & (m - 1):
         raise ValueError(f"length must be a power of two >= 1, got {m}")
+    y = a[_bit_reversal(m)].reshape(m, -1)
+    _butterflies(y)
+    return y.reshape(a.shape)
+
+
+def _bit_reversal(m):
     rev = np.zeros(1, dtype=np.intp)
     while len(rev) < m:
         rev = np.concatenate([2 * rev, 2 * rev + 1])
-    y = a[rev]
-    h = 1
-    while h < m:
-        y = y.reshape(m // (2 * h), 2, h, -1)
-        y = np.stack([y[:, 0] + y[:, 1], y[:, 0] - y[:, 1]], axis=1)
-        h *= 2
-    return y.reshape(a.shape)
+    return rev
+
+
+def _butterflies(y):
+    """Run the butterflies of the fast transform in place on the columns
+    of a C-contiguous (m, n) array whose rows are in bit-reversed order.
+
+    Stage h maps each pair of rows (u, v), h apart, to (u + v, u - v).
+    A slice of columns goes through every stage before the next slice,
+    so it stays in cache, and the copy of u that a stage needs never
+    exceeds about _TEMP_ELEMENTS elements (or m / 2).
+    """
+    m, n = y.shape
+    step = max(1, _TEMP_ELEMENTS // max(1, m // 2))
+    for c in range(0, n, step):
+        h = 1
+        while h < m:
+            pairs = y.reshape(m // (2 * h), 2, h, n)
+            top, bottom = pairs[:, 0, :, c : c + step], pairs[:, 1, :, c : c + step]
+            old_top = top.copy()
+            top += bottom
+            np.subtract(old_top, bottom, out=bottom)
+            h *= 2
 
 
 def _eval_grid(f, x):

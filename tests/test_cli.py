@@ -3,12 +3,13 @@
 import csv
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from walshvie.brownian import sample_path
-from walshvie.cli import _write_matrix, main
+from walshvie.cli import _csv_rows, _scientific, _write_matrix, main
 from walshvie.operational import integration_matrix, stochastic_matrix, walsh_domain
 from walshvie.solver import builtin_example
 from walshvie.walsh import BasisConfig, build_walsh_matrix
@@ -249,6 +250,86 @@ class TestMatrices:
         assert abs(PS[0, 1] - (v[2] - v[0])) < 1e-8
 
 
+def formatted(values, cols=1):
+    """The bytes the block formatter writes for values, cols per row."""
+    return b"".join(_csv_rows(np.asarray(values, dtype=float).reshape(-1, cols)))
+
+
+def reference_values_csv(values, cols=1):
+    return reference_matrix_csv(np.asarray(values, dtype=float).reshape(-1, cols))
+
+
+def ulps_around(x, n):
+    """The 2n + 1 doubles from n ulps below the positive double x to n above."""
+    return (np.float64(x).view(np.int64) + np.arange(-n, n + 1)).view(np.float64)
+
+
+# 1.220703125e-4 is 2**-13: its nine-digit y = 122070312.5 is an exact
+# tie, which Python breaks to even.
+TIE = 2.0**-13
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, -1e-310,
+    np.inf, -np.inf, np.nan, -np.nan, 1e-100, -1e-100, 1e300, -1e300, 1.7976931348623157e308,
+    1e-15, 9.99999999e-16, 1e9, 999999999.4, 999999999.6, -999999999.6,
+    9.9999999995e-3, 9.9999999994e-3, -9.9999999996e-3, 0.99999999996, 9.99999999951e-15,
+    TIE, -TIE, 1.5, 0.1, 0.30000000000000004, 12345.6789, -2.5e-7,
+]
+
+
+class TestFloatFormatter:
+    def test_edge_values(self):
+        assert formatted(EDGE_VALUES) == reference_values_csv(EDGE_VALUES)
+        assert formatted(EDGE_VALUES[:-1], cols=3) == reference_values_csv(EDGE_VALUES[:-1], cols=3)
+
+    def test_ulps_around_powers_of_ten(self):
+        values = np.concatenate([ulps_around(float(f"1e{k}"), 64) for k in range(-15, 11)])
+        values = np.concatenate([values, -values])
+        assert formatted(values, cols=258) == reference_values_csv(values, cols=258)
+
+    def test_carries_into_the_exponent(self):
+        values = [9.9999999995e-3, 9.99999999951e-3, 0.99999999996, 99999.9999951, 999999999.7, 1e-14 * 0.99999999996]
+        for v in values:
+            assert formatted([v, -v]) == reference_values_csv([v, -v])
+        assert formatted([999999999.7]) == b"1.00000000e+09\n"
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(10).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert formatted(values, cols=100) == reference_values_csv(values, cols=100)
+
+    def test_random_decimals_near_ties(self):
+        # ten significant digits ending in 5: y lies near a half-integer
+        rng = np.random.default_rng(11)
+        text = [f"{d}5e{e}" for d, e in zip(rng.integers(10**8, 10**9, 5000), rng.integers(-16, 11, 5000))]
+        values = np.array([float(t) for t in text])
+        assert formatted(values, cols=50) == reference_values_csv(values, cols=50)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072e-309, 1e-100, 1e300, 9e-16, 1e9, -2e12, TIE, -TIE],
+        ids=["nan", "inf", "-inf", "subnormal", "-subnormal", "e=-100", "e=300", "e=-16", "e=9", "e=12", "tie", "-tie"],
+    )
+    def test_each_fallback_reason_is_taken(self, value):
+        # non-finite, subnormal, exponent outside [-14, 8], and a rounding
+        # too close to a half to decide: each goes to Python's "%.8e"
+        _, _, fast = _scientific(np.array([value]))
+        assert not fast[0]
+        assert formatted([value]) == reference_values_csv([value])
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1e-14, 9.9999999e8, -0.1, 1.5, 123456789.0])
+    def test_ordinary_values_take_the_fast_path(self, value):
+        _, _, fast = _scientific(np.array([value]))
+        assert fast[0]
+
+    def test_no_runtime_warnings(self, tmp_path):
+        M = np.array(EDGE_VALUES[:-1]).reshape(3, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _write_matrix(tmp_path, "edge.csv", M)
+            assert main(["matrices", "--m", "64", "--seed", "2", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "edge.csv").read_bytes() == reference_matrix_csv(M)
+
+
 class TestMatrixWriter:
     @pytest.mark.parametrize("m", [64, 256])
     def test_matrices_match_reference(self, tmp_path, m):
@@ -298,6 +379,15 @@ class TestMatrixWriter:
 
 
 class TestPaths:
+    def test_bytes_match_reference(self, tmp_path):
+        assert main(["paths", "--m", "64", "--trials", "3", "--seed", "8", "--out", str(tmp_path)]) == 0
+        cfg = BasisConfig.from_resolution(64)
+        grid = [i * cfg.h / 2.0 for i in range(2 * cfg.m + 1)]
+        for trial in (1, 2, 3):
+            values = sample_path(cfg, (8, trial)).values
+            want = "t,B\n" + "".join(f"{t:.8e},{v:.8e}\n" for t, v in zip(grid, values))
+            assert (tmp_path / f"path_{trial:03d}.csv").read_bytes() == want.encode("ascii")
+
     def test_shapes_and_origin(self, tmp_path):
         rc = main(["paths", "--m", "8", "--trials", "2", "--seed", "3", "--out", str(tmp_path)])
         assert rc == 0

@@ -1,11 +1,23 @@
 """Integration and stochastic operational matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from walshvie.brownian import sample_path, zero_path
 from walshvie.operational import integration_matrix, stochastic_matrix, walsh_domain
-from walshvie.walsh import BasisConfig, build_walsh_matrix
+from walshvie.walsh import BasisConfig, build_walsh_matrix, fast_walsh_transform
+
+
+def traced_peak(f, *args):
+    """Peak bytes allocated while f(*args) runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def diag_lift(v):
@@ -121,10 +133,36 @@ class TestWalshDomain:
         PS = stochastic_matrix(sample_path(cfg, seed=m))
         assert np.allclose(walsh_domain(PS), T @ PS @ T / m, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("m", [1, 2, 64, 1024])
+    def test_same_bits_as_two_full_transforms(self, m):
+        # the row pass in place, chunk by chunk, and the division in place
+        # give the bits of transforming the whole matrix twice
+        cfg = BasisConfig.from_resolution(m)
+        for M in (integration_matrix(cfg), stochastic_matrix(sample_path(cfg, seed=m))):
+            want = fast_walsh_transform(fast_walsh_transform(M).T).T / m
+            assert walsh_domain(M).tobytes() == want.tobytes()
+
     def test_shape_mismatch_rejected(self):
         # only a power-of-two size has a Walsh matrix
         with pytest.raises(ValueError):
             walsh_domain(np.eye(6))
+
+
+class TestMemory:
+    # At m = 1024 an m x m float64 output alone is 8 MB; each builder
+    # makes no other full-size array.
+    LIMIT = 10 * 2**20
+
+    def test_integration_matrix(self):
+        assert traced_peak(integration_matrix, BasisConfig.from_resolution(1024)) < self.LIMIT
+
+    def test_stochastic_matrix(self):
+        path = sample_path(BasisConfig.from_resolution(1024), seed=1)
+        assert traced_peak(stochastic_matrix, path) < self.LIMIT
+
+    def test_walsh_domain(self):
+        PS = stochastic_matrix(sample_path(BasisConfig.from_resolution(1024), seed=1))
+        assert traced_peak(walsh_domain, PS) < self.LIMIT
 
 
 class TestDiagHelpers:

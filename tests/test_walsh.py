@@ -32,6 +32,23 @@ def walsh_matrix_by_definition(m):
     return T
 
 
+def fast_walsh_transform_by_stack(a):
+    """Reference: the out-of-place fast transform, one bit-reversed copy
+    and then a new np.stack of (u + v, u - v) per butterfly stage."""
+    a = np.asarray(a)
+    m = len(a)
+    rev = np.zeros(1, dtype=np.intp)
+    while len(rev) < m:
+        rev = np.concatenate([2 * rev, 2 * rev + 1])
+    y = a[rev]
+    h = 1
+    while h < m:
+        y = y.reshape(m // (2 * h), 2, h, -1)
+        y = np.stack([y[:, 0] + y[:, 1], y[:, 0] - y[:, 1]], axis=1)
+        h *= 2
+    return y.reshape(a.shape)
+
+
 def project_kernel_square(kernel, cfg):
     """Reference: the block integrals of k over every block rectangle of
     the m x m square, each row from one call on full (5, m, 5) node
@@ -163,6 +180,43 @@ class TestWalshMatrix:
         a = np.random.default_rng(m).integers(-1000, 1000, size=(m, 3))
         assert np.array_equal(fast_walsh_transform(a), T @ a)
         assert np.array_equal(fast_walsh_transform(a[:, 0]), T @ a[:, 0])
+
+    @pytest.mark.parametrize("m", [2**k for k in range(11)])
+    def test_fast_transform_matches_stack_reference(self, m):
+        # the in-place butterflies add and subtract the same pairs in the
+        # same order as the out-of-place reference, so floats agree bit
+        # for bit, whatever the layout of the input
+        rng = np.random.default_rng(m)
+        inputs = [
+            rng.standard_normal(m),
+            rng.standard_normal((m, 3)),
+            rng.standard_normal((m, 2, 3)).transpose(0, 2, 1),
+            rng.standard_normal((3, m)).T,
+            rng.integers(-1000, 1000, size=(m, 2)),
+        ]
+        if m <= 256:
+            inputs.append(rng.standard_normal((m, m)))
+        for a in inputs:
+            want = fast_walsh_transform_by_stack(a)
+            got = fast_walsh_transform(a)
+            assert got.dtype == want.dtype and got.shape == a.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_fast_transform_leaves_input_alone(self):
+        a = np.random.default_rng(0).standard_normal((16, 4))
+        before = a.copy()
+        fast_walsh_transform(a)
+        assert np.array_equal(a, before)
+
+    def test_walsh_matrix_memory_is_the_output(self):
+        # the output alone is 8 MB at m = 1024
+        tracemalloc.start()
+        try:
+            build_walsh_matrix(BasisConfig.from_resolution(1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     @pytest.mark.parametrize("m", [0, 3, 6, 12])
     def test_fast_transform_rejects_non_powers(self, m):
