@@ -16,6 +16,7 @@ both.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -126,10 +127,10 @@ def _scientific(x):
     with np.errstate(all="ignore"):
         e = np.floor(np.log10(a))
         e = np.where(np.isfinite(e), e, 0).astype(np.int64)
-        y = a * pow10[np.clip(8 - e, 0, 22)]
+        y = a * pow10.take(8 - e, mode="clip")
         e += y >= 1e9  # log10 rounds near powers of ten
         e -= y < 1e8
-        y = a * pow10[np.clip(8 - e, 0, 22)]
+        y = a * pow10.take(8 - e, mode="clip")
         digits = np.rint(y)
         fast = (e >= -14) & (e <= 8) & (y >= 1e8) & (y < 1e9) & (np.abs(y - np.floor(y) - 0.5) > 1e-6)
     carry = digits == 1e9
@@ -142,26 +143,38 @@ def _scientific(x):
     return digits, e, fast
 
 
-def _ascii_table(strings):
-    """Four-byte ASCII strings as uint32 words, for gathering by index."""
-    return np.array(strings, dtype="S4").view(np.uint8).view(np.uint32)
+@functools.cache
+def _ascii_words():
+    """Four-byte ASCII words as uint32, for gathering by index: sign and
+    digits 1-2 ("-d.d", index sign * 100 + dd), digits 3-6, digits 7-9
+    with 'e', and the exponent ("+dd" and a spare byte, index e + 99).
+    Built on first use; formatting the strings takes about 3 ms.
+    """
+
+    def table(strings):
+        words = np.array(strings, dtype="S4").view(np.uint8).view(np.uint32)
+        words.setflags(write=False)
+        return words
+
+    return (
+        table([f"{s}{d // 10}.{d % 10}" for s in ("\0", "-") for d in range(100)]),
+        table([f"{d:04d}" for d in range(10**4)]),
+        table([f"{d:03d}e" for d in range(10**3)]),
+        table([f"{d:+03d}\0" for d in range(-99, 100)]),
+    )
 
 
 def _csv_rows(matrix):
     """Yield the rows of a 2-D float array as "%.8e" CSV lines, in bytes.
 
-    A field takes a 16-byte slot: four 4-byte words from lookup tables,
-    indexed by sign and digits 1-2 ("-d.d"), digits 3-6, digits 7-9 with
-    'e' and the exponent ("+dd"), whose last byte becomes ',' or '\\n'.
-    A positive value leaves its sign byte NUL.  Values that _scientific
+    A field takes a 16-byte slot, the four words of _ascii_words; the
+    last byte becomes ',' or '\\n', and a positive value leaves its sign
+    byte NUL.  Values that _scientific
     cannot decide are formatted by Python and spliced into their slots,
     widened to 17 bytes if one needs 16 characters, so the bytes equal
     "%.8e" % x for every double.  The NUL bytes are dropped at the end.
     """
-    heads = _ascii_table([f"{s}{d // 10}.{d % 10}" for s in ("\0", "-") for d in range(100)])
-    quads = _ascii_table([f"{d:04d}" for d in range(10**4)])
-    tails = _ascii_table([f"{d:03d}e" for d in range(10**3)])
-    exps = _ascii_table([f"{d:+03d}\0" for d in range(-99, 100)])
+    heads, quads, tails, exps = _ascii_words()
     step = max(1, _BLOCK_VALUES // matrix.shape[1])
     for r in range(0, len(matrix), step):
         block = np.asarray(matrix[r : r + step], dtype=np.float64)
@@ -173,7 +186,7 @@ def _csv_rows(matrix):
         words[:, 0] = heads[head.astype(np.intp) + 100 * np.signbit(x)]
         words[:, 1] = quads[(body - head * 1e4).astype(np.intp)]
         words[:, 2] = tails[(digits - body * 1e3).astype(np.intp)]
-        words[:, 3] = exps[np.clip(e + 99, 0, 198)]
+        words[:, 3] = exps.take(e + 99, mode="clip")
         buf = words.view(np.uint8)
         slow = np.flatnonzero(~fast)
         if slow.size:
