@@ -201,12 +201,31 @@ def _check_variables(node, variables, line):
     return _check_variables(node[2], variables, line) | _check_variables(node[3], variables, line)
 
 
+def _only_in_differences(node, a, b):
+    """Whether every variable reference in ``node`` is an operand of an
+    ``a - b`` or ``b - a`` subtraction node."""
+    kind = node[0]
+    if kind == "var":
+        return False
+    if kind == "num":
+        return True
+    if kind in ("neg", "call"):
+        return _only_in_differences(node[-1], a, b)
+    op, left, right = node[1:]
+    if op == "-" and left[0] == right[0] == "var" and {left[1], right[1]} == {a, b}:
+        return True
+    return _only_in_differences(left, a, b) and _only_in_differences(right, a, b)
+
+
 def compile_expression(src, variables=(), line=1):
     """Compile ``src`` to a float (no variables used) or a callable.
 
     The callable takes the declared variables positionally and accepts
-    scalars or numpy arrays.  ``line`` is folded into error positions so
-    callers parsing multi-line files can report real locations.
+    scalars or numpy arrays.  Its ``difference_kernel`` attribute is True
+    when there are two variables and the expression reads them only as
+    the operands of their difference (``exp(-(t-s))``, not ``-s + t``).
+    ``line`` is folded into error positions so callers parsing
+    multi-line files can report real locations.
     """
     parser = _Parser(src, line)
     node = parser.parse()
@@ -227,4 +246,5 @@ def compile_expression(src, variables=(), line=1):
 
     fn.source = src
     fn.variables = names
+    fn.difference_kernel = len(names) == 2 and _only_in_differences(node, *names)
     return fn

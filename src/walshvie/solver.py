@@ -35,7 +35,15 @@ trials.  The operators that do not depend on the path are built once
 per engine.  For a constant kernel c they are cumulative sums: the k1
 term is c (sum of z1[i] over i < j + z1[j]/2) and the stochastic term c
 times the sum of the earlier blocks' values plus c times the block's
-own, so a sweep costs O(m) per path and no m x m array exists.  Other
+own, so a sweep costs O(m) per path and no m x m array exists.  A
+difference kernel, an expression that reads s and t only through t - s,
+has a Toeplitz projection K[i][j] = row[j - i]: its row 0 is projected
+from 25 m kernel values, and each sum is a causal convolution with it,
+applied to every row by a zero-padded FFT of length 2m, so a sweep
+costs O(m log m) per path and again no m x m array exists.  The FFT
+rounds relative to a row's largest terms, not to each sum, and lets
+later blocks move earlier sums by rounding; on exp(-(t-s))-type kernels
+the solution stays within 2e-16 of the triangle's.  Other
 kernels are projected once on the triangle s <= t that the sums read
 and applied to one row at a time.  Every row keeps its own sweep
 count, residual and damping flag, and leaves the block when it
@@ -51,7 +59,7 @@ from numbers import Real
 import numpy as np
 
 from . import expressions
-from .walsh import BasisConfig, _eval_grid, _readonly, project_kernel
+from .walsh import BasisConfig, _eval_grid, _project_lag_row, _readonly, project_kernel
 
 
 class NonConvergenceError(RuntimeError):
@@ -75,7 +83,14 @@ class ProblemSpec:
 
     ``k1`` and ``k2`` may be plain numbers (constant kernels, projected
     exactly) or callables of (s, t).  ``beta`` and ``sigma`` take the
-    solution value.  When k2 is not zero on the diagonal s = t,
+    solution value.  The solver calls beta, sigma and callable kernels
+    on numpy arrays, so they must take arrays and return values of the
+    arguments' broadcast shape (np.exp, not math.exp); one that does
+    not is a TypeError naming its key.  A kernel compiled from an
+    expression that reads s and t only through t - s (its
+    ``difference_kernel`` attribute) is projected from one block row;
+    every other callable kernel, a lambda of t - s included, on the
+    whole triangle s <= t.  When k2 is not zero on the diagonal s = t,
     ``sigma`` must also accept complex input and return complex values
     (np.exp, np.tanh and every expression of the expression language
     do; np.abs and math.exp do not), since the solver differentiates it
@@ -162,30 +177,57 @@ def _by_row(a, M):
     return np.array([row @ M for row in a])
 
 
+def _causal_convolution(g):
+    """z -> per row, out[:, j] = sum of z[:, i] g[j - i] over i <= j: the
+    product with the Toeplitz triangle whose rows are g, as a
+    zero-padded FFT convolution of length 2m.  Each row is its own
+    transform, so a row's bits do not depend on the rows beside it."""
+    m = len(g)
+    spectrum = np.fft.rfft(g, 2 * m)
+    return lambda z: np.fft.irfft(np.fft.rfft(z, 2 * m) * spectrum, 2 * m)[:, :m]
+
+
 def _volterra_sums(problem, cfg):
     """The path-independent operators of one sweep, built once.
 
     Returns (drift, noise, k2_ss): drift(z1) = z1 @ m^3 (K1 o P) and
     noise(w) = w @ m^2 triu(K2, 1), each row on its own, and
-    k2_ss = m^2 diag(K2), the block average of k2(s, s).  A constant
-    kernel c gives c (exclusive_cumsum(z1) + z1/2), c exclusive_cumsum(w)
-    and c, so no m x m array is built.  Other kernels build them from the
-    projected triangle: h is a power of two, so m^3 (K1 o P) is exactly
-    m^2 K1 with its diagonal halved.
+    k2_ss = m^2 diag(K2), the block average of k2(s, s).  Each kernel
+    takes one of three forms, and only the last builds an m x m array:
+
+    * a constant c gives c (exclusive_cumsum(z1) + z1/2),
+      c exclusive_cumsum(w) and c;
+    * a difference kernel (an expression of t - s alone, see
+      ``expressions.compile_expression``) has a Toeplitz projection,
+      K[i][i + d] = row[d], so its row 0 alone is projected and applied
+      as a causal FFT convolution with g1 = m^2 row, g1[0] halved, and
+      g2 = m^2 row, g2[0] = 0; k2_ss is the scalar m^2 row[0];
+    * any other callable is projected on the triangle and applied with
+      one GEMV per row.  h is a power of two, so m^3 (K1 o P) is
+      exactly m^2 K1 with its diagonal halved.
     """
     m = cfg.m
     if isinstance(problem.k1, Real):
         c1 = float(problem.k1)
         drift = lambda z: c1 * (_exclusive_cumsum(z) + 0.5 * z)
+    elif getattr(problem.k1, "difference_kernel", False):
+        g1 = m * m * _project_lag_row(problem.k1, cfg, "k1")
+        g1[0] *= 0.5
+        drift = _causal_convolution(g1)
     else:
-        G1 = m * m * project_kernel(problem.k1, cfg)
+        G1 = m * m * project_kernel(problem.k1, cfg, "k1")
         G1[np.diag_indices(m)] *= 0.5
         drift = lambda z: _by_row(z, G1)
     if isinstance(problem.k2, Real):
         c2 = float(problem.k2)
         return drift, lambda w: c2 * _exclusive_cumsum(w), c2
     # m^3 K2 times h sigma is m^2 K2 times sigma
-    upper = m * m * project_kernel(problem.k2, cfg)
+    if getattr(problem.k2, "difference_kernel", False):
+        g2 = m * m * _project_lag_row(problem.k2, cfg, "k2")
+        k2_ss = float(g2[0])
+        g2[0] = 0.0
+        return drift, _causal_convolution(g2), k2_ss
+    upper = m * m * project_kernel(problem.k2, cfg, "k2")
     k2_ss = np.diagonal(upper).copy()
     np.fill_diagonal(upper, 0.0)
     return drift, lambda w: _by_row(w, upper), k2_ss
@@ -247,11 +289,11 @@ def _batch_solver(problem, cfg, options=None):
         )
         for sweep in range(1, opts.max_iter + 1):
             rows, x, previous, damped, full, dB1, c_full, c_half = live
-            z1 = h * _eval_grid(problem.beta, x)
+            z1 = h * _eval_grid(problem.beta, "beta", x)
             if ito:
                 sig, slope = _sigma_with_slope(problem.sigma, x)
             else:
-                sig, slope = _eval_grid(problem.sigma, x), np.zeros_like(x)
+                sig, slope = _eval_grid(problem.sigma, "sigma", x), np.zeros_like(x)
             w = sig * (full + slope * c_full)
             u = sig * (dB1 + slope * c_half)
             # a row whose beta or sigma is not finite turns nan here and

@@ -182,16 +182,27 @@ def _butterflies(y):
             h *= 2
 
 
-def _eval_grid(f, x):
-    """Evaluate a scalar-or-vectorised callable on an array of points."""
+def _eval_grid(f, name, *args):
+    """f(*args) as floats of the shape the arguments broadcast to.
+
+    f must take numpy arrays.  One that raises TypeError or ValueError
+    on them, or returns values that do not broadcast to that shape, is
+    a TypeError naming ``name``; it is never retried point by point.
+    """
+    shape = np.broadcast(*args).shape
     try:
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape == x.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    flat = np.array([float(f(xi)) for xi in x.ravel()])
-    return flat.reshape(x.shape)
+        vals = np.asarray(f(*args), dtype=float)
+        return vals if vals.shape == shape else np.broadcast_to(vals, shape)
+    except (TypeError, ValueError) as exc:
+        raise TypeError(
+            f"{name} must take numpy arrays and return values of their broadcast shape: {exc}"
+        ) from exc
+
+
+def _quadrature_nodes(cfg):
+    """The (m, 5) Gauss-Legendre nodes of every block."""
+    starts = np.arange(cfg.m) * cfg.h
+    return starts[:, None] + (_GL_NODES[None, :] + 1.0) * (cfg.h / 2.0)
 
 
 def project_function(f, cfg):
@@ -200,18 +211,27 @@ def project_function(f, cfg):
     Returns the read-only block integrals F[i] = integral of f over
     block i, so the block-pulse reconstruction on block i is m * F[i].
     Each block integral uses the 5-point Gauss-Legendre rule, which is
-    exact for polynomials up to degree 9 on the block.
+    exact for polynomials up to degree 9 on the block.  f is called once,
+    on all (m, 5) nodes, so it must take numpy arrays.
     """
-    m, h = cfg.m, cfg.h
-    starts = np.arange(m) * h
-    nodes = starts[:, None] + (_GL_NODES[None, :] + 1.0) * (h / 2.0)
-    vals = _eval_grid(f, nodes)
+    vals = _eval_grid(f, "f", _quadrature_nodes(cfg))
     if not np.all(np.isfinite(vals)):
         raise ValueError("function evaluation produced a non-finite value at a quadrature node")
-    return _readonly(h * (vals @ _GL_WEIGHTS))
+    return _readonly(cfg.h * (vals @ _GL_WEIGHTS))
 
 
-def project_kernel(kernel, cfg):
+def _kernel_row(kernel, name, pts, i):
+    """The block integrals of a callable kernel over s in block i and t
+    in blocks i..m-1, divided by h**2, from one call on node arrays that
+    broadcast to (5, m - i, 5)."""
+    m = len(pts)
+    kv = _eval_grid(kernel, name, pts[i][:, None, None], pts[None, i:, :])
+    if not np.all(np.isfinite(kv)):
+        raise ValueError("kernel evaluation produced a non-finite value at a quadrature node")
+    return (_GL_WEIGHTS @ kv.reshape(5, -1)).reshape(m - i, 5) @ _GL_WEIGHTS
+
+
+def project_kernel(kernel, cfg, name="kernel"):
     """Project a kernel k(s, t) onto the block pulse product basis.
 
     Returns the read-only (m, m) block integrals K[i][j] of k over the
@@ -221,25 +241,23 @@ def project_kernel(kernel, cfg):
     entry of the triangle is exactly c * h**2, or a callable of (s, t)
     integrated with a 5x5 tensor Gauss-Legendre rule per block
     rectangle, called once per s-block i on node arrays that broadcast
-    to (5, m - i, 5).
+    to (5, m - i, 5).  A callable must take numpy arrays; one that does
+    not is a TypeError naming ``name``.
     """
     m, h = cfg.m, cfg.h
     if isinstance(kernel, Real):
         return _readonly(np.triu(np.full((m, m), float(kernel) * (h * h))))
-    starts = np.arange(m) * h
-    pts = starts[:, None] + (_GL_NODES[None, :] + 1.0) * (h / 2.0)  # (m, 5)
+    pts = _quadrature_nodes(cfg)
     entries = np.zeros((m, m))
     for i in range(m):
-        shape = (5, m - i, 5)
-        s_nodes, t_nodes = pts[i][:, None, None], pts[None, i:, :]
-        try:
-            kv = np.broadcast_to(np.asarray(kernel(s_nodes, t_nodes), dtype=float), shape)
-        except (TypeError, ValueError):
-            svals, tvals = np.broadcast_arrays(s_nodes, t_nodes)
-            kv = np.array([kernel(sv, tv) for sv, tv in zip(svals.ravel(), tvals.ravel())], dtype=float)
-            kv = kv.reshape(shape)
-        if not np.all(np.isfinite(kv)):
-            raise ValueError("kernel evaluation produced a non-finite value at a quadrature node")
-        entries[i, i:] = (_GL_WEIGHTS @ kv.reshape(5, -1)).reshape(m - i, 5) @ _GL_WEIGHTS
+        entries[i, i:] = _kernel_row(kernel, name, pts, i)
     entries *= h * h
     return _readonly(entries)
+
+
+def _project_lag_row(kernel, cfg, name):
+    """Row 0 of ``project_kernel`` for a kernel of t - s alone, whose
+    projection is Toeplitz: K[i][i + d] = row[d] up to how t - s rounds
+    at each position.  25 m kernel values instead of about 12.5 m**2,
+    and no m x m array.  Returns a new writable array."""
+    return _kernel_row(kernel, name, _quadrature_nodes(cfg), 0) * (cfg.h * cfg.h)

@@ -25,6 +25,7 @@ from walshvie.solver import (
     SolverOptions,
     _batch_solver,
     builtin_example,
+    problem_from_sources,
     solve,
 )
 from walshvie.walsh import BasisConfig
@@ -272,6 +273,28 @@ class TestBatchInvariance:
             alone = solve(prob, path)
             assert np.array_equal(alone.x_colloc, in_chunk.x_colloc)
             assert alone.iterations == in_chunk.iterations
+
+    @pytest.mark.parametrize("m", [64, 128])
+    def test_difference_kernels(self, m):
+        # applied as one FFT convolution per row of the chunk: a row's
+        # transforms do not depend on how many rows share the call
+        prob = problem_from_sources({
+            "x0": "1/10",
+            "k1": "-(1/30)^2*exp(-(t-s))",
+            "k2": "(1/30)*exp(-(t-s)/2)",
+            "beta": "x*(1-x^2)",
+            "sigma": "1-x^2",
+        })
+        assert prob.k1.difference_kernel and prob.k2.difference_kernel
+        cfg = BasisConfig.from_resolution(m)
+        paths = [sample_path(cfg, (5, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)]
+        chunk = _batch_solver(prob, cfg)(paths)
+        assert len(chunk) >= 16
+        for path, in_chunk in zip(paths, chunk):
+            alone = solve(prob, path)
+            assert np.array_equal(alone.x_colloc, in_chunk.x_colloc)
+            assert alone.iterations == in_chunk.iterations
+            assert alone.residual == in_chunk.residual
 
     @pytest.mark.parametrize("example_id", [1, 2])
     @pytest.mark.parametrize("m", [16, 256])

@@ -85,6 +85,39 @@ class TestCallables:
         assert k(5.0, 2.0) == 2.0
 
 
+class TestDifferenceKernels:
+    @pytest.mark.parametrize(
+        "src, marked",
+        [
+            ("exp(-(t-s))", True),
+            ("(s-t)^2", True),
+            ("cos(3*(t-s))", True),
+            ("-(1/30)^2*exp(-(t-s))", True),
+            ("(1/30)*exp(-(t-s)/2)", True),
+            ("(t - s) - 1", True),
+            ("(t-s)*(s-t) + 2", True),
+            ("s*t - s", False),
+            ("-s + t", False),
+            ("exp(s)*exp(-t)", False),
+            ("t", False),
+            ("s", False),
+            ("t - s - s", False),
+            ("1 - t - s", False),
+            ("(t-s) + s", False),
+            ("exp(-(t-s))*(1+s)", False),
+        ],
+    )
+    def test_truth_table(self, src, marked):
+        # the rule reads the parse tree: each variable reference must be
+        # an operand of a t - s or s - t node, however the lag is used
+        assert compile_expression(src, ("s", "t")).difference_kernel is marked
+
+    def test_only_two_variables_are_marked(self):
+        assert compile_expression("x - x", ("x",)).difference_kernel is False
+        assert compile_expression("t - B", ("t", "B")).difference_kernel is True
+        assert compile_expression("t - s", ("s", "t", "u")).difference_kernel is False
+
+
 class TestErrors:
     def test_unknown_function(self):
         with pytest.raises(ExpressionError) as err:

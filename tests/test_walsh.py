@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from walshvie.expressions import compile_expression
 from walshvie.walsh import (
     BasisConfig,
+    _project_lag_row,
     build_walsh_matrix,
     fast_walsh_transform,
     midpoint_floor_index,
@@ -52,8 +53,7 @@ def fast_walsh_transform_by_stack(a):
 def project_kernel_square(kernel, cfg):
     """Reference: the block integrals of k over every block rectangle of
     the m x m square, each row from one call on full (5, m, 5) node
-    arrays (or one node at a time for a scalar-only kernel) reduced by
-    one three-operand einsum."""
+    arrays reduced by one three-operand einsum."""
     m, h = cfg.m, cfg.h
     nodes, weights = np.polynomial.legendre.leggauss(5)
     weights = weights / weights.sum()
@@ -62,18 +62,13 @@ def project_kernel_square(kernel, cfg):
     for i in range(m):
         svals = np.broadcast_to(pts[i][:, None, None], (5, m, 5))
         tvals = np.broadcast_to(pts[None, :, :], (5, m, 5))
-        try:
-            kv = np.asarray(kernel(svals, tvals), dtype=float)
-            if kv.shape != (5, m, 5):
-                raise ValueError
-        except (TypeError, ValueError):
-            kv = np.array([kernel(sv, tv) for sv, tv in zip(svals.ravel(), tvals.ravel())]).reshape(5, m, 5)
+        kv = np.broadcast_to(np.asarray(kernel(svals, tvals), dtype=float), (5, m, 5))
         entries[i] = h * h * np.einsum("a,ajb,b->j", weights, kv, weights)
     return entries
 
 
 def scalar_only_sum(s, t):
-    """s + t, refusing arrays, so projections must call it pointwise."""
+    """s + t, refusing arrays."""
     if not np.isscalar(s) and not isinstance(s, float):
         raise TypeError("scalars only")
     return float(s) + float(t)
@@ -297,11 +292,18 @@ class TestKernelProjection:
         Ft = project_function(lambda t: np.exp(-t), cfg)
         assert np.allclose(K, np.triu(np.outer(Fs, Ft)), rtol=1e-12, atol=0)
 
-    def test_scalar_only_kernel_falls_back(self):
+    def test_scalar_only_kernel_is_refused(self):
+        # a callable that refuses arrays is an error naming it, never
+        # retried one node at a time
         cfg = BasisConfig.from_resolution(2)
-        K = project_kernel(scalar_only_sum, cfg)
-        Kv = project_kernel(lambda s, t: s + t, cfg)
-        assert np.allclose(K, Kv, rtol=0, atol=1e-15)
+        with pytest.raises(TypeError, match="^kernel must take numpy arrays"):
+            project_kernel(scalar_only_sum, cfg)
+        with pytest.raises(TypeError, match="^k2 must take numpy arrays"):
+            project_kernel(scalar_only_sum, cfg, "k2")
+        with pytest.raises(TypeError, match="^f must take numpy arrays"):
+            project_function(lambda t: math.exp(t), cfg)
+        with pytest.raises(TypeError, match="broadcast shape"):
+            project_kernel(lambda s, t: np.zeros(3), cfg)
 
     @pytest.mark.parametrize("m", [1, 2, 16, 256])
     @pytest.mark.parametrize(
@@ -319,6 +321,10 @@ class TestKernelProjection:
         # the quadrature is unchanged, only the order of the weighted
         # sums is, so each entry stays within a few ulp
         cfg = BasisConfig.from_resolution(m)
+        if kernel is scalar_only_sum:
+            with pytest.raises(TypeError, match="kernel"):
+                project_kernel(kernel, cfg)
+            return
         K = project_kernel(kernel, cfg)
         ref = np.triu(project_kernel_square(kernel, cfg))
         assert not K.flags.writeable
@@ -326,6 +332,30 @@ class TestKernelProjection:
         assert np.all(np.abs(K[upper] - ref[upper]) <= 2e-15 * np.abs(ref[upper]))
         lower = np.tril_indices(m, -1)
         assert (K[lower] == 0.0).all() and not np.signbit(K[lower]).any()
+
+    @pytest.mark.parametrize("m", [1, 2, 16, 256, 2048])
+    @pytest.mark.parametrize(
+        "src", ["-(1/30)^2*exp(-(t-s))", "(1/30)*exp(-(t-s)/2)", "1/(1+(t-s)^2)", "exp(-(s-t)^2)"]
+    )
+    def test_lag_row_is_the_toeplitz_triangle(self, src, m):
+        # row 0 of the triangle is the lag row itself; every other
+        # K[i][i + d] differs from row[d] only by how t - s rounds at
+        # its position, which is a relative error of a few ulp for
+        # kernels bounded away from zero (not, say, for (s-t)^2 at d = 0)
+        kernel = compile_expression(src, ("s", "t"))
+        cfg = BasisConfig.from_resolution(m)
+        row = _project_lag_row(kernel, cfg, "k1")
+        K = project_kernel(kernel, cfg)
+        assert row.shape == (m,)
+        assert np.array_equal(row, K[0])
+        i, j = np.triu_indices(m)
+        assert np.all(np.abs(K[i, j] - row[j - i]) <= 2e-15 * np.abs(K[i, j]))
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_lag_row_checks_finiteness(self):
+        cfg = BasisConfig.from_resolution(8)
+        with pytest.raises(ValueError, match="non-finite"):
+            _project_lag_row(compile_expression("1/(t-s)", ("s", "t")), cfg, "k1")
 
     def test_memory_is_the_output(self):
         # the output alone is 8 MB at m = 1024; a row's nodes add little
