@@ -1,11 +1,13 @@
 """Brownian paths sampled on the half-step grid.
 
 A path at resolution m holds B at the 2m+1 points j*h/2, which is every
-block boundary and every collocation midpoint.  Increments are drawn
-from a counter-based generator (Philox) keyed by the seed, so identical
-seed and resolution reproduce the path bit for bit and distinct keys
-give independent streams.  Refinement consistency across different m is
-deliberately not promised: each resolution draws fresh increments.
+block boundary and every collocation midpoint.  Its increments are the
+first 2m normals of a counter-based generator (Philox) keyed by the
+seed, times sqrt(h/2): identical seed and resolution reproduce the path
+bit for bit and distinct keys give independent streams.  One key at m
+and 2m shares its leading normals, so the 2m path on [0, 1/2] is the m
+path scaled by 1/sqrt(2): neither an independent draw nor a refinement.
+``convergence_study`` relies on this to draw each trial once.
 """
 
 from dataclasses import dataclass
@@ -39,10 +41,21 @@ def sample_path(cfg, seed):
     ``seed`` may be an int or a tuple of ints; tuples are how callers
     derive independent per-trial streams from one base seed.
     """
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    increments = gen.standard_normal(2 * cfg.m) * np.sqrt(cfg.h / 2.0)
-    values = np.concatenate([[0.0], np.cumsum(increments)])
-    return BrownianPath(values=_readonly(values))
+    return BrownianPath(values=_readonly(_path_values(_normals(seed, np.empty(2 * cfg.m)), cfg.h)))
+
+
+def _normals(seed, out):
+    """Fill ``out`` with the first normals of the stream keyed by seed."""
+    np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).standard_normal(out=out)
+    return out
+
+
+def _path_values(normals, h):
+    """B on the half-step grid from 2m normals along the last axis:
+    0, then cumsum(normals * sqrt(h/2)).  Every sampled path is made here."""
+    values = np.zeros(normals.shape[:-1] + (normals.shape[-1] + 1,))
+    np.cumsum(normals * np.sqrt(h / 2.0), axis=-1, out=values[..., 1:])
+    return values
 
 
 def zero_path(cfg):

@@ -201,15 +201,27 @@ def _csv_rows(matrix):
         yield buf.tobytes().replace(b"\0", b"")
 
 
+def _sign_rows(matrix):
+    """Yield the rows of a +-1 integer matrix (T_W) as CSV lines, in bytes:
+    a field is '-' or NUL, '1', and ',' or '\\n'; the NULs are dropped."""
+    step = max(1, _BLOCK_VALUES // matrix.shape[1])
+    for r in range(0, len(matrix), step):
+        block = matrix[r : r + step]
+        negative = block < 0
+        if not np.all(negative | (block == 1)) or np.any(block[negative] != -1):
+            raise ValueError("only matrices of +-1 entries are written as integers")
+        fields = np.empty(block.shape + (3,), dtype=np.uint8)
+        fields[..., 0] = negative
+        fields[..., 0] *= ord("-")
+        fields[..., 1] = ord("1")
+        fields[:, :-1, 2] = ord(",")
+        fields[:, -1, 2] = ord("\n")
+        yield fields.tobytes().replace(b"\0", b"")
+
+
 def _write_matrix(outdir, name, matrix):
-    # Integer matrices (T_W) are written a row at a time with %d; floats
-    # go through _csv_rows.  Neither keeps more than a block of text.
-    if matrix.dtype.kind == "i":
-        fmt = ",".join(["%d"] * matrix.shape[1]) + "\n"
-        chunks = ((fmt % tuple(row.tolist())).encode("ascii") for row in matrix)
-    else:
-        chunks = _csv_rows(matrix)
-    return _write(outdir, name, chunks)
+    # Neither writer keeps more than a block of text.
+    return _write(outdir, name, _sign_rows(matrix) if matrix.dtype.kind == "i" else _csv_rows(matrix))
 
 
 def _dump_paths(outdir, cfg, seed, trials):

@@ -16,16 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import sample_path
+from .brownian import BrownianPath, _normals, _path_values
 from .solver import SolveResult, _batch_solver
-from .walsh import BasisConfig, fast_walsh_transform, midpoint_floor_index
+from .walsh import BasisConfig, _readonly, fast_walsh_transform, midpoint_floor_index
 
 REPORT_TIMES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
-# Trials are solved in chunks of max(1, _CHUNK_ELEMENTS // m) paths, so
-# memory stays bounded for any trial count.  On a 1000-trial converge
-# ladder (m = 8..256) 4096-element chunks raised the peak RSS from 38.6
-# to 39.3 MB, above the 38.7 MB of solving one trial at a time.
+# Trials are drawn max(1, _DRAW_ELEMENTS // (2 m)) at a time for the finest
+# m of a study and solved max(1, _CHUNK_ELEMENTS // m) at a time at each m,
+# so memory stays bounded for any trial count.  On a 1000-trial converge
+# ladder (m = 8..256) the peak RSS was 37.9 MB, as when solving one trial
+# at a time; 4096-element solve chunks gave 38.2 MB, 2**16-element draws 39.1.
+_DRAW_ELEMENTS = 1 << 15
 _CHUNK_ELEMENTS = 2048
 
 # RMS floor below which a convergence study is treated as degenerate
@@ -98,28 +100,43 @@ def coefficient_error_norm(x, y):
     return float(np.max(np.abs(fast_walsh_transform(x - y))))
 
 
-def _trial_errors(problem, cfg, n, base_seed, report_times):
-    """Per-trial error rows; failed trials are counted, never absorbed.
+def _solved_errors(problem, solve_paths, values, report_times):
+    """Error rows, in order, of the paths with values (n, 2m + 1) that solve."""
+    outcomes = solve_paths([BrownianPath(values=v) for v in values])
+    ok = [isinstance(o, SolveResult) for o in outcomes]
+    if not any(ok):
+        return np.empty((0, len(report_times)))
+    x = np.stack([o.x_colloc for o in outcomes if isinstance(o, SolveResult)])
+    return _midpoint_errors(problem, x, values[ok], report_times)
 
-    The operators are built once; each chunk of trials has its paths
-    sampled just before it is solved, and the errors of its successful
-    trials come from one call of ``exact``.  The engine solves every row
-    on its own, so a trial's values do not depend on the chunking.
+
+def _trial_errors(problem, cfgs, n, base_seed, report_times):
+    """One (error rows, failure count) pair per resolution of cfgs; failed
+    trials are counted, never absorbed.
+
+    Trial i's normals are drawn once from the key (base_seed, i) for the
+    finest m; the path at each m is made from their first 2m, as
+    ``sample_path`` makes it.  Trials are drawn a bounded chunk at a time
+    and solved at every m by engines built once; each row is solved on
+    its own, so a trial's values do not depend on the chunking.
     """
-    solve_paths = _batch_solver(problem, cfg)
-    per_chunk = max(1, _CHUNK_ELEMENTS // cfg.m)
-    rows = []
-    failures = 0
-    for first in range(1, n + 1, per_chunk):
-        trials = range(first, min(first + per_chunk, n + 1))
-        paths = [sample_path(cfg, (base_seed, trial)) for trial in trials]
-        solved = [(p, o) for p, o in zip(paths, solve_paths(paths)) if isinstance(o, SolveResult)]
-        failures += len(paths) - len(solved)
-        if solved:
-            x = np.stack([o.x_colloc for _, o in solved])
-            values = np.stack([p.values for p, _ in solved])
-            rows.extend(_midpoint_errors(problem, x, values, report_times))
-    return np.asarray(rows, dtype=float), failures
+    engines = [_batch_solver(problem, cfg) for cfg in cfgs]
+    width = 2 * max(cfg.m for cfg in cfgs)
+    normals = np.empty((max(1, _DRAW_ELEMENTS // width), width))
+    errors = [np.empty((n, len(report_times))) for _ in cfgs]
+    solved = [0] * len(cfgs)
+    for first in range(1, n + 1, len(normals)):
+        trials = range(first, min(first + len(normals), n + 1))
+        for row, trial in zip(normals, trials):
+            _normals((base_seed, trial), out=row)
+        for r, (cfg, solve_paths) in enumerate(zip(cfgs, engines)):
+            values = _readonly(_path_values(normals[: len(trials), : 2 * cfg.m], cfg.h))
+            per_chunk = max(1, _CHUNK_ELEMENTS // cfg.m)
+            for start in range(0, len(values), per_chunk):
+                rows = _solved_errors(problem, solve_paths, values[start : start + per_chunk], report_times)
+                errors[r][solved[r] : solved[r] + len(rows)] = rows
+                solved[r] += len(rows)
+    return [(e[:count], n - count) for e, count in zip(errors, solved)]
 
 
 def monte_carlo(problem, cfg, n, base_seed, report_times=REPORT_TIMES):
@@ -131,7 +148,7 @@ def monte_carlo(problem, cfg, n, base_seed, report_times=REPORT_TIMES):
     """
     if n < 2:
         raise ValueError("need at least two trials")
-    errors, failures = _trial_errors(problem, cfg, n, base_seed, report_times)
+    [(errors, failures)] = _trial_errors(problem, [cfg], n, base_seed, report_times)
     n_eff = errors.shape[0]
     if n_eff < 2:
         raise ValueError(f"only {n_eff} of {n} trials succeeded; cannot form statistics")
@@ -160,18 +177,20 @@ def convergence_study(problem, resolutions, n, base_seed, report_times=REPORT_TI
 
     When every RMS sits at rounding level the order is reported as
     None rather than a meaningless slope.  Failed trials are left out
-    of the RMS and counted in the report's ``failures``.
+    of the RMS and counted in the report's ``failures``.  Every rung's
+    engine is alive at once, so a callable kernel that is not a
+    difference kernel holds at most 1/3 more triangle memory than the
+    finest rung alone.
     """
     resolutions = tuple(int(m) for m in resolutions)
     if len(resolutions) < 3:
         raise ValueError("need at least three resolutions for an order estimate")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ValueError("resolutions must be strictly increasing")
+    cfgs = [BasisConfig.from_resolution(m) for m in resolutions]
     rms = []
     failures = []
-    for m in resolutions:
-        cfg = BasisConfig.from_resolution(m)
-        errors, failed = _trial_errors(problem, cfg, n, base_seed, report_times)
+    for m, (errors, failed) in zip(resolutions, _trial_errors(problem, cfgs, n, base_seed, report_times)):
         if errors.shape[0] < 1:
             raise ValueError(f"every trial failed at m={m}")
         rms.append(float(np.sqrt(np.mean(np.square(errors)))))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from walshvie.brownian import BrownianPath, sample_path, zero_path
+from walshvie.brownian import BrownianPath, _normals, _path_values, sample_path, zero_path
 from walshvie.operational import stochastic_matrix
 from walshvie.oracle import euler_maruyama
 from walshvie.solver import builtin_example, solve
@@ -43,6 +43,37 @@ class TestSampling:
         path = zero_path(cfg)
         assert (path.values == 0.0).all()
         assert path.m == 8
+
+
+class TestPrefix:
+    # A path at m is made from the first 2m normals of its key's stream;
+    # convergence_study draws each key once at the finest m and takes
+    # every coarser path from the prefix, so a numpy release that broke
+    # this would silently change `converge` output.
+    KEYS = [0, 42, (42, 1), (7, 1000), (2**40, 3)]
+    RESOLUTIONS = [1, 2, 8, 256, 4096]
+
+    def test_paths_are_prefixes_of_the_longest_draw(self):
+        # reference: each key's stream drawn alone; the block holds every
+        # key's normals as convergence_study draws them
+        streams = [np.random.Generator(np.random.Philox(np.random.SeedSequence(key))) for key in self.KEYS]
+        reference = [gen.standard_normal(2 * 4096) for gen in streams]
+        block = np.empty((len(self.KEYS), 2 * 4096))
+        for row, key in zip(block, self.KEYS):
+            _normals(key, out=row)
+        for m in self.RESOLUTIONS:
+            cfg = BasisConfig.from_resolution(m)
+            from_block = _path_values(block[:, : 2 * m], cfg.h)
+            for key, normals, row in zip(self.KEYS, reference, from_block):
+                expected = np.concatenate([[0.0], np.cumsum(normals[: 2 * m] * np.sqrt(cfg.h / 2.0))])
+                assert np.array_equal(sample_path(cfg, key).values, expected), (key, m)
+                assert np.array_equal(row, expected), (key, m)
+
+    def test_resolutions_of_one_key_are_brownian_rescalings(self):
+        # the 2m path on [0, 1/2] is the m path scaled by 1/sqrt(2)
+        coarse = sample_path(BasisConfig.from_resolution(8), (3, 1)).values
+        fine = sample_path(BasisConfig.from_resolution(16), (3, 1)).values
+        assert np.allclose(fine[: len(coarse)], coarse / np.sqrt(2.0), rtol=1e-14, atol=1e-15)
 
 
 class TestValidation:

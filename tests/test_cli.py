@@ -361,9 +361,17 @@ class TestMatrixWriter:
         assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv(M)
 
     def test_integer_signs(self, tmp_path):
-        T = build_walsh_matrix(BasisConfig.from_resolution(16))
-        _write_matrix(tmp_path, "tw.csv", T)
-        assert (tmp_path / "tw.csv").read_bytes() == reference_matrix_csv(T, integer=True)
+        for m in (1, 16, 512):  # m = 512 spans four blocks of rows
+            T = build_walsh_matrix(BasisConfig.from_resolution(m))
+            _write_matrix(tmp_path, "tw.csv", T)
+            assert (tmp_path / "tw.csv").read_bytes() == reference_matrix_csv(T, integer=True), m
+
+    @pytest.mark.parametrize("bad", [0, 2, -2])
+    def test_integers_other_than_signs_rejected(self, tmp_path, bad):
+        T = build_walsh_matrix(BasisConfig.from_resolution(4)).copy()
+        T[3, 1] = bad
+        with pytest.raises(ValueError):
+            _write_matrix(tmp_path, "tw.csv", T)
 
     def test_memory_is_per_row(self, tmp_path):
         # 1024**2 distinct values: their strings take over 100 MB, so a

@@ -8,6 +8,7 @@ import pytest
 from walshvie.brownian import BrownianPath, sample_path
 from walshvie.experiment import (
     _CHUNK_ELEMENTS,
+    _DRAW_ELEMENTS,
     DEGENERATE_RMS,
     REPORT_TIMES,
     ErrorStats,
@@ -303,7 +304,7 @@ class TestBatchInvariance:
         prob = builtin_example(example_id)
         cfg = BasisConfig.from_resolution(m)
         n = 2 * (_CHUNK_ELEMENTS // m) + 3
-        errors, failures = _trial_errors(prob, cfg, n, 17, REPORT_TIMES)
+        [(errors, failures)] = _trial_errors(prob, [cfg], n, 17, REPORT_TIMES)
         rows = []
         for trial in range(1, n + 1):
             path = sample_path(cfg, (17, trial))
@@ -311,6 +312,64 @@ class TestBatchInvariance:
             rows.append([error_at(res, prob, path, t) for t in REPORT_TIMES])
         assert failures == 0
         assert np.array_equal(errors, np.asarray(rows, dtype=float))
+
+
+class TestOneDrawPerTrial:
+    # convergence_study draws each trial's normals once, in chunks of
+    # _DRAW_ELEMENTS // (2 m_max) trials, and derives every resolution's
+    # path from them.
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_study_equals_each_resolution_sampled_and_solved_alone(self):
+        prob = feedback_problem()
+        resolutions = (8, 32, 256)
+        n = 2 * (_DRAW_ELEMENTS // (2 * 256)) + 5  # two draw chunks and part of a third
+        cfgs = [BasisConfig.from_resolution(m) for m in resolutions]
+        per_resolution = _trial_errors(prob, cfgs, n, 3, REPORT_TIMES)
+        report = convergence_study(prob, resolutions, n, base_seed=3)
+        for cfg, (errors, failed), rms, reported in zip(
+            cfgs, per_resolution, report.rms_errors, report.failures
+        ):
+            rows = []
+            for trial in range(1, n + 1):
+                path = sample_path(cfg, (3, trial))
+                res = outcome(prob, path)
+                if isinstance(res, SolveResult):
+                    rows.append([error_at(res, prob, path, t) for t in REPORT_TIMES])
+            rows = np.asarray(rows, dtype=float)
+            assert 0 < failed < n
+            assert failed == reported == n - len(rows)
+            assert np.array_equal(errors, rows)
+            assert rms == float(np.sqrt(np.mean(np.square(rows))))
+
+    def test_one_generator_per_trial(self, monkeypatch):
+        made = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        monte_carlo(builtin_example(1), BasisConfig.from_resolution(8), 70, base_seed=4)
+        assert len(made) == 70
+        convergence_study(builtin_example(1), (8, 16, 32), 70, base_seed=4)
+        assert len(made) == 140
+
+    def test_draw_buffer_does_not_grow_with_trials(self):
+        # drawing every trial at once would add n * 2 * 1024 * 8 bytes,
+        # 4 MB for the 256 extra trials; the error rows add 30 KB
+        prob = constant_problem()
+        resolutions = (64, 256, 1024)
+        convergence_study(prob, resolutions, 4, base_seed=1)  # warm-up
+        peaks = []
+        for n in (64, 320):
+            tracemalloc.start()
+            try:
+                convergence_study(prob, resolutions, n, base_seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**18, peaks
 
 
 class TestErrorStatsValidation:
