@@ -20,7 +20,7 @@ Quick start::
     print(result.x_colloc)
 """
 
-from .brownian import BrownianPath, sample_path, zero_path
+from .brownian import sample_path, zero_path
 from .experiment import (
     REPORT_TIMES,
     ConvergenceReport,
@@ -56,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisConfig",
-    "BrownianPath",
     "ConvergenceReport",
     "ErrorStats",
     "ExpressionError",

@@ -1,7 +1,8 @@
 """Brownian paths sampled on the half-step grid.
 
-A path at resolution m holds B at the 2m+1 points j*h/2, which is every
-block boundary and every collocation midpoint.  Its increments are the
+A path at resolution m is a read-only 1-D float array of the 2m+1
+values B(j*h/2), which is every block boundary and every collocation
+midpoint; its length is the one source of m.  Its increments are the
 first 2m normals of a counter-based generator (Philox) keyed by the
 seed, times sqrt(h/2): identical seed and resolution reproduce the path
 bit for bit and distinct keys give independent streams.  One key at m
@@ -10,29 +11,19 @@ path scaled by 1/sqrt(2): neither an independent draw nor a refinement.
 ``convergence_study`` relies on this to draw each trial once.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .walsh import _readonly
+from .walsh import BasisConfig, _readonly
 
 
-@dataclass(frozen=True)
-class BrownianPath:
-    """B at the 2m+1 half-step grid points j/(2m); the length of
-    ``values`` is the one source of the resolution m."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) < 3 or len(self.values) % 2 == 0:
-            raise ValueError("path must hold 2m+1 values")
-        if self.values[0] != 0.0:
-            raise ValueError("path must start at B(0) = 0")
-
-    @property
-    def m(self):
-        return (len(self.values) - 1) // 2
+def _path_config(path):
+    """The BasisConfig of a path: a 1-D array of 2m+1 values that starts
+    at B(0) = 0, with m a power of two; anything else is a ValueError."""
+    if np.ndim(path) != 1 or len(path) < 3 or len(path) % 2 == 0:
+        raise ValueError("path must be a 1-D array of 2m+1 values")
+    if path[0] != 0.0:
+        raise ValueError("path must start at B(0) = 0")
+    return BasisConfig.from_resolution((len(path) - 1) // 2)
 
 
 def sample_path(cfg, seed):
@@ -41,7 +32,7 @@ def sample_path(cfg, seed):
     ``seed`` may be an int or a tuple of ints; tuples are how callers
     derive independent per-trial streams from one base seed.
     """
-    return BrownianPath(values=_readonly(_path_values(_normals(seed, np.empty(2 * cfg.m)), cfg.h)))
+    return _readonly(_path_values(_normals(seed, np.empty(2 * cfg.m)), cfg.h))
 
 
 def _normals(seed, out):
@@ -60,4 +51,4 @@ def _path_values(normals, h):
 
 def zero_path(cfg):
     """The identically-zero path, useful for deterministic reductions."""
-    return BrownianPath(values=_readonly(np.zeros(2 * cfg.m + 1)))
+    return _readonly(np.zeros(2 * cfg.m + 1))

@@ -228,7 +228,7 @@ def _dump_paths(outdir, cfg, seed, trials):
     grid = np.arange(2 * cfg.m + 1) * cfg.h / 2.0
     for trial in range(1, trials + 1):
         path = sample_path(cfg, (seed, trial))
-        _write(outdir, f"path_{trial:03d}.csv", [b"t,B\n", *_csv_rows(np.column_stack([grid, path.values]))])
+        _write(outdir, f"path_{trial:03d}.csv", [b"t,B\n", *_csv_rows(np.column_stack([grid, path]))])
 
 
 def _cmd_run(args, seed):
@@ -256,7 +256,7 @@ def _cmd_run(args, seed):
     columns = [cfg.midpoints, result.x_colloc]
     comments = []
     if problem.exact is not None:
-        exact_vals = problem.exact(cfg.midpoints, path.values[1::2])
+        exact_vals = problem.exact(cfg.midpoints, path[1::2])
         header.append("exact")
         columns.append(exact_vals)
         gap = coefficient_error_norm(result.x_colloc * cfg.h, exact_vals * cfg.h)

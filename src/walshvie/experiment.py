@@ -2,7 +2,7 @@
 
 This module is the one place that maps a report time t to the grid:
 errors are read at the last collocation midpoint t_j <= t, the
-numerical value as x[j] and the path as B = values[2j + 1], the same
+numerical value as x[j] and the path as B = path[2j + 1], the same
 point, and the error is |exact(t, B) - x[j]|.  Comparing both sides at
 the identical path point isolates the scheme error instead of the
 half-block noise of the path itself, and never interpolates the path.
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import BrownianPath, _normals, _path_values
-from .solver import SolveResult, _batch_solver
+from .brownian import _normals, _path_config, _path_values
+from .solver import _batch_solver
 from .walsh import BasisConfig, _readonly, fast_walsh_transform, midpoint_floor_index
 
 REPORT_TIMES = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -81,8 +81,11 @@ def _midpoint_errors(problem, x, values, report_times):
 def error_at(result, problem, path, t):
     """|exact(t, B) - x[j]| at the last collocation midpoint t_j <= t,
     with B the path's value there: the one-trial case of the per-chunk
-    errors of Monte Carlo runs."""
-    errors = _midpoint_errors(problem, result.x_colloc[None], path.values[None], (t,))
+    errors of Monte Carlo runs.  The path must have the result's m."""
+    m = _path_config(path).m
+    if m != len(result.x_colloc):
+        raise ValueError(f"path resolution m={m} does not match the result's m={len(result.x_colloc)}")
+    errors = _midpoint_errors(problem, result.x_colloc[None], path[None], (t,))
     return float(errors[0, 0])
 
 
@@ -100,16 +103,6 @@ def coefficient_error_norm(x, y):
     return float(np.max(np.abs(fast_walsh_transform(x - y))))
 
 
-def _solved_errors(problem, solve_paths, values, report_times):
-    """Error rows, in order, of the paths with values (n, 2m + 1) that solve."""
-    outcomes = solve_paths([BrownianPath(values=v) for v in values])
-    ok = [isinstance(o, SolveResult) for o in outcomes]
-    if not any(ok):
-        return np.empty((0, len(report_times)))
-    x = np.stack([o.x_colloc for o in outcomes if isinstance(o, SolveResult)])
-    return _midpoint_errors(problem, x, values[ok], report_times)
-
-
 def _trial_errors(problem, cfgs, n, base_seed, report_times):
     """One (error rows, failure count) pair per resolution of cfgs; failed
     trials are counted, never absorbed.
@@ -117,8 +110,11 @@ def _trial_errors(problem, cfgs, n, base_seed, report_times):
     Trial i's normals are drawn once from the key (base_seed, i) for the
     finest m; the path at each m is made from their first 2m, as
     ``sample_path`` makes it.  Trials are drawn a bounded chunk at a time
-    and solved at every m by engines built once; each row is solved on
-    its own, so a trial's values do not depend on the chunking.
+    and solved at every m by engines built once, which take the chunk's
+    (n, 2m + 1) values block; the error rows are read from the solved
+    rows of the engine's solutions and of that block, and a chunk in
+    which every row fails calls no ``exact``.  Each row is solved on its
+    own, so a trial's values do not depend on the chunking.
     """
     engines = [_batch_solver(problem, cfg) for cfg in cfgs]
     width = 2 * max(cfg.m for cfg in cfgs)
@@ -133,9 +129,13 @@ def _trial_errors(problem, cfgs, n, base_seed, report_times):
             values = _readonly(_path_values(normals[: len(trials), : 2 * cfg.m], cfg.h))
             per_chunk = max(1, _CHUNK_ELEMENTS // cfg.m)
             for start in range(0, len(values), per_chunk):
-                rows = _solved_errors(problem, solve_paths, values[start : start + per_chunk], report_times)
-                errors[r][solved[r] : solved[r] + len(rows)] = rows
-                solved[r] += len(rows)
+                block = values[start : start + per_chunk]
+                x, _, _, failed = solve_paths(block)
+                ok = np.array([f is None for f in failed])
+                if ok.any():
+                    rows = _midpoint_errors(problem, x[ok], block[ok], report_times)
+                    errors[r][solved[r] : solved[r] + len(rows)] = rows
+                    solved[r] += len(rows)
     return [(e[:count], n - count) for e, count in zip(errors, solved)]
 
 

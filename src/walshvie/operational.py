@@ -15,7 +15,8 @@ Ito-Taylor correction on top of it; see ``walshvie.solver``.
 
 import numpy as np
 
-from .walsh import _TEMP_ELEMENTS, BasisConfig, _readonly, fast_walsh_transform
+from .brownian import _path_config
+from .walsh import _TEMP_ELEMENTS, _readonly, fast_walsh_transform
 
 
 def integration_matrix(cfg):
@@ -42,10 +43,9 @@ def stochastic_matrix(path):
     midpoint values of the integrand it gives the Stratonovich, not the
     Ito, integral.
     """
-    m = BasisConfig.from_resolution(path.m).m
-    v = path.values
-    full = v[2::2] - v[:-2:2]  # B((i+1)h) - B(ih)
-    half = v[1::2] - v[:-2:2]  # B(t_j) - B(jh)
+    m = _path_config(path).m
+    full = path[2::2] - path[:-2:2]  # B((i+1)h) - B(ih)
+    half = path[1::2] - path[:-2:2]  # B(t_j) - B(jh)
     PS = np.zeros((m, m))
     for i in range(m):
         PS[i, i + 1 :] = full[i]

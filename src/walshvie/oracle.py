@@ -16,8 +16,9 @@ from numbers import Real
 
 import numpy as np
 
+from .brownian import _path_config
 from .solver import NonFiniteIterateError
-from .walsh import BasisConfig, _readonly
+from .walsh import _readonly
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,8 @@ def euler_maruyama(problem, path):
     Returns the m+1 grid iterates plus values at the collocation
     midpoints obtained by averaging adjacent iterates.
     """
-    cfg = BasisConfig.from_resolution(path.m)
+    cfg = _path_config(path)
     m, h = cfg.m, cfg.h
-    v = path.values
     k1 = _as_kernel(problem.k1)
     k2 = _as_kernel(problem.k2)
     y = np.empty(m + 1)
@@ -49,7 +49,7 @@ def euler_maruyama(problem, path):
     for j in range(m):
         s = j * h
         t_next = (j + 1) * h
-        dB = v[2 * j + 2] - v[2 * j]
+        dB = path[2 * j + 2] - path[2 * j]
         y[j + 1] = (
             y[j]
             + float(k1(s, t_next)) * float(problem.beta(y[j])) * h

@@ -29,10 +29,12 @@ replaced by -dB1^2/2 - h/4: the Ito drift -k2^2 sigma sigma'/2 plus the
 Milstein term.  sigma' comes from the complex step
 Im sigma(x + i eta) / eta, exact to rounding for analytic sigma.
 
-One engine solves a block of paths as the rows of an (n, m) array;
-``solve`` is its one-path case and Monte Carlo runs feed it chunks of
-trials.  The operators that do not depend on the path are built once
-per engine.  For a constant kernel c they are cumulative sums: the k1
+One engine solves a block of paths, the (n, 2m + 1) array of their
+values, as the rows of an (n, m) array and returns arrays: the
+solutions, sweep counts and residuals, and the error of each row that
+failed.  ``solve`` is its one-path case and Monte Carlo runs feed it
+chunks of trials.  The operators that do not depend on the path are
+built once per engine.  For a constant kernel c they are cumulative sums: the k1
 term is c (sum of z1[i] over i < j + z1[j]/2) and the stochastic term c
 times the sum of the earlier blocks' values plus c times the block's
 own, so a sweep costs O(m) per path and no m x m array exists.  A
@@ -59,7 +61,8 @@ from numbers import Real
 import numpy as np
 
 from . import expressions
-from .walsh import BasisConfig, _eval_grid, _project_lag_row, _readonly, project_kernel
+from .brownian import _path_config
+from .walsh import _eval_grid, _project_lag_row, _readonly, project_kernel
 
 
 class NonConvergenceError(RuntimeError):
@@ -131,13 +134,6 @@ class SolveResult:
     x_colloc: np.ndarray
     iterations: int
     residual: float
-
-
-def reconstruct(result, t):
-    """Block-constant solution value at any t in [0, 1)."""
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must lie in [0, 1), got {t}")
-    return float(result.x_colloc[int(t * len(result.x_colloc))])
 
 
 # Complex step for sigma'(x) = Im sigma(x + i eta) / eta (Squire and
@@ -237,7 +233,7 @@ _BETA = "beta(x) is not finite at the current iterate"
 _SIGMA = "sigma(x) is not finite at the current iterate"
 
 
-def _fail_non_finite(rows, checks, outcomes):
+def _fail_non_finite(rows, checks, errors):
     """Record a NonFiniteIterateError for each row of ``rows`` where an
     array of ``checks`` (pairs of array and message, in the order they
     are checked) is not finite, with the message of the first such
@@ -249,7 +245,7 @@ def _fail_non_finite(rows, checks, outcomes):
     for f, (_, message) in zip(finite, checks):
         new = ~f.all(axis=1) & ~failed
         for r in rows[new]:
-            outcomes[r] = NonFiniteIterateError(message)
+            errors[r] = NonFiniteIterateError(message)
         failed |= new
     return failed
 
@@ -258,12 +254,15 @@ def _batch_solver(problem, cfg, options=None):
     """The solve engine at resolution cfg.m.
 
     Builds the path-independent operators once and returns
-    ``solve_paths(paths)``, which solves a block of paths of that
-    resolution as the rows of one (n, m) array.  It returns, per path,
-    the SolveResult or the NonFiniteIterateError / NonConvergenceError
-    that ended its row; every row runs the sweeps of ``solve``'s
-    docstring with its own residual and damping flag, and a row that
-    finishes leaves the block, so no row depends on the others.
+    ``solve_paths(values)``, which solves the paths of that resolution
+    held in the rows of an (n, 2m + 1) values block as the rows of one
+    (n, m) array.  It returns ``(x, sweeps, residuals, errors)``: the
+    read-only solutions (n, m) and each row's sweep count and final
+    residual, which hold nan, 0 and nan in the rows that failed, and a
+    list that holds, per row, None or the NonFiniteIterateError /
+    NonConvergenceError that ended it.  Every row runs the sweeps of
+    ``solve``'s docstring with its own residual and damping flag, and a
+    row that finishes leaves the block, so no row depends on the others.
     """
     opts = options or SolverOptions()
     m, h = cfg.m, cfg.h
@@ -271,8 +270,7 @@ def _batch_solver(problem, cfg, options=None):
     ito = bool(np.any(k2_ss))
     x0 = float(problem.x0)
 
-    def solve_paths(paths):
-        v = np.stack([path.values for path in paths])
+    def solve_paths(v):
         n = len(v)
         full = v[:, 2::2] - v[:, :-2:2]  # B((i+1)h) - B(ih)
         dB1 = v[:, 1::2] - v[:, :-2:2]  # B(t_i) - B(ih)
@@ -280,7 +278,10 @@ def _batch_solver(problem, cfg, options=None):
         # the correction per unit sigma*sigma'(x[i]), above and on the diagonal
         c_full = k2_ss * 0.5 * (dB2**2 - dB1**2 - h)
         c_half = k2_ss * (-0.5 * dB1**2 - h / 4.0)
-        outcomes = [None] * n
+        solutions = np.full((n, m), np.nan)
+        sweeps = np.zeros(n, dtype=int)
+        residuals = np.full(n, np.nan)
+        errors = [None] * n
         # the rows still iterating: index, iterate, residual, damping
         # flag and their path data
         live = (
@@ -301,15 +302,16 @@ def _batch_solver(problem, cfg, options=None):
             with np.errstate(invalid="ignore"):
                 candidate = x0 + drift(z1) + noise(w) + k2_ss * u
             checks = ((z1, _BETA), (sig, _SIGMA), (slope, _SIGMA), (candidate, "iterate is not finite"))
-            failed = _fail_non_finite(rows, checks, outcomes)
+            failed = _fail_non_finite(rows, checks, errors)
             residual = np.maximum.reduce(np.abs(candidate - x), axis=1)
             damped = damped | (residual > previous)
             if damped.any():
                 candidate[damped] = x[damped] + opts.damping * (candidate[damped] - x[damped])
                 residual[damped] = np.maximum.reduce(np.abs(candidate[damped] - x[damped]), axis=1)
             done = (residual <= opts.tol) & ~failed
-            for r, x_done, res in zip(rows[done], candidate[done], residual[done]):
-                outcomes[r] = SolveResult(x_colloc=_readonly(x_done), iterations=sweep, residual=float(res))
+            solutions[rows[done]] = candidate[done]
+            residuals[rows[done]] = residual[done]
+            sweeps[rows[done]] = sweep
             live = (rows, candidate, residual, damped, full, dB1, c_full, c_half)
             keep = ~(failed | done)
             if not keep.all():
@@ -317,8 +319,8 @@ def _batch_solver(problem, cfg, options=None):
             if not keep.any():
                 break
         for r, residual in zip(live[0], live[2]):
-            outcomes[r] = NonConvergenceError(residual=float(residual), iterations=opts.max_iter)
-        return outcomes
+            errors[r] = NonConvergenceError(residual=float(residual), iterations=opts.max_iter)
+        return _readonly(solutions), sweeps, residuals, errors
 
     return solve_paths
 
@@ -326,9 +328,10 @@ def _batch_solver(problem, cfg, options=None):
 def solve(problem, path, options=None):
     """Fixed point solve of the collocated system on one Brownian path.
 
-    The resolution m is the path's and must be a power of two.  Each
-    sweep evaluates beta, sigma and sigma' at the current midpoint
-    values and updates x[j] = x0 + m^2 (H1[j][j] + H2[j][j]) + c[j],
+    The path is a 1-D array of the 2m+1 values B(j h/2); m is the
+    path's and must be a power of two.  Each sweep evaluates beta,
+    sigma and sigma' at the current midpoint values and updates
+    x[j] = x0 + m^2 (H1[j][j] + H2[j][j]) + c[j],
     where H = m K^T diag(z) M and c is the Ito correction of the module
     docstring.  Only the diagonals are needed, so they are accumulated
     directly; H2 and c share the strict upper triangle and the diagonal
@@ -342,10 +345,11 @@ def solve(problem, path, options=None):
     This is the one-path case of the batched engine that Monte Carlo
     runs use, and gives the same bits as that path solved in any batch.
     """
-    outcome, = _batch_solver(problem, BasisConfig.from_resolution(path.m), options)([path])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    cfg = _path_config(path)
+    x, sweeps, residuals, [error] = _batch_solver(problem, cfg, options)(path[None])
+    if error is not None:
+        raise error
+    return SolveResult(x_colloc=x[0], iterations=int(sweeps[0]), residual=float(residuals[0]))
 
 
 _BUILTIN_FORMS = {

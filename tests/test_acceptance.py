@@ -62,7 +62,7 @@ def test_criterion_1_exact_algebraic_identities(acceptance_report):
         for seed in range(100):
             path = sample_path(cfg, seed)
             sums = stochastic_matrix(path).sum(axis=0)
-            ps_gap = max(ps_gap, float(np.max(np.abs(sums - path.values[1::2]))))
+            ps_gap = max(ps_gap, float(np.max(np.abs(sums - path[1::2]))))
     elapsed = time.perf_counter() - start
     ok = ps_gap <= 1e-13 and elapsed < 1.0
     record(
@@ -109,11 +109,11 @@ def test_criterion_3_trivial_stochastic_fixed_points(acceptance_report):
         p1 = builtin_example(1)
         zp = zero_path(cfg)
         res1 = solve(p1, zp)
-        gap1 = max(abs(float(res1.x_colloc[j]) - p1.exact(t, zp.values[2 * j + 1])) for j, t in enumerate(cfg.midpoints))
+        gap1 = max(abs(float(res1.x_colloc[j]) - p1.exact(t, zp[2 * j + 1])) for j, t in enumerate(cfg.midpoints))
         p2 = builtin_example(2, a="0")
         path = sample_path(cfg, seed=m)
         res2 = solve(p2, path)
-        gap2 = max(abs(float(res2.x_colloc[j]) - p2.exact(t, path.values[2 * j + 1])) for j, t in enumerate(cfg.midpoints))
+        gap2 = max(abs(float(res2.x_colloc[j]) - p2.exact(t, path[2 * j + 1])) for j, t in enumerate(cfg.midpoints))
         worst = max(worst, gap1, gap2)
     ok = worst <= 1e-10
     record(

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from walshvie.brownian import BrownianPath, _normals, _path_values, sample_path, zero_path
+from walshvie.brownian import _normals, _path_values, sample_path, zero_path
+from walshvie.experiment import error_at
 from walshvie.operational import stochastic_matrix
 from walshvie.oracle import euler_maruyama
 from walshvie.solver import builtin_example, solve
@@ -15,13 +16,13 @@ class TestSampling:
         cfg = BasisConfig.from_resolution(16)
         a = sample_path(cfg, seed=42)
         b = sample_path(cfg, seed=42)
-        assert (a.values == b.values).all()
+        assert (a == b).all()
 
     def test_distinct_seeds_differ(self):
         cfg = BasisConfig.from_resolution(16)
         a = sample_path(cfg, seed=42)
         b = sample_path(cfg, seed=43)
-        assert not (a.values == b.values).all()
+        assert not (a == b).all()
 
     def test_tuple_seed_streams(self):
         # per-trial streams keyed (base, trial) are mutually distinct
@@ -29,20 +30,43 @@ class TestSampling:
         p1 = sample_path(cfg, (42, 1))
         p2 = sample_path(cfg, (42, 2))
         p3 = sample_path(cfg, 42)
-        assert not (p1.values == p2.values).all()
-        assert not (p1.values == p3.values).all()
+        assert not (p1 == p2).all()
+        assert not (p1 == p3).all()
 
     def test_starts_at_zero(self):
         path = sample_path(BasisConfig.from_resolution(4), seed=0)
-        assert path.values[0] == 0.0
-        assert len(path.values) == 9
-        assert path.m == 4
+        assert path[0] == 0.0
+        assert len(path) == 9
 
     def test_zero_path(self):
         cfg = BasisConfig.from_resolution(8)
         path = zero_path(cfg)
-        assert (path.values == 0.0).all()
-        assert path.m == 8
+        assert (path == 0.0).all()
+        assert len(path) == 17
+
+
+class TestArrays:
+    @pytest.mark.parametrize("m", [1, 8, 256])
+    def test_paths_are_read_only_float_arrays(self, m):
+        cfg = BasisConfig.from_resolution(m)
+        for path in (sample_path(cfg, (3, 1)), zero_path(cfg)):
+            assert isinstance(path, np.ndarray)
+            assert path.dtype == np.float64
+            assert path.shape == (2 * m + 1,)
+            assert not path.flags.writeable
+            with pytest.raises(ValueError):
+                path[1] = 1.0
+
+    def test_solution_does_not_alias_the_path(self):
+        prob = builtin_example(2)
+        path = sample_path(BasisConfig.from_resolution(16), (3, 1))
+        copy = path.copy()
+        res = solve(prob, copy)
+        assert np.array_equal(res.x_colloc, solve(prob, path).x_colloc)
+        kept = res.x_colloc.copy()
+        copy[1:] += 1.0
+        assert np.array_equal(res.x_colloc, kept)
+        assert not res.x_colloc.flags.writeable
 
 
 class TestPrefix:
@@ -66,47 +90,54 @@ class TestPrefix:
             from_block = _path_values(block[:, : 2 * m], cfg.h)
             for key, normals, row in zip(self.KEYS, reference, from_block):
                 expected = np.concatenate([[0.0], np.cumsum(normals[: 2 * m] * np.sqrt(cfg.h / 2.0))])
-                assert np.array_equal(sample_path(cfg, key).values, expected), (key, m)
+                assert np.array_equal(sample_path(cfg, key), expected), (key, m)
                 assert np.array_equal(row, expected), (key, m)
 
     def test_resolutions_of_one_key_are_brownian_rescalings(self):
         # the 2m path on [0, 1/2] is the m path scaled by 1/sqrt(2)
-        coarse = sample_path(BasisConfig.from_resolution(8), (3, 1)).values
-        fine = sample_path(BasisConfig.from_resolution(16), (3, 1)).values
+        coarse = sample_path(BasisConfig.from_resolution(8), (3, 1))
+        fine = sample_path(BasisConfig.from_resolution(16), (3, 1))
         assert np.allclose(fine[: len(coarse)], coarse / np.sqrt(2.0), rtol=1e-14, atol=1e-15)
 
 
+def _error_at_on(path):
+    # a valid m = 4 result, so only the path can be at fault
+    prob = builtin_example(1)
+    return error_at(solve(prob, zero_path(BasisConfig.from_resolution(4))), prob, path, 0.5)
+
+
 class TestValidation:
-    def test_even_length_rejected(self):
-        with pytest.raises(ValueError):
-            BrownianPath(values=np.zeros(4))
-
-    def test_nonzero_origin_rejected(self):
-        with pytest.raises(ValueError):
-            BrownianPath(values=np.ones(5))
-
+    # every consumer reads m from the path and checks it the same way
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros((5, 1)),  # a column of 2m + 1 values
+            np.zeros(4),
+            np.ones(5),
+            np.linspace(0.0, 0.3, 7),  # m = 3
+        ],
+        ids=["two_dimensional", "even_length", "nonzero_origin", "non_power_of_two"],
+    )
     @pytest.mark.parametrize(
         "consumer",
         [
             lambda path: solve(builtin_example(1), path),
             lambda path: euler_maruyama(builtin_example(1), path),
             stochastic_matrix,
+            _error_at_on,
         ],
-        ids=["solve", "euler_maruyama", "stochastic_matrix"],
+        ids=["solve", "euler_maruyama", "stochastic_matrix", "error_at"],
     )
-    def test_non_power_of_two_resolution_rejected(self, consumer):
-        # the path is the only source of m; 7 values give m = 3
-        path = BrownianPath(values=np.linspace(0.0, 0.3, 7))
-        assert path.m == 3
+    def test_invalid_path_rejected(self, consumer, bad):
         with pytest.raises(ValueError):
-            consumer(path)
+            consumer(bad)
 
 
 class TestDistribution:
     def test_terminal_variance(self):
         # B(1) ~ N(0, 1): over 10000 seeds the sample variance is close
         cfg = BasisConfig.from_resolution(16)
-        finals = np.array([sample_path(cfg, seed=s).values[-1] for s in range(10000)])
+        finals = np.array([sample_path(cfg, seed=s)[-1] for s in range(10000)])
         assert abs(finals.mean()) <= 0.03
         assert 0.94 <= finals.var() <= 1.06
 
@@ -114,7 +145,7 @@ class TestDistribution:
         # one long path: increments ~ N(0, h/2), lag-1 correlation ~ 0
         cfg = BasisConfig.from_resolution(2048)
         path = sample_path(cfg, seed=2024)
-        inc = np.diff(path.values)
+        inc = np.diff(path)
         target = cfg.h / 2.0
         assert abs(inc.var() / target - 1.0) < 0.1
         rho = np.corrcoef(inc[:-1], inc[1:])[0, 1]

@@ -67,7 +67,7 @@ class TestRun:
         assert ts == [(2 * j + 1) / 16 for j in range(8)]
         # exact reads trial 1's path at the same midpoints
         cfg = BasisConfig.from_resolution(8)
-        want = builtin_example(2).exact(cfg.midpoints, sample_path(cfg, (1, 1)).values[1::2])
+        want = builtin_example(2).exact(cfg.midpoints, sample_path(cfg, (1, 1))[1::2])
         assert [r[2] for r in rows[1:]] == [f"{v:.8e}" for v in want]
 
     def test_oracle_column_off_by_default(self, tmp_path):
@@ -244,7 +244,7 @@ class TestMatrices:
         rows, _ = read_rows(tmp_path / "ps.csv")
         PS = np.array([[float(v) for v in row] for row in rows])
         path = sample_path(BasisConfig.from_resolution(4), 11)
-        v = path.values
+        v = path
         # CSV carries 9 significant digits
         assert abs(PS[0, 0] - (v[1] - v[0])) < 1e-8
         assert abs(PS[0, 1] - (v[2] - v[0])) < 1e-8
@@ -392,7 +392,7 @@ class TestPaths:
         cfg = BasisConfig.from_resolution(64)
         grid = [i * cfg.h / 2.0 for i in range(2 * cfg.m + 1)]
         for trial in (1, 2, 3):
-            values = sample_path(cfg, (8, trial)).values
+            values = sample_path(cfg, (8, trial))
             want = "t,B\n" + "".join(f"{t:.8e},{v:.8e}\n" for t, v in zip(grid, values))
             assert (tmp_path / f"path_{trial:03d}.csv").read_bytes() == want.encode("ascii")
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from walshvie.brownian import BrownianPath, sample_path
+from walshvie.brownian import sample_path
 from walshvie.experiment import (
     _CHUNK_ELEMENTS,
     _DRAW_ELEMENTS,
@@ -85,7 +85,7 @@ class TestErrorAt:
         path = sample_path(cfg, seed=21)
         res = solve(prob, path)
         # 0.9 maps to midpoint index 13 (27/32)
-        expected = abs(prob.exact(0.9, path.values[2 * 13 + 1]) - res.x_colloc[13])
+        expected = abs(prob.exact(0.9, path[2 * 13 + 1]) - res.x_colloc[13])
         assert error_at(res, prob, path, 0.9) == expected
 
     def test_at_exact_midpoint(self):
@@ -94,7 +94,7 @@ class TestErrorAt:
         path = sample_path(cfg, seed=2)
         res = solve(prob, path)
         t = cfg.midpoints[5]
-        assert error_at(res, prob, path, t) == abs(prob.exact(t, path.values[2 * 5 + 1]) - res.x_colloc[5])
+        assert error_at(res, prob, path, t) == abs(prob.exact(t, path[2 * 5 + 1]) - res.x_colloc[5])
 
     def test_requires_exact(self):
         cfg = BasisConfig.from_resolution(8)
@@ -111,6 +111,16 @@ class TestErrorAt:
         res = solve(prob, path)
         with pytest.raises(ValueError):
             error_at(res, prob, path, 1.0)
+
+    @pytest.mark.parametrize("path_m", [8, 32])
+    def test_path_of_another_resolution_rejected(self, path_m):
+        # an m = 32 path read at the m = 16 indices gave a wrong error
+        # silently, an m = 8 path an IndexError
+        prob = builtin_example(1)
+        res = solve(prob, sample_path(BasisConfig.from_resolution(16), (1, 1)))
+        path = sample_path(BasisConfig.from_resolution(path_m), (1, 1))
+        with pytest.raises(ValueError, match=f"m={path_m} does not match the result's m=16"):
+            error_at(res, prob, path, 0.9)
 
 
 class TestCoefficientErrorNorm:
@@ -231,32 +241,34 @@ class TestBatchInvariance:
     def test_trial_alone_equals_trial_in_chunk(self, example_id, m):
         prob = builtin_example(example_id)
         cfg = BasisConfig.from_resolution(m)
-        paths = [sample_path(cfg, (42, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)]
+        paths = np.stack([sample_path(cfg, (42, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)])
         damped, diverging, stalled = self.SCALES[example_id, m]
-        base = paths[2].values
-        paths[1] = BrownianPath(values=base * damped)
-        paths[2] = BrownianPath(values=base * diverging)
+        base = paths[2].copy()
+        paths[1] = base * damped
+        paths[2] = base * diverging
         if stalled is not None:
-            paths[3] = BrownianPath(values=base * stalled)
-        chunk = _batch_solver(prob, cfg)(paths)
-        for path, in_chunk in zip(paths, chunk):
+            paths[3] = base * stalled
+        x, sweeps, residuals, errors = _batch_solver(prob, cfg)(paths)
+        for path, row, sweep, residual, error in zip(paths, x, sweeps, residuals, errors):
             alone = outcome(prob, path)
-            assert type(alone) is type(in_chunk)
-            if isinstance(alone, SolveResult):
-                assert np.array_equal(alone.x_colloc, in_chunk.x_colloc)
-                assert alone.iterations == in_chunk.iterations
-                assert alone.residual == in_chunk.residual
-            elif isinstance(alone, NonConvergenceError):
-                assert (alone.residual, alone.iterations) == (in_chunk.residual, in_chunk.iterations)
+            if error is None:
+                assert isinstance(alone, SolveResult)
+                assert np.array_equal(alone.x_colloc, row)
+                assert alone.iterations == sweep
+                assert alone.residual == residual
+            else:
+                assert type(alone) is type(error)
+                if isinstance(alone, NonConvergenceError):
+                    assert (alone.residual, alone.iterations) == (error.residual, error.iterations)
         # the chunk holds a row that engaged damping, one that diverged
         # and, for example 1, one that stalled
         undamped = outcome(prob, paths[1], SolverOptions(damping=1.0))
-        assert isinstance(chunk[1], SolveResult)
-        assert not (isinstance(undamped, SolveResult) and undamped.iterations == chunk[1].iterations)
-        assert isinstance(chunk[2], NonFiniteIterateError)
+        assert errors[1] is None
+        assert not (isinstance(undamped, SolveResult) and undamped.iterations == sweeps[1])
+        assert isinstance(errors[2], NonFiniteIterateError)
         if stalled is not None:
-            assert isinstance(chunk[3], NonConvergenceError)
-        assert sum(isinstance(r, SolveResult) for r in chunk) >= len(chunk) - 3
+            assert isinstance(errors[3], NonConvergenceError)
+        assert sum(e is None for e in errors) >= len(errors) - 3
 
     def test_kernels_that_are_not_constant(self):
         # applied with one GEMV per row: a GEMM over the chunk rounds
@@ -269,11 +281,12 @@ class TestBatchInvariance:
             sigma=lambda x: 1 - x * x,
         )
         cfg = BasisConfig.from_resolution(64)
-        paths = [sample_path(cfg, (5, trial)) for trial in range(1, _CHUNK_ELEMENTS // 64 + 1)]
-        for path, in_chunk in zip(paths, _batch_solver(prob, cfg)(paths)):
+        paths = np.stack([sample_path(cfg, (5, trial)) for trial in range(1, _CHUNK_ELEMENTS // 64 + 1)])
+        x, sweeps, _, _ = _batch_solver(prob, cfg)(paths)
+        for path, row, sweep in zip(paths, x, sweeps):
             alone = solve(prob, path)
-            assert np.array_equal(alone.x_colloc, in_chunk.x_colloc)
-            assert alone.iterations == in_chunk.iterations
+            assert np.array_equal(alone.x_colloc, row)
+            assert alone.iterations == sweep
 
     @pytest.mark.parametrize("m", [64, 128])
     def test_difference_kernels(self, m):
@@ -288,14 +301,14 @@ class TestBatchInvariance:
         })
         assert prob.k1.difference_kernel and prob.k2.difference_kernel
         cfg = BasisConfig.from_resolution(m)
-        paths = [sample_path(cfg, (5, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)]
-        chunk = _batch_solver(prob, cfg)(paths)
-        assert len(chunk) >= 16
-        for path, in_chunk in zip(paths, chunk):
+        paths = np.stack([sample_path(cfg, (5, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)])
+        x, sweeps, residuals, _ = _batch_solver(prob, cfg)(paths)
+        assert len(x) >= 16
+        for path, row, sweep, residual in zip(paths, x, sweeps, residuals):
             alone = solve(prob, path)
-            assert np.array_equal(alone.x_colloc, in_chunk.x_colloc)
-            assert alone.iterations == in_chunk.iterations
-            assert alone.residual == in_chunk.residual
+            assert np.array_equal(alone.x_colloc, row)
+            assert alone.iterations == sweep
+            assert alone.residual == residual
 
     @pytest.mark.parametrize("example_id", [1, 2])
     @pytest.mark.parametrize("m", [16, 256])

@@ -77,7 +77,7 @@ class TestStochasticMatrix:
     def test_m2_entries(self):
         cfg = BasisConfig.from_resolution(2)
         path = sample_path(cfg, seed=123)
-        v = path.values  # grid 0, 1/4, 1/2, 3/4, 1
+        v = path  # grid 0, 1/4, 1/2, 3/4, 1
         PS = stochastic_matrix(path)
         assert PS[0, 0] == v[1] - v[0]
         assert PS[0, 1] == v[2] - v[0]
@@ -91,7 +91,7 @@ class TestStochasticMatrix:
             path = sample_path(cfg, seed=seed)
             PS = stochastic_matrix(path)
             sums = PS.sum(axis=0)
-            mids = path.values[1::2]  # B(t_j)
+            mids = path[1::2]  # B(t_j)
             assert np.allclose(sums, mids, rtol=0, atol=1e-13)
 
     def test_zero_path_gives_zero_matrix(self):

@@ -36,7 +36,7 @@ class TestParsing:
         cfg = BasisConfig.from_resolution(8)
         path = sample_path(cfg, seed=17)
         for j, t in enumerate(cfg.midpoints):
-            B = path.values[2 * j + 1]
+            B = path[2 * j + 1]
             assert parsed.exact(t, B) == builtin.exact(t, B)
 
     def test_solve_agrees_with_builtin(self):
@@ -67,7 +67,7 @@ class TestParsing:
         path = sample_path(cfg, seed=13)
         res = solve(prob, path)
         # x(t_j) = (1/30) B(t_j) exactly: the integrand is constant
-        expect = prob.exact(cfg.midpoints, path.values[1::2])
+        expect = prob.exact(cfg.midpoints, path[1::2])
         assert np.allclose(res.x_colloc, expect, rtol=0, atol=1e-14)
 
 

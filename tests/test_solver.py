@@ -19,7 +19,6 @@ from walshvie.solver import (
     _volterra_sums,
     builtin_example,
     problem_from_sources,
-    reconstruct,
     solve,
 )
 from walshvie.walsh import BasisConfig, project_kernel
@@ -51,13 +50,13 @@ def dense_solve(problem, path, options=None):
     arrays and applied by matrix products.  Returns the solution and
     the sweep count."""
     opts = options or SolverOptions()
-    cfg = BasisConfig.from_resolution(path.m)
+    cfg = BasisConfig.from_resolution((len(path) - 1) // 2)
     m, h = cfg.m, cfg.h
     G1 = m**3 * (project_kernel(problem.k1, cfg) * integration_matrix(cfg))
     K2 = project_kernel(problem.k2, cfg)
     upper2 = m * m * np.triu(K2, 1)
     k2_ss = m * m * np.diagonal(K2)
-    v = path.values
+    v = path
     full, dB1, dB2 = v[2::2] - v[:-2:2], v[1::2] - v[:-2:2], v[2::2] - v[1::2]
     c_full = k2_ss * 0.5 * (dB2**2 - dB1**2 - h)
     c_half = k2_ss * (-0.5 * dB1**2 - h / 4.0)
@@ -167,7 +166,7 @@ class TestStochasticFixedPoints:
         res = solve(prob, zero_path(cfg))
         assert np.max(np.abs(res.x_colloc)) <= 1e-10
         for j, t in enumerate(cfg.midpoints):
-            assert abs(prob.exact(t, zero_path(cfg).values[2 * j + 1])) <= 1e-15
+            assert abs(prob.exact(t, zero_path(cfg)[2 * j + 1])) <= 1e-15
 
     def test_example2_degenerate_noise(self):
         # a = 0 freezes example 2 at its initial value 0.1
@@ -177,7 +176,7 @@ class TestStochasticFixedPoints:
         res = solve(prob, path)
         assert np.max(np.abs(res.x_colloc - 0.1)) <= 1e-10
         for j, t in enumerate(cfg.midpoints):
-            assert abs(prob.exact(t, path.values[2 * j + 1]) - 0.1) <= 1e-12
+            assert abs(prob.exact(t, path[2 * j + 1]) - 0.1) <= 1e-12
 
     def test_example1_degenerate_noise(self):
         cfg = BasisConfig.from_resolution(8)
@@ -191,7 +190,7 @@ class TestSolveOnSampledPaths:
         prob = builtin_example(1)
         path = sample_path(cfg, seed=42)
         res = solve(prob, path)
-        exact = prob.exact(cfg.midpoints, path.values[1::2])
+        exact = prob.exact(cfg.midpoints, path[1::2])
         assert np.max(np.abs(res.x_colloc - exact)) <= 1e-3
 
     def test_causality(self):
@@ -201,9 +200,8 @@ class TestSolveOnSampledPaths:
         prob = builtin_example(2)
         base = sample_path(cfg, seed=7)
         j = 9
-        bumped_values = base.values.copy()
-        bumped_values[2 * j + 2 :] += 0.5
-        bumped = type(base)(values=bumped_values)
+        bumped = base.copy()
+        bumped[2 * j + 2 :] += 0.5
         res_a = solve(prob, base)
         res_b = solve(prob, bumped)
         assert np.allclose(res_a.x_colloc[: j + 1], res_b.x_colloc[: j + 1], rtol=0, atol=1e-10)
@@ -311,12 +309,12 @@ class TestDifferenceKernels:
     def test_solve_matches_triangle_path(self, m):
         prob = problem_from_sources(DIFFERENCE_SOURCES)
         cfg = BasisConfig.from_resolution(m)
-        paths = [sample_path(cfg, (19, trial)) for trial in range(1, 5)]
-        fast = _batch_solver(prob, cfg)(paths)
-        slow = _batch_solver(on_the_triangle(prob), cfg)(paths)
-        for a, b in zip(fast, slow):
-            assert np.max(np.abs(a.x_colloc - b.x_colloc)) <= 1e-14
-            assert a.iterations == b.iterations
+        paths = np.stack([sample_path(cfg, (19, trial)) for trial in range(1, 5)])
+        fast, fast_sweeps, _, _ = _batch_solver(prob, cfg)(paths)
+        slow, slow_sweeps, _, _ = _batch_solver(on_the_triangle(prob), cfg)(paths)
+        for a, b, a_sweeps, b_sweeps in zip(fast, slow, fast_sweeps, slow_sweeps):
+            assert np.max(np.abs(a - b)) <= 1e-14
+            assert a_sweeps == b_sweeps
 
     def test_builds_no_triangle(self, monkeypatch):
         calls = []
@@ -406,7 +404,7 @@ class TestItoCorrection:
         cfg = BasisConfig.from_resolution(8)
         path = sample_path(cfg, seed=13)
         res = solve(prob, path)
-        assert np.allclose(res.x_colloc, (2 / 30) * path.values[1::2], rtol=0, atol=1e-15)
+        assert np.allclose(res.x_colloc, (2 / 30) * path[1::2], rtol=0, atol=1e-15)
 
 
 class TestFailureModes:
@@ -451,21 +449,6 @@ class TestFailureModes:
             solve(prob, sample_path(cfg, seed=2))
 
 
-class TestReconstruct:
-    def test_block_constant(self):
-        cfg = BasisConfig.from_resolution(4)
-        res = solve(exponential_problem(), zero_path(cfg))
-        assert reconstruct(res, 0.0) == res.x_colloc[0]
-        assert reconstruct(res, 0.26) == res.x_colloc[1]
-        assert reconstruct(res, 0.999) == res.x_colloc[3]
-
-    def test_domain(self):
-        cfg = BasisConfig.from_resolution(4)
-        res = solve(exponential_problem(), zero_path(cfg))
-        with pytest.raises(ValueError):
-            reconstruct(res, 1.0)
-
-
 class TestBuiltins:
     def test_metadata(self):
         p1 = builtin_example(1)
@@ -499,7 +482,7 @@ class TestBuiltins:
     def test_exact_on_arrays_matches_scalars(self, example_id):
         exact = builtin_example(example_id).exact
         cfg = BasisConfig.from_resolution(256)
-        B = np.stack([sample_path(cfg, (3, trial)).values[1::2] for trial in range(1, 5)])
+        B = np.stack([sample_path(cfg, (3, trial))[1::2] for trial in range(1, 5)])
         got = exact(cfg.midpoints, B)
         assert got.shape == B.shape
         scalar = [[exact(float(t), float(b)) for t, b in zip(cfg.midpoints, row)] for row in B]
