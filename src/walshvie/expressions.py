@@ -30,6 +30,19 @@ FUNCTIONS = {
     "sqrt": np.sqrt,
 }
 
+# d/da f(a) of each function, given a and the value v = f(a)
+_DERIVATIVES = {
+    "sin": lambda a, v: np.cos(a),
+    "cos": lambda a, v: -np.sin(a),
+    "exp": lambda a, v: v,
+    "tanh": lambda a, v: 1.0 - v * v,
+    "sech": lambda a, v: -v * np.tanh(a),
+    "sinh": lambda a, v: np.cosh(a),
+    "asinh": lambda a, v: 1.0 / np.hypot(1.0, a),
+    "atanh": lambda a, v: 1.0 / ((1.0 - a) * (1.0 + a)),
+    "sqrt": lambda a, v: 0.5 / v,
+}
+
 
 class ExpressionError(ValueError):
     """Parse or evaluation failure, carrying a 1-based line and column.
@@ -188,6 +201,41 @@ def _evaluate(node, env):
     return left**right
 
 
+def _evaluate_with_slope(node, x):
+    """(value, d value / dx) of a one-variable tree at x, by forward
+    differentiation in real arithmetic.  The values are those of
+    ``_evaluate``, operation for operation."""
+    kind = node[0]
+    if kind == "num":
+        return node[1], 0.0
+    if kind == "var":
+        return x, 1.0
+    if kind == "neg":
+        v, dv = _evaluate_with_slope(node[1], x)
+        return -v, -dv
+    if kind == "call":
+        a, da = _evaluate_with_slope(node[2], x)
+        v = FUNCTIONS[node[1]](a)
+        return v, _DERIVATIVES[node[1]](a, v) * da
+    op = node[1]
+    a, da = _evaluate_with_slope(node[2], x)
+    b, db = _evaluate_with_slope(node[3], x)
+    if op == "+":
+        return a + b, da + db
+    if op == "-":
+        return a - b, da - db
+    if op == "*":
+        return a * b, da * b + a * db
+    if op == "/":
+        v = a / b
+        return v, (da - v * db) / b
+    v = a**b
+    if np.ndim(db) == 0 and db == 0.0:
+        # the exponent does not vary with x, so a may be negative
+        return v, b * a ** (b - 1.0) * da
+    return v, v * (db * np.log(a) + b * da / a)
+
+
 def _check_variables(node, variables, line):
     kind = node[0]
     if kind == "var":
@@ -224,6 +272,10 @@ def compile_expression(src, variables=(), line=1):
     scalars or numpy arrays.  Its ``difference_kernel`` attribute is True
     when there are two variables and the expression reads them only as
     the operands of their difference (``exp(-(t-s))``, not ``-s + t``).
+    A one-variable callable also has ``with_slope(x) -> (value, slope)``:
+    its value, bit for bit, and its derivative in x's shape, from one
+    pass of forward differentiation over the parsed tree in real
+    arithmetic.
     ``line`` is folded into error positions so callers parsing
     multi-line files can report real locations.
     """
@@ -247,4 +299,14 @@ def compile_expression(src, variables=(), line=1):
     fn.source = src
     fn.variables = names
     fn.difference_kernel = len(names) == 2 and _only_in_differences(node, *names)
+    if len(names) == 1:
+
+        def with_slope(x):
+            value, slope = _evaluate_with_slope(node, x)
+            # a slope that does not depend on x is a scalar (1.0 for x)
+            if np.shape(slope) != np.shape(x):
+                slope = np.broadcast_to(slope, np.shape(x))
+            return value, slope
+
+        fn.with_slope = with_slope
     return fn

@@ -26,8 +26,11 @@ for the half-block increments of block i, block i < j contributes
 
 to c[j], and block j itself contributes the same with the bracket
 replaced by -dB1^2/2 - h/4: the Ito drift -k2^2 sigma sigma'/2 plus the
-Milstein term.  sigma' comes from the complex step
-Im sigma(x + i eta) / eta, exact to rounding for analytic sigma.
+Milstein term.  A sigma compiled from the expression language gives
+sigma' by forward differentiation of its parse tree in real arithmetic,
+in the same pass as sigma; a sigma given as any other callable is
+differentiated by the complex step Im sigma(x + i eta) / eta, exact to
+rounding for analytic sigma.
 
 One engine solves a block of paths, the (n, 2m + 1) array of their
 values, as the rows of an (n, m) array and returns arrays: the
@@ -94,17 +97,19 @@ class ProblemSpec:
     ``difference_kernel`` attribute) is projected from one block row;
     every other callable kernel, a lambda of t - s included, on the
     whole triangle s <= t.  When k2 is not zero on the diagonal s = t,
-    ``sigma`` must also accept complex input and return complex values
-    (np.exp, np.tanh and every expression of the expression language
-    do; np.abs and math.exp do not), since the solver differentiates it
-    by the complex step.  ``exact``, when present, is the closed-form
-    solution as a callable of (t, B), where B is the path value at the
-    last collocation midpoint at or below t, the point the numerical
-    value is read at.  It must take numpy arrays and follow numpy
-    broadcasting (np.exp, not math.exp), since errors are computed for
-    many report times and trials in one call.  ``sources`` optionally
-    keeps the expression strings the problem was built from, which is
-    what makes re-encoding to a problem file lossless.
+    the solver also needs sigma'.  A sigma compiled from an expression
+    is differentiated in real arithmetic; any other callable by the
+    complex step, so it must accept complex input and return complex
+    values (np.exp and np.tanh do; np.abs and math.exp do not).  A sigma
+    or sigma' that is not finite at an iterate (sqrt' at 0, sqrt below
+    it) is a NonFiniteIterateError.  ``exact``, when present, is the
+    closed-form solution as a callable of (t, B), where B is the path
+    value at the last collocation midpoint at or below t, the point the
+    numerical value is read at.  It must take numpy arrays and follow
+    numpy broadcasting (np.exp, not math.exp), since errors are computed
+    for many report times and trials in one call.  ``sources``
+    optionally keeps the expression strings the problem was built from,
+    which is what makes re-encoding to a problem file lossless.
     """
 
     x0: float
@@ -142,9 +147,15 @@ _COMPLEX_STEP = 1e-20
 
 
 def _sigma_with_slope(sigma, x):
-    """sigma(x) and sigma'(x) from one complex-step evaluation; a sigma
-    that cannot take complex input is an error, never a silent zero
-    slope.  Finiteness is left to the caller, which judges it per row."""
+    """sigma(x) and sigma'(x).  A sigma with ``with_slope`` (compiled
+    expressions and folded constants) gives both in real arithmetic;
+    any other callable is differentiated by one complex-step evaluation,
+    and one that cannot take complex input is an error, never a silent
+    zero slope.  Finiteness is left to the caller, which judges it per
+    row."""
+    with_slope = getattr(sigma, "with_slope", None)
+    if with_slope is not None:
+        return with_slope(x)
     z = x + 1j * _COMPLEX_STEP
     try:
         vals = np.asarray(sigma(z))
@@ -295,11 +306,11 @@ def _batch_solver(problem, cfg, options=None):
                 sig, slope = _sigma_with_slope(problem.sigma, x)
             else:
                 sig, slope = _eval_grid(problem.sigma, "sigma", x), np.zeros_like(x)
-            w = sig * (full + slope * c_full)
-            u = sig * (dB1 + slope * c_half)
-            # a row whose beta or sigma is not finite turns nan here and
-            # fails below with that cause; it warns no further
+            # a row whose beta, sigma or sigma' is not finite turns nan
+            # here and fails below with that cause; it warns no further
             with np.errstate(invalid="ignore"):
+                w = sig * (full + slope * c_full)
+                u = sig * (dB1 + slope * c_half)
                 candidate = x0 + drift(z1) + noise(w) + k2_ss * u
             checks = ((z1, _BETA), (sig, _SIGMA), (slope, _SIGMA), (candidate, "iterate is not finite"))
             failed = _fail_non_finite(rows, checks, errors)
@@ -382,6 +393,7 @@ def _constant_function(c):
         arr = np.full(np.broadcast(*args).shape, c, dtype=np.result_type(*args, float))
         return arr if arr.ndim else arr[()]
 
+    fn.with_slope = lambda x: (fn(x), np.zeros(np.shape(x)))
     return fn
 
 

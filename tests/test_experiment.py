@@ -228,10 +228,12 @@ class TestMonteCarlo:
 
 class TestBatchInvariance:
     # Path scales, per (example, m), that make a row engage damping,
-    # diverge, and (example 1 only) stall at max_iter.
+    # diverge, and (example 1 only) stall at max_iter.  sech(x) is
+    # finite at every real x, so example 1 diverges only once the
+    # squared increments of its path overflow.
     SCALES = {
-        (1, 16): (300, 1e5, 3000),
-        (1, 256): (3000, 1e5, 2000),
+        (1, 16): (300, 1e160, 3000),
+        (1, 256): (3000, 1e160, 2000),
         (2, 16): (68, 100, None),
         (2, 256): (60, 100, None),
     }

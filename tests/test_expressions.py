@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from walshvie.expressions import ExpressionError, compile_expression
+from walshvie.expressions import FUNCTIONS, ExpressionError, compile_expression
 
 
 class TestConstantFolding:
@@ -83,6 +83,40 @@ class TestCallables:
         k = compile_expression("t", ("s", "t"))
         assert callable(k)
         assert k(5.0, 2.0) == 2.0
+
+
+class TestSlopes:
+    # every point lies inside every function's real domain
+    X = np.array([0.15, 0.4, 0.65, 0.9])
+
+    @pytest.mark.parametrize(
+        "src",
+        [f"{name}(x)" for name in FUNCTIONS]
+        + [
+            "x + sin(x)",
+            "x - cos(x)",
+            "x*exp(x)",
+            "sinh(x)/(2 + x)",
+            "-tanh(x)",
+            "x^3",
+            "sqrt(x)^-1.5",
+            "2^x",
+            "x^x",
+            "(1 + x)^sech(x)",
+        ],
+    )
+    def test_matches_complex_step(self, src):
+        f = compile_expression(src, ("x",))
+        value, slope = f.with_slope(self.X)
+        assert np.array_equal(value, f(self.X))
+        reference = f(self.X + 1e-20j).imag / 1e-20
+        assert np.allclose(slope, reference, rtol=1e-13, atol=0)
+
+    def test_slope_has_the_shape_of_x(self):
+        value, slope = compile_expression("2 + x", ("x",)).with_slope(np.zeros((2, 3)))
+        assert value.shape == (2, 3)
+        assert np.array_equal(slope, np.ones((2, 3)))
+        assert not hasattr(compile_expression("t - s", ("s", "t")), "with_slope")
 
 
 class TestDifferenceKernels:

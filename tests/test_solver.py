@@ -364,6 +364,8 @@ class TestItoCorrection:
         "src, slope",
         [
             ("sin(x)", np.cos),
+            ("cos(x)", lambda x: -np.sin(x)),
+            ("sinh(x)", np.cosh),
             ("exp(x)", np.exp),
             ("tanh(x)", lambda x: 1.0 / np.cosh(x) ** 2),
             ("sech(x)", lambda x: -np.tanh(x) / np.cosh(x)),
@@ -372,6 +374,9 @@ class TestItoCorrection:
             ("sqrt(x+1)", lambda x: 0.5 / np.sqrt(x + 1.0)),
             ("x^3", lambda x: 3.0 * x * x),
             ("1/x", lambda x: -1.0 / (x * x)),
+            ("2^x", lambda x: np.log(2.0) * 2.0**x),
+            ("x^x", lambda x: x**x * (np.log(x) + 1.0)),
+            ("tanh(x)*sech(x)^2", lambda x: (1.0 - 3.0 * np.tanh(x) ** 2) / np.cosh(x) ** 2),
         ],
     )
     def test_expression_sigma_slope(self, src, slope):
@@ -382,6 +387,15 @@ class TestItoCorrection:
         prob = ProblemSpec(x0=0.5, k1=0.0, k2=1.0, beta=lambda x: 0.0 * x, sigma=sigma)
         x = solve(prob, zero_path(cfg)).x_colloc[0]
         assert abs(x - (0.5 - cfg.h / 4 * sigma(x) * slope(x))) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_expression_sigma_finite_where_its_value_is(self):
+        # 1/cosh(x) is 0 at x = 1e5, where a complex cosh overflows to
+        # inf + inf j and the complex step would give nan
+        sigma = problem_from_sources({"x0": "0", "k1": "0", "k2": "1", "beta": "0", "sigma": "sech(x)"}).sigma
+        value, slope = solver._sigma_with_slope(sigma, np.array([[1e5, -1e5]]))
+        assert np.array_equal(value, [[0.0, 0.0]])
+        assert np.array_equal(slope, [[0.0, 0.0]])
 
     @pytest.mark.parametrize("sigma", [np.abs, lambda x: math.exp(x)], ids=["np.abs", "math.exp"])
     def test_real_only_sigma_is_refused(self, sigma):
@@ -398,9 +412,13 @@ class TestItoCorrection:
         assert np.array_equal(res.x_colloc, np.full(8, 0.5))
 
     def test_folded_constant_sigma_solves(self):
-        # sigma = 2 folds to a constant, whose complex-step slope is 0
+        # sigma = 2 folds to a constant, whose slope is 0, by with_slope
+        # or by the complex step
         prob = problem_from_sources({"x0": "0", "k1": "0", "k2": "1/30", "beta": "0", "sigma": "2"})
         assert np.iscomplexobj(prob.sigma(np.zeros(3) + 0j))
+        value, slope = prob.sigma.with_slope(np.ones((2, 3)))
+        assert np.array_equal(value, np.full((2, 3), 2.0))
+        assert np.array_equal(slope, np.zeros((2, 3)))
         cfg = BasisConfig.from_resolution(8)
         path = sample_path(cfg, seed=13)
         res = solve(prob, path)
@@ -428,6 +446,14 @@ class TestFailureModes:
         with pytest.raises(NonFiniteIterateError):
             solve(prob, zero_path(cfg))
 
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_sigma_outside_its_real_domain(self):
+        # sqrt'(0) is infinite and sqrt(x) is nan for x < 0: a failure,
+        # not the real part of an imaginary root
+        prob = problem_from_sources({"x0": "0", "k1": "0", "k2": "1", "beta": "0", "sigma": "sqrt(x)"})
+        cfg = BasisConfig.from_resolution(8)
+        with pytest.raises(NonFiniteIterateError, match="^sigma\\(x\\) is not finite"):
+            solve(prob, sample_path(cfg, (1, 1)))
 
     @pytest.mark.parametrize(
         "key, changes",
