@@ -8,7 +8,7 @@ the identical path point isolates the scheme error instead of the
 half-block noise of the path itself, and never interpolates the path.
 Report times are taken as given for the explicit time argument of the
 exact solution, so block constancy still shows up for deterministic
-problems.  A chunk of trials needs one call of ``exact`` on arrays.
+problems.  A block of trials needs one call of ``exact`` on arrays.
 """
 
 import math
@@ -18,17 +18,19 @@ import numpy as np
 
 from .brownian import _normals, _path_config, _path_values
 from .solver import _batch_solver
-from .walsh import BasisConfig, _readonly, fast_walsh_transform, midpoint_floor_index
+from .walsh import BasisConfig, fast_walsh_transform
 
 REPORT_TIMES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 # Trials are drawn max(1, _DRAW_ELEMENTS // (2 m)) at a time for the finest
-# m of a study and solved max(1, _CHUNK_ELEMENTS // m) at a time at each m,
-# so memory stays bounded for any trial count.  On a 1000-trial converge
-# ladder (m = 8..256) the peak RSS was 37.9 MB, as when solving one trial
-# at a time; 4096-element solve chunks gave 38.2 MB, 2**16-element draws 39.1.
-_DRAW_ELEMENTS = 1 << 15
-_CHUNK_ELEMENTS = 2048
+# m of a study, and each m solves them in full blocks of
+# max(1, _CHUNK_ELEMENTS // m) rows (at most n), gathered across draws, so
+# memory stays bounded for any trial count and a small m pays few engine
+# calls.  On a 1000-trial converge ladder (m = 8..256) the peak RSS was
+# 38.8 MB (median of 10 runs, 38.8-39.4), against 38.2 MB with 2048-element
+# blocks that never spanned a draw of 2**15 elements.
+_DRAW_ELEMENTS = 1 << 13
+_CHUNK_ELEMENTS = 1 << 13
 
 # RMS floor below which a convergence study is treated as degenerate
 # (errors at rounding level carry no slope information).
@@ -67,25 +69,35 @@ class ConvergenceReport:
     failures: tuple
 
 
-def _midpoint_errors(problem, x, values, report_times):
+def _midpoint_indices(m, report_times):
+    """Index j of the last collocation midpoint t_j <= t at resolution m,
+    one per report time: (floor(2 m t) - 1) // 2, clipped to 0 below the
+    first midpoint, which is ``midpoint_floor_index`` as one array."""
+    t = np.array(report_times, dtype=float)
+    if not np.all((0.0 <= t) & (t < 1.0)):
+        raise ValueError(f"report times must lie in [0, 1), got {report_times}")
+    return np.maximum((np.floor(t * (2 * m)).astype(np.intp) - 1) // 2, 0)
+
+
+def _midpoint_errors(problem, x, values, report_times, j):
     """|exact(t, B) - x[:, j]| for solutions x of shape (n, m) and their
-    paths' values (n, 2m + 1), one column per report time t, with j the
+    paths' values (n, 2m + 1), one column per report time t, with j its
     last collocation midpoint t_j <= t and B = values[:, 2j + 1]."""
     if problem.exact is None:
         raise ValueError(f"problem {problem.label!r} has no exact solution")
-    j = np.array([midpoint_floor_index(x.shape[1], t) for t in report_times], dtype=np.intp)
     t = np.array(report_times, dtype=float)
     return np.abs(problem.exact(t, values[:, 2 * j + 1]) - x[:, j])
 
 
 def error_at(result, problem, path, t):
     """|exact(t, B) - x[j]| at the last collocation midpoint t_j <= t,
-    with B the path's value there: the one-trial case of the per-chunk
+    with B the path's value there: the one-trial case of the per-block
     errors of Monte Carlo runs.  The path must have the result's m."""
     m = _path_config(path).m
     if m != len(result.x_colloc):
         raise ValueError(f"path resolution m={m} does not match the result's m={len(result.x_colloc)}")
-    errors = _midpoint_errors(problem, result.x_colloc[None], path[None], (t,))
+    j = _midpoint_indices(m, (t,))
+    errors = _midpoint_errors(problem, result.x_colloc[None], path[None], (t,), j)
     return float(errors[0, 0])
 
 
@@ -109,33 +121,49 @@ def _trial_errors(problem, cfgs, n, base_seed, report_times):
 
     Trial i's normals are drawn once from the key (base_seed, i) for the
     finest m; the path at each m is made from their first 2m, as
-    ``sample_path`` makes it.  Trials are drawn a bounded chunk at a time
-    and solved at every m by engines built once, which take the chunk's
-    (n, 2m + 1) values block; the error rows are read from the solved
-    rows of the engine's solutions and of that block, and a chunk in
-    which every row fails calls no ``exact``.  Each row is solved on its
-    own, so a trial's values do not depend on the chunking.
+    ``sample_path`` makes it.  Trials are drawn a bounded chunk at a time,
+    and each m gathers its paths' (2m + 1) values across draws, in trial
+    order, into a block of fixed size that its engine, built once, solves
+    when full; the part-filled blocks are solved at the end.  The error
+    rows are read from the solved rows of the engine's solutions and of
+    the block, in trial order, and a block in which every row fails calls
+    no ``exact``.  Each row is solved on its own, so a trial's values do
+    not depend on the blocks or the draws.
     """
     engines = [_batch_solver(problem, cfg) for cfg in cfgs]
+    indices = [_midpoint_indices(cfg.m, report_times) for cfg in cfgs]
     width = 2 * max(cfg.m for cfg in cfgs)
     normals = np.empty((max(1, _DRAW_ELEMENTS // width), width))
+    blocks = [np.empty((min(n, max(1, _CHUNK_ELEMENTS // cfg.m)), 2 * cfg.m + 1)) for cfg in cfgs]
+    filled = [0] * len(cfgs)
     errors = [np.empty((n, len(report_times))) for _ in cfgs]
     solved = [0] * len(cfgs)
+
+    def solve_block(r, block):
+        x, _, _, failed = engines[r](block)
+        ok = np.array([f is None for f in failed])
+        if ok.any():
+            rows = _midpoint_errors(problem, x[ok], block[ok], report_times, indices[r])
+            errors[r][solved[r] : solved[r] + len(rows)] = rows
+            solved[r] += len(rows)
+
     for first in range(1, n + 1, len(normals)):
         trials = range(first, min(first + len(normals), n + 1))
         for row, trial in zip(normals, trials):
             _normals((base_seed, trial), out=row)
-        for r, (cfg, solve_paths) in enumerate(zip(cfgs, engines)):
-            values = _readonly(_path_values(normals[: len(trials), : 2 * cfg.m], cfg.h))
-            per_chunk = max(1, _CHUNK_ELEMENTS // cfg.m)
-            for start in range(0, len(values), per_chunk):
-                block = values[start : start + per_chunk]
-                x, _, _, failed = solve_paths(block)
-                ok = np.array([f is None for f in failed])
-                if ok.any():
-                    rows = _midpoint_errors(problem, x[ok], block[ok], report_times)
-                    errors[r][solved[r] : solved[r] + len(rows)] = rows
-                    solved[r] += len(rows)
+        for r, (cfg, block) in enumerate(zip(cfgs, blocks)):
+            values = _path_values(normals[: len(trials), : 2 * cfg.m], cfg.h)
+            while len(values):
+                take = min(len(block) - filled[r], len(values))
+                block[filled[r] : filled[r] + take] = values[:take]
+                values = values[take:]
+                filled[r] += take
+                if filled[r] == len(block):
+                    solve_block(r, block)
+                    filled[r] = 0
+    for r, block in enumerate(blocks):
+        if filled[r]:
+            solve_block(r, block[: filled[r]])
     return [(e[:count], n - count) for e, count in zip(errors, solved)]
 
 

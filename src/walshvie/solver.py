@@ -248,13 +248,18 @@ def _fail_non_finite(rows, checks, errors):
     """Record a NonFiniteIterateError for each row of ``rows`` where an
     array of ``checks`` (pairs of array and message, in the order they
     are checked) is not finite, with the message of the first such
-    array.  Returns the mask of the failed rows."""
+    array.  Returns the mask of the failed rows.
+
+    One sum of every entry screens them first: an inf or nan term makes
+    the sum non-finite, so a finite sum clears them all, and only a sum
+    that is not (a failure, or finite terms that overflow) is checked
+    array by array."""
     failed = np.zeros(len(rows), dtype=bool)
-    finite = [np.isfinite(a) for a, _ in checks]
-    if all(f.all() for f in finite):
-        return failed
-    for f, (_, message) in zip(finite, checks):
-        new = ~f.all(axis=1) & ~failed
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(sum(np.add.reduce(a, axis=None) for a, _ in checks)):
+            return failed
+    for a, message in checks:
+        new = ~np.isfinite(a).all(axis=1) & ~failed
         for r in rows[new]:
             errors[r] = NonFiniteIterateError(message)
         failed |= new
@@ -274,6 +279,9 @@ def _batch_solver(problem, cfg, options=None):
     NonConvergenceError that ended it.  Every row runs the sweeps of
     ``solve``'s docstring with its own residual and damping flag, and a
     row that finishes leaves the block, so no row depends on the others.
+    A sweep screens beta, sigma, sigma' and the iterate of all its rows
+    with one finite sum and checks them row by row only when that sum is
+    not finite.
     """
     opts = options or SolverOptions()
     m, h = cfg.m, cfg.h
@@ -281,13 +289,33 @@ def _batch_solver(problem, cfg, options=None):
     ito = bool(np.any(k2_ss))
     x0 = float(problem.x0)
 
+    def step(rows, x, full, dB1, c_full, c_half, errors):
+        """The candidate of one sweep from the iterates x of the live
+        rows, and the mask of the rows it fails.  Its temporaries end
+        with it, so they are not held into the next sweep."""
+        z1 = h * _eval_grid(problem.beta, "beta", x)
+        if ito:
+            sig, slope = _sigma_with_slope(problem.sigma, x)
+        else:
+            sig, slope = _eval_grid(problem.sigma, "sigma", x), np.zeros_like(x)
+        # a row whose beta, sigma or sigma' is not finite turns nan
+        # here and fails below with that cause; it warns no further
+        with np.errstate(invalid="ignore"):
+            w = sig * (full + slope * c_full)
+            u = sig * (dB1 + slope * c_half)
+            candidate = x0 + drift(z1) + noise(w) + k2_ss * u
+        checks = ((z1, _BETA), (sig, _SIGMA), (slope, _SIGMA), (candidate, "iterate is not finite"))
+        return candidate, _fail_non_finite(rows, checks, errors)
+
     def solve_paths(v):
         n = len(v)
         full = v[:, 2::2] - v[:, :-2:2]  # B((i+1)h) - B(ih)
         dB1 = v[:, 1::2] - v[:, :-2:2]  # B(t_i) - B(ih)
         dB2 = v[:, 2::2] - v[:, 1::2]  # B((i+1)h) - B(t_i)
-        # the correction per unit sigma*sigma'(x[i]), above and on the diagonal
+        # the correction per unit sigma*sigma'(x[i]), above and on the
+        # diagonal; dB2 is not needed after it
         c_full = k2_ss * 0.5 * (dB2**2 - dB1**2 - h)
+        del dB2
         c_half = k2_ss * (-0.5 * dB1**2 - h / 4.0)
         solutions = np.full((n, m), np.nan)
         sweeps = np.zeros(n, dtype=int)
@@ -301,34 +329,22 @@ def _batch_solver(problem, cfg, options=None):
         )
         for sweep in range(1, opts.max_iter + 1):
             rows, x, previous, damped, full, dB1, c_full, c_half = live
-            z1 = h * _eval_grid(problem.beta, "beta", x)
-            if ito:
-                sig, slope = _sigma_with_slope(problem.sigma, x)
-            else:
-                sig, slope = _eval_grid(problem.sigma, "sigma", x), np.zeros_like(x)
-            # a row whose beta, sigma or sigma' is not finite turns nan
-            # here and fails below with that cause; it warns no further
-            with np.errstate(invalid="ignore"):
-                w = sig * (full + slope * c_full)
-                u = sig * (dB1 + slope * c_half)
-                candidate = x0 + drift(z1) + noise(w) + k2_ss * u
-            checks = ((z1, _BETA), (sig, _SIGMA), (slope, _SIGMA), (candidate, "iterate is not finite"))
-            failed = _fail_non_finite(rows, checks, errors)
+            candidate, failed = step(rows, x, full, dB1, c_full, c_half, errors)
             residual = np.maximum.reduce(np.abs(candidate - x), axis=1)
             damped = damped | (residual > previous)
             if damped.any():
                 candidate[damped] = x[damped] + opts.damping * (candidate[damped] - x[damped])
                 residual[damped] = np.maximum.reduce(np.abs(candidate[damped] - x[damped]), axis=1)
             done = (residual <= opts.tol) & ~failed
-            solutions[rows[done]] = candidate[done]
-            residuals[rows[done]] = residual[done]
-            sweeps[rows[done]] = sweep
             live = (rows, candidate, residual, damped, full, dB1, c_full, c_half)
-            keep = ~(failed | done)
-            if not keep.all():
+            if done.any() or failed.any():
+                solutions[rows[done]] = candidate[done]
+                residuals[rows[done]] = residual[done]
+                sweeps[rows[done]] = sweep
+                keep = ~(failed | done)
                 live = tuple(a[keep] for a in live)
-            if not keep.any():
-                break
+                if not keep.any():
+                    break
         for r, residual in zip(live[0], live[2]):
             errors[r] = NonConvergenceError(residual=float(residual), iterations=opts.max_iter)
         return _readonly(solutions), sweeps, residuals, errors

@@ -1,10 +1,12 @@
 """Monte Carlo error statistics and convergence studies."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from walshvie import experiment
 from walshvie.brownian import sample_path
 from walshvie.experiment import (
     _CHUNK_ELEMENTS,
@@ -12,6 +14,7 @@ from walshvie.experiment import (
     DEGENERATE_RMS,
     REPORT_TIMES,
     ErrorStats,
+    _midpoint_indices,
     _trial_errors,
     coefficient_error_norm,
     convergence_study,
@@ -29,7 +32,7 @@ from walshvie.solver import (
     problem_from_sources,
     solve,
 )
-from walshvie.walsh import BasisConfig
+from walshvie.walsh import BasisConfig, midpoint_floor_index
 
 
 def exp_problem():
@@ -385,6 +388,70 @@ class TestOneDrawPerTrial:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2**18, peaks
+
+
+class TestBlockSizes:
+    # Each resolution gathers its rows across draws into blocks of
+    # _CHUNK_ELEMENTS // m rows; these sizes cut blocks and draws at
+    # other offsets than the defaults, which TestOneDrawPerTrial checks
+    # on the same trials, down to one row each.
+    RESOLUTIONS = (8, 32, 256)
+    N = 37
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        """Per resolution, the error rows of the trials that succeed
+        when each is sampled and solved alone, in trial order."""
+        prob = feedback_problem()
+        per_resolution = []
+        with np.errstate(over="ignore"):
+            for m in self.RESOLUTIONS:
+                cfg = BasisConfig.from_resolution(m)
+                rows = []
+                for trial in range(1, self.N + 1):
+                    path = sample_path(cfg, (3, trial))
+                    res = outcome(prob, path)
+                    if isinstance(res, SolveResult):
+                        rows.append([error_at(res, prob, path, t) for t in REPORT_TIMES])
+                per_resolution.append(np.asarray(rows, dtype=float))
+        return per_resolution
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("chunk, draw", [(48, 96), (1, 1), (1 << 13, 64), (200, 1536)])
+    def test_block_size_changes_no_bits(self, monkeypatch, alone, chunk, draw):
+        monkeypatch.setattr(experiment, "_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(experiment, "_DRAW_ELEMENTS", draw)
+        base = feedback_problem()
+        calls = []
+
+        def exact(t, B):
+            calls.append(len(B))
+            return base.exact(t, B)
+
+        prob = dataclasses.replace(base, exact=exact)
+        cfgs = [BasisConfig.from_resolution(m) for m in self.RESOLUTIONS]
+        for (errors, failed), rows in zip(_trial_errors(prob, cfgs, self.N, 3, REPORT_TIMES), alone):
+            assert 0 < failed < self.N
+            assert failed == self.N - len(rows)
+            assert np.array_equal(errors, rows)
+        # a block in which every row failed calls no exact
+        assert min(calls) >= 1
+        if chunk == 1:
+            assert sum(calls) == len(calls) == sum(len(rows) for rows in alone)
+
+
+class TestMidpointIndices:
+    @pytest.mark.parametrize("m", [2**k for k in range(13)])
+    def test_equals_midpoint_floor_index(self, m):
+        mids = BasisConfig.from_resolution(m).midpoints
+        times = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], mids, np.nextafter(mids, 0.0)])
+        expected = [midpoint_floor_index(m, t) for t in times]
+        assert _midpoint_indices(m, times).tolist() == expected
+
+    @pytest.mark.parametrize("t", [1.0, -0.1, np.nan])
+    def test_times_outside_the_interval_rejected(self, t):
+        with pytest.raises(ValueError, match="must lie in \\[0, 1\\)"):
+            _midpoint_indices(16, (0.5, t))
 
 
 class TestErrorStatsValidation:

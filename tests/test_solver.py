@@ -475,6 +475,46 @@ class TestFailureModes:
             solve(prob, sample_path(cfg, seed=2))
 
 
+class TestNonFiniteScreen:
+    # _fail_non_finite screens its arrays with one sum before checking
+    # them array by array; the screen must warn nothing and miss nothing
+    MESSAGES = ("beta", "sigma", "slope", "iterate")
+
+    @staticmethod
+    def finite(n, m, seed, scale):
+        # at scale 1.7e308 every sum of the values overflows
+        return np.random.default_rng(seed).choice([-1.0, 1.0], (n, m)) * scale
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_finite_values_fail_no_row(self):
+        arrays = [self.finite(5, 8, seed, 1.7e308) for seed in range(4)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(sum(np.add.reduce(a, axis=None) for a in arrays))
+        errors = [None] * 5
+        failed = solver._fail_non_finite(np.arange(5), tuple(zip(arrays, self.MESSAGES)), errors)
+        assert not failed.any()
+        assert errors == [None] * 5
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [(np.inf, -np.inf), (np.nan, np.nan)], ids=["inf", "nan"])
+    @pytest.mark.parametrize("first", range(4), ids=MESSAGES)
+    @pytest.mark.parametrize("scale", [0.5, 1.7e308])
+    def test_fails_exactly_the_non_finite_rows(self, scale, first, bad):
+        n, m = 6, 4
+        arrays = [self.finite(n, m, seed, scale) for seed in range(4)]
+        arrays[first][1, 2], arrays[first][4, 0] = bad
+        for later in arrays[first + 1 :]:
+            later[4, 3] = np.nan  # a row keeps the first cause in check order
+        rows = np.arange(10, 10 + n)
+        errors = [None] * (10 + n)
+        failed = solver._fail_non_finite(rows, tuple(zip(arrays, self.MESSAGES)), errors)
+        assert failed.tolist() == [False, True, False, False, True, False]
+        assert errors[:11] == [None] * 11 and errors[12:14] == [None] * 2 and errors[15] is None
+        for r in (11, 14):
+            assert isinstance(errors[r], NonFiniteIterateError)
+            assert str(errors[r]) == self.MESSAGES[first]
+
+
 class TestBuiltins:
     def test_metadata(self):
         p1 = builtin_example(1)
