@@ -179,32 +179,39 @@ class _Parser:
         raise ExpressionError(f"expected a value, found {value!r}", self.line, col)
 
 
-def _evaluate(node, env):
+# Per binary operator: its Python spelling, how tightly it binds and how
+# tightly its operands must bind to go without parentheses (atoms 5, unary
+# minus 3); the module's grammar is Python's with ^ for **.
+_BINARY = {"+": ("+", 1, 1, 2), "-": ("-", 1, 1, 2), "*": ("*", 2, 2, 3), "/": ("/", 2, 2, 3),
+           "^": ("**", 4, 5, 3)}
+
+
+def _source(node, constants, reads, binding=0):
+    """Python source of a tree, in parentheses if it binds less tightly
+    than ``binding``.  Numbers are appended to ``constants`` and read as
+    ``_c[i]``, so Python folds none of the tree's operations; variable
+    references are appended to ``reads`` as (name, column)."""
     kind = node[0]
     if kind == "num":
-        return node[1]
+        constants.append(node[1])
+        return f"_c[{len(constants) - 1}]"
     if kind == "var":
-        return env[node[1]]
-    if kind == "neg":
-        return -_evaluate(node[1], env)
+        reads.append(node[1:])
+        return node[1]
     if kind == "call":
-        return FUNCTIONS[node[1]](_evaluate(node[2], env))
-    op, left, right = node[1], _evaluate(node[2], env), _evaluate(node[3], env)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return left / right
-    return left**right
+        return f"_f[{node[1]!r}]({_source(node[2], constants, reads)})"
+    if kind == "neg":
+        text, strength = "-" + _source(node[1], constants, reads, 3), 3
+    else:
+        op, strength, left, right = _BINARY[node[1]]
+        text = f"{_source(node[2], constants, reads, left)} {op} {_source(node[3], constants, reads, right)}"
+    return text if strength >= binding else f"({text})"
 
 
 def _evaluate_with_slope(node, x):
     """(value, d value / dx) of a one-variable tree at x, by forward
-    differentiation in real arithmetic.  The values are those of
-    ``_evaluate``, operation for operation."""
+    differentiation in real arithmetic.  The values are those of the
+    compiled callable, operation for operation."""
     kind = node[0]
     if kind == "num":
         return node[1], 0.0
@@ -236,19 +243,6 @@ def _evaluate_with_slope(node, x):
     return v, v * (db * np.log(a) + b * da / a)
 
 
-def _check_variables(node, variables, line):
-    kind = node[0]
-    if kind == "var":
-        if node[1] not in variables:
-            raise ExpressionError(f"unknown name {node[1]!r}", line, node[2])
-        return True
-    if kind == "num":
-        return False
-    if kind in ("neg", "call"):
-        return _check_variables(node[-1], variables, line)
-    return _check_variables(node[2], variables, line) | _check_variables(node[3], variables, line)
-
-
 def _only_in_differences(node, a, b):
     """Whether every variable reference in ``node`` is an operand of an
     ``a - b`` or ``b - a`` subtraction node."""
@@ -269,9 +263,12 @@ def compile_expression(src, variables=(), line=1):
     """Compile ``src`` to a float (no variables used) or a callable.
 
     The callable takes the declared variables positionally and accepts
-    scalars or numpy arrays.  Its ``difference_kernel`` attribute is True
-    when there are two variables and the expression reads them only as
-    the operands of their difference (``exp(-(t-s))``, not ``-s + t``).
+    scalars or numpy arrays.  It is the parsed tree emitted once as a
+    Python lambda without builtins that makes the tree's operations in
+    the tree's order; a constant folds by calling it.  Its
+    ``difference_kernel`` attribute is True when there are two variables
+    and the expression reads them only as the operands of their
+    difference (``exp(-(t-s))``, not ``-s + t``).
     A one-variable callable also has ``with_slope(x) -> (value, slope)``:
     its value, bit for bit, and its derivative in x's shape, from one
     pass of forward differentiation over the parsed tree in real
@@ -279,23 +276,24 @@ def compile_expression(src, variables=(), line=1):
     ``line`` is folded into error positions so callers parsing
     multi-line files can report real locations.
     """
-    parser = _Parser(src, line)
-    node = parser.parse()
-    uses_vars = _check_variables(node, tuple(variables), line)
-    if not uses_vars:
+    node = _Parser(src, line).parse()
+    names, constants, reads = tuple(variables), [], []
+    body = _source(node, constants, reads)
+    for name, col in reads:
+        if name not in names:
+            raise ExpressionError(f"unknown name {name!r}", line, col)
+    params = ", ".join(names) if reads else ""
+    scope = {"_c": tuple(constants), "_f": FUNCTIONS, "__builtins__": {}}
+    fn = eval(compile(f"lambda {params}: {body}", "<expression>", "eval"), scope)
+    if not reads:
         with np.errstate(all="ignore"):
             try:
-                value = float(_evaluate(node, {}))
+                value = float(fn())
             except (ZeroDivisionError, OverflowError, ValueError):
                 value = float("nan")
         if not np.isfinite(value):
             raise ExpressionError("constant expression is not finite", line, 1)
         return value
-    names = tuple(variables)
-
-    def fn(*args):
-        return _evaluate(node, dict(zip(names, args)))
-
     fn.source = src
     fn.variables = names
     fn.difference_kernel = len(names) == 2 and _only_in_differences(node, *names)

@@ -68,3 +68,16 @@ def walsh_domain(M):
         W[r : r + rows] = fast_walsh_transform(W[r : r + rows].T).T
     W /= len(W)
     return W
+
+
+def _walsh_integration_matrix(cfg):
+    """``walsh_domain(integration_matrix(cfg))`` from its closed form
+    (Chen and Hsiao, Proc. IEE 122, 1975), without transforms: 1/2 at
+    (0, 0), -1/(4k) at (i, k + i) and 1/(4k) at (k + i, i) for each
+    k = 2**l < m and i < k, and +0.0 elsewhere."""
+    L = np.zeros((cfg.m, cfg.m))
+    L[0, 0] = 0.5
+    for k in 2 ** np.arange(cfg.m.bit_length() - 1):
+        i = np.arange(k)
+        L[i, k + i], L[k + i, i] = -0.25 / k, 0.25 / k
+    return L

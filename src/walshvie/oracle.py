@@ -8,30 +8,24 @@ solver, and consumes the same sampled path.
                   + k2(s_j, t_{j+1}) sigma(y[j]) (B(t_{j+1}) - B(t_j))
 
 with s_j = j h and grid times t_j = j h.  Kernel evaluations freeze the
-second argument at the target time of the step.
+second argument at the target time of the step.  As in ``solve``, each
+kernel is evaluated once, on the arrays of all m steps, so it must take
+numpy arrays; the steps call only beta and sigma, one scalar at a time.
 """
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .brownian import _path_config
 from .solver import NonFiniteIterateError
-from .walsh import _readonly
+from .walsh import _eval_grid, _readonly
 
 
 @dataclass(frozen=True)
 class OracleResult:
     values: np.ndarray
     midpoint_values: np.ndarray
-
-
-def _as_kernel(k):
-    if isinstance(k, Real):
-        c = float(k)
-        return lambda s, t: c
-    return k
 
 
 def euler_maruyama(problem, path):
@@ -42,21 +36,23 @@ def euler_maruyama(problem, path):
     """
     cfg = _path_config(path)
     m, h = cfg.m, cfg.h
-    k1 = _as_kernel(problem.k1)
-    k2 = _as_kernel(problem.k2)
+    s = np.arange(m) * h
+    # Python floats, whose scalar arithmetic is cheaper than numpy's (same bits)
+    k1 = _eval_grid(problem.k1, "k1", s, s + h).tolist()
+    k2 = _eval_grid(problem.k2, "k2", s, s + h).tolist()
+    dB = (path[2::2] - path[:-2:2]).tolist()
     y = np.empty(m + 1)
     y[0] = float(problem.x0)
-    for j in range(m):
-        s = j * h
-        t_next = (j + 1) * h
-        dB = path[2 * j + 2] - path[2 * j]
-        y[j + 1] = (
-            y[j]
-            + float(k1(s, t_next)) * float(problem.beta(y[j])) * h
-            + float(k2(s, t_next)) * float(problem.sigma(y[j])) * dB
-        )
-        if not np.isfinite(y[j + 1]):
-            raise NonFiniteIterateError(f"oracle iterate is not finite at step {j + 1}")
+    # a non-finite iterate is raised below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(m):
+            y[j + 1] = (
+                y[j]
+                + k1[j] * float(problem.beta(y[j])) * h
+                + k2[j] * float(problem.sigma(y[j])) * dB[j]
+            )
+            if not np.isfinite(y[j + 1]):
+                raise NonFiniteIterateError(f"oracle iterate is not finite at step {j + 1}")
     midpoints = 0.5 * (y[:-1] + y[1:])
     return OracleResult(
         values=_readonly(y),

@@ -183,13 +183,16 @@ def _butterflies(y):
 
 
 def _eval_grid(f, name, *args):
-    """f(*args) as floats of the shape the arguments broadcast to.
+    """f(*args) as floats of the shape the arguments broadcast to; a
+    number f is a constant function.
 
     f must take numpy arrays.  One that raises TypeError or ValueError
     on them, or returns values that do not broadcast to that shape, is
     a TypeError naming ``name``; it is never retried point by point.
     """
     shape = np.broadcast(*args).shape
+    if isinstance(f, Real):
+        return np.full(shape, float(f))
     try:
         vals = np.asarray(f(*args), dtype=float)
         return vals if vals.shape == shape else np.broadcast_to(vals, shape)

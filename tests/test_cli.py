@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from walshvie.brownian import sample_path
-from walshvie.cli import _csv_rows, _scientific, _write_matrix, main
+from walshvie.cli import _ascii_words, _csv_rows, _scientific, _write_matrix, main
 from walshvie.operational import integration_matrix, stochastic_matrix, walsh_domain
 from walshvie.solver import builtin_example
 from walshvie.walsh import BasisConfig, build_walsh_matrix
@@ -277,6 +277,20 @@ EDGE_VALUES = [
 
 
 class TestFloatFormatter:
+    def test_word_tables_match_formatted_strings(self):
+        def words(strings):
+            return np.array(strings, dtype="S4").view(np.uint8).view(np.uint32)
+
+        want = (
+            words([f"{s}{d // 10}.{d % 10}" for s in ("\0", "-") for d in range(100)]),
+            words([f"{d:04d}" for d in range(10**4)]),
+            words([f"{d:03d}e" for d in range(10**3)]),
+            words([f"{d:+03d}\0" for d in range(-99, 100)]),
+        )
+        for got, table in zip(_ascii_words(), want, strict=True):
+            assert got.dtype == np.uint32 and not got.flags.writeable
+            assert np.array_equal(got, table)
+
     def test_edge_values(self):
         assert formatted(EDGE_VALUES) == reference_values_csv(EDGE_VALUES)
         assert formatted(EDGE_VALUES[:-1], cols=3) == reference_values_csv(EDGE_VALUES[:-1], cols=3)

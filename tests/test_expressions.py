@@ -5,7 +5,36 @@ import math
 import numpy as np
 import pytest
 
-from walshvie.expressions import FUNCTIONS, ExpressionError, compile_expression
+from walshvie.expressions import FUNCTIONS, ExpressionError, _Parser, compile_expression
+
+
+def _evaluate(node, env):
+    """Reference: a walk of the parse tree that the compiled callables
+    must match operation for operation."""
+    kind = node[0]
+    if kind == "num":
+        return node[1]
+    if kind == "var":
+        return env[node[1]]
+    if kind == "neg":
+        return -_evaluate(node[1], env)
+    if kind == "call":
+        return FUNCTIONS[node[1]](_evaluate(node[2], env))
+    op, left, right = node[1], _evaluate(node[2], env), _evaluate(node[3], env)
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        return left / right
+    return left**right
+
+
+def same_bits(a, b):
+    same_type = type(a) is type(b) and np.shape(a) == np.shape(b)
+    return same_type and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestConstantFolding:
@@ -60,6 +89,12 @@ class TestConstantFolding:
         with pytest.raises(ExpressionError):
             compile_expression("atanh(2)")
 
+    @pytest.mark.parametrize("src", ["1/0", "atanh(2)", "1e999", "1e999 - 1e999", "2^2000"])
+    def test_non_finite_constant_message(self, src):
+        with pytest.raises(ExpressionError) as err:
+            compile_expression(src)
+        assert err.value.bare_message == "constant expression is not finite"
+
 
 class TestCallables:
     def test_single_variable(self):
@@ -83,6 +118,63 @@ class TestCallables:
         k = compile_expression("t", ("s", "t"))
         assert callable(k)
         assert k(5.0, 2.0) == 2.0
+
+
+class TestMatchesTreeWalk:
+    # a real point inside every function's domain, for each input type
+    INPUTS = {
+        "float": 0.3,
+        "float64": np.float64(0.3),
+        "array": np.array([[0.15], [0.4], [0.65], [0.9]]),
+        "complex": 0.3 + 0.2j,
+        "complex-array": np.array([0.3 + 0.2j, 0.7 - 0.1j]),
+    }
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    @pytest.mark.parametrize(
+        "src",
+        [f"{name}(x)" for name in FUNCTIONS]
+        + [
+            "x + 2", "x - 2", "2 * x", "x / 3", "x ^ 3", "2 ^ x", "-x", "+x", "--x", "x - -x",
+            "1 - x - x", "1 - (x - x)", "x / x / 2", "x / (x / 2)", "2 ^ 3 ^ x", "(2 ^ 3) ^ x",
+            "-x ^ 2", "(-x) ^ 2", "x ^ -x", "x ^ -2 ^ 2", "x * -x", "(x + 1) * (x - 1) / -(x ^ 2)",
+            "x*(1-x^2)", "tanh(x)*sech(x)^2", "sqrt(exp(x)^2) - sin(cos(x))",
+            # a negative base under a constant exponent
+            "(x - 1) ^ 3", "(x - 1) ^ -2", "(x - 1) ^ 0.5", "(-x) ^ (1/3)",
+            # a long chain compiles as one left-nested expression
+            " + ".join(["x"] * 500),
+        ],
+    )
+    def test_one_variable(self, src, kind):
+        x = self.INPUTS[kind]
+        f = compile_expression(src, ("x",))
+        with np.errstate(all="ignore"):
+            assert same_bits(f(x), _evaluate(_Parser(src, 1).parse(), {"x": x}))
+
+    @pytest.mark.parametrize("kind", ["float", "float64", "array", "complex"])
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "-(1/30)^2*exp(-(t-s))", "(1/30)*exp(-(t-s)/2)",
+            "s*t - s", "exp(-s*t)", "cos(s*t) + t", "t^s", "s/t",
+        ],
+    )
+    def test_two_variables(self, src, kind):
+        s = self.INPUTS[kind]
+        t = s.T * 2.0 if kind == "array" else s * 2.0
+        k = compile_expression(src, ("s", "t"))
+        assert same_bits(k(s, t), _evaluate(_Parser(src, 1).parse(), {"s": s, "t": t}))
+
+    @pytest.mark.parametrize("src", ["2^-1", "-(1/30)^2/2", "atanh(1/10)", "sech(1/3)^3 - 1e-300"])
+    def test_constants_fold_to_the_tree_walk(self, src):
+        assert same_bits(compile_expression(src), float(_evaluate(_Parser(src, 1).parse(), {})))
+
+    def test_globals_hold_only_constants_and_functions(self):
+        f = compile_expression("exp(-(t-s)) * 2", ("s", "t"))
+        assert set(f.__globals__) == {"_c", "_f", "__builtins__"}
+        assert f.__globals__["__builtins__"] == {}
+        assert f.__globals__["_f"] is FUNCTIONS
+        assert f.__globals__["_c"] == (2.0,)
 
 
 class TestSlopes:
@@ -164,6 +256,12 @@ class TestErrors:
             compile_expression("x + y", ("x",))
         assert "y" in str(err.value)
         assert err.value.col == 5
+
+    @pytest.mark.parametrize("src", ["__import__", "_c", "_f", "abs", "exp", "x + s"])
+    def test_names_of_the_compiled_lambda_are_unknown(self, src):
+        # names the compiled code could see, or builtins, are not variables
+        with pytest.raises(ExpressionError, match="unknown name"):
+            compile_expression(src, ("x", "t"))
 
     def test_trailing_input(self):
         with pytest.raises(ExpressionError):

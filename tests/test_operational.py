@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from walshvie.brownian import sample_path, zero_path
-from walshvie.operational import integration_matrix, stochastic_matrix, walsh_domain
+from walshvie.operational import (
+    _walsh_integration_matrix,
+    integration_matrix,
+    stochastic_matrix,
+    walsh_domain,
+)
 from walshvie.walsh import BasisConfig, build_walsh_matrix, fast_walsh_transform
 
 
@@ -141,6 +146,16 @@ class TestWalshDomain:
         for M in (integration_matrix(cfg), stochastic_matrix(sample_path(cfg, seed=m))):
             want = fast_walsh_transform(fast_walsh_transform(M).T).T / m
             assert walsh_domain(M).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [2**k for k in range(12)])
+    def test_closed_form_of_the_integration_matrix(self, m):
+        # Chen and Hsiao's closed form has the transform's bits, signed
+        # zeros included
+        cfg = BasisConfig.from_resolution(m)
+        want = walsh_domain(integration_matrix(cfg))
+        got = _walsh_integration_matrix(cfg)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_shape_mismatch_rejected(self):
         # only a power-of-two size has a Walsh matrix

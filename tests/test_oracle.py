@@ -1,12 +1,54 @@
 """Euler-Maruyama reference integrator."""
 
+import dataclasses
+import math
+import warnings
+from numbers import Real
+
 import numpy as np
 import pytest
 
 from walshvie.brownian import sample_path, zero_path
 from walshvie.oracle import euler_maruyama
+from walshvie.problemfile import problem_from_text
 from walshvie.solver import NonFiniteIterateError, ProblemSpec, builtin_example, solve
 from walshvie.walsh import BasisConfig
+
+# the time-dependent kernels of the benchmark's kernel-file workload
+KERNEL_FILE = """\
+label = kernel-file
+x0    = 1/10
+k1    = -(1/30)^2*exp(-(t-s))
+k2    = (1/30)*exp(-(t-s)/2)
+beta  = x*(1-x^2)
+sigma = 1-x^2
+"""
+
+
+def scalar_loop(problem, path):
+    """Reference: the oracle's steps with one scalar call of each kernel,
+    beta and sigma per step.  Returns (values, midpoint_values)."""
+    m = (len(path) - 1) // 2
+    h = 1.0 / m
+
+    def as_kernel(k):
+        return (lambda s, t: float(k)) if isinstance(k, Real) else k
+
+    k1, k2 = as_kernel(problem.k1), as_kernel(problem.k2)
+    y = np.empty(m + 1)
+    y[0] = float(problem.x0)
+    for j in range(m):
+        s = j * h
+        t_next = (j + 1) * h
+        dB = path[2 * j + 2] - path[2 * j]
+        y[j + 1] = (
+            y[j]
+            + float(k1(s, t_next)) * float(problem.beta(y[j])) * h
+            + float(k2(s, t_next)) * float(problem.sigma(y[j])) * dB
+        )
+        if not np.isfinite(y[j + 1]):
+            raise NonFiniteIterateError(f"oracle iterate is not finite at step {j + 1}")
+    return y, 0.5 * (y[:-1] + y[1:])
 
 
 def exponential_problem():
@@ -93,7 +135,55 @@ class TestCrossValidation:
         assert 1.2 <= mean_disc[16] / mean_disc[64] <= 3.5
 
 
+class TestMatchesScalarLoop:
+    # kernels evaluated once on arrays give the bits of one scalar call
+    # per step, also where an iterate turns non-finite (example 2, a = 4,
+    # at m = 16)
+    PROBLEMS = {
+        "kernel-file": lambda: problem_from_text(KERNEL_FILE),
+        "example-1": lambda: builtin_example(1),
+        "example-2": lambda: builtin_example(2),
+        "example-1-a2": lambda: builtin_example(1, a="2"),
+        "example-2-a2": lambda: builtin_example(2, a="2"),
+        "example-2-a4": lambda: builtin_example(2, a="4"),
+        "lambdas": lambda: ProblemSpec(
+            x0=0.2,
+            k1=lambda s, t: -0.5 * np.exp(-s * t),
+            k2=lambda s, t: np.cos(s * t) + t,
+            beta=np.sin,
+            sigma=np.cos,
+        ),
+    }
+
+    @pytest.mark.parametrize("m", [2, 16, 2048])
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_same_bits(self, name, m):
+        prob = self.PROBLEMS[name]()
+        cfg = BasisConfig.from_resolution(m)
+        for seed in range(3):
+            path = sample_path(cfg, (31, seed))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    values, midpoints = scalar_loop(prob, path)
+            except NonFiniteIterateError as exc:
+                with pytest.raises(NonFiniteIterateError) as err:
+                    euler_maruyama(prob, path)
+                assert str(err.value) == str(exc)
+                continue
+            out = euler_maruyama(prob, path)
+            assert out.values.tobytes() == values.tobytes()
+            assert out.midpoint_values.tobytes() == midpoints.tobytes()
+
+
 class TestValidation:
+    @staticmethod
+    def exploding_problem():
+        # exp(x^2) drift from x0 = 2 overflows within a few steps
+        return ProblemSpec(
+            x0=2.0, k1=500.0, k2=0.0, beta=lambda x: np.exp(x * x), sigma=lambda x: 0.0 * x
+        )
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_surfaces(self):
         cfg = BasisConfig.from_resolution(8)
@@ -102,3 +192,22 @@ class TestValidation:
         )
         with pytest.raises(NonFiniteIterateError):
             euler_maruyama(prob, zero_path(cfg))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_raises_without_warnings(self):
+        # the same step and message as the scalar loop, and no numpy warning
+        path = zero_path(BasisConfig.from_resolution(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonFiniteIterateError) as want:
+                scalar_loop(self.exploding_problem(), path)
+        with pytest.raises(NonFiniteIterateError) as got:
+            euler_maruyama(self.exploding_problem(), path)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("key", ["k1", "k2"])
+    def test_kernel_refusing_arrays_is_a_type_error(self, key):
+        kernel = lambda s, t: math.exp(-(t - s))
+        prob = dataclasses.replace(builtin_example(2), **{key: kernel})
+        with pytest.raises(TypeError, match=key):
+            euler_maruyama(prob, sample_path(BasisConfig.from_resolution(8), 3))
