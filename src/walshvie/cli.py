@@ -17,6 +17,7 @@ both.
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 
@@ -171,16 +172,21 @@ def _csv_rows(matrix):
 
     A field takes a 16-byte slot, the four words of _ascii_words; the
     last byte becomes ',' or '\\n', and a positive value leaves its sign
-    byte NUL.  Values that _scientific
-    cannot decide are formatted by Python and spliced into their slots,
-    widened to 17 bytes if one needs 16 characters, so the bytes equal
-    "%.8e" % x for every double.  The NUL bytes are dropped at the end.
+    byte NUL.  Values that _scientific cannot decide are formatted by
+    Python and spliced into their slots, widened to 17 bytes if one
+    needs 16 characters, so the bytes equal "%.8e" % x for every double.
+    The NUL bytes are dropped at the end.  A block with at most one run
+    of equal bits (-0.0 is not 0.0) per 8 values, as in P, P_S and
+    Lambda, formats each run once and yields a row at a time.
     """
     heads, quads, tails, exps = _ascii_words()
     step = max(1, _BLOCK_VALUES // matrix.shape[1])
     for r in range(0, len(matrix), step):
         block = np.asarray(matrix[r : r + step], dtype=np.float64)
-        x = block.ravel()
+        starts = np.ones(block.shape, dtype=bool)
+        np.not_equal(block[:, 1:].view(np.int64), block[:, :-1].view(np.int64), out=starts[:, 1:])
+        runs = 8 * np.count_nonzero(starts) <= block.size
+        x = block[starts] if runs else block.ravel()
         digits, e, fast = _scientific(x)
         head = np.floor(digits / 1e7)
         body = np.floor(digits / 1e3)
@@ -197,9 +203,14 @@ def _csv_rows(matrix):
                 buf = np.insert(buf, 15, 0, axis=1)
             width = buf.shape[1] - 1
             buf[slow, :width] = text.astype(f"S{width}").view(np.uint8).reshape(-1, width)
-        fields = buf.reshape(block.shape[0], block.shape[1], -1)
-        fields[:, :-1, -1] = ord(",")
-        fields[:, -1, -1] = ord("\n")
+        buf[:, -1] = ord(",")
+        if runs:
+            lengths = np.diff(np.flatnonzero(starts), append=block.size).tolist()
+            cells = zip(buf.tobytes().replace(b"\0", b"").split(b","), lengths)
+            for count in np.count_nonzero(starts, axis=1).tolist():
+                yield b"".join([(c + b",") * n for c, n in itertools.islice(cells, count)])[:-1] + b"\n"
+            continue
+        buf.reshape(block.shape[0], block.shape[1], -1)[:, -1, -1] = ord("\n")
         yield buf.tobytes().replace(b"\0", b"")
 
 

@@ -288,12 +288,14 @@ def compile_expression(src, variables=(), line=1):
     if not reads:
         with np.errstate(all="ignore"):
             try:
-                value = float(fn())
+                value = fn()
             except (ZeroDivisionError, OverflowError, ValueError):
                 value = float("nan")
+        if np.iscomplexobj(value):
+            raise ExpressionError("constant expression is not real", line, 1)
         if not np.isfinite(value):
             raise ExpressionError("constant expression is not finite", line, 1)
-        return value
+        return float(value)
     fn.source = src
     fn.variables = names
     fn.difference_kernel = len(names) == 2 and _only_in_differences(node, *names)

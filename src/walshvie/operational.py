@@ -19,6 +19,14 @@ from .brownian import _path_config
 from .walsh import _TEMP_ELEMENTS, _readonly, fast_walsh_transform
 
 
+def _upper_triangular(m, above, diagonal):
+    # the mask j > i is a view of 2m booleans: np.triu's m x m mask left holes in the heap
+    out = np.zeros((m, m))
+    np.copyto(out, above, where=np.lib.stride_tricks.sliding_window_view(np.arange(2 * m) >= m, m)[m - 1 :: -1])
+    np.fill_diagonal(out, diagonal)
+    return _readonly(out)
+
+
 def integration_matrix(cfg):
     """Upper triangular matrix P: h/2 on the diagonal, h above it.
 
@@ -26,11 +34,7 @@ def integration_matrix(cfg):
     up to a midpoint is exact.
     """
     m, h = cfg.m, cfg.h
-    P = np.zeros((m, m))
-    for i in range(m):
-        P[i, i + 1 :] = h
-    np.fill_diagonal(P, h / 2.0)
-    return _readonly(P)
+    return _upper_triangular(m, h, h / 2.0)
 
 
 def stochastic_matrix(path):
@@ -46,11 +50,7 @@ def stochastic_matrix(path):
     m = _path_config(path).m
     full = path[2::2] - path[:-2:2]  # B((i+1)h) - B(ih)
     half = path[1::2] - path[:-2:2]  # B(t_j) - B(jh)
-    PS = np.zeros((m, m))
-    for i in range(m):
-        PS[i, i + 1 :] = full[i]
-    np.fill_diagonal(PS, half)
-    return _readonly(PS)
+    return _upper_triangular(m, full[:, None], half)
 
 
 def walsh_domain(M):

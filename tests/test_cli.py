@@ -345,7 +345,9 @@ class TestFloatFormatter:
 
 
 class TestMatrixWriter:
-    @pytest.mark.parametrize("m", [64, 256])
+    # m = 512 spans four blocks of 128 rows; P, P_S and Lambda take the
+    # run path there, Lambda_S and T_W do not
+    @pytest.mark.parametrize("m", [64, 256, 512])
     def test_matrices_match_reference(self, tmp_path, m):
         assert main(["matrices", "--m", str(m), "--seed", "5", "--out", str(tmp_path)]) == 0
         cfg = BasisConfig.from_resolution(m)
@@ -374,6 +376,28 @@ class TestMatrixWriter:
         _write_matrix(tmp_path, "m.csv", M)
         assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv(M)
 
+        # The same values, and TIE and 1e300 that Python formats, in runs
+        # of 16, four a row (the run path: one chunk a row), and in one
+        # column (the block path: one chunk a block).  NaNs with other
+        # payloads or sign and -0.0 next to 0.0 are separate runs.
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64)
+        values = np.concatenate([M.ravel(), nans.view(np.float64), [TIE, -TIE, 1e300, -1e300, TIE, 0.0, -0.0, 0.0]])
+        runs = np.repeat(values, 16).reshape(-1, 64)
+        for A, chunks in ((runs, len(runs)), (values[:, None], 1)):
+            assert len(list(_csv_rows(A))) == chunks
+            _write_matrix(tmp_path, "m.csv", A)
+            assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv(A)
+
+        # 64 values a row: at most 8 runs a row on average is the run
+        # path; one run more in the block is the block path
+        below = np.repeat(np.arange(8 * 8, dtype=float) / 7, 8).reshape(8, 64)
+        above = below.copy()
+        above[3, 0] = -1.0
+        for A, chunks in ((below, 8), (above, 1)):
+            assert len(list(_csv_rows(A))) == chunks
+            _write_matrix(tmp_path, "m.csv", A)
+            assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv(A)
+
     def test_integer_signs(self, tmp_path):
         for m in (1, 16, 512):  # m = 512 spans four blocks of rows
             T = build_walsh_matrix(BasisConfig.from_resolution(m))
@@ -398,6 +422,17 @@ class TestMatrixWriter:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_memory_of_runs_is_per_row(self, tmp_path):
+        # P at m = 1024 is 16 MB of text in 3070 runs
+        P = integration_matrix(BasisConfig.from_resolution(1024))
+        tracemalloc.start()
+        try:
+            _write_matrix(tmp_path, "p.csv", P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestPaths:
@@ -461,6 +496,14 @@ class TestErrorsAndSeeds:
         rc = main(["run", "--problem", str(f), "--m", "8", "--out", str(tmp_path)])
         assert rc == 1
         assert "line 4" in capsys.readouterr().err
+
+    def test_complex_constant_is_one_error_line(self, tmp_path, capsys):
+        f = tmp_path / "complex.txt"
+        f.write_text("x0 = (-8)^(1/3)\nk1 = 1\nk2 = 0\nbeta = x\nsigma = x\n", encoding="utf-8")
+        rc = main(["run", "--problem", str(f), "--m", "8", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not real" in err[0] and "line 1" in err[0]
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
         a = tmp_path / "a"

@@ -88,6 +88,11 @@ class TestConstantFolding:
             compile_expression("1/0")
         with pytest.raises(ExpressionError):
             compile_expression("atanh(2)")
+        # a negative base under a fractional exponent folds to a complex
+        for src in ["(-8)^(1/3)", "exp((-8)^(1/3))", "(-8)^(1/3) * 0"]:
+            with pytest.raises(ExpressionError) as err:
+                compile_expression(src)
+            assert err.value.bare_message == "constant expression is not real"
 
     @pytest.mark.parametrize("src", ["1/0", "atanh(2)", "1e999", "1e999 - 1e999", "2^2000"])
     def test_non_finite_constant_message(self, src):
