@@ -33,7 +33,7 @@ from .experiment import (
 from .expressions import ExpressionError, compile_expression
 from .operational import integration_matrix, stochastic_matrix, walsh_domain
 from .oracle import OracleResult, euler_maruyama
-from .problemfile import encode_problem, parse_problem_file, problem_from_text
+from .problemfile import parse_problem_file, problem_from_text
 from .solver import (
     NonConvergenceError,
     NonFiniteIterateError,
@@ -48,7 +48,6 @@ from .walsh import (
     BasisConfig,
     build_walsh_matrix,
     fast_walsh_transform,
-    project_function,
     project_kernel,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "coefficient_error_norm",
     "compile_expression",
     "convergence_study",
-    "encode_problem",
     "error_at",
     "fast_walsh_transform",
     "euler_maruyama",
@@ -80,7 +78,6 @@ __all__ = [
     "parse_problem_file",
     "problem_from_sources",
     "problem_from_text",
-    "project_function",
     "project_kernel",
     "sample_path",
     "solve",

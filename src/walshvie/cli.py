@@ -24,7 +24,6 @@ import sys
 import numpy as np
 
 from .brownian import sample_path
-from .expressions import ExpressionError
 from .experiment import coefficient_error_norm, convergence_study, monte_carlo
 from .operational import _walsh_integration_matrix, integration_matrix, stochastic_matrix, walsh_domain
 from .oracle import euler_maruyama
@@ -86,8 +85,6 @@ def _load_problem(args):
         return parse_problem_file(args.problem)
     except OSError as exc:
         raise CLIError(f"cannot read problem file: {exc}")
-    except (ExpressionError, ValueError) as exc:
-        raise CLIError(str(exc))
 
 
 def _write(outdir, name, chunks):
@@ -293,10 +290,7 @@ def _cmd_converge(args, seed):
     problem = _load_problem(args)
     if problem.exact is None:
         raise CLIError("convergence study requires a problem with an exact solution")
-    try:
-        report = convergence_study(problem, args.resolutions, args.trials, seed)
-    except ValueError as exc:
-        raise CLIError(str(exc))
+    report = convergence_study(problem, args.resolutions, args.trials, seed)
     rows = [["m", "h", "rms_error"]] + [
         [str(m), _fmt(1.0 / m), _fmt(rms)] for m, rms in zip(report.resolutions, report.rms_errors)
     ]
@@ -392,10 +386,7 @@ def main(argv=None):
         if getattr(args, "trials", 1) < 1:
             raise CLIError("--trials must be positive")
         return args.func(args, seed)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ExpressionError, ValueError) as exc:
+    except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

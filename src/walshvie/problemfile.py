@@ -59,18 +59,3 @@ def parse_problem_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         return problem_from_text(fh.read(), name=str(path))
 
-
-def encode_problem(problem):
-    """Render a problem back to the file format.
-
-    Requires the problem to carry its expression sources (all built-in
-    and file-parsed problems do).  Re-parsing the output reproduces the
-    identical compiled functions, so solver output round-trips exactly.
-    """
-    if not problem.sources:
-        raise ValueError(f"problem {problem.label!r} carries no expression sources")
-    lines = [f"label = {problem.label}"]
-    for key in REQUIRED_KEYS + ("exact",):
-        if key in problem.sources:
-            lines.append(f"{key} = {problem.sources[key]}")
-    return "\n".join(lines) + "\n"

@@ -37,28 +37,28 @@ values, as the rows of an (n, m) array and returns arrays: the
 solutions, sweep counts and residuals, and the error of each row that
 failed.  ``solve`` is its one-path case and Monte Carlo runs feed it
 chunks of trials.  The operators that do not depend on the path are
-built once per engine.  For a constant kernel c they are cumulative sums: the k1
-term is c (sum of z1[i] over i < j + z1[j]/2) and the stochastic term c
-times the sum of the earlier blocks' values plus c times the block's
-own, so a sweep costs O(m) per path and no m x m array exists.  A
-difference kernel, an expression that reads s and t only through t - s,
-has a Toeplitz projection K[i][j] = row[j - i]: its row 0 is projected
-from 25 m kernel values, and each sum is a causal convolution with it,
+built once per engine, one per kernel by ``_kernel_operator``, which
+owns the kernel's form and what happens to its diagonal: k1's is halved
+and k2's is split off as the Ito weight k2(s, s).  A constant kernel c
+is a cumulative sum, c (sum of z[i] over i < j + z[j]/2) for k1, so a
+sweep costs O(m) per path and no m x m array exists.  A difference
+kernel, an expression that reads s and t only through t - s, has a
+Toeplitz projection K[i][j] = row[j - i]: its row 0 is projected from
+25 m kernel values, and its product is a causal convolution with it,
 applied to every row by a zero-padded FFT of length 2m, so a sweep
 costs O(m log m) per path and again no m x m array exists.  The FFT
 rounds relative to a row's largest terms, not to each sum, and lets
 later blocks move earlier sums by rounding; on exp(-(t-s))-type kernels
-the solution stays within 2e-16 of the triangle's.  Other
-kernels are projected once on the triangle s <= t that the sums read
-and applied to one row at a time.  Every row keeps its own sweep
-count, residual and damping flag, and leaves the block when it
-converges or fails: a non-finite beta, sigma or iterate ends it with
-NonFiniteIterateError, max_iter with NonConvergenceError, and the
-other rows go on.  A row's values therefore never depend on the rows
-solved beside it.
+the solution stays within 2e-16 of the triangle's.  Other kernels are
+projected once on the triangle s <= t that the sums read and applied
+to one row at a time.  Every row keeps its own sweep count, residual
+and damping flag, and leaves the block when it converges or fails: a
+non-finite beta, sigma or iterate ends it with NonFiniteIterateError,
+max_iter with NonConvergenceError, and the other rows go on.  A row's
+values therefore never depend on the rows solved beside it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
@@ -107,9 +107,7 @@ class ProblemSpec:
     value at the last collocation midpoint at or below t, the point the
     numerical value is read at.  It must take numpy arrays and follow
     numpy broadcasting (np.exp, not math.exp), since errors are computed
-    for many report times and trials in one call.  ``sources``
-    optionally keeps the expression strings the problem was built from,
-    which is what makes re-encoding to a problem file lossless.
+    for many report times and trials in one call.
     """
 
     x0: float
@@ -119,7 +117,6 @@ class ProblemSpec:
     sigma: object
     exact: object = None
     label: str = "problem"
-    sources: dict = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -170,11 +167,14 @@ def _sigma_with_slope(sigma, x):
     return vals.real, vals.imag / _COMPLEX_STEP
 
 
-def _exclusive_cumsum(a):
-    """Per row, out[:, j] = a[:, 0] + ... + a[:, j-1], summed in order."""
+def _exclusive_cumsum(a, diagonal):
+    """Per row, out[:, j] = a[:, 0] + ... + a[:, j-1], summed in order,
+    plus diagonal * a[:, j] when diagonal is not zero."""
     out = np.empty_like(a)
     out[:, 0] = 0.0
     np.add.accumulate(a[:, :-1], axis=1, out=out[:, 1:])
+    if diagonal:
+        out += diagonal * a
     return out
 
 
@@ -194,50 +194,41 @@ def _causal_convolution(g):
     return lambda z: np.fft.irfft(np.fft.rfft(z, 2 * m) * spectrum, 2 * m)[:, :m]
 
 
-def _volterra_sums(problem, cfg):
-    """The path-independent operators of one sweep, built once.
+def _kernel_operator(kernel, cfg, name, diagonal):
+    """The product of one projected kernel with a block of rows, built
+    once.
 
-    Returns (drift, noise, k2_ss): drift(z1) = z1 @ m^3 (K1 o P) and
-    noise(w) = w @ m^2 triu(K2, 1), each row on its own, and
-    k2_ss = m^2 diag(K2), the block average of k2(s, s).  Each kernel
-    takes one of three forms, and only the last builds an m x m array:
+    Returns (apply, diag): apply(z) = z @ m^2 K, each row on its own,
+    where K is the projected triangle of ``kernel`` with its diagonal
+    scaled by ``diagonal``, and diag = m^2 diag(K) before that scaling,
+    the block averages of k on the diagonal blocks.  A zero
+    ``diagonal`` sets the diagonal to +0.0, so a negative entry never
+    becomes -0.0.  The kernel takes one of three forms, and only the
+    last builds an m x m array:
 
-    * a constant c gives c (exclusive_cumsum(z1) + z1/2),
-      c exclusive_cumsum(w) and c;
+    * a constant c applies c exclusive_cumsum(z, diagonal), and diag
+      is c;
     * a difference kernel (an expression of t - s alone, see
       ``expressions.compile_expression``) has a Toeplitz projection,
       K[i][i + d] = row[d], so its row 0 alone is projected and applied
-      as a causal FFT convolution with g1 = m^2 row, g1[0] halved, and
-      g2 = m^2 row, g2[0] = 0; k2_ss is the scalar m^2 row[0];
+      as a causal FFT convolution with g = m^2 row, g[0] scaled, and
+      diag is the scalar m^2 row[0];
     * any other callable is projected on the triangle and applied with
-      one GEMV per row.  h is a power of two, so m^3 (K1 o P) is
-      exactly m^2 K1 with its diagonal halved.
+      one GEMV per row, and diag is an array.
     """
     m = cfg.m
-    if isinstance(problem.k1, Real):
-        c1 = float(problem.k1)
-        drift = lambda z: c1 * (_exclusive_cumsum(z) + 0.5 * z)
-    elif getattr(problem.k1, "difference_kernel", False):
-        g1 = m * m * _project_lag_row(problem.k1, cfg, "k1")
-        g1[0] *= 0.5
-        drift = _causal_convolution(g1)
-    else:
-        G1 = m * m * project_kernel(problem.k1, cfg, "k1")
-        G1[np.diag_indices(m)] *= 0.5
-        drift = lambda z: _by_row(z, G1)
-    if isinstance(problem.k2, Real):
-        c2 = float(problem.k2)
-        return drift, lambda w: c2 * _exclusive_cumsum(w), c2
-    # m^3 K2 times h sigma is m^2 K2 times sigma
-    if getattr(problem.k2, "difference_kernel", False):
-        g2 = m * m * _project_lag_row(problem.k2, cfg, "k2")
-        k2_ss = float(g2[0])
-        g2[0] = 0.0
-        return drift, _causal_convolution(g2), k2_ss
-    upper = m * m * project_kernel(problem.k2, cfg, "k2")
-    k2_ss = np.diagonal(upper).copy()
-    np.fill_diagonal(upper, 0.0)
-    return drift, lambda w: _by_row(w, upper), k2_ss
+    if isinstance(kernel, Real):
+        c = float(kernel)
+        return (lambda z: c * _exclusive_cumsum(z, diagonal)), c
+    if getattr(kernel, "difference_kernel", False):
+        g = m * m * _project_lag_row(kernel, cfg, name)
+        diag = float(g[0])
+        g[0] = diagonal * diag if diagonal else 0.0
+        return _causal_convolution(g), diag
+    G = m * m * project_kernel(kernel, cfg, name)
+    diag = np.diagonal(G).copy()
+    np.fill_diagonal(G, diagonal * diag if diagonal else 0.0)
+    return (lambda z: _by_row(z, G)), diag
 
 
 _BETA = "beta(x) is not finite at the current iterate"
@@ -285,7 +276,11 @@ def _batch_solver(problem, cfg, options=None):
     """
     opts = options or SolverOptions()
     m, h = cfg.m, cfg.h
-    drift, noise, k2_ss = _volterra_sums(problem, cfg)
+    # h is a power of two, so m^3 (K1 o P) is exactly m^2 K1 with its
+    # diagonal halved; m^3 K2 times h sigma is m^2 K2 times sigma, and
+    # the diagonal of K2 is the Ito weight k2_ss, applied apart
+    drift, _ = _kernel_operator(problem.k1, cfg, "k1", 0.5)
+    noise, k2_ss = _kernel_operator(problem.k2, cfg, "k2", 0.0)
     ito = bool(np.any(k2_ss))
     x0 = float(problem.x0)
 
@@ -293,14 +288,14 @@ def _batch_solver(problem, cfg, options=None):
         """The candidate of one sweep from the iterates x of the live
         rows, and the mask of the rows it fails.  Its temporaries end
         with it, so they are not held into the next sweep."""
-        z1 = h * _eval_grid(problem.beta, "beta", x)
-        if ito:
-            sig, slope = _sigma_with_slope(problem.sigma, x)
-        else:
-            sig, slope = _eval_grid(problem.sigma, "sigma", x), np.zeros_like(x)
-        # a row whose beta, sigma or sigma' is not finite turns nan
-        # here and fails below with that cause; it warns no further
-        with np.errstate(invalid="ignore"):
+        # a row whose beta, sigma, sigma' or iterate is not finite fails
+        # below with that cause, so numpy need not warn of it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            z1 = h * _eval_grid(problem.beta, "beta", x)
+            if ito:
+                sig, slope = _sigma_with_slope(problem.sigma, x)
+            else:
+                sig, slope = _eval_grid(problem.sigma, "sigma", x), np.zeros_like(x)
             w = sig * (full + slope * c_full)
             u = sig * (dB1 + slope * c_half)
             candidate = x0 + drift(z1) + noise(w) + k2_ss * u
@@ -313,10 +308,13 @@ def _batch_solver(problem, cfg, options=None):
         dB1 = v[:, 1::2] - v[:, :-2:2]  # B(t_i) - B(ih)
         dB2 = v[:, 2::2] - v[:, 1::2]  # B((i+1)h) - B(t_i)
         # the correction per unit sigma*sigma'(x[i]), above and on the
-        # diagonal; dB2 is not needed after it
-        c_full = k2_ss * 0.5 * (dB2**2 - dB1**2 - h)
+        # diagonal; dB2 is not needed after it.  A square that
+        # overflows makes the iterates it reaches non-finite, which
+        # fails their row in the first sweep
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_full = k2_ss * 0.5 * (dB2**2 - dB1**2 - h)
+            c_half = k2_ss * (-0.5 * dB1**2 - h / 4.0)
         del dB2
-        c_half = k2_ss * (-0.5 * dB1**2 - h / 4.0)
         solutions = np.full((n, m), np.nan)
         sweeps = np.zeros(n, dtype=int)
         residuals = np.full(n, np.nan)
@@ -450,11 +448,7 @@ def problem_from_sources(sources, label="problem"):
     for key in ("beta", "sigma", "exact"):
         if isinstance(compiled.get(key), Real):
             compiled[key] = _constant_function(compiled[key])
-    return ProblemSpec(
-        **compiled,
-        label=label,
-        sources={k: v for k, v in sources.items() if v is not None},
-    )
+    return ProblemSpec(**compiled, label=label)
 
 
 def builtin_example(example_id, a="1/30"):

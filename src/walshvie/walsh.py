@@ -208,21 +208,6 @@ def _quadrature_nodes(cfg):
     return starts[:, None] + (_GL_NODES[None, :] + 1.0) * (cfg.h / 2.0)
 
 
-def project_function(f, cfg):
-    """Project f onto the block pulse basis by per-block quadrature.
-
-    Returns the read-only block integrals F[i] = integral of f over
-    block i, so the block-pulse reconstruction on block i is m * F[i].
-    Each block integral uses the 5-point Gauss-Legendre rule, which is
-    exact for polynomials up to degree 9 on the block.  f is called once,
-    on all (m, 5) nodes, so it must take numpy arrays.
-    """
-    vals = _eval_grid(f, "f", _quadrature_nodes(cfg))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("function evaluation produced a non-finite value at a quadrature node")
-    return _readonly(cfg.h * (vals @ _GL_WEIGHTS))
-
-
 def _kernel_row(kernel, name, pts, i):
     """The block integrals of a callable kernel over s in block i and t
     in blocks i..m-1, divided by h**2, from one call on node arrays that

@@ -189,7 +189,6 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(builtin_example(1), cfg, 1, base_seed=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_failures_counted_not_absorbed(self):
         cfg = BasisConfig.from_resolution(8)
         stats = monte_carlo(feedback_problem(), cfg, 12, base_seed=0)
@@ -241,7 +240,6 @@ class TestBatchInvariance:
         (2, 256): (60, 100, None),
     }
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("example_id, m", sorted(SCALES))
     def test_trial_alone_equals_trial_in_chunk(self, example_id, m):
         prob = builtin_example(example_id)
@@ -336,7 +334,6 @@ class TestOneDrawPerTrial:
     # convergence_study draws each trial's normals once, in chunks of
     # _DRAW_ELEMENTS // (2 m_max) trials, and derives every resolution's
     # path from them.
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_study_equals_each_resolution_sampled_and_solved_alone(self):
         prob = feedback_problem()
         resolutions = (8, 32, 256)
@@ -416,7 +413,6 @@ class TestBlockSizes:
                 per_resolution.append(np.asarray(rows, dtype=float))
         return per_resolution
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("chunk, draw", [(48, 96), (1, 1), (1 << 13, 64), (200, 1536)])
     def test_block_size_changes_no_bits(self, monkeypatch, alone, chunk, draw):
         monkeypatch.setattr(experiment, "_CHUNK_ELEMENTS", chunk)
@@ -473,7 +469,6 @@ class TestConvergenceStudy:
         report = convergence_study(exp_problem(), (8, 32, 128), 2, base_seed=1)
         assert report.rms_errors[0] > report.rms_errors[1] > report.rms_errors[2]
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_failures_reported_per_resolution(self):
         prob = feedback_problem()
         resolutions, n = (4, 8, 16), 12

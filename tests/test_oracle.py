@@ -184,7 +184,6 @@ class TestValidation:
             x0=2.0, k1=500.0, k2=0.0, beta=lambda x: np.exp(x * x), sigma=lambda x: 0.0 * x
         )
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_surfaces(self):
         cfg = BasisConfig.from_resolution(8)
         prob = ProblemSpec(

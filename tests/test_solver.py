@@ -16,7 +16,7 @@ from walshvie.solver import (
     ProblemSpec,
     SolverOptions,
     _batch_solver,
-    _volterra_sums,
+    _kernel_operator,
     builtin_example,
     problem_from_sources,
     solve,
@@ -218,27 +218,38 @@ class TestSolveOnSampledPaths:
 
 class TestDenseReference:
     @pytest.mark.parametrize("m", [8, 256])
-    def test_callable_kernel_operators_match_dense(self, m):
+    def test_callable_kernel_operators_match_dense(self, m, monkeypatch):
         # the engine builds G1 and the strict upper K2 operator straight
         # from the projected triangle; applied to the identity they must
         # equal the dense products of the same projection bit for bit.
         # The kernels use s outside t - s, so they are not difference
-        # kernels and take the triangle.
-        prob = problem_from_sources({
-            "x0": "1/10",
-            "k1": "-(1/30)^2*exp(-t)*(1+s)",
-            "k2": "(1/30)*exp(-t)*(1+s)",
-            "beta": "x*(1-x^2)",
-            "sigma": "1-x^2",
-        })
-        assert not prob.k1.difference_kernel and not prob.k2.difference_kernel
+        # kernels and take the triangle.  A negative k2 checks that its
+        # diagonal is set to +0.0, which array_equal cannot tell from
+        # -0.0, in the operator's matrix as well as in its product
+        matrices = []
+        by_row = solver._by_row
+        monkeypatch.setattr(solver, "_by_row", lambda a, M: matrices.append(M) or by_row(a, M))
         cfg = BasisConfig.from_resolution(m)
-        drift, noise, k2_ss = _volterra_sums(prob, cfg)
-        K1 = project_kernel(prob.k1, cfg)
-        K2 = project_kernel(prob.k2, cfg)
-        assert np.array_equal(drift(np.eye(m)), m**3 * (K1 * integration_matrix(cfg)))
-        assert np.array_equal(noise(np.eye(m)), m * m * np.triu(K2, 1))
-        assert np.array_equal(k2_ss, m * m * np.diagonal(K2))
+        for sign in ("", "-"):
+            prob = problem_from_sources({
+                "x0": "1/10",
+                "k1": "-(1/30)^2*exp(-t)*(1+s)",
+                "k2": sign + "(1/30)*exp(-t)*(1+s)",
+                "beta": "x*(1-x^2)",
+                "sigma": "1-x^2",
+            })
+            assert not prob.k1.difference_kernel and not prob.k2.difference_kernel
+            drift, k1_ss = _kernel_operator(prob.k1, cfg, "k1", 0.5)
+            noise, k2_ss = _kernel_operator(prob.k2, cfg, "k2", 0.0)
+            K1 = project_kernel(prob.k1, cfg)
+            K2 = project_kernel(prob.k2, cfg)
+            assert np.array_equal(drift(np.eye(m)), m**3 * (K1 * integration_matrix(cfg)))
+            assert np.array_equal(np.diagonal(drift(np.eye(m))), 0.5 * (m * m * np.diagonal(K1)))
+            assert np.array_equal(k1_ss, m * m * np.diagonal(K1))
+            assert np.array_equal(noise(np.eye(m)), m * m * np.triu(K2, 1))
+            assert np.diagonal(noise(np.eye(m))).tobytes() == np.zeros(m).tobytes()
+            assert np.diagonal(matrices[-1]).tobytes() == np.zeros(m).tobytes()
+            assert np.array_equal(k2_ss, m * m * np.diagonal(K2))
 
     @pytest.mark.parametrize("example_id", [1, 2])
     @pytest.mark.parametrize("m", [8, 256, 1024])
@@ -287,23 +298,36 @@ def on_the_triangle(prob):
 
 class TestDifferenceKernels:
     @pytest.mark.parametrize("m", [8, 256])
-    def test_operators_match_dense(self, m):
+    def test_operators_match_dense(self, m, monkeypatch):
         # the FFT convolutions of the lag rows against the dense products
         # of the projected triangle: they differ by the rounding of t - s
         # in the projection (a few ulp per entry) and by the FFT's, which
-        # is relative to the largest entry, not to each one
-        prob = problem_from_sources(DIFFERENCE_SOURCES)
+        # is relative to the largest entry, not to each one.  The FFT
+        # does not return exact zeros, so the diagonal entries g[0] of the
+        # convolutions are checked where they are built: k1's is exactly
+        # half of m^2 row[0], and k2's is +0.0 also for a negative k2
+        lag_rows = []
+        convolution = solver._causal_convolution
+        monkeypatch.setattr(solver, "_causal_convolution", lambda g: lag_rows.append(g.copy()) or convolution(g))
         cfg = BasisConfig.from_resolution(m)
-        drift, noise, k2_ss = _volterra_sums(prob, cfg)
-        K1 = project_kernel(prob.k1, cfg)
-        K2 = project_kernel(prob.k2, cfg)
-        for got, dense in [
-            (drift(np.eye(m)), m**3 * (K1 * integration_matrix(cfg))),
-            (noise(np.eye(m)), m * m * np.triu(K2, 1)),
-            (k2_ss, m * m * np.diagonal(K2)),
-        ]:
-            assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
-        assert np.isscalar(k2_ss) and k2_ss == m * m * K2[0, 0]
+        for k2 in (DIFFERENCE_SOURCES["k2"], "-" + DIFFERENCE_SOURCES["k2"]):
+            prob = problem_from_sources({**DIFFERENCE_SOURCES, "k2": k2})
+            lag_rows.clear()
+            drift, k1_ss = _kernel_operator(prob.k1, cfg, "k1", 0.5)
+            noise, k2_ss = _kernel_operator(prob.k2, cfg, "k2", 0.0)
+            K1 = project_kernel(prob.k1, cfg)
+            K2 = project_kernel(prob.k2, cfg)
+            for got, dense in [
+                (drift(np.eye(m)), m**3 * (K1 * integration_matrix(cfg))),
+                (noise(np.eye(m)), m * m * np.triu(K2, 1)),
+                (k2_ss, m * m * np.diagonal(K2)),
+            ]:
+                assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+            assert np.isscalar(k2_ss) and k2_ss == m * m * K2[0, 0]
+            assert np.isscalar(k1_ss) and k1_ss == m * m * K1[0, 0]
+            g1, g2 = lag_rows
+            assert g1[0] == 0.5 * k1_ss
+            assert g2[:1].tobytes() == np.zeros(1).tobytes()
 
     @pytest.mark.parametrize("m", [8, 256, 2048])
     def test_solve_matches_triangle_path(self, m):
@@ -321,9 +345,12 @@ class TestDifferenceKernels:
         monkeypatch.setattr(solver, "project_kernel", lambda *args: calls.append(args) or project_kernel(*args))
         prob = problem_from_sources(DIFFERENCE_SOURCES)
         cfg = BasisConfig.from_resolution(16)
-        _volterra_sums(prob, cfg)
+        _kernel_operator(prob.k1, cfg, "k1", 0.5)
+        _kernel_operator(prob.k2, cfg, "k2", 0.0)
         assert calls == []
-        _volterra_sums(on_the_triangle(prob), cfg)
+        triangle = on_the_triangle(prob)
+        _kernel_operator(triangle.k1, cfg, "k1", 0.5)
+        _kernel_operator(triangle.k2, cfg, "k2", 0.0)
         assert [name for _, _, name in calls] == ["k1", "k2"]
 
     def test_memory_at_the_largest_m(self):
@@ -433,7 +460,6 @@ class TestFailureModes:
         assert err.value.iterations == 2
         assert np.isfinite(err.value.residual)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_iterate(self):
         cfg = BasisConfig.from_resolution(8)
         prob = ProblemSpec(
@@ -446,7 +472,6 @@ class TestFailureModes:
         with pytest.raises(NonFiniteIterateError):
             solve(prob, zero_path(cfg))
 
-    @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_sigma_outside_its_real_domain(self):
         # sqrt'(0) is infinite and sqrt(x) is nan for x < 0: a failure,
         # not the real part of an imaginary root
@@ -454,6 +479,26 @@ class TestFailureModes:
         cfg = BasisConfig.from_resolution(8)
         with pytest.raises(NonFiniteIterateError, match="^sigma\\(x\\) is not finite"):
             solve(prob, sample_path(cfg, (1, 1)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [16, 256])
+    def test_blown_up_rows_fail_without_warnings(self, m):
+        # example 2 at a = 2 blows up on some paths: x^3 in beta and
+        # sigma sigma' overflow, which numpy would warn of from the
+        # expression and from the update.  The engine reports each such
+        # row with its cause instead, and the other rows converge
+        cfg = BasisConfig.from_resolution(m)
+        paths = np.stack([sample_path(cfg, (31, trial)) for trial in range(1, 9)])
+        x, sweeps, _, errors = _batch_solver(builtin_example(2, a="2"), cfg)(paths)
+        failed = [e is not None for e in errors]
+        assert any(failed) and not all(failed)
+        for row, error in enumerate(errors):
+            if error is None:
+                assert sweeps[row] > 0 and np.isfinite(x[row]).all()
+            else:
+                assert isinstance(error, NonFiniteIterateError)
+                assert str(error) == "beta(x) is not finite at the current iterate"
+                assert sweeps[row] == 0 and np.isnan(x[row]).all()
 
     @pytest.mark.parametrize(
         "key, changes",
@@ -523,7 +568,6 @@ class TestBuiltins:
         assert p2.label == "example-2"
         assert p1.x0 == 0.0
         assert p2.x0 == 0.1
-        assert p1.sources["beta"] == "tanh(x)*sech(x)^2"
 
     def test_constant_kernels_fold(self):
         p2 = builtin_example(2)

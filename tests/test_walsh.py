@@ -15,7 +15,6 @@ from walshvie.walsh import (
     build_walsh_matrix,
     fast_walsh_transform,
     midpoint_floor_index,
-    project_function,
     project_kernel,
     rademacher,
     walsh,
@@ -227,36 +226,51 @@ class TestWalshMatrix:
                 assert (T[n] == row).all()
 
 
+def block_integrals(antiderivative, m):
+    """The integral over each block of the grid of m blocks."""
+    edges = np.arange(m + 1) / m
+    return antiderivative(edges[1:]) - antiderivative(edges[:-1])
+
+
 class TestProjection:
+    # kernels of one variable: the block integral over s in block i and
+    # t in block j is h times the block integral of that variable's factor
+
     def test_constant(self):
         cfg = BasisConfig.from_resolution(8)
-        F = project_function(lambda t: 1.0, cfg)
-        assert np.allclose(F, cfg.h, rtol=0, atol=1e-16)
+        K = project_kernel(lambda s, t: 1.0, cfg)
+        upper = np.triu_indices(8)
+        assert np.allclose(K[upper], cfg.h * cfg.h, rtol=0, atol=1e-18)
 
     def test_linear(self):
-        # integral of t over [0, 1/2) and [1/2, 1)
+        # integral of t over [0, 1/2) and [1/2, 1), times h = 1/2 for s
         cfg = BasisConfig.from_resolution(2)
-        F = project_function(lambda t: t, cfg)
-        assert abs(F[0] - 0.125) < 1e-15
-        assert abs(F[1] - 0.375) < 1e-15
+        K = project_kernel(lambda s, t: t, cfg)
+        assert abs(K[0, 0] - 0.5 * 0.125) < 1e-16
+        assert abs(K[0, 1] - 0.5 * 0.375) < 1e-16
+        assert abs(K[1, 1] - 0.5 * 0.375) < 1e-16
+        K = project_kernel(lambda s, t: s, cfg)
+        assert abs(K[0, 1] - 0.5 * 0.125) < 1e-16
+        assert abs(K[1, 1] - 0.5 * 0.375) < 1e-16
 
     def test_reconstruction_scale(self):
         cfg = BasisConfig.from_resolution(16)
-        F = project_function(lambda t: 3.25, cfg)
-        assert np.allclose(cfg.m * F, 3.25, rtol=0, atol=1e-12)
+        K = project_kernel(lambda s, t: 3.25, cfg)
+        assert np.allclose(cfg.m**2 * K[np.triu_indices(16)], 3.25, rtol=0, atol=1e-12)
 
     def test_quadrature_degree(self):
         # 5-point Gauss is exact for degree 9
         cfg = BasisConfig.from_resolution(4)
-        F = project_function(lambda t: t**9, cfg)
-        edges = np.arange(5) / 4
-        exact = (edges[1:] ** 10 - edges[:-1] ** 10) / 10
-        assert np.allclose(F, exact, rtol=1e-13, atol=1e-18)
+        exact = block_integrals(lambda u: u**10 / 10, 4)
+        K = project_kernel(lambda s, t: t**9, cfg)
+        assert np.allclose(K, np.triu(np.outer(np.full(4, cfg.h), exact)), rtol=1e-13, atol=1e-18)
+        K = project_kernel(lambda s, t: s**9, cfg)
+        assert np.allclose(K, np.triu(np.outer(exact, np.full(4, cfg.h))), rtol=1e-13, atol=1e-18)
 
     def test_rejects_non_finite(self):
         cfg = BasisConfig.from_resolution(4)
-        with pytest.raises(ValueError):
-            project_function(lambda t: np.full_like(t, np.inf), cfg)
+        with pytest.raises(ValueError, match="non-finite"):
+            project_kernel(lambda s, t: np.full_like(t, np.inf), cfg)
 
     def test_parseval_piecewise_constant(self):
         # coefficients (1/m) T v: sum of squares = mean of squares, exact
@@ -286,10 +300,11 @@ class TestKernelProjection:
 
     def test_matches_function_projection_on_slices(self):
         # integrating k(s,t)=exp(s-t) over a block rectangle factorises
+        # into the block integrals of exp(s) and of exp(-t)
         cfg = BasisConfig.from_resolution(4)
         K = project_kernel(lambda s, t: np.exp(s - t), cfg)
-        Fs = project_function(np.exp, cfg)
-        Ft = project_function(lambda t: np.exp(-t), cfg)
+        Fs = block_integrals(np.exp, 4)
+        Ft = block_integrals(lambda u: -np.exp(-u), 4)
         assert np.allclose(K, np.triu(np.outer(Fs, Ft)), rtol=1e-12, atol=0)
 
     def test_scalar_only_kernel_is_refused(self):
@@ -300,8 +315,8 @@ class TestKernelProjection:
             project_kernel(scalar_only_sum, cfg)
         with pytest.raises(TypeError, match="^k2 must take numpy arrays"):
             project_kernel(scalar_only_sum, cfg, "k2")
-        with pytest.raises(TypeError, match="^f must take numpy arrays"):
-            project_function(lambda t: math.exp(t), cfg)
+        with pytest.raises(TypeError, match="^kernel must take numpy arrays"):
+            project_kernel(lambda s, t: math.exp(t), cfg)
         with pytest.raises(TypeError, match="broadcast shape"):
             project_kernel(lambda s, t: np.zeros(3), cfg)
 
