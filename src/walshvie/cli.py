@@ -25,11 +25,11 @@ import numpy as np
 
 from .brownian import sample_path
 from .experiment import coefficient_error_norm, convergence_study, monte_carlo
-from .operational import _walsh_integration_matrix, integration_matrix, stochastic_matrix, walsh_domain
+from .operational import _increments, _upper_triangular_rows, _walsh_integration_rows, _walsh_stochastic_rows
 from .oracle import euler_maruyama
 from .problemfile import parse_problem_file
 from .solver import NonConvergenceError, NonFiniteIterateError, builtin_example, solve
-from .walsh import BasisConfig, build_walsh_matrix
+from .walsh import BasisConfig, _walsh_rows
 
 DEFAULT_SEED = 42
 MIN_RESOLUTION = 2
@@ -229,9 +229,11 @@ def _sign_rows(matrix):
         yield fields.tobytes().replace(b"\0", b"")
 
 
-def _write_matrix(outdir, name, matrix):
-    # Neither writer keeps more than a block of text.
-    return _write(outdir, name, _sign_rows(matrix) if matrix.dtype.kind == "i" else _csv_rows(matrix))
+def _write_matrix(outdir, name, blocks):
+    """Write a matrix given as an iterable of blocks of its rows.  Neither
+    writer keeps more than a block of text."""
+    lines = (_sign_rows(block) if block.dtype.kind == "i" else _csv_rows(block) for block in blocks)
+    return _write(outdir, name, itertools.chain.from_iterable(lines))
 
 
 def _dump_paths(outdir, cfg, seed, trials):
@@ -246,6 +248,18 @@ def _cmd_run(args, seed):
     cfg = BasisConfig.from_resolution(args.m)
     tag = f"{_slug(problem.label)}_m{cfg.m}"
 
+    # Trial 1 and its oracle go first, so that a failure writes no file.
+    path = sample_path(cfg, (seed, 1))
+    try:
+        result = solve(problem, path)
+    except (NonConvergenceError, NonFiniteIterateError) as exc:
+        raise CLIError(f"solve failed on trial 1 (seed {seed}): {exc}")
+    if args.oracle:
+        try:
+            em = euler_maruyama(problem, path)
+        except NonFiniteIterateError as exc:
+            raise CLIError(f"oracle failed on trial 1 (seed {seed}): {exc}")
+
     if problem.exact is not None:
         stats = monte_carlo(problem, cfg, args.trials, seed)
         rows = [["t", "mean", "sd", "ci_lower", "ci_upper", "n_effective", "failures"]] + [
@@ -255,12 +269,6 @@ def _cmd_run(args, seed):
         _write(args.out, f"stats_{tag}.csv", [_lines(rows)])
     else:
         print("note: problem has no exact solution; skipping error statistics", file=sys.stderr)
-
-    path = sample_path(cfg, (seed, 1))
-    try:
-        result = solve(problem, path)
-    except (NonConvergenceError, NonFiniteIterateError) as exc:
-        raise CLIError(f"solve failed on trial 1 (seed {seed}): {exc}")
 
     header = ["t", "x_m"]
     columns = [cfg.midpoints, result.x_colloc]
@@ -272,10 +280,6 @@ def _cmd_run(args, seed):
         gap = coefficient_error_norm(result.x_colloc * cfg.h, exact_vals * cfg.h)
         comments.append(f"coefficient_error_inf = {_fmt(gap)}")
     if args.oracle:
-        try:
-            em = euler_maruyama(problem, path)
-        except NonFiniteIterateError as exc:
-            raise CLIError(f"oracle failed on trial 1 (seed {seed}): {exc}")
         header.append("em_oracle")
         columns.append(em.midpoint_values)
     table = _csv_rows(np.column_stack(columns))
@@ -302,16 +306,20 @@ def _cmd_converge(args, seed):
 
 def _cmd_matrices(args, seed):
     cfg = BasisConfig.from_resolution(args.m)
+    m, h = cfg.m, cfg.h
     path = sample_path(cfg, seed)
-    # Each matrix is built just before it is written, P_S a second time
-    # for its transform (cheap next to writing it), and Lambda from its
-    # closed form, so at most an operand and its transform are alive: two
-    # m x m arrays, 268 MB at m = 4096.
-    _write_matrix(args.out, "tw.csv", build_walsh_matrix(cfg))
-    _write_matrix(args.out, "p.csv", integration_matrix(cfg))
-    _write_matrix(args.out, "ps.csv", stochastic_matrix(path))
-    _write_matrix(args.out, "lambda.csv", _walsh_integration_matrix(cfg))
-    _write_matrix(args.out, "lambda_s.csv", walsh_domain(stochastic_matrix(path)))
+    # Every matrix is built from O(m) data, one block of the rows that
+    # _csv_rows formats together at a time, so no m x m array is made.
+    matrices = {
+        "tw.csv": functools.partial(_walsh_rows, m),
+        "p.csv": functools.partial(_upper_triangular_rows, np.full(m, h), np.full(m, h / 2.0)),
+        "ps.csv": functools.partial(_upper_triangular_rows, *_increments(path)),
+        "lambda.csv": functools.partial(_walsh_integration_rows, m),
+        "lambda_s.csv": _walsh_stochastic_rows(path),
+    }
+    step = max(1, _BLOCK_VALUES // m)
+    for name, rows in matrices.items():
+        _write_matrix(args.out, name, (rows(r, min(r + step, m)) for r in range(0, m, step)))
     return 0
 
 

@@ -19,12 +19,23 @@ from .brownian import _path_config
 from .walsh import _TEMP_ELEMENTS, _readonly, fast_walsh_transform
 
 
-def _upper_triangular(m, above, diagonal):
-    # the mask j > i is a view of 2m booleans: np.triu's m x m mask left holes in the heap
-    out = np.zeros((m, m))
-    np.copyto(out, above, where=np.lib.stride_tricks.sliding_window_view(np.arange(2 * m) >= m, m)[m - 1 :: -1])
-    np.fill_diagonal(out, diagonal)
-    return _readonly(out)
+def _upper_triangular_rows(above, diagonal, start, stop):
+    """Rows start..stop-1 of the m x m upper triangular matrix with
+    diagonal[i] on the diagonal of row i, above[i] right of it and +0.0
+    left of it, m = len(diagonal)."""
+    m = len(diagonal)
+    out = np.zeros((stop - start, m))
+    # row i's mask j > i is a window on 2m booleans: an m x m mask left holes in the heap
+    right = np.lib.stride_tricks.sliding_window_view(np.arange(2 * m) >= m, m)[::-1][start:stop]
+    np.copyto(out, above[start:stop, None], where=right)
+    out[np.arange(stop - start), np.arange(start, stop)] = diagonal[start:stop]
+    return out
+
+
+def _increments(path):
+    """The full-block increments B((i+1)h) - B(ih) and the half-block
+    increments B(t_i) - B(ih) of a sampled path."""
+    return path[2::2] - path[:-2:2], path[1::2] - path[:-2:2]
 
 
 def integration_matrix(cfg):
@@ -34,7 +45,7 @@ def integration_matrix(cfg):
     up to a midpoint is exact.
     """
     m, h = cfg.m, cfg.h
-    return _upper_triangular(m, h, h / 2.0)
+    return _readonly(_upper_triangular_rows(np.full(m, h), np.full(m, h / 2.0), 0, m))
 
 
 def stochastic_matrix(path):
@@ -48,9 +59,7 @@ def stochastic_matrix(path):
     Ito, integral.
     """
     m = _path_config(path).m
-    full = path[2::2] - path[:-2:2]  # B((i+1)h) - B(ih)
-    half = path[1::2] - path[:-2:2]  # B(t_j) - B(jh)
-    return _upper_triangular(m, full[:, None], half)
+    return _readonly(_upper_triangular_rows(*_increments(path), 0, m))
 
 
 def walsh_domain(M):
@@ -71,13 +80,56 @@ def walsh_domain(M):
 
 
 def _walsh_integration_matrix(cfg):
-    """``walsh_domain(integration_matrix(cfg))`` from its closed form
-    (Chen and Hsiao, Proc. IEE 122, 1975), without transforms: 1/2 at
-    (0, 0), -1/(4k) at (i, k + i) and 1/(4k) at (k + i, i) for each
-    k = 2**l < m and i < k, and +0.0 elsewhere."""
-    L = np.zeros((cfg.m, cfg.m))
-    L[0, 0] = 0.5
-    for k in 2 ** np.arange(cfg.m.bit_length() - 1):
-        i = np.arange(k)
-        L[i, k + i], L[k + i, i] = -0.25 / k, 0.25 / k
+    """``walsh_domain(integration_matrix(cfg))`` from its closed form."""
+    return _walsh_integration_rows(cfg.m, 0, cfg.m)
+
+
+def _walsh_integration_rows(m, start, stop):
+    """Rows start..stop-1 of ``walsh_domain(integration_matrix(cfg))``
+    at resolution m, from its closed form (Chen and Hsiao, Proc. IEE
+    122, 1975), without transforms: 1/2 at (0, 0), -1/(4k) at (i, k + i)
+    and 1/(4k) at (k + i, i) for each k = 2**l < m and i < k, and +0.0
+    elsewhere."""
+    L = np.zeros((stop - start, m))
+    if start == 0 < stop:
+        L[0, 0] = 0.5
+    for k in 2 ** np.arange(m.bit_length() - 1):
+        i = np.arange(start, min(stop, k))  # rows i < k: right of the diagonal
+        L[i - start, k + i] = -0.25 / k
+        i = np.arange(max(start, k), min(stop, 2 * k))  # rows k + i: left of it
+        L[i - start, i - k] = 0.25 / k
     return L
+
+
+def _walsh_stochastic_rows(path):
+    """The row builder of ``walsh_domain(stochastic_matrix(path))``:
+    rows(start, stop) returns rows start..stop-1, O(m) work each, after
+    two fast transforms of length m.
+
+    P_S = diag(dB) U + diag(dB1) with U the strictly upper ones, so the
+    Walsh form is D_a L_U + D_b with a = T dB / m and b = T dB1 / m,
+    where D_v[p, q] = v[p ^ q] because Walsh functions multiply by XOR
+    of their indices (Fine, Trans. AMS 65, 1949).  L_U = m * Lambda - I/2
+    has, in column c, a diagonal term, one term above (row c - k for the
+    highest bit k of c) and one below (row c + k) for each power of two
+    k > c.
+    """
+    m = _path_config(path).m
+    a, b = fast_walsh_transform(np.column_stack(_increments(path))).T / m
+    c = np.arange(m)
+    diagonal = np.full(m, -0.5)
+    diagonal[0] = (m - 1) / 2.0
+
+    def rows(start, stop):
+        p = np.arange(start, stop)[:, None]
+        pc = p ^ c
+        out = a[pc] * diagonal
+        for k in 2 ** np.arange(m.bit_length() - 1):
+            # the term above reaches the columns of highest bit k before
+            # any term below them, which comes from a larger k
+            out[:, k : 2 * k] += a[p ^ c[:k]] * (-m / (4.0 * k))
+            out[:, :k] += a[p ^ (c[:k] + k)] * (m / (4.0 * k))
+        out += b[pc]
+        return out
+
+    return rows

@@ -122,15 +122,31 @@ def build_walsh_matrix(cfg):
 
     Returns the read-only (m, m) int64 matrix T with T[n][j] = w_n(t_j).
     Entries are +-1; T is symmetric and satisfies T @ T = m * I exactly
-    in integer arithmetic.  The butterflies of the fast transform run in
-    place on the bit-reversal permutation matrix, so T is the only m x m
-    array made.
+    in integer arithmetic.
     """
-    m = cfg.m
-    T = np.zeros((m, m), dtype=np.int64)
-    T[np.arange(m), _bit_reversal(m)] = 1
-    _butterflies(T)
-    return _readonly(T)
+    return _readonly(_walsh_rows(cfg.m, 0, cfg.m))
+
+
+def _walsh_rows(m, start, stop):
+    """Rows start..stop-1 of the Walsh matrix of m, as a new int64 array.
+
+    T is Sylvester's Hadamard matrix with bit-reversed columns, so
+    T[n][j] = (-1)**parity(n & rev(j)); the parity of the log2(m) bits
+    is xor-folded into bit 0, a chunk of about _TEMP_ELEMENTS entries
+    at a time so that the shifted copies stay small.
+    """
+    x = np.arange(start, stop, dtype=np.int64)[:, None] & _bit_reversal(m)
+    rows = max(1, _TEMP_ELEMENTS // m)
+    for r in range(0, len(x), rows):
+        chunk = x[r : r + rows]
+        shift = 1
+        while shift < m.bit_length() - 1:
+            chunk ^= chunk >> shift
+            shift *= 2
+    x &= 1
+    x *= -2
+    x += 1
+    return x
 
 
 def fast_walsh_transform(a):
@@ -213,9 +229,10 @@ def _kernel_row(kernel, name, pts, i):
     in blocks i..m-1, divided by h**2, from one call on node arrays that
     broadcast to (5, m - i, 5)."""
     m = len(pts)
-    kv = _eval_grid(kernel, name, pts[i][:, None, None], pts[None, i:, :])
+    with np.errstate(all="ignore"):
+        kv = _eval_grid(kernel, name, pts[i][:, None, None], pts[None, i:, :])
     if not np.all(np.isfinite(kv)):
-        raise ValueError("kernel evaluation produced a non-finite value at a quadrature node")
+        raise ValueError(f"{name} evaluation produced a non-finite value at a quadrature node")
     return (_GL_WEIGHTS @ kv.reshape(5, -1)).reshape(m - i, 5) @ _GL_WEIGHTS
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from walshvie.brownian import sample_path
+from walshvie import cli
 from walshvie.cli import _ascii_words, _csv_rows, _scientific, _write_matrix, main
 from walshvie.operational import integration_matrix, stochastic_matrix, walsh_domain
 from walshvie.solver import builtin_example
@@ -114,6 +115,19 @@ class TestRun:
         assert not list(tmp_path.glob("stats_*.csv"))
         rows, _ = read_rows(tmp_path / "solution_problem_m8.csv")
         assert rows[0] == ["t", "x_m"]
+
+
+    def test_trial_1_failure_writes_nothing(self, tmp_path, capsys):
+        # with seed 4 the path of trial 1 blows this problem up and trials
+        # 2-5 solve, so statistics alone could have been written
+        f = tmp_path / "edge.txt"
+        f.write_text("x0 = 1/2\nk1 = 1\nk2 = 1\nbeta = x^2\nsigma = 1\nexact = 0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["run", "--problem", str(f), "--m", "8", "--trials", "5", "--seed", "4", "--out", str(out)])
+        assert rc == 1
+        assert "solve failed on trial 1" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 class TestConverge:
@@ -236,6 +250,18 @@ class TestMatrices:
         for name in ("tw.csv", "p.csv", "ps.csv", "lambda.csv", "lambda_s.csv"):
             assert (tmp_path / name).exists()
 
+    def test_no_m_by_m_array(self, tmp_path, monkeypatch):
+        # one m x m float64 array is 32 MB at m = 2048; the chunks are
+        # consumed but not written
+        monkeypatch.setattr(cli, "_write", lambda outdir, name, chunks: sum(map(len, chunks)))
+        tracemalloc.start()
+        try:
+            assert main(["matrices", "--m", "2048", "--seed", "3", "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_ps_consistent_with_seeded_path(self, tmp_path):
         from walshvie.brownian import sample_path
         from walshvie.walsh import BasisConfig
@@ -339,7 +365,7 @@ class TestFloatFormatter:
         M = np.array(EDGE_VALUES[:-1]).reshape(3, -1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _write_matrix(tmp_path, "edge.csv", M)
+            _write_matrix(tmp_path, "edge.csv", [M])
             assert main(["matrices", "--m", "64", "--seed", "2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "edge.csv").read_bytes() == reference_matrix_csv(M)
 
@@ -373,7 +399,7 @@ class TestMatrixWriter:
                 [1e-300, -2.5, 3.0, 7e12, -8.5e-5, 0.25],
             ]
         )
-        _write_matrix(tmp_path, "m.csv", M)
+        _write_matrix(tmp_path, "m.csv", [M])
         assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv(M)
 
         # The same values, and TIE and 1e300 that Python formats, in runs
@@ -385,7 +411,7 @@ class TestMatrixWriter:
         runs = np.repeat(values, 16).reshape(-1, 64)
         for A, chunks in ((runs, len(runs)), (values[:, None], 1)):
             assert len(list(_csv_rows(A))) == chunks
-            _write_matrix(tmp_path, "m.csv", A)
+            _write_matrix(tmp_path, "m.csv", [A])
             assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv(A)
 
         # 64 values a row: at most 8 runs a row on average is the run
@@ -395,13 +421,13 @@ class TestMatrixWriter:
         above[3, 0] = -1.0
         for A, chunks in ((below, 8), (above, 1)):
             assert len(list(_csv_rows(A))) == chunks
-            _write_matrix(tmp_path, "m.csv", A)
+            _write_matrix(tmp_path, "m.csv", [A])
             assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv(A)
 
     def test_integer_signs(self, tmp_path):
         for m in (1, 16, 512):  # m = 512 spans four blocks of rows
             T = build_walsh_matrix(BasisConfig.from_resolution(m))
-            _write_matrix(tmp_path, "tw.csv", T)
+            _write_matrix(tmp_path, "tw.csv", [T])
             assert (tmp_path / "tw.csv").read_bytes() == reference_matrix_csv(T, integer=True), m
 
     @pytest.mark.parametrize("bad", [0, 2, -2])
@@ -409,7 +435,7 @@ class TestMatrixWriter:
         T = build_walsh_matrix(BasisConfig.from_resolution(4)).copy()
         T[3, 1] = bad
         with pytest.raises(ValueError):
-            _write_matrix(tmp_path, "tw.csv", T)
+            _write_matrix(tmp_path, "tw.csv", [T])
 
     def test_memory_is_per_row(self, tmp_path):
         # 1024**2 distinct values: their strings take over 100 MB, so a
@@ -417,7 +443,7 @@ class TestMatrixWriter:
         M = np.random.default_rng(3).standard_normal((1024, 1024))
         tracemalloc.start()
         try:
-            _write_matrix(tmp_path, "big.csv", M)
+            _write_matrix(tmp_path, "big.csv", [M])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -428,7 +454,7 @@ class TestMatrixWriter:
         P = integration_matrix(BasisConfig.from_resolution(1024))
         tracemalloc.start()
         try:
-            _write_matrix(tmp_path, "p.csv", P)
+            _write_matrix(tmp_path, "p.csv", [P])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -504,6 +530,17 @@ class TestErrorsAndSeeds:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "not real" in err[0] and "line 1" in err[0]
+
+    def test_singular_kernel_is_one_error_line_naming_it(self, tmp_path, capsys):
+        # 1/(t-s) is infinite where quadrature nodes of s and t coincide
+        f = tmp_path / "singular.txt"
+        f.write_text("x0 = 0\nk1 = 1/(t-s)\nk2 = 0\nbeta = x\nsigma = 1\nexact = 0\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", "--problem", str(f), "--m", "8", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: k1 ") and "non-finite" in err[0]
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
         a = tmp_path / "a"

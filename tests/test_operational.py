@@ -7,12 +7,25 @@ import pytest
 
 from walshvie.brownian import sample_path, zero_path
 from walshvie.operational import (
+    _increments,
+    _upper_triangular_rows,
     _walsh_integration_matrix,
+    _walsh_integration_rows,
+    _walsh_stochastic_rows,
     integration_matrix,
     stochastic_matrix,
     walsh_domain,
 )
-from walshvie.walsh import BasisConfig, build_walsh_matrix, fast_walsh_transform
+from walshvie.walsh import (
+    BasisConfig,
+    _bit_reversal,
+    _butterflies,
+    _walsh_rows,
+    build_walsh_matrix,
+    fast_walsh_transform,
+)
+
+POWERS = [2**k for k in range(13)]  # m = 1 ... 4096
 
 
 def traced_peak(f, *args):
@@ -23,6 +36,50 @@ def traced_peak(f, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def row_blocks(m):
+    """Every split of m rows into blocks of one power-of-two size."""
+    for size in 2 ** np.arange(m.bit_length()):
+        yield [(r, r + size) for r in range(0, m, size)]
+
+
+def assert_rows_have_bits(rows, want):
+    """rows(start, stop) has the bits of want[start:stop] for every block split."""
+    for blocks in row_blocks(len(want)):
+        for start, stop in blocks:
+            got = rows(start, stop)
+            assert got.dtype == want.dtype and got.shape == (stop - start, len(want))
+            assert np.array_equal(got.view(np.int64), want[start:stop].view(np.int64)), (start, stop)
+
+
+def dense_walsh_matrix(m):
+    """Reference: the dense construction the row builder replaced, the
+    butterflies of the fast transform run in place on the bit-reversal
+    permutation matrix."""
+    T = np.zeros((m, m), dtype=np.int64)
+    T[np.arange(m), _bit_reversal(m)] = 1
+    _butterflies(T)
+    return T
+
+
+def dense_upper_triangular(m, above, diagonal):
+    """Reference: the dense construction the row builder replaced, above
+    copied through the mask j > i and the diagonal filled in after."""
+    out = np.zeros((m, m))
+    np.copyto(out, above, where=np.triu(np.ones((m, m), dtype=bool), 1))
+    np.fill_diagonal(out, diagonal)
+    return out
+
+
+def dense_walsh_integration_matrix(m):
+    """Reference: Chen and Hsiao's closed form, filled into one m x m array."""
+    L = np.zeros((m, m))
+    L[0, 0] = 0.5
+    for k in 2 ** np.arange(m.bit_length() - 1):
+        i = np.arange(k)
+        L[i, k + i], L[k + i, i] = -0.25 / k, 0.25 / k
+    return L
 
 
 def diag_lift(v):
@@ -161,6 +218,55 @@ class TestWalshDomain:
         # only a power-of-two size has a Walsh matrix
         with pytest.raises(ValueError):
             walsh_domain(np.eye(6))
+
+
+class TestRowBuilders:
+    # Each matrix is built from O(m) data by one row builder; over all
+    # rows and over every block split it has the bits of the dense
+    # construction it replaced, signed zeros included.
+
+    @pytest.mark.parametrize("m", POWERS)
+    def test_walsh_matrix(self, m):
+        want = dense_walsh_matrix(m)
+        got = build_walsh_matrix(BasisConfig.from_resolution(m))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        del got
+        assert_rows_have_bits(lambda start, stop: _walsh_rows(m, start, stop), want)
+
+    @pytest.mark.parametrize("m", POWERS)
+    def test_integration_matrix(self, m):
+        cfg = BasisConfig.from_resolution(m)
+        want = dense_upper_triangular(m, cfg.h, cfg.h / 2.0)
+        assert integration_matrix(cfg).tobytes() == want.tobytes()
+        assert_rows_have_bits(
+            lambda start, stop: _upper_triangular_rows(np.full(m, cfg.h), np.full(m, cfg.h / 2.0), start, stop), want
+        )
+
+    @pytest.mark.parametrize("m", POWERS[:11])
+    def test_stochastic_matrix(self, m):
+        path = sample_path(BasisConfig.from_resolution(m), seed=m)
+        full, half = _increments(path)
+        want = dense_upper_triangular(m, full[:, None], half)
+        assert stochastic_matrix(path).tobytes() == want.tobytes()
+        assert_rows_have_bits(lambda start, stop: _upper_triangular_rows(full, half, start, stop), want)
+
+    @pytest.mark.parametrize("m", POWERS)
+    def test_walsh_integration_matrix(self, m):
+        want = dense_walsh_integration_matrix(m)
+        assert _walsh_integration_matrix(BasisConfig.from_resolution(m)).tobytes() == want.tobytes()
+        assert_rows_have_bits(lambda start, stop: _walsh_integration_rows(m, start, stop), want)
+
+    @pytest.mark.parametrize("m", POWERS[:11])
+    def test_walsh_stochastic_rows(self, m):
+        # D_a L_U + D_b sums in another order than the two transforms, so
+        # it agrees to rounding; its blocks have the bits of its full build
+        for seed in (m, m + 1):
+            path = sample_path(BasisConfig.from_resolution(m), seed=seed)
+            rows = _walsh_stochastic_rows(path)
+            want = walsh_domain(stochastic_matrix(path))
+            got = rows(0, m)
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want).max())
+            assert_rows_have_bits(rows, got)
 
 
 class TestMemory:

@@ -1,8 +1,11 @@
 """Documented usage runs: README python blocks and the package quick start,
-and the public names stay the ones listed here."""
+and the public names stay the ones listed here and in the benchmark."""
 
+import importlib
+import json
 import re
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 import walshvie
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
 
 
@@ -54,3 +58,20 @@ def test_public_names_are_pinned():
     assert set(walshvie.__all__) == PUBLIC_NAMES
     for name in walshvie.__all__:
         assert getattr(walshvie, name) is not None
+
+
+# The benchmark's per-layer metrics X.Y.* time the public function Y of
+# walshvie.X; expressions.eval is the tracer's own span.
+TRACED_LAYERS = sorted(
+    metric["name"].removesuffix(".calls")
+    for metric in json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]
+    if metric["name"].endswith(".calls") and metric["name"] != "expressions.eval.calls"
+)
+
+
+@pytest.mark.parametrize("layer", TRACED_LAYERS)
+def test_traced_layers_are_public_functions(layer):
+    module, name = layer.split(".")
+    fn = getattr(importlib.import_module(f"walshvie.{module}"), name, None)
+    assert not name.startswith("_")
+    assert isinstance(fn, types.FunctionType) and fn.__module__ == f"walshvie.{module}"
