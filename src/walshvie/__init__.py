@@ -20,7 +20,7 @@ Quick start::
     print(result.x_colloc)
 """
 
-from .brownian import sample_path, zero_path
+from .brownian import sample_path
 from .experiment import (
     REPORT_TIMES,
     ConvergenceReport,
@@ -39,7 +39,6 @@ from .solver import (
     NonFiniteIterateError,
     ProblemSpec,
     SolveResult,
-    SolverOptions,
     builtin_example,
     problem_from_sources,
     solve,
@@ -64,7 +63,6 @@ __all__ = [
     "ProblemSpec",
     "REPORT_TIMES",
     "SolveResult",
-    "SolverOptions",
     "build_walsh_matrix",
     "builtin_example",
     "coefficient_error_norm",
@@ -83,5 +81,4 @@ __all__ = [
     "solve",
     "stochastic_matrix",
     "walsh_domain",
-    "zero_path",
 ]

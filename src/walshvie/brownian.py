@@ -49,6 +49,11 @@ def _path_values(normals, h):
     return values
 
 
-def zero_path(cfg):
-    """The identically-zero path, useful for deterministic reductions."""
-    return _readonly(np.zeros(2 * cfg.m + 1))
+def _increments(values):
+    """The increments of block i of paths' values along the last axis:
+    the full block B((i+1)h) - B(ih) and its halves dB1 = B(t_i) - B(ih)
+    and dB2 = B((i+1)h) - B(t_i).  Every module decodes a path here."""
+    full = values[..., 2::2] - values[..., :-2:2]
+    dB1 = values[..., 1::2] - values[..., :-2:2]
+    dB2 = values[..., 2::2] - values[..., 1::2]
+    return full, dB1, dB2

@@ -23,9 +23,9 @@ import sys
 
 import numpy as np
 
-from .brownian import sample_path
+from .brownian import _increments, sample_path
 from .experiment import coefficient_error_norm, convergence_study, monte_carlo
-from .operational import _increments, _upper_triangular_rows, _walsh_integration_rows, _walsh_stochastic_rows
+from .operational import _upper_triangular_rows, _walsh_integration_rows, _walsh_stochastic_rows
 from .oracle import euler_maruyama
 from .problemfile import parse_problem_file
 from .solver import NonConvergenceError, NonFiniteIterateError, builtin_example, solve
@@ -248,7 +248,8 @@ def _cmd_run(args, seed):
     cfg = BasisConfig.from_resolution(args.m)
     tag = f"{_slug(problem.label)}_m{cfg.m}"
 
-    # Trial 1 and its oracle go first, so that a failure writes no file.
+    # Trial 1, its oracle and its exact values go first, so that a failure
+    # writes no file.
     path = sample_path(cfg, (seed, 1))
     try:
         result = solve(problem, path)
@@ -261,6 +262,10 @@ def _cmd_run(args, seed):
             raise CLIError(f"oracle failed on trial 1 (seed {seed}): {exc}")
 
     if problem.exact is not None:
+        with np.errstate(all="ignore"):
+            exact_vals = problem.exact(cfg.midpoints, path[1::2])
+        if not np.isfinite(exact_vals).all():
+            raise CLIError(f"exact solution is not finite on trial 1 (seed {seed})")
         stats = monte_carlo(problem, cfg, args.trials, seed)
         rows = [["t", "mean", "sd", "ci_lower", "ci_upper", "n_effective", "failures"]] + [
             [_fmt(s.t), _fmt(s.mean), _fmt(s.sd), _fmt(s.ci_lower), _fmt(s.ci_upper), str(s.n), str(s.failures)]
@@ -274,7 +279,6 @@ def _cmd_run(args, seed):
     columns = [cfg.midpoints, result.x_colloc]
     comments = []
     if problem.exact is not None:
-        exact_vals = problem.exact(cfg.midpoints, path[1::2])
         header.append("exact")
         columns.append(exact_vals)
         gap = coefficient_error_norm(result.x_colloc * cfg.h, exact_vals * cfg.h)
@@ -313,7 +317,7 @@ def _cmd_matrices(args, seed):
     matrices = {
         "tw.csv": functools.partial(_walsh_rows, m),
         "p.csv": functools.partial(_upper_triangular_rows, np.full(m, h), np.full(m, h / 2.0)),
-        "ps.csv": functools.partial(_upper_triangular_rows, *_increments(path)),
+        "ps.csv": functools.partial(_upper_triangular_rows, *_increments(path)[:2]),
         "lambda.csv": functools.partial(_walsh_integration_rows, m),
         "lambda_s.csv": _walsh_stochastic_rows(path),
     }

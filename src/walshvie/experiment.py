@@ -82,11 +82,17 @@ def _midpoint_indices(m, report_times):
 def _midpoint_errors(problem, x, values, report_times, j):
     """|exact(t, B) - x[:, j]| for solutions x of shape (n, m) and their
     paths' values (n, 2m + 1), one column per report time t, with j its
-    last collocation midpoint t_j <= t and B = values[:, 2j + 1]."""
+    last collocation midpoint t_j <= t and B = values[:, 2j + 1].  An
+    error that is not finite, from an exact solution that is not or is
+    too far from x, is a ValueError."""
     if problem.exact is None:
         raise ValueError(f"problem {problem.label!r} has no exact solution")
     t = np.array(report_times, dtype=float)
-    return np.abs(problem.exact(t, values[:, 2 * j + 1]) - x[:, j])
+    with np.errstate(all="ignore"):
+        errors = np.abs(problem.exact(t, values[:, 2 * j + 1]) - x[:, j])
+    if not np.isfinite(errors).all():
+        raise ValueError(f"the error against the exact solution of {problem.label!r} is not finite")
+    return errors
 
 
 def error_at(result, problem, path, t):
@@ -115,7 +121,7 @@ def coefficient_error_norm(x, y):
     return float(np.max(np.abs(fast_walsh_transform(x - y))))
 
 
-def _trial_errors(problem, cfgs, n, base_seed, report_times):
+def _trial_errors(problem, cfgs, n, base_seed):
     """One (error rows, failure count) pair per resolution of cfgs; failed
     trials are counted, never absorbed.
 
@@ -131,19 +137,19 @@ def _trial_errors(problem, cfgs, n, base_seed, report_times):
     not depend on the blocks or the draws.
     """
     engines = [_batch_solver(problem, cfg) for cfg in cfgs]
-    indices = [_midpoint_indices(cfg.m, report_times) for cfg in cfgs]
+    indices = [_midpoint_indices(cfg.m, REPORT_TIMES) for cfg in cfgs]
     width = 2 * max(cfg.m for cfg in cfgs)
     normals = np.empty((max(1, _DRAW_ELEMENTS // width), width))
     blocks = [np.empty((min(n, max(1, _CHUNK_ELEMENTS // cfg.m)), 2 * cfg.m + 1)) for cfg in cfgs]
     filled = [0] * len(cfgs)
-    errors = [np.empty((n, len(report_times))) for _ in cfgs]
+    errors = [np.empty((n, len(REPORT_TIMES))) for _ in cfgs]
     solved = [0] * len(cfgs)
 
     def solve_block(r, block):
         x, _, _, failed = engines[r](block)
         ok = np.array([f is None for f in failed])
         if ok.any():
-            rows = _midpoint_errors(problem, x[ok], block[ok], report_times, indices[r])
+            rows = _midpoint_errors(problem, x[ok], block[ok], REPORT_TIMES, indices[r])
             errors[r][solved[r] : solved[r] + len(rows)] = rows
             solved[r] += len(rows)
 
@@ -167,8 +173,9 @@ def _trial_errors(problem, cfgs, n, base_seed, report_times):
     return [(e[:count], n - count) for e, count in zip(errors, solved)]
 
 
-def monte_carlo(problem, cfg, n, base_seed, report_times=REPORT_TIMES):
-    """Mean absolute error with a 95% normal confidence interval.
+def monte_carlo(problem, cfg, n, base_seed):
+    """Mean absolute error with a 95% normal confidence interval, one
+    ErrorStats per time of REPORT_TIMES.
 
     Trial i draws its path from the key (base_seed, i), so any subset
     of trials is reproducible in isolation; the aggregation over the
@@ -176,15 +183,18 @@ def monte_carlo(problem, cfg, n, base_seed, report_times=REPORT_TIMES):
     """
     if n < 2:
         raise ValueError("need at least two trials")
-    [(errors, failures)] = _trial_errors(problem, [cfg], n, base_seed, report_times)
+    [(errors, failures)] = _trial_errors(problem, [cfg], n, base_seed)
     n_eff = errors.shape[0]
     if n_eff < 2:
         raise ValueError(f"only {n_eff} of {n} trials succeeded; cannot form statistics")
     stats = []
-    for idx, t in enumerate(report_times):
+    for idx, t in enumerate(REPORT_TIMES):
         col = errors[:, idx]
-        mean = float(np.mean(col))
-        sd = float(np.std(col, ddof=1))
+        # errors near the largest double can overflow the mean or sd to
+        # inf, which the stats then show
+        with np.errstate(over="ignore"):
+            mean = float(np.mean(col))
+            sd = float(np.std(col, ddof=1))
         halfwidth = 1.96 * sd / math.sqrt(n_eff)
         stats.append(
             ErrorStats(
@@ -200,8 +210,9 @@ def monte_carlo(problem, cfg, n, base_seed, report_times=REPORT_TIMES):
     return stats
 
 
-def convergence_study(problem, resolutions, n, base_seed, report_times=REPORT_TIMES):
-    """RMS error per resolution and the least-squares order in h.
+def convergence_study(problem, resolutions, n, base_seed):
+    """RMS error per resolution, over the trials and REPORT_TIMES, and
+    the least-squares order in h.
 
     When every RMS sits at rounding level the order is reported as
     None rather than a meaningless slope.  Failed trials are left out
@@ -218,10 +229,11 @@ def convergence_study(problem, resolutions, n, base_seed, report_times=REPORT_TI
     cfgs = [BasisConfig.from_resolution(m) for m in resolutions]
     rms = []
     failures = []
-    for m, (errors, failed) in zip(resolutions, _trial_errors(problem, cfgs, n, base_seed, report_times)):
+    for m, (errors, failed) in zip(resolutions, _trial_errors(problem, cfgs, n, base_seed)):
         if errors.shape[0] < 1:
             raise ValueError(f"every trial failed at m={m}")
-        rms.append(float(np.sqrt(np.mean(np.square(errors)))))
+        with np.errstate(over="ignore"):  # as in monte_carlo, an overflow shows as inf
+            rms.append(float(np.sqrt(np.mean(np.square(errors)))))
         failures.append(failed)
     if max(rms) <= DEGENERATE_RMS:
         order = None

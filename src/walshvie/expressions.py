@@ -59,7 +59,7 @@ class ExpressionError(ValueError):
         self.key = None
 
 
-def _tokenize(src, line):
+def _tokenize(src):
     i, n = 0, len(src)
     while i < n:
         c = src[i]
@@ -83,7 +83,7 @@ def _tokenize(src, line):
             try:
                 value = float(text)
             except ValueError:
-                raise ExpressionError(f"bad number {text!r}", line, col) from None
+                raise ExpressionError(f"bad number {text!r}", 1, col) from None
             yield ("num", value, col)
             i = j
         elif c.isalpha() or c == "_":
@@ -96,15 +96,14 @@ def _tokenize(src, line):
             yield (c, c, col)
             i += 1
         else:
-            raise ExpressionError(f"unexpected character {c!r}", line, col)
+            raise ExpressionError(f"unexpected character {c!r}", 1, col)
     yield ("end", None, n + 1)
 
 
 class _Parser:
-    def __init__(self, src, line):
-        self.tokens = list(_tokenize(src, line))
+    def __init__(self, src):
+        self.tokens = list(_tokenize(src))
         self.pos = 0
-        self.line = line
 
     def peek(self):
         return self.tokens[self.pos]
@@ -117,14 +116,14 @@ class _Parser:
     def expect(self, kind):
         tok = self.take()
         if tok[0] != kind:
-            raise ExpressionError(f"expected {kind!r}, found {tok[1]!r}", self.line, tok[2])
+            raise ExpressionError(f"expected {kind!r}, found {tok[1]!r}", 1, tok[2])
         return tok
 
     def parse(self):
         node = self.expr()
         tok = self.peek()
         if tok[0] != "end":
-            raise ExpressionError(f"unexpected trailing input {tok[1]!r}", self.line, tok[2])
+            raise ExpressionError(f"unexpected trailing input {tok[1]!r}", 1, tok[2])
         return node
 
     def expr(self):
@@ -170,13 +169,13 @@ class _Parser:
         if kind == "name":
             if self.peek()[0] == "(":
                 if value not in FUNCTIONS:
-                    raise ExpressionError(f"unknown function {value!r}", self.line, col)
+                    raise ExpressionError(f"unknown function {value!r}", 1, col)
                 self.take()
                 arg = self.expr()
                 self.expect(")")
                 return ("call", value, arg)
             return ("var", value, col)
-        raise ExpressionError(f"expected a value, found {value!r}", self.line, col)
+        raise ExpressionError(f"expected a value, found {value!r}", 1, col)
 
 
 # Per binary operator: its Python spelling, how tightly it binds and how
@@ -186,11 +185,13 @@ _BINARY = {"+": ("+", 1, 1, 2), "-": ("-", 1, 1, 2), "*": ("*", 2, 2, 3), "/": (
            "^": ("**", 4, 5, 3)}
 
 
-def _source(node, constants, reads, binding=0):
+def _source(node, constants, reads, folds, binding=0):
     """Python source of a tree, in parentheses if it binds less tightly
     than ``binding``.  Numbers are appended to ``constants`` and read as
     ``_c[i]``, so Python folds none of the tree's operations; variable
-    references are appended to ``reads`` as (name, column)."""
+    references are appended to ``reads`` as (name, column).  Each
+    largest sub-tree that reads no variable, within a tree that does, is
+    appended to ``folds`` with its source."""
     kind = node[0]
     if kind == "num":
         constants.append(node[1])
@@ -199,34 +200,46 @@ def _source(node, constants, reads, binding=0):
         reads.append(node[1:])
         return node[1]
     if kind == "call":
-        return f"_f[{node[1]!r}]({_source(node[2], constants, reads)})"
+        return f"_f[{node[1]!r}]({_source(node[2], constants, reads, folds)})"
     if kind == "neg":
-        text, strength = "-" + _source(node[1], constants, reads, 3), 3
+        text, strength = "-" + _source(node[1], constants, reads, folds, 3), 3
     else:
         op, strength, left, right = _BINARY[node[1]]
-        text = f"{_source(node[2], constants, reads, left)} {op} {_source(node[3], constants, reads, right)}"
+        start = len(reads)
+        a = _source(node[2], constants, reads, folds, left)
+        middle = len(reads)
+        b = _source(node[3], constants, reads, folds, right)
+        # exactly one operand reads a variable: the other is a largest
+        # variable-free sub-tree
+        if start == middle < len(reads):
+            folds.append((node[2], a))
+        elif start < middle == len(reads):
+            folds.append((node[3], b))
+        text = f"{a} {op} {b}"
     return text if strength >= binding else f"({text})"
 
 
-def _evaluate_with_slope(node, x):
+def _evaluate_with_slope(node, x, folded):
     """(value, d value / dx) of a one-variable tree at x, by forward
-    differentiation in real arithmetic.  The values are those of the
-    compiled callable, operation for operation."""
+    differentiation in real arithmetic.  ``folded`` maps the id of each
+    largest sub-tree that reads no variable to its value, whose slope is
+    0.  The values are those of the compiled callable, operation for
+    operation."""
+    if id(node) in folded:
+        return folded[id(node)], 0.0
     kind = node[0]
-    if kind == "num":
-        return node[1], 0.0
     if kind == "var":
         return x, 1.0
     if kind == "neg":
-        v, dv = _evaluate_with_slope(node[1], x)
+        v, dv = _evaluate_with_slope(node[1], x, folded)
         return -v, -dv
     if kind == "call":
-        a, da = _evaluate_with_slope(node[2], x)
+        a, da = _evaluate_with_slope(node[2], x, folded)
         v = FUNCTIONS[node[1]](a)
         return v, _DERIVATIVES[node[1]](a, v) * da
     op = node[1]
-    a, da = _evaluate_with_slope(node[2], x)
-    b, db = _evaluate_with_slope(node[3], x)
+    a, da = _evaluate_with_slope(node[2], x, folded)
+    b, db = _evaluate_with_slope(node[3], x, folded)
     if op == "+":
         return a + b, da + db
     if op == "-":
@@ -259,50 +272,53 @@ def _only_in_differences(node, a, b):
     return _only_in_differences(left, a, b) and _only_in_differences(right, a, b)
 
 
-def compile_expression(src, variables=(), line=1):
+def compile_expression(src, variables=()):
     """Compile ``src`` to a float (no variables used) or a callable.
 
     The callable takes the declared variables positionally and accepts
     scalars or numpy arrays.  It is the parsed tree emitted once as a
     Python lambda without builtins that makes the tree's operations in
-    the tree's order; a constant folds by calling it.  Its
+    the tree's order.  Every largest sub-tree that reads no variable,
+    the whole tree for a constant, is evaluated once here from the same
+    source, and one that raises or is not a finite real number is an
+    ExpressionError at column 1; a constant returns that value.  Its
     ``difference_kernel`` attribute is True when there are two variables
     and the expression reads them only as the operands of their
     difference (``exp(-(t-s))``, not ``-s + t``).
     A one-variable callable also has ``with_slope(x) -> (value, slope)``:
     its value, bit for bit, and its derivative in x's shape, from one
     pass of forward differentiation over the parsed tree in real
-    arithmetic.
-    ``line`` is folded into error positions so callers parsing
-    multi-line files can report real locations.
+    arithmetic that takes each of those sub-trees as its value with
+    slope 0.  Error positions are on line 1; callers parsing
+    multi-line files move them to the real line.
     """
-    node = _Parser(src, line).parse()
-    names, constants, reads = tuple(variables), [], []
-    body = _source(node, constants, reads)
+    node = _Parser(src).parse()
+    names, constants, reads, folds = tuple(variables), [], [], []
+    body = _source(node, constants, reads, folds)
     for name, col in reads:
         if name not in names:
-            raise ExpressionError(f"unknown name {name!r}", line, col)
-    params = ", ".join(names) if reads else ""
+            raise ExpressionError(f"unknown name {name!r}", 1, col)
     scope = {"_c": tuple(constants), "_f": FUNCTIONS, "__builtins__": {}}
-    fn = eval(compile(f"lambda {params}: {body}", "<expression>", "eval"), scope)
-    if not reads:
-        with np.errstate(all="ignore"):
-            try:
-                value = fn()
-            except (ZeroDivisionError, OverflowError, ValueError):
-                value = float("nan")
+    parts = "".join(f"{text}, " for _, text in folds) if reads else f"{body}, "
+    with np.errstate(all="ignore"):
+        try:
+            values = eval(compile(f"({parts})", "<expression>", "eval"), scope)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            values = (float("nan"),)
+    for value in values:
         if np.iscomplexobj(value):
-            raise ExpressionError("constant expression is not real", line, 1)
+            raise ExpressionError("constant expression is not real", 1, 1)
         if not np.isfinite(value):
-            raise ExpressionError("constant expression is not finite", line, 1)
-        return float(value)
-    fn.source = src
-    fn.variables = names
+            raise ExpressionError("constant expression is not finite", 1, 1)
+    if not reads:
+        return float(values[0])
+    folded = {id(sub): value for (sub, _), value in zip(folds, values)}
+    fn = eval(compile(f"lambda {', '.join(names)}: {body}", "<expression>", "eval"), scope)
     fn.difference_kernel = len(names) == 2 and _only_in_differences(node, *names)
     if len(names) == 1:
 
         def with_slope(x):
-            value, slope = _evaluate_with_slope(node, x)
+            value, slope = _evaluate_with_slope(node, x, folded)
             # a slope that does not depend on x is a scalar (1.0 for x)
             if np.shape(slope) != np.shape(x):
                 slope = np.broadcast_to(slope, np.shape(x))

@@ -15,7 +15,7 @@ Ito-Taylor correction on top of it; see ``walshvie.solver``.
 
 import numpy as np
 
-from .brownian import _path_config
+from .brownian import _increments, _path_config
 from .walsh import _TEMP_ELEMENTS, _readonly, fast_walsh_transform
 
 
@@ -30,12 +30,6 @@ def _upper_triangular_rows(above, diagonal, start, stop):
     np.copyto(out, above[start:stop, None], where=right)
     out[np.arange(stop - start), np.arange(start, stop)] = diagonal[start:stop]
     return out
-
-
-def _increments(path):
-    """The full-block increments B((i+1)h) - B(ih) and the half-block
-    increments B(t_i) - B(ih) of a sampled path."""
-    return path[2::2] - path[:-2:2], path[1::2] - path[:-2:2]
 
 
 def integration_matrix(cfg):
@@ -59,7 +53,7 @@ def stochastic_matrix(path):
     Ito, integral.
     """
     m = _path_config(path).m
-    return _readonly(_upper_triangular_rows(*_increments(path), 0, m))
+    return _readonly(_upper_triangular_rows(*_increments(path)[:2], 0, m))
 
 
 def walsh_domain(M):
@@ -77,11 +71,6 @@ def walsh_domain(M):
         W[r : r + rows] = fast_walsh_transform(W[r : r + rows].T).T
     W /= len(W)
     return W
-
-
-def _walsh_integration_matrix(cfg):
-    """``walsh_domain(integration_matrix(cfg))`` from its closed form."""
-    return _walsh_integration_rows(cfg.m, 0, cfg.m)
 
 
 def _walsh_integration_rows(m, start, stop):
@@ -115,7 +104,7 @@ def _walsh_stochastic_rows(path):
     k > c.
     """
     m = _path_config(path).m
-    a, b = fast_walsh_transform(np.column_stack(_increments(path))).T / m
+    a, b = fast_walsh_transform(np.column_stack(_increments(path)[:2])).T / m
     c = np.arange(m)
     diagonal = np.full(m, -0.5)
     diagonal[0] = (m - 1) / 2.0

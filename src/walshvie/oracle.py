@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import _path_config
+from .brownian import _increments, _path_config
 from .solver import NonFiniteIterateError
 from .walsh import _eval_grid, _readonly
 
@@ -37,14 +37,15 @@ def euler_maruyama(problem, path):
     cfg = _path_config(path)
     m, h = cfg.m, cfg.h
     s = np.arange(m) * h
-    # Python floats, whose scalar arithmetic is cheaper than numpy's (same bits)
-    k1 = _eval_grid(problem.k1, "k1", s, s + h).tolist()
-    k2 = _eval_grid(problem.k2, "k2", s, s + h).tolist()
-    dB = (path[2::2] - path[:-2:2]).tolist()
+    dB = _increments(path)[0].tolist()
     y = np.empty(m + 1)
     y[0] = float(problem.x0)
-    # a non-finite iterate is raised below, so numpy need not warn of it
+    # a non-finite kernel value or iterate makes an iterate non-finite,
+    # which is raised below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # Python floats, whose scalar arithmetic is cheaper than numpy's (same bits)
+        k1 = _eval_grid(problem.k1, "k1", s, s + h).tolist()
+        k2 = _eval_grid(problem.k2, "k2", s, s + h).tolist()
         for j in range(m):
             y[j + 1] = (
                 y[j]
@@ -53,7 +54,9 @@ def euler_maruyama(problem, path):
             )
             if not np.isfinite(y[j + 1]):
                 raise NonFiniteIterateError(f"oracle iterate is not finite at step {j + 1}")
-    midpoints = 0.5 * (y[:-1] + y[1:])
+    # halved before the sum, which then cannot overflow; the bits are
+    # those of 0.5 * (y[:-1] + y[1:]) wherever that is finite and normal
+    midpoints = 0.5 * y[:-1] + 0.5 * y[1:]
     return OracleResult(
         values=_readonly(y),
         midpoint_values=_readonly(midpoints),

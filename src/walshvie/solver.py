@@ -54,7 +54,7 @@ projected once on the triangle s <= t that the sums read and applied
 to one row at a time.  Every row keeps its own sweep count, residual
 and damping flag, and leaves the block when it converges or fails: a
 non-finite beta, sigma or iterate ends it with NonFiniteIterateError,
-max_iter with NonConvergenceError, and the other rows go on.  A row's
+_MAX_ITER sweeps with NonConvergenceError, and the other rows go on.  A row's
 values therefore never depend on the rows solved beside it.
 """
 
@@ -64,12 +64,12 @@ from numbers import Real
 import numpy as np
 
 from . import expressions
-from .brownian import _path_config
+from .brownian import _increments, _path_config
 from .walsh import _eval_grid, _project_lag_row, _readonly, project_kernel
 
 
 class NonConvergenceError(RuntimeError):
-    """Fixed point iteration did not reach tolerance within max_iter."""
+    """Fixed point iteration did not reach tolerance within its sweep limit."""
 
     def __init__(self, residual, iterations):
         super().__init__(
@@ -120,13 +120,6 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-12
-    max_iter: int = 200
-    damping: float = 0.5
-
-
-@dataclass(frozen=True)
 class SolveResult:
     """Converged collocation solution at one resolution m = len(x_colloc).
 
@@ -137,6 +130,11 @@ class SolveResult:
     iterations: int
     residual: float
 
+
+# Tolerance, sweep limit and damping factor of the iteration (see solve).
+_TOL = 1e-12
+_MAX_ITER = 200
+_DAMPING = 0.5
 
 # Complex step for sigma'(x) = Im sigma(x + i eta) / eta (Squire and
 # Trapp, SIAM Rev. 40, 1998): no subtraction, so no cancellation.
@@ -257,7 +255,7 @@ def _fail_non_finite(rows, checks, errors):
     return failed
 
 
-def _batch_solver(problem, cfg, options=None):
+def _batch_solver(problem, cfg):
     """The solve engine at resolution cfg.m.
 
     Builds the path-independent operators once and returns
@@ -274,7 +272,6 @@ def _batch_solver(problem, cfg, options=None):
     with one finite sum and checks them row by row only when that sum is
     not finite.
     """
-    opts = options or SolverOptions()
     m, h = cfg.m, cfg.h
     # h is a power of two, so m^3 (K1 o P) is exactly m^2 K1 with its
     # diagonal halved; m^3 K2 times h sigma is m^2 K2 times sigma, and
@@ -304,9 +301,7 @@ def _batch_solver(problem, cfg, options=None):
 
     def solve_paths(v):
         n = len(v)
-        full = v[:, 2::2] - v[:, :-2:2]  # B((i+1)h) - B(ih)
-        dB1 = v[:, 1::2] - v[:, :-2:2]  # B(t_i) - B(ih)
-        dB2 = v[:, 2::2] - v[:, 1::2]  # B((i+1)h) - B(t_i)
+        full, dB1, dB2 = _increments(v)
         # the correction per unit sigma*sigma'(x[i]), above and on the
         # diagonal; dB2 is not needed after it.  A square that
         # overflows makes the iterates it reaches non-finite, which
@@ -325,15 +320,18 @@ def _batch_solver(problem, cfg, options=None):
             np.arange(n), np.full((n, m), x0), np.full(n, np.inf), np.zeros(n, dtype=bool),
             full, dB1, c_full, c_half,
         )
-        for sweep in range(1, opts.max_iter + 1):
+        for sweep in range(1, _MAX_ITER + 1):
             rows, x, previous, damped, full, dB1, c_full, c_half = live
             candidate, failed = step(rows, x, full, dB1, c_full, c_half, errors)
-            residual = np.maximum.reduce(np.abs(candidate - x), axis=1)
-            damped = damped | (residual > previous)
-            if damped.any():
-                candidate[damped] = x[damped] + opts.damping * (candidate[damped] - x[damped])
-                residual[damped] = np.maximum.reduce(np.abs(candidate[damped] - x[damped]), axis=1)
-            done = (residual <= opts.tol) & ~failed
+            # iterates too far apart have an infinite residual, which damps
+            # the row; a damped step that overflows fails it in the next sweep
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = np.maximum.reduce(np.abs(candidate - x), axis=1)
+                damped = damped | (residual > previous)
+                if damped.any():
+                    candidate[damped] = x[damped] + _DAMPING * (candidate[damped] - x[damped])
+                    residual[damped] = np.maximum.reduce(np.abs(candidate[damped] - x[damped]), axis=1)
+            done = (residual <= _TOL) & ~failed
             live = (rows, candidate, residual, damped, full, dB1, c_full, c_half)
             if done.any() or failed.any():
                 solutions[rows[done]] = candidate[done]
@@ -344,13 +342,13 @@ def _batch_solver(problem, cfg, options=None):
                 if not keep.any():
                     break
         for r, residual in zip(live[0], live[2]):
-            errors[r] = NonConvergenceError(residual=float(residual), iterations=opts.max_iter)
+            errors[r] = NonConvergenceError(residual=float(residual), iterations=_MAX_ITER)
         return _readonly(solutions), sweeps, residuals, errors
 
     return solve_paths
 
 
-def solve(problem, path, options=None):
+def solve(problem, path):
     """Fixed point solve of the collocated system on one Brownian path.
 
     The path is a 1-D array of the 2m+1 values B(j h/2); m is the
@@ -362,16 +360,18 @@ def solve(problem, path, options=None):
     directly; H2 and c share the strict upper triangle and the diagonal
     of K2, so together they are one product with it.  For a constant
     kernel c the products are cumulative sums: c times the sum of the
-    earlier blocks' values plus, for k1, half the block's own.  A damping
-    factor of 0.5 is engaged for the remaining sweeps after any residual
-    increase.  Divergence surfaces as NonFiniteIterateError and
-    stagnation as NonConvergenceError; neither is silently absorbed.
+    earlier blocks' values plus, for k1, half the block's own.  The
+    iteration stops when no block value moves by more than 1e-12 in a
+    sweep, and a damping factor of 0.5 is engaged for the remaining
+    sweeps after any residual increase.  Divergence surfaces as
+    NonFiniteIterateError and no convergence within 200 sweeps as
+    NonConvergenceError; neither is silently absorbed.
 
     This is the one-path case of the batched engine that Monte Carlo
     runs use, and gives the same bits as that path solved in any batch.
     """
     cfg = _path_config(path)
-    x, sweeps, residuals, [error] = _batch_solver(problem, cfg, options)(path[None])
+    x, sweeps, residuals, [error] = _batch_solver(problem, cfg)(path[None])
     if error is not None:
         raise error
     return SolveResult(x_colloc=x[0], iterations=int(sweeps[0]), residual=float(residuals[0]))

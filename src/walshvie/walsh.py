@@ -39,25 +39,17 @@ def _readonly(a):
 class BasisConfig:
     """Resolution of the dyadic grid: m = 2**k blocks of width h = 1/m."""
 
-    k: int
     m: int
     h: float
     midpoints: np.ndarray
 
     @classmethod
-    def from_exponent(cls, k):
-        if k < 0 or k != int(k):
-            raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-        k = int(k)
-        m = 2**k
-        mids = (2 * np.arange(m) + 1) / (2 * m)
-        return cls(k=k, m=m, h=1.0 / m, midpoints=_readonly(mids))
-
-    @classmethod
     def from_resolution(cls, m):
         if m < 1 or m & (m - 1):
             raise ValueError(f"m must be a power of two >= 1, got {m!r}")
-        return cls.from_exponent(int(m).bit_length() - 1)
+        m = int(m)
+        mids = (2 * np.arange(m) + 1) / (2 * m)
+        return cls(m=m, h=1.0 / m, midpoints=_readonly(mids))
 
 
 def rademacher(i, t):
@@ -78,28 +70,6 @@ def rademacher(i, t):
     if u == n:
         return 0
     return 1 if n % 2 == 0 else -1
-
-
-def walsh(n, t):
-    """Walsh function w_n(t) in dyadic-product ordering.
-
-    w_0 = 1 and, writing n in binary as sum of b_q * 2**(q-1), w_n is the
-    product of r_q(t) over the set digits b_q.  At the midpoints of any
-    grid refining level q the value is +1 or -1; at a dyadic breakpoint
-    of level <= q the product vanishes along with its Rademacher factor.
-    """
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must lie in [0, 1), got {t}")
-    out = 1
-    q = 1
-    while n:
-        if n & 1:
-            out *= rademacher(q, t)
-        n >>= 1
-        q += 1
-    return out
 
 
 def midpoint_floor_index(m, t):

@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from walshvie.brownian import sample_path, zero_path
+from walshvie.brownian import sample_path
 from walshvie.cli import main as cli_main
 from walshvie.experiment import REPORT_TIMES, convergence_study, error_at, monte_carlo
 from walshvie.operational import integration_matrix, stochastic_matrix
@@ -87,7 +87,7 @@ def test_criterion_2_deterministic_reduction(acceptance_report):
         label="exp",
     )
     cfg = BasisConfig.from_resolution(32)
-    res = solve(prob, zero_path(cfg))
+    res = solve(prob, np.zeros(2 * cfg.m + 1))
     sup = float(np.max(np.abs(res.x_colloc - np.exp(cfg.midpoints))))
     report = convergence_study(prob, (8, 16, 32, 64, 128), 2, base_seed=1)
     order = report.estimated_order
@@ -107,7 +107,7 @@ def test_criterion_3_trivial_stochastic_fixed_points(acceptance_report):
     for m in (16, 64):
         cfg = BasisConfig.from_resolution(m)
         p1 = builtin_example(1)
-        zp = zero_path(cfg)
+        zp = np.zeros(2 * cfg.m + 1)
         res1 = solve(p1, zp)
         gap1 = max(abs(float(res1.x_colloc[j]) - p1.exact(t, zp[2 * j + 1])) for j, t in enumerate(cfg.midpoints))
         p2 = builtin_example(2, a="0")

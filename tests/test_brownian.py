@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from walshvie.brownian import _normals, _path_values, sample_path, zero_path
+from walshvie.brownian import _normals, _path_config, _path_values, sample_path
 from walshvie.experiment import error_at
 from walshvie.operational import stochastic_matrix
 from walshvie.oracle import euler_maruyama
@@ -39,17 +39,15 @@ class TestSampling:
         assert len(path) == 9
 
     def test_zero_path(self):
-        cfg = BasisConfig.from_resolution(8)
-        path = zero_path(cfg)
-        assert (path == 0.0).all()
-        assert len(path) == 17
+        # a path is any array of the 2m + 1 values, here B = 0 at m = 8
+        assert _path_config(np.zeros(17)).m == 8
 
 
 class TestArrays:
     @pytest.mark.parametrize("m", [1, 8, 256])
     def test_paths_are_read_only_float_arrays(self, m):
         cfg = BasisConfig.from_resolution(m)
-        for path in (sample_path(cfg, (3, 1)), zero_path(cfg)):
+        for path in (sample_path(cfg, (3, 1)),):
             assert isinstance(path, np.ndarray)
             assert path.dtype == np.float64
             assert path.shape == (2 * m + 1,)
@@ -103,7 +101,7 @@ class TestPrefix:
 def _error_at_on(path):
     # a valid m = 4 result, so only the path can be at fault
     prob = builtin_example(1)
-    return error_at(solve(prob, zero_path(BasisConfig.from_resolution(4))), prob, path, 0.5)
+    return error_at(solve(prob, np.zeros(9)), prob, path, 0.5)
 
 
 class TestValidation:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import random
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ import pytest
 from walshvie.brownian import sample_path
 from walshvie import cli
 from walshvie.cli import _ascii_words, _csv_rows, _scientific, _write_matrix, main
+from walshvie.expressions import FUNCTIONS
 from walshvie.operational import integration_matrix, stochastic_matrix, walsh_domain
 from walshvie.solver import builtin_example
 from walshvie.walsh import BasisConfig, build_walsh_matrix
@@ -531,6 +533,18 @@ class TestErrorsAndSeeds:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "not real" in err[0] and "line 1" in err[0]
 
+    @pytest.mark.parametrize("beta", ["x + 0^-1*x", "x*3^1e308"])
+    def test_constant_part_that_raises_is_one_error_line(self, tmp_path, capsys, beta):
+        # 0^-1 raises ZeroDivisionError and 3^1e308 OverflowError in
+        # Python floats: both are found when the expression compiles
+        f = tmp_path / "raises.txt"
+        f.write_text(f"x0 = 0\nk1 = 1\nk2 = 1\nbeta = {beta}\nsigma = 1\n", encoding="utf-8")
+        rc = main(["run", "--problem", str(f), "--m", "8", "--trials", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: constant expression is not finite (line 4, column 8)"]
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_singular_kernel_is_one_error_line_naming_it(self, tmp_path, capsys):
         # 1/(t-s) is infinite where quadrature nodes of s and t coincide
         f = tmp_path / "singular.txt"
@@ -569,3 +583,50 @@ class TestErrorsAndSeeds:
     def test_nonpositive_trials(self, tmp_path, capsys):
         rc = main(["run", "--example", "1", "--m", "8", "--trials", "0", "--out", str(tmp_path)])
         assert rc == 1
+
+
+# The leaves of fuzzed expressions: every variable of the key, and
+# literals at the edges of the float range and of the real functions.
+FUZZ_LITERALS = ("0", "1", "2", "0.5", "1e308", "1e-300", "(-8)")
+FUZZ_VARIABLES = {"x0": (), "k1": ("s", "t"), "k2": ("s", "t"), "beta": ("x",), "sigma": ("x",), "exact": ("t", "B")}
+
+
+def fuzz_expression(rng, variables, depth=3):
+    """A random expression of the problem-file grammar: its functions,
+    binary operators, unary minus and parentheses over FUZZ_LITERALS
+    and ``variables``."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(FUZZ_LITERALS + variables * 2)
+    form = rng.randrange(4)
+    if form == 0:
+        return f"{rng.choice(sorted(FUNCTIONS))}({fuzz_expression(rng, variables, depth - 1)})"
+    if form == 1:
+        return "-" + fuzz_expression(rng, variables, depth - 1)
+    if form == 2:
+        return f"({fuzz_expression(rng, variables, depth - 1)})"
+    operator = rng.choice("+-*/^")
+    return fuzz_expression(rng, variables, depth - 1) + operator + fuzz_expression(rng, variables, depth - 1)
+
+
+class TestGrammarFuzz:
+    # Seeded problem files over the whole grammar, half of them with an
+    # exact solution.  The warnings filter of the test run turns a numpy
+    # warning that leaks out of the package into a failure too.
+    @pytest.mark.parametrize("seed", range(200))
+    def test_exits_cleanly_or_with_one_error_line(self, tmp_path, capsys, seed):
+        rng = random.Random(seed)
+        text = "".join(
+            f"{key} = {fuzz_expression(rng, variables)}\n"
+            for key, variables in FUZZ_VARIABLES.items()
+            if key != "exact" or rng.random() < 0.5
+        )
+        f = tmp_path / "fuzz.txt"
+        f.write_text(text, encoding="utf-8")
+        commands = [["run", "--m", "8", "--trials", "2", "--oracle"]]
+        if "exact" in text:
+            commands.append(["converge", "--resolutions", "2,4,8", "--trials", "2"])
+        for command in commands:
+            rc = main([*command, "--problem", str(f), "--out", str(tmp_path)])
+            err = capsys.readouterr().err.splitlines()
+            if rc != 0:
+                assert len(err) == 1 and err[0].startswith("error: "), (command, text, err)

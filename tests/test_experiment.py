@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from walshvie import experiment
+from walshvie import experiment, solver
 from walshvie.brownian import sample_path
 from walshvie.experiment import (
     _CHUNK_ELEMENTS,
@@ -26,7 +26,6 @@ from walshvie.solver import (
     NonFiniteIterateError,
     ProblemSpec,
     SolveResult,
-    SolverOptions,
     _batch_solver,
     builtin_example,
     problem_from_sources,
@@ -61,10 +60,10 @@ def feedback_problem():
     )
 
 
-def outcome(problem, path, options=None):
+def outcome(problem, path):
     """The SolveResult of one path alone, or the failure that ended it."""
     try:
-        return solve(problem, path, options)
+        return solve(problem, path)
     except (NonConvergenceError, NonFiniteIterateError) as exc:
         return exc
 
@@ -170,13 +169,14 @@ class TestMonteCarlo:
         # trial i draws path (base, i); the mean must equal a hand loop
         cfg = BasisConfig.from_resolution(8)
         prob = builtin_example(1)
-        stats = monte_carlo(prob, cfg, 5, base_seed=31, report_times=(0.5,))
+        stats = monte_carlo(prob, cfg, 5, base_seed=31)
         manual = []
         for trial in range(1, 6):
             path = sample_path(cfg, (31, trial))
             res = solve(prob, path)
             manual.append(error_at(res, prob, path, 0.5))
-        assert stats[0].mean == np.mean(manual)
+        assert stats[2].t == 0.5
+        assert stats[2].mean == np.mean(manual)
 
     def test_degenerate_problem_errors_vanish(self):
         cfg = BasisConfig.from_resolution(16)
@@ -241,7 +241,7 @@ class TestBatchInvariance:
     }
 
     @pytest.mark.parametrize("example_id, m", sorted(SCALES))
-    def test_trial_alone_equals_trial_in_chunk(self, example_id, m):
+    def test_trial_alone_equals_trial_in_chunk(self, example_id, m, monkeypatch):
         prob = builtin_example(example_id)
         cfg = BasisConfig.from_resolution(m)
         paths = np.stack([sample_path(cfg, (42, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)])
@@ -265,7 +265,8 @@ class TestBatchInvariance:
                     assert (alone.residual, alone.iterations) == (error.residual, error.iterations)
         # the chunk holds a row that engaged damping, one that diverged
         # and, for example 1, one that stalled
-        undamped = outcome(prob, paths[1], SolverOptions(damping=1.0))
+        monkeypatch.setattr(solver, "_DAMPING", 1.0)
+        undamped = outcome(prob, paths[1])
         assert errors[1] is None
         assert not (isinstance(undamped, SolveResult) and undamped.iterations == sweeps[1])
         assert isinstance(errors[2], NonFiniteIterateError)
@@ -320,7 +321,7 @@ class TestBatchInvariance:
         prob = builtin_example(example_id)
         cfg = BasisConfig.from_resolution(m)
         n = 2 * (_CHUNK_ELEMENTS // m) + 3
-        [(errors, failures)] = _trial_errors(prob, [cfg], n, 17, REPORT_TIMES)
+        [(errors, failures)] = _trial_errors(prob, [cfg], n, 17)
         rows = []
         for trial in range(1, n + 1):
             path = sample_path(cfg, (17, trial))
@@ -339,7 +340,7 @@ class TestOneDrawPerTrial:
         resolutions = (8, 32, 256)
         n = 2 * (_DRAW_ELEMENTS // (2 * 256)) + 5  # two draw chunks and part of a third
         cfgs = [BasisConfig.from_resolution(m) for m in resolutions]
-        per_resolution = _trial_errors(prob, cfgs, n, 3, REPORT_TIMES)
+        per_resolution = _trial_errors(prob, cfgs, n, 3)
         report = convergence_study(prob, resolutions, n, base_seed=3)
         for cfg, (errors, failed), rms, reported in zip(
             cfgs, per_resolution, report.rms_errors, report.failures
@@ -426,7 +427,7 @@ class TestBlockSizes:
 
         prob = dataclasses.replace(base, exact=exact)
         cfgs = [BasisConfig.from_resolution(m) for m in self.RESOLUTIONS]
-        for (errors, failed), rows in zip(_trial_errors(prob, cfgs, self.N, 3, REPORT_TIMES), alone):
+        for (errors, failed), rows in zip(_trial_errors(prob, cfgs, self.N, 3), alone):
             assert 0 < failed < self.N
             assert failed == self.N - len(rows)
             assert np.array_equal(errors, rows)

@@ -5,11 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from walshvie.brownian import sample_path, zero_path
+from walshvie.brownian import _increments, sample_path
 from walshvie.operational import (
-    _increments,
     _upper_triangular_rows,
-    _walsh_integration_matrix,
     _walsh_integration_rows,
     _walsh_stochastic_rows,
     integration_matrix,
@@ -158,7 +156,7 @@ class TestStochasticMatrix:
 
     def test_zero_path_gives_zero_matrix(self):
         cfg = BasisConfig.from_resolution(16)
-        PS = stochastic_matrix(zero_path(cfg))
+        PS = stochastic_matrix(np.zeros(2 * cfg.m + 1))
         assert (PS == 0.0).all()
 
 
@@ -210,7 +208,7 @@ class TestWalshDomain:
         # zeros included
         cfg = BasisConfig.from_resolution(m)
         want = walsh_domain(integration_matrix(cfg))
-        got = _walsh_integration_matrix(cfg)
+        got = _walsh_integration_rows(m, 0, m)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -245,7 +243,7 @@ class TestRowBuilders:
     @pytest.mark.parametrize("m", POWERS[:11])
     def test_stochastic_matrix(self, m):
         path = sample_path(BasisConfig.from_resolution(m), seed=m)
-        full, half = _increments(path)
+        full, half, _ = _increments(path)
         want = dense_upper_triangular(m, full[:, None], half)
         assert stochastic_matrix(path).tobytes() == want.tobytes()
         assert_rows_have_bits(lambda start, stop: _upper_triangular_rows(full, half, start, stop), want)
@@ -253,7 +251,7 @@ class TestRowBuilders:
     @pytest.mark.parametrize("m", POWERS)
     def test_walsh_integration_matrix(self, m):
         want = dense_walsh_integration_matrix(m)
-        assert _walsh_integration_matrix(BasisConfig.from_resolution(m)).tobytes() == want.tobytes()
+        assert _walsh_integration_rows(m, 0, m).tobytes() == want.tobytes()
         assert_rows_have_bits(lambda start, stop: _walsh_integration_rows(m, start, stop), want)
 
     @pytest.mark.parametrize("m", POWERS[:11])

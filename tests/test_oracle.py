@@ -8,7 +8,7 @@ from numbers import Real
 import numpy as np
 import pytest
 
-from walshvie.brownian import sample_path, zero_path
+from walshvie.brownian import sample_path
 from walshvie.oracle import euler_maruyama
 from walshvie.problemfile import problem_from_text
 from walshvie.solver import NonFiniteIterateError, ProblemSpec, builtin_example, solve
@@ -59,7 +59,7 @@ class TestDeterministicStepping:
     def test_compound_growth_recursion(self):
         # k1=1, beta=x, sigma=0 steps as y_{j+1} = y_j (1+h) exactly
         cfg = BasisConfig.from_resolution(16)
-        out = euler_maruyama(exponential_problem(), zero_path(cfg))
+        out = euler_maruyama(exponential_problem(), np.zeros(2 * cfg.m + 1))
         y = 1.0
         for j in range(16):
             y = y * (1 + cfg.h)
@@ -67,7 +67,7 @@ class TestDeterministicStepping:
 
     def test_approaches_e(self):
         cfg = BasisConfig.from_resolution(64)
-        out = euler_maruyama(exponential_problem(), zero_path(cfg))
+        out = euler_maruyama(exponential_problem(), np.zeros(2 * cfg.m + 1))
         assert abs(out.values[-1] - np.e) <= 0.03
 
     def test_kernel_frozen_at_step_target(self):
@@ -76,7 +76,7 @@ class TestDeterministicStepping:
         prob = ProblemSpec(
             x0=1.0, k1=lambda s, t: t, k2=0.0, beta=lambda x: x, sigma=lambda x: 0.0 * x
         )
-        out = euler_maruyama(prob, zero_path(cfg))
+        out = euler_maruyama(prob, np.zeros(2 * cfg.m + 1))
         assert out.values[1] == 1.0625
         assert out.values[2] == 1.1953125
         assert out.values[3] == 1.419433593750
@@ -84,20 +84,20 @@ class TestDeterministicStepping:
 
     def test_shapes_and_grid(self):
         cfg = BasisConfig.from_resolution(8)
-        out = euler_maruyama(exponential_problem(), zero_path(cfg))
+        out = euler_maruyama(exponential_problem(), np.zeros(2 * cfg.m + 1))
         assert out.values.shape == (9,)
         assert out.midpoint_values.shape == (8,)
 
     def test_midpoints_average_adjacent(self):
         cfg = BasisConfig.from_resolution(8)
-        out = euler_maruyama(exponential_problem(), zero_path(cfg))
+        out = euler_maruyama(exponential_problem(), np.zeros(2 * cfg.m + 1))
         assert (out.midpoint_values == 0.5 * (out.values[:-1] + out.values[1:])).all()
 
 
 class TestStochasticFixedPoints:
     def test_example1_zero_path(self):
         cfg = BasisConfig.from_resolution(32)
-        out = euler_maruyama(builtin_example(1), zero_path(cfg))
+        out = euler_maruyama(builtin_example(1), np.zeros(2 * cfg.m + 1))
         assert (out.values == 0.0).all()
 
     def test_example2_degenerate_noise(self):
@@ -190,12 +190,12 @@ class TestValidation:
             x0=2.0, k1=500.0, k2=0.0, beta=lambda x: np.exp(x * x), sigma=lambda x: 0.0 * x
         )
         with pytest.raises(NonFiniteIterateError):
-            euler_maruyama(prob, zero_path(cfg))
+            euler_maruyama(prob, np.zeros(2 * cfg.m + 1))
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_raises_without_warnings(self):
         # the same step and message as the scalar loop, and no numpy warning
-        path = zero_path(BasisConfig.from_resolution(8))
+        path = np.zeros(17)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(NonFiniteIterateError) as want:

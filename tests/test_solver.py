@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from walshvie import solver
-from walshvie.brownian import sample_path, zero_path
+from walshvie.brownian import sample_path
 from walshvie.operational import integration_matrix, stochastic_matrix
 from walshvie.solver import (
     NonConvergenceError,
     NonFiniteIterateError,
     ProblemSpec,
-    SolverOptions,
     _batch_solver,
     _kernel_operator,
     builtin_example,
@@ -44,12 +43,11 @@ def collocation_values(H1, H2, x0):
     return x0 + m * m * (np.diagonal(H1) + np.diagonal(H2))
 
 
-def dense_solve(problem, path, options=None):
+def dense_solve(problem, path):
     """Reference: the dense formulation of solve(), with the operators
     G1 = m^3 K1 o P, m^2 triu(K2, 1) and m^2 diag(K2) built as m x m
     arrays and applied by matrix products.  Returns the solution and
     the sweep count."""
-    opts = options or SolverOptions()
     cfg = BasisConfig.from_resolution((len(path) - 1) // 2)
     m, h = cfg.m, cfg.h
     G1 = m**3 * (project_kernel(problem.k1, cfg) * integration_matrix(cfg))
@@ -63,7 +61,7 @@ def dense_solve(problem, path, options=None):
     x0 = float(problem.x0)
     x = np.full(m, x0)
     previous, damped = np.inf, False
-    for sweep in range(1, opts.max_iter + 1):
+    for sweep in range(1, solver._MAX_ITER + 1):
         z1 = h * problem.beta(x)
         s = problem.sigma(x + 1e-20j)
         sig, slope = s.real, s.imag / 1e-20
@@ -73,13 +71,13 @@ def dense_solve(problem, path, options=None):
         residual = np.max(np.abs(candidate - x))
         damped = damped or residual > previous
         if damped:
-            candidate = x + opts.damping * (candidate - x)
+            candidate = x + solver._DAMPING * (candidate - x)
             residual = np.max(np.abs(candidate - x))
         x = candidate
-        if residual <= opts.tol:
+        if residual <= solver._TOL:
             return x, sweep
         previous = residual
-    raise NonConvergenceError(residual=residual, iterations=opts.max_iter)
+    raise NonConvergenceError(residual=residual, iterations=solver._MAX_ITER)
 
 
 def exponential_problem():
@@ -129,7 +127,7 @@ class TestDeterministicSolve:
         # with sigma=0 the collocated system is linear triangular:
         # x_j = 1 + h*sum_{i<j} x_i + (h/2) x_j, solvable directly
         cfg = BasisConfig.from_resolution(16)
-        res = solve(exponential_problem(), zero_path(cfg))
+        res = solve(exponential_problem(), np.zeros(2 * cfg.m + 1))
         h = cfg.h
         direct = np.empty(16)
         acc = 0.0
@@ -140,13 +138,13 @@ class TestDeterministicSolve:
 
     def test_exponential_accuracy(self):
         cfg = BasisConfig.from_resolution(32)
-        res = solve(exponential_problem(), zero_path(cfg))
+        res = solve(exponential_problem(), np.zeros(2 * cfg.m + 1))
         err = np.max(np.abs(res.x_colloc - np.exp(cfg.midpoints)))
         assert err <= 0.05
 
     def test_callable_constant_kernel_agrees(self):
         cfg = BasisConfig.from_resolution(8)
-        res_const = solve(exponential_problem(), zero_path(cfg))
+        res_const = solve(exponential_problem(), np.zeros(2 * cfg.m + 1))
         prob = ProblemSpec(
             x0=1.0,
             k1=lambda s, t: np.ones_like(s * t),
@@ -154,7 +152,7 @@ class TestDeterministicSolve:
             beta=lambda x: x,
             sigma=lambda x: 0.0 * x,
         )
-        res_callable = solve(prob, zero_path(cfg))
+        res_callable = solve(prob, np.zeros(2 * cfg.m + 1))
         assert np.allclose(res_const.x_colloc, res_callable.x_colloc, rtol=0, atol=1e-12)
 
 
@@ -163,10 +161,11 @@ class TestStochasticFixedPoints:
         # on the zero path the solution of example 1 is identically 0
         cfg = BasisConfig.from_resolution(16)
         prob = builtin_example(1)
-        res = solve(prob, zero_path(cfg))
+        path = np.zeros(2 * cfg.m + 1)
+        res = solve(prob, path)
         assert np.max(np.abs(res.x_colloc)) <= 1e-10
         for j, t in enumerate(cfg.midpoints):
-            assert abs(prob.exact(t, zero_path(cfg)[2 * j + 1])) <= 1e-15
+            assert abs(prob.exact(t, path[2 * j + 1])) <= 1e-15
 
     def test_example2_degenerate_noise(self):
         # a = 0 freezes example 2 at its initial value 0.1
@@ -412,7 +411,7 @@ class TestItoCorrection:
         sigma = problem_from_sources({"x0": "0", "k1": "0", "k2": "1", "beta": "0", "sigma": src}).sigma
         cfg = BasisConfig.from_resolution(64)
         prob = ProblemSpec(x0=0.5, k1=0.0, k2=1.0, beta=lambda x: 0.0 * x, sigma=sigma)
-        x = solve(prob, zero_path(cfg)).x_colloc[0]
+        x = solve(prob, np.zeros(2 * cfg.m + 1)).x_colloc[0]
         assert abs(x - (0.5 - cfg.h / 4 * sigma(x) * slope(x))) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -453,10 +452,11 @@ class TestItoCorrection:
 
 
 class TestFailureModes:
-    def test_non_convergence(self):
+    def test_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITER", 2)
         cfg = BasisConfig.from_resolution(16)
         with pytest.raises(NonConvergenceError) as err:
-            solve(exponential_problem(), zero_path(cfg), SolverOptions(max_iter=2))
+            solve(exponential_problem(), np.zeros(2 * cfg.m + 1))
         assert err.value.iterations == 2
         assert np.isfinite(err.value.residual)
 
@@ -470,7 +470,7 @@ class TestFailureModes:
             sigma=lambda x: 0.0 * x,
         )
         with pytest.raises(NonFiniteIterateError):
-            solve(prob, zero_path(cfg))
+            solve(prob, np.zeros(2 * cfg.m + 1))
 
     def test_sigma_outside_its_real_domain(self):
         # sqrt'(0) is infinite and sqrt(x) is nan for x < 0: a failure,

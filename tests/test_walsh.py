@@ -17,8 +17,21 @@ from walshvie.walsh import (
     midpoint_floor_index,
     project_kernel,
     rademacher,
-    walsh,
 )
+
+
+def walsh(n, t):
+    """Reference: the Walsh function w_n(t) in dyadic-product ordering,
+    the product of r_q(t) over the set binary digits b_q of
+    n = sum of b_q * 2**(q-1), each factor from scalar ``rademacher``."""
+    out = 1
+    q = 1
+    while n:
+        if n & 1:
+            out *= rademacher(q, t)
+        n >>= 1
+        q += 1
+    return out
 
 
 def walsh_matrix_by_definition(m):
@@ -26,7 +39,7 @@ def walsh_matrix_by_definition(m):
     over the set bits of n, each entry from scalar ``rademacher``."""
     cfg = BasisConfig.from_resolution(m)
     T = np.ones((m, m), dtype=np.int64)
-    for q in range(1, cfg.k + 1):
+    for q in range(1, m.bit_length()):
         row = np.array([rademacher(q, t) for t in cfg.midpoints], dtype=np.int64)
         T[(np.arange(m) >> (q - 1)) & 1 == 1] *= row
     return T
@@ -76,7 +89,6 @@ def scalar_only_sum(s, t):
 class TestBasisConfig:
     def test_from_resolution(self):
         cfg = BasisConfig.from_resolution(8)
-        assert cfg.k == 3
         assert cfg.m == 8
         assert cfg.h == 0.125
         assert cfg.midpoints[0] == 1 / 16
@@ -416,7 +428,7 @@ class TestMidpointFloorIndex:
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0))
 @settings(max_examples=60)
 def test_matrix_rows_equal_scalar_definition(k, n):
-    cfg = BasisConfig.from_exponent(k)
+    cfg = BasisConfig.from_resolution(2**k)
     n = n % cfg.m
     T = build_walsh_matrix(cfg)
     assert (T[n] == [walsh(n, t) for t in cfg.midpoints]).all()
