@@ -36,10 +36,6 @@ MIN_RESOLUTION = 2
 MAX_RESOLUTION = 4096
 
 
-class CLIError(Exception):
-    """Runtime failure reported on stderr with exit status 1."""
-
-
 def _fmt(x):
     return f"{float(x):.8e}"
 
@@ -70,7 +66,7 @@ def _seed_from_env():
     try:
         return int(raw)
     except ValueError:
-        raise CLIError(f"WALSHVIE_SEED must be an integer, got {raw!r}")
+        raise ValueError(f"WALSHVIE_SEED must be an integer, got {raw!r}")
 
 
 def _slug(label):
@@ -84,7 +80,7 @@ def _load_problem(args):
     try:
         return parse_problem_file(args.problem)
     except OSError as exc:
-        raise CLIError(f"cannot read problem file: {exc}")
+        raise ValueError(f"cannot read problem file: {exc}")
 
 
 def _write(outdir, name, chunks):
@@ -254,18 +250,18 @@ def _cmd_run(args, seed):
     try:
         result = solve(problem, path)
     except (NonConvergenceError, NonFiniteIterateError) as exc:
-        raise CLIError(f"solve failed on trial 1 (seed {seed}): {exc}")
+        raise ValueError(f"solve failed on trial 1 (seed {seed}): {exc}")
     if args.oracle:
         try:
             em = euler_maruyama(problem, path)
         except NonFiniteIterateError as exc:
-            raise CLIError(f"oracle failed on trial 1 (seed {seed}): {exc}")
+            raise ValueError(f"oracle failed on trial 1 (seed {seed}): {exc}")
 
     if problem.exact is not None:
         with np.errstate(all="ignore"):
             exact_vals = problem.exact(cfg.midpoints, path[1::2])
         if not np.isfinite(exact_vals).all():
-            raise CLIError(f"exact solution is not finite on trial 1 (seed {seed})")
+            raise ValueError(f"exact solution is not finite on trial 1 (seed {seed})")
         stats = monte_carlo(problem, cfg, args.trials, seed)
         rows = [["t", "mean", "sd", "ci_lower", "ci_upper", "n_effective", "failures"]] + [
             [_fmt(s.t), _fmt(s.mean), _fmt(s.sd), _fmt(s.ci_lower), _fmt(s.ci_upper), str(s.n), str(s.failures)]
@@ -297,13 +293,12 @@ def _cmd_run(args, seed):
 def _cmd_converge(args, seed):
     problem = _load_problem(args)
     if problem.exact is None:
-        raise CLIError("convergence study requires a problem with an exact solution")
+        raise ValueError("convergence study requires a problem with an exact solution")
     report = convergence_study(problem, args.resolutions, args.trials, seed)
     rows = [["m", "h", "rms_error"]] + [
         [str(m), _fmt(1.0 / m), _fmt(rms)] for m, rms in zip(report.resolutions, report.rms_errors)
     ]
-    order = "nan" if report.estimated_order is None else _fmt(report.estimated_order)
-    rows += [[f"# estimated_order = {order}"], [f"# failures = {sum(report.failures)}"]]
+    rows += [[f"# estimated_order = {_fmt(report.estimated_order)}"], [f"# failures = {sum(report.failures)}"]]
     _write(args.out, f"converge_{_slug(problem.label)}.csv", [_lines(rows)])
     return 0
 
@@ -396,9 +391,9 @@ def main(argv=None):
     try:
         seed = args.seed if args.seed is not None else _seed_from_env()
         if getattr(args, "trials", 1) < 1:
-            raise CLIError("--trials must be positive")
+            raise ValueError("--trials must be positive")
         return args.func(args, seed)
-    except (CLIError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

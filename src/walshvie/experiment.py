@@ -1,9 +1,9 @@
 """Monte Carlo error statistics and convergence studies.
 
-This module is the one place that maps a report time t to the grid:
-errors are read at the last collocation midpoint t_j <= t, the
-numerical value as x[j] and the path as B = path[2j + 1], the same
-point, and the error is |exact(t, B) - x[j]|.  Comparing both sides at
+This module is the one place that maps a report time t to the grid,
+with ``midpoint_floor_index``: errors are read at the last collocation
+midpoint t_j <= t, the numerical value as x[j] and the path as
+B = path[2j + 1], the same point, and the error is |exact(t, B) - x[j]|.  Comparing both sides at
 the identical path point isolates the scheme error instead of the
 half-block noise of the path itself, and never interpolates the path.
 Report times are taken as given for the explicit time argument of the
@@ -18,7 +18,7 @@ import numpy as np
 
 from .brownian import _normals, _path_config, _path_values
 from .solver import _batch_solver
-from .walsh import BasisConfig, fast_walsh_transform
+from .walsh import BasisConfig, fast_walsh_transform, midpoint_floor_index
 
 REPORT_TIMES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -53,10 +53,6 @@ class ErrorStats:
     n: int
     failures: int
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("at least two successful trials are needed for statistics")
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -65,18 +61,8 @@ class ConvergenceReport:
 
     resolutions: tuple
     rms_errors: tuple
-    estimated_order: object  # float, or None when the study is degenerate
+    estimated_order: float
     failures: tuple
-
-
-def _midpoint_indices(m, report_times):
-    """Index j of the last collocation midpoint t_j <= t at resolution m,
-    one per report time: (floor(2 m t) - 1) // 2, clipped to 0 below the
-    first midpoint, which is ``midpoint_floor_index`` as one array."""
-    t = np.array(report_times, dtype=float)
-    if not np.all((0.0 <= t) & (t < 1.0)):
-        raise ValueError(f"report times must lie in [0, 1), got {report_times}")
-    return np.maximum((np.floor(t * (2 * m)).astype(np.intp) - 1) // 2, 0)
 
 
 def _midpoint_errors(problem, x, values, report_times, j):
@@ -102,7 +88,7 @@ def error_at(result, problem, path, t):
     m = _path_config(path).m
     if m != len(result.x_colloc):
         raise ValueError(f"path resolution m={m} does not match the result's m={len(result.x_colloc)}")
-    j = _midpoint_indices(m, (t,))
+    j = midpoint_floor_index(m, (t,))
     errors = _midpoint_errors(problem, result.x_colloc[None], path[None], (t,), j)
     return float(errors[0, 0])
 
@@ -137,7 +123,7 @@ def _trial_errors(problem, cfgs, n, base_seed):
     not depend on the blocks or the draws.
     """
     engines = [_batch_solver(problem, cfg) for cfg in cfgs]
-    indices = [_midpoint_indices(cfg.m, REPORT_TIMES) for cfg in cfgs]
+    indices = [midpoint_floor_index(cfg.m, REPORT_TIMES) for cfg in cfgs]
     width = 2 * max(cfg.m for cfg in cfgs)
     normals = np.empty((max(1, _DRAW_ELEMENTS // width), width))
     blocks = [np.empty((min(n, max(1, _CHUNK_ELEMENTS // cfg.m)), 2 * cfg.m + 1)) for cfg in cfgs]
@@ -214,12 +200,12 @@ def convergence_study(problem, resolutions, n, base_seed):
     """RMS error per resolution, over the trials and REPORT_TIMES, and
     the least-squares order in h.
 
-    When every RMS sits at rounding level the order is reported as
-    None rather than a meaningless slope.  Failed trials are left out
-    of the RMS and counted in the report's ``failures``.  Every rung's
-    engine is alive at once, so a callable kernel that is not a
-    difference kernel holds at most 1/3 more triangle memory than the
-    finest rung alone.
+    When every RMS sits at rounding level the order is reported as nan
+    rather than a meaningless slope, and an RMS that overflows is a
+    ValueError.  Failed trials are left out of the RMS and counted in
+    the report's ``failures``.  Every rung's engine is alive at once,
+    so a callable kernel that is not a difference kernel holds at most
+    1/3 more triangle memory than the finest rung alone.
     """
     resolutions = tuple(int(m) for m in resolutions)
     if len(resolutions) < 3:
@@ -232,11 +218,13 @@ def convergence_study(problem, resolutions, n, base_seed):
     for m, (errors, failed) in zip(resolutions, _trial_errors(problem, cfgs, n, base_seed)):
         if errors.shape[0] < 1:
             raise ValueError(f"every trial failed at m={m}")
-        with np.errstate(over="ignore"):  # as in monte_carlo, an overflow shows as inf
+        with np.errstate(over="ignore"):
             rms.append(float(np.sqrt(np.mean(np.square(errors)))))
+        if not math.isfinite(rms[-1]):
+            raise ValueError(f"the RMS error at m={m} is not finite")
         failures.append(failed)
     if max(rms) <= DEGENERATE_RMS:
-        order = None
+        order = math.nan
     else:
         hs = np.log([1.0 / m for m in resolutions])
         order = float(np.polyfit(hs, np.log(rms), 1)[0])

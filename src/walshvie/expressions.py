@@ -16,6 +16,8 @@ the caller.  Expressions that reference no variable fold to a float at
 compile time.
 """
 
+import operator
+
 import numpy as np
 
 FUNCTIONS = {
@@ -183,6 +185,7 @@ class _Parser:
 # minus 3); the module's grammar is Python's with ^ for **.
 _BINARY = {"+": ("+", 1, 1, 2), "-": ("-", 1, 1, 2), "*": ("*", 2, 2, 3), "/": ("/", 2, 2, 3),
            "^": ("**", 4, 5, 3)}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
 
 
 def _source(node, constants, reads, folds, binding=0):
@@ -219,12 +222,19 @@ def _source(node, constants, reads, folds, binding=0):
     return text if strength >= binding else f"({text})"
 
 
+def _varies(slope):
+    """Whether a slope may be nonzero: every slope but the scalar 0.0."""
+    return np.ndim(slope) != 0 or slope != 0.0
+
+
 def _evaluate_with_slope(node, x, folded):
     """(value, d value / dx) of a one-variable tree at x, by forward
     differentiation in real arithmetic.  ``folded`` maps the id of each
     largest sub-tree that reads no variable to its value, whose slope is
-    0.  The values are those of the compiled callable, operation for
-    operation."""
+    0.  A node none of whose operands' slopes varies has the scalar
+    slope 0.0, so a derivative that is infinite there (sqrt at 0) is
+    never multiplied by it.  The values are those of the compiled
+    callable, operation for operation."""
     if id(node) in folded:
         return folded[id(node)], 0.0
     kind = node[0]
@@ -236,21 +246,22 @@ def _evaluate_with_slope(node, x, folded):
     if kind == "call":
         a, da = _evaluate_with_slope(node[2], x, folded)
         v = FUNCTIONS[node[1]](a)
-        return v, _DERIVATIVES[node[1]](a, v) * da
+        return v, _DERIVATIVES[node[1]](a, v) * da if _varies(da) else 0.0
     op = node[1]
     a, da = _evaluate_with_slope(node[2], x, folded)
     b, db = _evaluate_with_slope(node[3], x, folded)
+    v = _ARITHMETIC[op](a, b)
+    if not (_varies(da) or _varies(db)):
+        return v, 0.0
     if op == "+":
-        return a + b, da + db
+        return v, da + db
     if op == "-":
-        return a - b, da - db
+        return v, da - db
     if op == "*":
-        return a * b, da * b + a * db
+        return v, da * b + a * db
     if op == "/":
-        v = a / b
         return v, (da - v * db) / b
-    v = a**b
-    if np.ndim(db) == 0 and db == 0.0:
+    if not _varies(db):
         # the exponent does not vary with x, so a may be negative
         return v, b * a ** (b - 1.0) * da
     return v, v * (db * np.log(a) + b * da / a)

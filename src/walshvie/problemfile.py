@@ -16,9 +16,8 @@ collocation midpoint at or below t.
 """
 
 from .expressions import ExpressionError
-from .solver import problem_from_sources
+from .solver import REQUIRED_KEYS, problem_from_sources
 
-REQUIRED_KEYS = ("x0", "k1", "k2", "beta", "sigma")
 OPTIONAL_KEYS = ("exact", "label")
 
 
@@ -42,9 +41,6 @@ def problem_from_text(text, name="problem file"):
             raise ValueError(f"{name}: line {lineno}: empty value for {key!r}")
         sources[key] = expr
         lines[key] = (lineno, 1 + len(raw) - len(raw.split("=", 1)[1].lstrip()))
-    missing = [key for key in REQUIRED_KEYS if key not in sources]
-    if missing:
-        raise ValueError(f"{name}: missing required key(s): {', '.join(missing)}")
     label = sources.pop("label", "problem")
     if "label" in lines:
         del lines["label"]
@@ -53,6 +49,8 @@ def problem_from_text(text, name="problem file"):
     except ExpressionError as exc:
         lineno, col0 = lines[exc.key]
         raise ExpressionError(exc.bare_message, lineno, col0 + exc.col - 1) from None
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def parse_problem_file(path):

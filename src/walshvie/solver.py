@@ -411,7 +411,9 @@ def _constant_function(c):
     return fn
 
 
-# The variables each problem key's expression may use.
+# The keys every problem needs, and the variables each key's expression
+# may use.
+REQUIRED_KEYS = ("x0", "k1", "k2", "beta", "sigma")
 _VARIABLES = {
     "x0": (),
     "k1": ("s", "t"),
@@ -433,16 +435,18 @@ def _compile(sources, key):
 def problem_from_sources(sources, label="problem"):
     """Build a ProblemSpec from a mapping of expression strings.
 
-    Required keys: x0, k1, k2, beta, sigma.  Optional: exact.  Kernel
-    expressions may use s and t, beta/sigma use x, exact uses t and B,
-    and x0 must be constant.  In ``exact``, B is the path value at the
-    last collocation midpoint at or below t (see ``ProblemSpec``).  An
+    Required keys (REQUIRED_KEYS): x0, k1, k2, beta, sigma; a missing
+    one is a ValueError.  Optional: exact.  Kernel expressions
+    may use s and t, beta/sigma use x, exact uses t and B, and x0 no
+    variable.  In ``exact``, B is the path value at the last
+    collocation midpoint at or below t (see ``ProblemSpec``).  An
     ExpressionError raised here names the failing key in its ``key``
     attribute.
     """
-    compiled = {key: _compile(sources, key) for key in ("x0", "k1", "k2", "beta", "sigma")}
-    if not isinstance(compiled["x0"], Real):
-        raise ValueError("x0 must be a constant expression")
+    missing = [key for key in REQUIRED_KEYS if key not in sources]
+    if missing:
+        raise ValueError(f"missing required key(s): {', '.join(missing)}")
+    compiled = {key: _compile(sources, key) for key in REQUIRED_KEYS}
     if sources.get("exact") is not None:
         compiled["exact"] = _compile(sources, "exact")
     for key in ("beta", "sigma", "exact"):

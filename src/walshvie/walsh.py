@@ -73,18 +73,13 @@ def rademacher(i, t):
 
 
 def midpoint_floor_index(m, t):
-    """Index j of the last collocation midpoint t_j <= t, clipped to 0.
-
-    Midpoints are the odd multiples of h/2; for t below the first one
-    the index 0 is returned.
-    """
-    if not 0.0 <= t < 1.0:
+    """Index j of the last collocation midpoint t_j <= t, clipped to 0,
+    as an int for one time t and as an array for an array of times."""
+    times = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= times) & (times < 1.0)):
         raise ValueError(f"t must lie in [0, 1), got {t}")
-    u = int(t * (2 * m))
-    if u % 2 == 0:
-        u -= 1
-    u = min(max(u, 1), 2 * m - 1)
-    return (u - 1) // 2
+    j = np.maximum((np.floor(times * (2 * m)).astype(np.intp) - 1) // 2, 0)
+    return int(j) if j.ndim == 0 else j
 
 
 def build_walsh_matrix(cfg):

@@ -545,6 +545,20 @@ class TestErrorsAndSeeds:
         assert err == ["error: constant expression is not finite (line 4, column 8)"]
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_sigma_part_that_cannot_vary_runs(self, tmp_path):
+        # sqrt' is infinite at x - x = 0; that part's slope is 0, not nan
+        f = tmp_path / "sqrt.txt"
+        f.write_text("x0 = 1/10\nk1 = -1/900\nk2 = 1/30\nbeta = x*(1-x^2)\nsigma = 1 + sqrt(x-x)\n", encoding="utf-8")
+        assert main(["run", "--problem", str(f), "--m", "8", "--trials", "2", "--out", str(tmp_path)]) == 0
+
+    def test_rms_that_overflows_is_one_error_line(self, tmp_path, capsys):
+        f = tmp_path / "overflow.txt"
+        f.write_text("x0 = 0\nk1 = 0\nk2 = 0\nbeta = 0\nsigma = 0\nexact = 1e200\n", encoding="utf-8")
+        argv = ["converge", "--problem", str(f), "--resolutions", "8,16,32", "--trials", "2", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: the RMS error at m=8 is not finite"]
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_singular_kernel_is_one_error_line_naming_it(self, tmp_path, capsys):
         # 1/(t-s) is infinite where quadrature nodes of s and t coincide
         f = tmp_path / "singular.txt"

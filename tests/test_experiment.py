@@ -1,6 +1,7 @@
 """Monte Carlo error statistics and convergence studies."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,6 @@ from walshvie.experiment import (
     _DRAW_ELEMENTS,
     DEGENERATE_RMS,
     REPORT_TIMES,
-    ErrorStats,
-    _midpoint_indices,
     _trial_errors,
     coefficient_error_norm,
     convergence_study,
@@ -195,6 +194,15 @@ class TestMonteCarlo:
         assert stats[0].failures >= 1
         assert stats[0].n >= 2
         assert stats[0].n + stats[0].failures == 12
+
+    def test_fewer_than_two_successes_rejected(self):
+        # of the feedback problem's trials (0, 1..4) at m = 8, only trial 2
+        # converges: one error is no statistic
+        cfg = BasisConfig.from_resolution(8)
+        solved = [isinstance(outcome(feedback_problem(), sample_path(cfg, (0, i))), SolveResult) for i in range(1, 5)]
+        assert solved == [False, True, False, False]
+        with pytest.raises(ValueError, match="only 1 of 4 trials succeeded"):
+            monte_carlo(feedback_problem(), cfg, 4, base_seed=0)
 
     def test_zero_trials_rejected(self):
         cfg = BasisConfig.from_resolution(8)
@@ -443,18 +451,15 @@ class TestMidpointIndices:
         mids = BasisConfig.from_resolution(m).midpoints
         times = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], mids, np.nextafter(mids, 0.0)])
         expected = [midpoint_floor_index(m, t) for t in times]
-        assert _midpoint_indices(m, times).tolist() == expected
+        assert all(type(j) is int for j in expected)
+        assert midpoint_floor_index(m, times).tolist() == expected
 
     @pytest.mark.parametrize("t", [1.0, -0.1, np.nan])
     def test_times_outside_the_interval_rejected(self, t):
         with pytest.raises(ValueError, match="must lie in \\[0, 1\\)"):
-            _midpoint_indices(16, (0.5, t))
-
-
-class TestErrorStatsValidation:
-    def test_rejects_single_trial(self):
-        with pytest.raises(ValueError):
-            ErrorStats(t=0.5, mean=0.0, sd=0.0, ci_lower=0.0, ci_upper=0.0, n=1, failures=0)
+            midpoint_floor_index(16, (0.5, t))
+        with pytest.raises(ValueError, match="must lie in \\[0, 1\\)"):
+            midpoint_floor_index(16, t)
 
 
 class TestConvergenceStudy:
@@ -490,7 +495,14 @@ class TestConvergenceStudy:
     def test_degenerate_study_has_no_order(self):
         report = convergence_study(constant_problem(), (4, 8, 16), 3, base_seed=5)
         assert max(report.rms_errors) <= DEGENERATE_RMS
-        assert report.estimated_order is None
+        assert math.isnan(report.estimated_order)
+
+    def test_rms_that_overflows_is_an_error(self):
+        # errors of 1e200 are finite, but their squares are not: an
+        # infinite RMS would give an order of nan, which means degenerate
+        prob = dataclasses.replace(constant_problem(), exact=lambda t, B: 1e200 + 0.0 * B)
+        with pytest.raises(ValueError, match="RMS error at m=4 is not finite"):
+            convergence_study(prob, (4, 8, 16), 2, base_seed=5)
 
     def test_needs_three_increasing_resolutions(self):
         with pytest.raises(ValueError):

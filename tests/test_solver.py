@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from walshvie import solver
-from walshvie.brownian import sample_path
+from walshvie.brownian import _path_values, sample_path
 from walshvie.operational import integration_matrix, stochastic_matrix
 from walshvie.solver import (
     NonConvergenceError,
@@ -449,6 +449,63 @@ class TestItoCorrection:
         path = sample_path(cfg, seed=13)
         res = solve(prob, path)
         assert np.allclose(res.x_colloc, (2 / 30) * path[1::2], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("src", ["1 + sqrt(x-x)", "1 + (x-x)^0.5", "1 + sqrt(2*(x-x))"])
+    def test_sigma_part_that_cannot_vary_has_slope_zero(self, src):
+        # sqrt' is infinite at x - x = 0, but that part cannot vary with
+        # x, so sigma' is 0 and sigma is the constant 1
+        sources = {"x0": "1/10", "k1": "-1/900", "k2": "1/30", "beta": "x*(1-x^2)"}
+        prob = problem_from_sources({**sources, "sigma": src})
+        value, slope = prob.sigma.with_slope(np.full(3, 0.25))
+        assert np.array_equal(value, np.ones(3)) and np.array_equal(slope, np.zeros(3))
+        path = sample_path(BasisConfig.from_resolution(64), (7, 1))
+        expected = solve(problem_from_sources({**sources, "sigma": "1"}), path).x_colloc
+        assert np.array_equal(solve(prob, path).x_colloc, expected)
+
+
+class TestExactMoments:
+    """Weak error of every kernel form against a closed form.
+
+    x = 1 + int k1(s,t) x(s) ds + int k2(s,t) dB(s) with k1 = c e^(-mu(t-s))
+    and k2 = sigma0 e^(-mu(t-s)) makes y = x - 1 an Ornstein-Uhlenbeck
+    process, dy = (c + a y) dt + sigma0 dB with a = c - mu, so
+    E x(t) = 1 + c (e^(at) - 1)/a and Var x(t) = sigma0^2 (e^(2at) - 1)/(2a);
+    here c = -1, sigma0 = 1/2 and mu = 1, or mu = 0 for constant kernels.
+    The collocated system is affine in the path's normals, so the mean
+    of x_m is its solution on the zero path and its variance is the sum
+    of the squared changes that each unit normal's path makes: one
+    engine call on 2m + 1 paths gives both, with no sampling noise.  On
+    these problems the weak order is 2 (measured, not a claim of the
+    paper, which proves strong order 1).
+    """
+
+    # kernels, a, and the bounds of the mean and variance errors at m = 64
+    FORMS = {
+        "difference": ("-exp(-(t-s))", "(1/2)*exp(-(t-s))", -2.0, 1.3e-5, 3e-6),
+        "triangle": ("-exp(s)*exp(-t)", "(1/2)*exp(s)*exp(-t)", -2.0, 1.3e-5, 3e-6),
+        "constant": ("-1", "1/2", -1.0, 3.5e-5, 1.7e-5),
+    }
+    RESOLUTIONS = (16, 32, 64, 128, 256)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_weak_order_two(self, form):
+        k1, k2, a, mean_bound, var_bound = self.FORMS[form]
+        prob = problem_from_sources({"x0": "1", "k1": k1, "k2": k2, "beta": "x", "sigma": "1"})
+        assert getattr(prob.k1, "difference_kernel", False) == (form == "difference")
+        mean_errors, var_errors = [], []
+        for m in self.RESOLUTIONS:
+            cfg = BasisConfig.from_resolution(m)
+            normals = np.vstack([np.zeros(2 * m), np.eye(2 * m)])
+            x, _, _, errors = _batch_solver(prob, cfg)(_path_values(normals, cfg.h))
+            assert errors == [None] * (2 * m + 1)
+            t = cfg.midpoints
+            mean_errors.append(np.max(np.abs(x[0] - (1.0 - (np.exp(a * t) - 1.0) / a))))
+            var = np.sum((x[1:] - x[0]) ** 2, axis=0)
+            var_errors.append(np.max(np.abs(var - 0.25 * (np.exp(2 * a * t) - 1.0) / (2 * a))))
+        assert mean_errors[2] <= mean_bound and var_errors[2] <= var_bound
+        for e in (mean_errors, var_errors):
+            orders = np.log2(np.array(e[:-1]) / e[1:])
+            assert np.all((1.9 <= orders) & (orders <= 2.1)), orders
 
 
 class TestFailureModes:
