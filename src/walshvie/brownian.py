@@ -8,8 +8,13 @@ seed, times sqrt(h/2): identical seed and resolution reproduce the path
 bit for bit and distinct keys give independent streams.  One key at m
 and 2m shares its leading normals, so the 2m path on [0, 1/2] is the m
 path scaled by 1/sqrt(2): neither an independent draw nor a refinement.
-``convergence_study`` relies on this to draw each trial once.
+``convergence_study`` relies on this to draw each trial once.  Trial i
+of a base seed is keyed (base, i); those keys are derived in bulk with
+SeedSequence's own hash and give the same bits.
 """
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -35,9 +40,66 @@ def sample_path(cfg, seed):
     return _readonly(_path_values(_normals(seed, np.empty(2 * cfg.m)), cfg.h))
 
 
-def _normals(seed, out):
-    """Fill ``out`` with the first normals of the stream keyed by seed."""
-    np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).standard_normal(out=out)
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx), and the
+# number of trials whose keys are derived in one pass
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 1 << 32
+_KEY_BLOCK = 1024
+
+
+def _hashmix(const, mult):
+    """SeedSequence's hashmix on uint32 arrays, whose constant is
+    multiplied by ``mult`` at each call; array arithmetic wraps silently."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult % _WORD
+        value = value * const
+        return value ^ value >> 16
+
+    return hashmix
+
+
+@functools.lru_cache(maxsize=1)
+def _key_block(base, block):
+    """The (_KEY_BLOCK, 2) uint64 Philox keys
+    SeedSequence((base, i)).generate_state(2, np.uint64) for the trials
+    i // _KEY_BLOCK == block, with base and i in [0, 2^32): mix_entropy
+    over a pool of 4 words, then generate_state, for all of them at once."""
+    zero = np.zeros(_KEY_BLOCK, dtype=np.uint32)
+    trials = np.arange(block * _KEY_BLOCK, (block + 1) * _KEY_BLOCK).astype(np.uint32)
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in (zero + np.uint32(base), trials, zero, zero)]
+    for src, dst in itertools.permutations(range(4), 2):
+        mixed = pool[dst] * _MIX_MULT_L - hashmix(pool[src]) * _MIX_MULT_R
+        pool[dst] = mixed ^ mixed >> 16
+    words = [word.astype(np.uint64) for word in map(_hashmix(_INIT_B, _MULT_B), pool)]
+    return _readonly(np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1))
+
+
+def _normals(seed, out, trials=None):
+    """Fill ``out`` with the leading normals of the Philox stream keyed by
+    ``seed``, an int or a tuple of ints, or, given a range of ``trials``,
+    row k with those of the stream keyed (seed, trials[k]).  When seed and
+    the trials lie in [0, 2^32), each key from _key_block is set into one
+    generator in the state a seeded Philox starts in: Philox is
+    counter-based, so the key alone fixes the stream (Salmon et al.,
+    "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  Other keys
+    are built by SeedSequence, which refuses a negative one."""
+    if trials is None:
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).standard_normal(out=out)
+    elif isinstance(seed, (int, np.integer)) and 0 <= seed < _WORD and 0 <= trials.start and trials.stop <= _WORD:
+        bits = np.random.Philox(0)
+        generator, state = np.random.Generator(bits), bits.state
+        for row, trial in zip(out, trials):
+            state["state"]["key"] = _key_block(seed, trial // _KEY_BLOCK)[trial % _KEY_BLOCK]
+            bits.state = state
+            generator.standard_normal(out=row)
+    else:
+        for row, trial in zip(out, trials):
+            _normals((seed, trial), row)
     return out
 
 

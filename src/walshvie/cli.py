@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .brownian import _increments, sample_path
+from .brownian import _increments, _normals, _path_values, sample_path
 from .experiment import coefficient_error_norm, convergence_study, monte_carlo
 from .operational import _upper_triangular_rows, _walsh_integration_rows, _walsh_stochastic_rows
 from .oracle import euler_maruyama
@@ -234,9 +234,12 @@ def _write_matrix(outdir, name, blocks):
 
 def _dump_paths(outdir, cfg, seed, trials):
     grid = np.arange(2 * cfg.m + 1) * cfg.h / 2.0
-    for trial in range(1, trials + 1):
-        path = sample_path(cfg, (seed, trial))
-        _write(outdir, f"path_{trial:03d}.csv", [b"t,B\n", *_csv_rows(np.column_stack([grid, path]))])
+    rows = max(1, (1 << 13) // cfg.m)  # paths drawn at once
+    for first in range(1, trials + 1, rows):
+        block = range(first, min(first + rows, trials + 1))
+        paths = _path_values(_normals(seed, np.empty((len(block), 2 * cfg.m)), block), cfg.h)
+        for trial, path in zip(block, paths):
+            _write(outdir, f"path_{trial:03d}.csv", [b"t,B\n", *_csv_rows(np.column_stack([grid, path]))])
 
 
 def _cmd_run(args, seed):

@@ -141,8 +141,7 @@ def _trial_errors(problem, cfgs, n, base_seed):
 
     for first in range(1, n + 1, len(normals)):
         trials = range(first, min(first + len(normals), n + 1))
-        for row, trial in zip(normals, trials):
-            _normals((base_seed, trial), out=row)
+        _normals(base_seed, normals[: len(trials)], trials)
         for r, (cfg, block) in enumerate(zip(cfgs, blocks)):
             values = _path_values(normals[: len(trials), : 2 * cfg.m], cfg.h)
             while len(values):

@@ -16,6 +16,7 @@ the caller.  Expressions that reference no variable fold to a float at
 compile time.
 """
 
+import functools
 import operator
 
 import numpy as np
@@ -31,20 +32,6 @@ FUNCTIONS = {
     "atanh": np.arctanh,
     "sqrt": np.sqrt,
 }
-
-# d/da f(a) of each function, given a and the value v = f(a)
-_DERIVATIVES = {
-    "sin": lambda a, v: np.cos(a),
-    "cos": lambda a, v: -np.sin(a),
-    "exp": lambda a, v: v,
-    "tanh": lambda a, v: 1.0 - v * v,
-    "sech": lambda a, v: -v * np.tanh(a),
-    "sinh": lambda a, v: np.cosh(a),
-    "asinh": lambda a, v: 1.0 / np.hypot(1.0, a),
-    "atanh": lambda a, v: 1.0 / ((1.0 - a) * (1.0 + a)),
-    "sqrt": lambda a, v: 0.5 / v,
-}
-
 
 class ExpressionError(ValueError):
     """Parse or evaluation failure, carrying a 1-based line and column.
@@ -222,49 +209,131 @@ def _source(node, constants, reads, folds, binding=0):
     return text if strength >= binding else f"({text})"
 
 
-def _varies(slope):
-    """Whether a slope may be nonzero: every slope but the scalar 0.0."""
-    return np.ndim(slope) != 0 or slope != 0.0
+# The functions the slopes call besides FUNCTIONS, and every operation of
+# the generated code, with the source of those that are not calls
+_SLOPE_FUNCTIONS = {"cosh": np.cosh, "hypot": np.hypot, "log": np.log}
+_OPERATIONS = {**_ARITHMETIC, "neg": operator.neg, **FUNCTIONS, **_SLOPE_FUNCTIONS}
+_TEMPLATES = {**{op: f"{{}} {spelling} {{}}" for op, (spelling, *_) in _BINARY.items()}, "neg": "-{}"}
+
+# d/da f(a) of each function, as operations of an _Emitter e on the names
+# of a and of the value v = f(a)
+_DERIVATIVES = {
+    "sin": lambda e, a, v: e.op("cos", a),
+    "cos": lambda e, a, v: e.op("neg", e.op("sin", a)),
+    "exp": lambda e, a, v: v,
+    "tanh": lambda e, a, v: e.op("-", 1.0, e.op("*", v, v)),
+    "sech": lambda e, a, v: e.op("*", e.op("neg", v), e.op("tanh", a)),
+    "sinh": lambda e, a, v: e.op("cosh", a),
+    "asinh": lambda e, a, v: e.op("/", 1.0, e.op("hypot", 1.0, a)),
+    "atanh": lambda e, a, v: e.op("/", 1.0, e.op("*", e.op("-", 1.0, a), e.op("+", 1.0, a))),
+    "sqrt": lambda e, a, v: e.op("/", 0.5, v),
+}
 
 
-def _evaluate_with_slope(node, x, folded):
-    """(value, d value / dx) of a one-variable tree at x, by forward
-    differentiation in real arithmetic.  ``folded`` maps the id of each
-    largest sub-tree that reads no variable to its value, whose slope is
-    0.  A node none of whose operands' slopes varies has the scalar
-    slope 0.0, so a derivative that is infinite there (sqrt at 0) is
-    never multiplied by it.  The values are those of the compiled
-    callable, operation for operation."""
-    if id(node) in folded:
-        return folded[id(node)], 0.0
-    kind = node[0]
-    if kind == "var":
-        return x, 1.0
-    if kind == "neg":
-        v, dv = _evaluate_with_slope(node[1], x, folded)
-        return -v, -dv
-    if kind == "call":
-        a, da = _evaluate_with_slope(node[2], x, folded)
-        v = FUNCTIONS[node[1]](a)
-        return v, _DERIVATIVES[node[1]](a, v) * da if _varies(da) else 0.0
-    op = node[1]
-    a, da = _evaluate_with_slope(node[2], x, folded)
-    b, db = _evaluate_with_slope(node[3], x, folded)
-    v = _ARITHMETIC[op](a, b)
-    if not (_varies(da) or _varies(db)):
-        return v, 0.0
-    if op == "+":
-        return v, da + db
-    if op == "-":
-        return v, da - db
-    if op == "*":
-        return v, da * b + a * db
-    if op == "/":
-        return v, (da - v * db) / b
-    if not _varies(db):
-        # the exponent does not vary with x, so a may be negative
-        return v, b * a ** (b - 1.0) * da
-    return v, v * (db * np.log(a) + b * da / a)
+def _shaped(slope, x):
+    # a slope that does not depend on x is a scalar (1.0 for x)
+    return slope if np.shape(slope) == np.shape(x) else np.broadcast_to(slope, np.shape(x))
+
+
+class _Emitter:
+    """Straight-line Python source of the values and forward-mode slopes
+    of one-variable parse trees at ``x``, in real arithmetic.  Each
+    distinct operation on distinct operand names is one assignment, so a
+    part that trees or derivative terms share is computed once.  An
+    operation on constants only (folded sub-trees, the slope 1.0 of x and
+    the slopes made from them) is made here with the tree walk's Python
+    operation, and a product with the float 1.0 is its other operand,
+    which is exact.  A node whose operands' slopes are all the constant
+    0.0 has the slope 0.0, so a derivative that is infinite there (sqrt
+    at 0) is never taken.  The tree walk judges that per call instead, so
+    the two can differ where a scalar x makes another slope exactly 0."""
+
+    def __init__(self):
+        self.lines = []
+        self.names = {}  # operation or (type, repr) of a constant -> name
+        self.constants = {}  # name -> value
+        self.scope = {**FUNCTIONS, **_SLOPE_FUNCTIONS, "_shaped": _shaped, "__builtins__": {}}
+
+    def const(self, value):
+        key = (type(value), repr(value))
+        if key not in self.names:
+            name = self.names[key] = f"k{len(self.constants)}"
+            self.constants[name] = self.scope[name] = value
+        return self.names[key]
+
+    def op(self, symbol, *args):
+        """The name of symbol applied to args, names or Python floats."""
+        args = tuple(a if isinstance(a, str) else self.const(a) for a in args)
+        if all(a in self.constants for a in args):
+            with np.errstate(all="ignore"):
+                return self.const(_OPERATIONS[symbol](*(self.constants[a] for a in args)))
+        one = self.names.get((float, "1.0"))
+        if symbol == "*" and one in args:
+            return args[1] if args[0] == one else args[0]
+        key = (symbol, *args)
+        if key not in self.names:
+            text = _TEMPLATES[symbol].format(*args) if symbol in _TEMPLATES else f"{symbol}({', '.join(args)})"
+            self.names[key] = f"t{len(self.lines)}"
+            self.lines.append(f"    {self.names[key]} = {text}\n")
+        return self.names[key]
+
+    def varies(self, slope):
+        return slope not in self.constants or self.constants[slope] != 0.0
+
+    def walk(self, node, folded, sloped):
+        """(value, slope) names of a tree, whose ``folded`` maps the id of
+        each largest sub-tree that reads no variable to its value; without
+        ``sloped`` the slope is None and no slope is computed."""
+        if id(node) in folded:
+            return self.const(folded[id(node)]), self.const(0.0) if sloped else None
+        kind = node[0]
+        if kind == "var":
+            return "x", self.const(1.0) if sloped else None
+        if kind == "neg":
+            a, da = self.walk(node[1], folded, sloped)
+            return self.op("neg", a), self.op("neg", da) if sloped else None
+        if kind == "call":
+            a, da = self.walk(node[2], folded, sloped)
+            v = self.op(node[1], a)
+            if not sloped:
+                return v, None
+            if not self.varies(da):
+                return v, self.const(0.0)
+            return v, self.op("*", _DERIVATIVES[node[1]](self, a, v), da)
+        op = node[1]
+        (a, da), (b, db) = self.walk(node[2], folded, sloped), self.walk(node[3], folded, sloped)
+        v = self.op(op, a, b)
+        if not sloped:
+            return v, None
+        if not (self.varies(da) or self.varies(db)):
+            return v, self.const(0.0)
+        if op in "+-":
+            return v, self.op(op, da, db)
+        if op == "*":
+            return v, self.op("+", self.op("*", da, b), self.op("*", a, db))
+        if op == "/":
+            return v, self.op("/", self.op("-", da, self.op("*", v, db)), b)
+        if not self.varies(db):
+            # the exponent does not vary with x, so a may be negative
+            return v, self.op("*", self.op("*", b, self.op("^", a, self.op("-", b, 1.0))), da)
+        log_term, power_term = self.op("*", db, self.op("log", a)), self.op("/", self.op("*", b, da), a)
+        return v, self.op("*", v, self.op("+", log_term, power_term))
+
+
+@functools.lru_cache(maxsize=16)
+def _straight_line(outputs):
+    """One generated function x -> the value of each one-variable callable
+    of compile_expression in ``outputs``, a tuple of (callable, sloped),
+    followed by its slope in x's shape when ``sloped``.  It is made once
+    per ``outputs``, on first use."""
+    e = _Emitter()
+    returns = []
+    for fn, sloped in outputs:
+        value, slope = e.walk(*fn._tree, sloped)
+        returns += [value, f"_shaped({slope}, x)"] if sloped else [value]
+    source = f"def generated(x):\n{''.join(e.lines)}    return {', '.join(returns)}\n"
+    exec(compile(source, "<expression>", "exec"), e.scope)
+    return e.scope["generated"]
 
 
 def _only_in_differences(node, a, b):
@@ -298,10 +367,11 @@ def compile_expression(src, variables=()):
     difference (``exp(-(t-s))``, not ``-s + t``).
     A one-variable callable also has ``with_slope(x) -> (value, slope)``:
     its value, bit for bit, and its derivative in x's shape, from one
-    pass of forward differentiation over the parsed tree in real
-    arithmetic that takes each of those sub-trees as its value with
-    slope 0.  Error positions are on line 1; callers parsing
-    multi-line files move them to the real line.
+    function generated on first use that makes the forward
+    differentiation of the parsed tree in real arithmetic (``_Emitter``)
+    and takes each of those sub-trees as its value with slope 0.  Error
+    positions are on line 1; callers parsing multi-line files move them
+    to the real line.
     """
     node = _Parser(src).parse()
     names, constants, reads, folds = tuple(variables), [], [], []
@@ -327,13 +397,6 @@ def compile_expression(src, variables=()):
     fn = eval(compile(f"lambda {', '.join(names)}: {body}", "<expression>", "eval"), scope)
     fn.difference_kernel = len(names) == 2 and _only_in_differences(node, *names)
     if len(names) == 1:
-
-        def with_slope(x):
-            value, slope = _evaluate_with_slope(node, x, folded)
-            # a slope that does not depend on x is a scalar (1.0 for x)
-            if np.shape(slope) != np.shape(x):
-                slope = np.broadcast_to(slope, np.shape(x))
-            return value, slope
-
-        fn.with_slope = with_slope
+        fn._tree = (node, folded)
+        fn.with_slope = lambda x: _straight_line(((fn, True),))(x)
     return fn

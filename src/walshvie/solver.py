@@ -26,9 +26,11 @@ for the half-block increments of block i, block i < j contributes
 
 to c[j], and block j itself contributes the same with the bracket
 replaced by -dB1^2/2 - h/4: the Ito drift -k2^2 sigma sigma'/2 plus the
-Milstein term.  A sigma compiled from the expression language gives
-sigma' by forward differentiation of its parse tree in real arithmetic,
-in the same pass as sigma; a sigma given as any other callable is
+Milstein term.  Each sweep evaluates beta, sigma and sigma' with one
+call.  For beta and sigma compiled from the expression language it is
+one generated function that differentiates sigma's parse tree forward
+in real arithmetic and computes a part they share once, with the bits of
+evaluating each alone; a sigma given as any other callable is
 differentiated by the complex step Im sigma(x + i eta) / eta, exact to
 rounding for analytic sigma.
 
@@ -141,28 +143,38 @@ _DAMPING = 0.5
 _COMPLEX_STEP = 1e-20
 
 
-def _sigma_with_slope(sigma, x):
-    """sigma(x) and sigma'(x).  A sigma with ``with_slope`` (compiled
-    expressions and folded constants) gives both in real arithmetic;
-    any other callable is differentiated by one complex-step evaluation,
-    and one that cannot take complex input is an error, never a silent
-    zero slope.  Finiteness is left to the caller, which judges it per
-    row."""
-    with_slope = getattr(sigma, "with_slope", None)
-    if with_slope is not None:
-        return with_slope(x)
-    z = x + 1j * _COMPLEX_STEP
-    try:
-        vals = np.asarray(sigma(z))
-    except (TypeError, ValueError) as exc:
-        raise TypeError(f"sigma must accept complex arrays for its complex-step slope: {exc}") from exc
-    if vals.shape != z.shape or not np.iscomplexobj(vals):
-        raise TypeError(
-            "sigma must map a complex array to a complex array of the same shape "
-            "for its complex-step slope (use numpy functions such as np.exp, not "
-            "math.exp, and no np.abs)"
-        )
-    return vals.real, vals.imag / _COMPLEX_STEP
+def _integrands(problem, ito):
+    """The one evaluation of a sweep, x -> (beta(x), sigma(x), sigma'(x)),
+    with sigma' zero when ``ito`` is False: one generated function for a
+    compiled beta and sigma.  Any other pair is evaluated beta first, and
+    sigma' by sigma's ``with_slope`` if it has one, else by the complex
+    step, where a sigma that cannot take complex input is an error, never
+    a silent zero slope.  Finiteness is left to the caller, per row."""
+    beta, sigma = problem.beta, problem.sigma
+    if hasattr(beta, "_tree") and hasattr(sigma, "_tree"):
+        generated = expressions._straight_line(((beta, False), (sigma, ito)))
+        return generated if ito else lambda x: (*generated(x), np.zeros_like(x))
+
+    def composed(x):
+        b = _eval_grid(beta, "beta", x)
+        if not ito:
+            return b, _eval_grid(sigma, "sigma", x), np.zeros_like(x)
+        if hasattr(sigma, "with_slope"):
+            return (b, *sigma.with_slope(x))
+        z = x + 1j * _COMPLEX_STEP
+        try:
+            vals = np.asarray(sigma(z))
+        except (TypeError, ValueError) as exc:
+            raise TypeError(f"sigma must accept complex arrays for its complex-step slope: {exc}") from exc
+        if vals.shape != z.shape or not np.iscomplexobj(vals):
+            raise TypeError(
+                "sigma must map a complex array to a complex array of the same shape "
+                "for its complex-step slope (use numpy functions such as np.exp, not "
+                "math.exp, and no np.abs)"
+            )
+        return b, vals.real, vals.imag / _COMPLEX_STEP
+
+    return composed
 
 
 def _exclusive_cumsum(a, diagonal):
@@ -279,6 +291,7 @@ def _batch_solver(problem, cfg):
     drift, _ = _kernel_operator(problem.k1, cfg, "k1", 0.5)
     noise, k2_ss = _kernel_operator(problem.k2, cfg, "k2", 0.0)
     ito = bool(np.any(k2_ss))
+    integrands = _integrands(problem, ito)
     x0 = float(problem.x0)
 
     def step(rows, x, full, dB1, c_full, c_half, errors):
@@ -288,11 +301,8 @@ def _batch_solver(problem, cfg):
         # a row whose beta, sigma, sigma' or iterate is not finite fails
         # below with that cause, so numpy need not warn of it
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            z1 = h * _eval_grid(problem.beta, "beta", x)
-            if ito:
-                sig, slope = _sigma_with_slope(problem.sigma, x)
-            else:
-                sig, slope = _eval_grid(problem.sigma, "sigma", x), np.zeros_like(x)
+            b, sig, slope = integrands(x)
+            z1 = h * b
             w = sig * (full + slope * c_full)
             u = sig * (dB1 + slope * c_half)
             candidate = x0 + drift(z1) + noise(w) + k2_ss * u

@@ -1,9 +1,13 @@
 """Seeded Brownian path sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from walshvie.brownian import _normals, _path_config, _path_values, sample_path
+from walshvie import brownian
+from walshvie.brownian import _KEY_BLOCK, _key_block, _normals, _path_config, _path_values, sample_path
+from walshvie.cli import main
 from walshvie.experiment import error_at
 from walshvie.operational import stochastic_matrix
 from walshvie.oracle import euler_maruyama
@@ -96,6 +100,48 @@ class TestPrefix:
         coarse = sample_path(BasisConfig.from_resolution(8), (3, 1))
         fine = sample_path(BasisConfig.from_resolution(16), (3, 1))
         assert np.allclose(fine[: len(coarse)], coarse / np.sqrt(2.0), rtol=1e-14, atol=1e-15)
+
+
+def _seeded(key, n):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key))).standard_normal(n)
+
+
+class TestBulkKeys:
+    # trial keys (base, i) with both words in [0, 2^32) are derived in
+    # bulk with SeedSequence's hash and set into one reused generator
+    WORDS = [0, 1, 42, _KEY_BLOCK - 1, _KEY_BLOCK, 2**31, 2**32 - 1]
+
+    @pytest.mark.parametrize("base", WORDS)
+    def test_keys_equal_seed_sequence(self, base):
+        for trial in self.WORDS + [2**32 - _KEY_BLOCK, 3 * _KEY_BLOCK + 17]:
+            key = _key_block(base, trial // _KEY_BLOCK)[trial % _KEY_BLOCK]
+            assert np.array_equal(key, np.random.SeedSequence((base, trial)).generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("base, first", [(0, 1), (42, _KEY_BLOCK - 25), (2**32 - 1, 2**32 - 50)])
+    def test_normals_are_bit_equal(self, base, first):
+        # 50 trials, across a key-block boundary for the second
+        trials = range(first, first + 50)
+        block = _normals(base, np.empty((len(trials), 64)), trials)
+        for row, trial in zip(block, trials):
+            assert np.array_equal(row, _seeded((base, trial), 64)), trial
+
+    @pytest.mark.parametrize("base, trials", [(2**40, range(3, 4)), (2**32, range(1, 3)), (7, range(2**32 - 1, 2**32 + 1))])
+    def test_keys_outside_one_word_take_seed_sequence(self, base, trials, monkeypatch):
+        monkeypatch.setattr(brownian, "_key_block", None)  # would fail if called
+        block = _normals(base, np.empty((len(trials), 16)), trials)
+        for row, trial in zip(block, trials):
+            assert np.array_equal(row, _seeded((base, trial), 16))
+
+    def test_negative_seed_is_refused(self, tmp_path, capsys):
+        assert main(["converge", "--example", "1", "--seed", "-1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
+    def test_wraparound_raises_no_warning(self):
+        _key_block.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keys = _key_block(2**32 - 1, 2**32 // _KEY_BLOCK - 1)
+        assert keys.dtype == np.uint64 and keys.shape == (_KEY_BLOCK, 2) and not keys.flags.writeable
 
 
 def _error_at_on(path):

@@ -365,19 +365,26 @@ class TestOneDrawPerTrial:
             assert np.array_equal(errors, rows)
             assert rms == float(np.sqrt(np.mean(np.square(rows))))
 
-    def test_one_generator_per_trial(self, monkeypatch):
-        made = []
-        philox = np.random.Philox
+    def test_each_trial_drawn_once_by_one_generator_per_draw(self, monkeypatch):
+        # every trial's key is drawn once for all resolutions, and a draw
+        # of many trials sets their keys into one generator
+        drawn, made = [], []
+        normals, philox = experiment._normals, np.random.Philox
 
-        def counting(*args, **kwargs):
+        def counting_normals(seed, out, trials):
+            drawn.extend(trials)
+            return normals(seed, out, trials)
+
+        def counting_philox(*args, **kwargs):
             made.append(args)
             return philox(*args, **kwargs)
 
-        monkeypatch.setattr(np.random, "Philox", counting)
+        monkeypatch.setattr(experiment, "_normals", counting_normals)
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
         monte_carlo(builtin_example(1), BasisConfig.from_resolution(8), 70, base_seed=4)
-        assert len(made) == 70
         convergence_study(builtin_example(1), (8, 16, 32), 70, base_seed=4)
-        assert len(made) == 140
+        assert drawn == [*range(1, 71)] * 2
+        assert len(made) == 2
 
     def test_draw_buffer_does_not_grow_with_trials(self):
         # drawing every trial at once would add n * 2 * 1024 * 8 bytes,

@@ -1,11 +1,12 @@
 """Expression language used by problem files."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
 
-from walshvie.expressions import FUNCTIONS, ExpressionError, _Parser, compile_expression
+from walshvie.expressions import FUNCTIONS, ExpressionError, _Parser, _straight_line, compile_expression
 
 
 def _evaluate(node, env):
@@ -30,6 +31,75 @@ def _evaluate(node, env):
     if op == "/":
         return left / right
     return left**right
+
+
+# d/da f(a) of each function, given a and the value v = f(a)
+_DERIVATIVES = {
+    "sin": lambda a, v: np.cos(a),
+    "cos": lambda a, v: -np.sin(a),
+    "exp": lambda a, v: v,
+    "tanh": lambda a, v: 1.0 - v * v,
+    "sech": lambda a, v: -v * np.tanh(a),
+    "sinh": lambda a, v: np.cosh(a),
+    "asinh": lambda a, v: 1.0 / np.hypot(1.0, a),
+    "atanh": lambda a, v: 1.0 / ((1.0 - a) * (1.0 + a)),
+    "sqrt": lambda a, v: 0.5 / v,
+}
+
+
+def _varies(slope):
+    """Whether a slope may be nonzero: every slope but the scalar 0.0."""
+    return np.ndim(slope) != 0 or slope != 0.0
+
+
+def _evaluate_with_slope(node, x, folded):
+    """Reference: (value, d value / dx) of a one-variable tree at x by a
+    recursive walk, forward differentiation in real arithmetic that the
+    generated slopes must match operation for operation.  ``folded`` maps
+    the id of each largest sub-tree that reads no variable to its value,
+    whose slope is 0.  A node none of whose operands' slopes varies has
+    the scalar slope 0.0."""
+    if id(node) in folded:
+        return folded[id(node)], 0.0
+    kind = node[0]
+    if kind == "var":
+        return x, 1.0
+    if kind == "neg":
+        v, dv = _evaluate_with_slope(node[1], x, folded)
+        return -v, -dv
+    if kind == "call":
+        a, da = _evaluate_with_slope(node[2], x, folded)
+        v = FUNCTIONS[node[1]](a)
+        return v, _DERIVATIVES[node[1]](a, v) * da if _varies(da) else 0.0
+    op = node[1]
+    a, da = _evaluate_with_slope(node[2], x, folded)
+    b, db = _evaluate_with_slope(node[3], x, folded)
+    v = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}[op](a, b)
+    if not (_varies(da) or _varies(db)):
+        return v, 0.0
+    if op == "+":
+        return v, da + db
+    if op == "-":
+        return v, da - db
+    if op == "*":
+        return v, da * b + a * db
+    if op == "/":
+        return v, (da - v * db) / b
+    if not _varies(db):
+        return v, b * a ** (b - 1.0) * da
+    return v, v * (db * np.log(a) + b * da / a)
+
+
+def _reference_with_slope(f, x):
+    """with_slope by the reference walk, its slope in x's shape."""
+    node, folded = f._tree
+    value, slope = _evaluate_with_slope(node, x, folded)
+    return value, slope if np.shape(slope) == np.shape(x) else np.broadcast_to(slope, np.shape(x))
+
+
+def _integrands(beta, sigma, sloped):
+    """The engine's generated function of a compiled beta and sigma."""
+    return _straight_line(((beta, False), (sigma, sloped)))
 
 
 def same_bits(a, b):
@@ -212,6 +282,82 @@ class TestSlopes:
         assert value.shape == (2, 3)
         assert np.array_equal(slope, np.ones((2, 3)))
         assert not hasattr(compile_expression("t - s", ("s", "t")), "with_slope")
+
+
+class TestGeneratedSlopes:
+    # with_slope and the engine's fused beta/sigma/sigma' function are
+    # generated code that must match the tree walk bit for bit
+    INPUTS = {
+        "float": 0.3,
+        "float64": np.float64(0.3),
+        "array": np.array([[0.15, 0.4], [0.65, 0.9]]),
+        # x * 0.0 is not 0.0 here, so no such product may be folded
+        "non-finite": np.array([[np.inf, -np.inf], [np.nan, 0.0]]),
+    }
+    SOURCES = [f"{name}(x)" for name in FUNCTIONS] + [
+        # the five operators, either side varying
+        "x + 2", "2 + x", "x - 2", "2 - x", "2 * x", "x * x", "x / 3", "3 / x", "x / x", "-x", "--x",
+        # a constant exponent, also of a negative base, and a varying one
+        "x ^ 3", "(x - 1) ^ 3", "(x - 1) ^ -2", "(-x) ^ (1/3)", "2 ^ x", "x ^ x", "(1 + x) ^ sech(x)",
+        "x ^ -x",
+        # products with 1.0, folded constants and slopes that do not vary
+        "1 * x", "x * 1", "sech(1/3) * x", "x - x + x", "1 + sqrt(x-x)", "1 + (x-x)^0.5",
+        # an np.float64 fold and a float constant of equal value stay apart
+        "exp(0) + 1 * x",
+        "x*(1-x^2)", "tanh(x)*sech(x)^2", "sqrt(exp(x)^2) - sin(cos(x))", "(x + 1) * (x - 1) / -(x ^ 2)",
+        "atanh(x/2) + asinh(x)^2",
+    ]
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    @pytest.mark.parametrize("src", SOURCES)
+    def test_with_slope_matches_the_tree_walk(self, src, kind):
+        x = self.INPUTS[kind]
+        f = compile_expression(src, ("x",))
+        with np.errstate(all="ignore"):
+            (value, slope), (want_value, want_slope) = f.with_slope(x), _reference_with_slope(f, x)
+            assert same_bits(value, f(x))
+        assert same_bits(value, want_value)
+        assert same_bits(slope, want_slope)
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    @pytest.mark.parametrize(
+        "beta, sigma",
+        [
+            ("tanh(x)*sech(x)^2", "sech(x)"),
+            ("x*(1-x^2)", "1-x^2"),
+            ("sin(x) * cos(x)", "cos(x) + sin(x)^2"),
+            ("x", "x"),
+            ("x*(1-x^2)", "1 + sqrt(x-x)"),
+        ],
+    )
+    def test_integrands_match_the_tree_walk(self, beta, sigma, kind):
+        x = self.INPUTS[kind]
+        b, s = compile_expression(beta, ("x",)), compile_expression(sigma, ("x",))
+        with np.errstate(all="ignore"):
+            want_sigma, want_slope = _reference_with_slope(s, x)
+            got, want_beta, pair = _integrands(b, s, True)(x), b(x), _integrands(b, s, False)(x)
+            # the compiled lambdas themselves still take complex input
+            assert np.iscomplexobj(b(x + 0.1j)) and np.iscomplexobj(s(x + 0.1j))
+        assert all(same_bits(a, w) for a, w in zip(got, (want_beta, want_sigma, want_slope)))
+        assert len(pair) == 2 and same_bits(pair[0], want_beta) and same_bits(pair[1], want_sigma)
+
+    def test_shared_sub_trees_are_computed_once(self, monkeypatch):
+        # example 1: sech(x) is in beta and sigma, tanh(x) in beta and sech'
+        beta, sigma = compile_expression("tanh(x)*sech(x)^2", ("x",)), compile_expression("sech(x)", ("x",))
+        calls = []
+        for name in ("tanh", "sech"):
+            fn = FUNCTIONS[name]
+            monkeypatch.setitem(FUNCTIONS, name, lambda a, name=name, fn=fn: calls.append(name) or fn(a))
+        _integrands(beta, sigma, True)(np.full((2, 3), 0.25))
+        assert sorted(calls) == ["sech", "tanh"]
+
+    def test_slope_that_cannot_vary_is_the_scalar_zero(self):
+        # sqrt' is infinite at x - x = 0, so it is never evaluated
+        f = compile_expression("1 + sqrt(x-x)", ("x",))
+        value, slope = f.with_slope(0.25)
+        assert value == 1.0 and type(slope) is float and slope == 0.0
+        value, slope = f.with_slope(np.full((2, 3), 0.25))
+        assert np.array_equal(slope, np.zeros((2, 3)))
 
 
 class TestDifferenceKernels:

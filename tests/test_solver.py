@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from walshvie import solver
+from walshvie import expressions, solver
 from walshvie.brownian import _path_values, sample_path
 from walshvie.operational import integration_matrix, stochastic_matrix
 from walshvie.solver import (
@@ -419,9 +419,38 @@ class TestItoCorrection:
         # 1/cosh(x) is 0 at x = 1e5, where a complex cosh overflows to
         # inf + inf j and the complex step would give nan
         sigma = problem_from_sources({"x0": "0", "k1": "0", "k2": "1", "beta": "0", "sigma": "sech(x)"}).sigma
-        value, slope = solver._sigma_with_slope(sigma, np.array([[1e5, -1e5]]))
+        value, slope = sigma.with_slope(np.array([[1e5, -1e5]]))
         assert np.array_equal(value, [[0.0, 0.0]])
         assert np.array_equal(slope, [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("example_id", [1, 2])
+    def test_compiled_pair_is_one_call_per_sweep(self, example_id, monkeypatch):
+        calls = []
+        fuse = expressions._straight_line
+
+        def counting(outputs):
+            generated = fuse(outputs)
+            return lambda x: calls.append(x.shape) or generated(x)
+
+        monkeypatch.setattr(expressions, "_straight_line", counting)
+        cfg = BasisConfig.from_resolution(32)
+        res = solve(builtin_example(example_id), sample_path(cfg, seed=4))
+        assert calls == [(1, cfg.m)] * res.iterations
+
+    def test_callable_sigma_takes_the_complex_step(self):
+        # sigma given as a lambda is not fused: it gets complex input
+        seen = []
+
+        def sigma(x):
+            seen.append(x.dtype)
+            return 1.0 - x * x
+
+        prob = builtin_example(2)
+        cfg = BasisConfig.from_resolution(16)
+        path = sample_path(cfg, seed=9)
+        res = solve(dataclasses.replace(prob, sigma=sigma), path)
+        assert set(seen) == {np.dtype(complex)} and len(seen) == res.iterations
+        assert np.max(np.abs(res.x_colloc - solve(prob, path).x_colloc)) <= 1e-15
 
     @pytest.mark.parametrize("sigma", [np.abs, lambda x: math.exp(x)], ids=["np.abs", "math.exp"])
     def test_real_only_sigma_is_refused(self, sigma):
