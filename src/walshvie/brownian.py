@@ -79,28 +79,36 @@ def _key_block(base, block):
     return _readonly(np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1))
 
 
-def _normals(seed, out, trials=None):
+def _normals(seed, out):
     """Fill ``out`` with the leading normals of the Philox stream keyed by
-    ``seed``, an int or a tuple of ints, or, given a range of ``trials``,
-    row k with those of the stream keyed (seed, trials[k]).  When seed and
-    the trials lie in [0, 2^32), each key from _key_block is set into one
-    generator in the state a seeded Philox starts in: Philox is
+    ``seed``, an int or a tuple of ints."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).standard_normal(out=out)
+
+
+def _trial_normals(seed):
+    """The function draw(out, trials) that fills row k of ``out`` with the
+    leading normals of the Philox stream keyed (seed, trials[k]), for a
+    range of trials; one is made per study.  When seed and the trials lie
+    in [0, 2^32), each key from _key_block is set into the one generator
+    made here, in the state a seeded Philox starts in: Philox is
     counter-based, so the key alone fixes the stream (Salmon et al.,
     "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  Other keys
     are built by SeedSequence, which refuses a negative one."""
-    if trials is None:
-        np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).standard_normal(out=out)
-    elif isinstance(seed, (int, np.integer)) and 0 <= seed < _WORD and 0 <= trials.start and trials.stop <= _WORD:
-        bits = np.random.Philox(0)
-        generator, state = np.random.Generator(bits), bits.state
-        for row, trial in zip(out, trials):
-            state["state"]["key"] = _key_block(seed, trial // _KEY_BLOCK)[trial % _KEY_BLOCK]
-            bits.state = state
-            generator.standard_normal(out=row)
-    else:
-        for row, trial in zip(out, trials):
-            _normals((seed, trial), row)
-    return out
+    bits = np.random.Philox(0)
+    generator, state = np.random.Generator(bits), bits.state
+
+    def draw(out, trials):
+        if isinstance(seed, (int, np.integer)) and 0 <= seed < _WORD and 0 <= trials.start and trials.stop <= _WORD:
+            for row, trial in zip(out, trials):
+                state["state"]["key"] = _key_block(seed, trial // _KEY_BLOCK)[trial % _KEY_BLOCK]
+                bits.state = state
+                generator.standard_normal(out=row)
+        else:
+            for row, trial in zip(out, trials):
+                _normals((seed, trial), row)
+        return out
+
+    return draw
 
 
 def _path_values(normals, h):

@@ -23,13 +23,13 @@ import sys
 
 import numpy as np
 
-from .brownian import _increments, _normals, _path_values, sample_path
+from .brownian import _increments, _path_values, _trial_normals, sample_path
 from .experiment import coefficient_error_norm, convergence_study, monte_carlo
-from .operational import _upper_triangular_rows, _walsh_integration_rows, _walsh_stochastic_rows
+from .operational import _walsh_integration_nonzeros, _walsh_stochastic_rows
 from .oracle import euler_maruyama
 from .problemfile import parse_problem_file
 from .solver import NonConvergenceError, NonFiniteIterateError, builtin_example, solve
-from .walsh import BasisConfig, _walsh_rows
+from .walsh import BasisConfig, _bit_reversal
 
 DEFAULT_SEED = 42
 MIN_RESOLUTION = 2
@@ -161,25 +161,21 @@ def _ascii_words():
 
 
 def _csv_rows(matrix):
-    """Yield the rows of a 2-D float array as "%.8e" CSV lines, in bytes.
+    """Yield the rows of a 2-D float array as "%.8e" CSV lines, in bytes,
+    one chunk per block of about _BLOCK_VALUES values.
 
     A field takes a 16-byte slot, the four words of _ascii_words; the
     last byte becomes ',' or '\\n', and a positive value leaves its sign
     byte NUL.  Values that _scientific cannot decide are formatted by
     Python and spliced into their slots, widened to 17 bytes if one
     needs 16 characters, so the bytes equal "%.8e" % x for every double.
-    The NUL bytes are dropped at the end.  A block with at most one run
-    of equal bits (-0.0 is not 0.0) per 8 values, as in P, P_S and
-    Lambda, formats each run once and yields a row at a time.
+    The NUL bytes are dropped at the end.
     """
     heads, quads, tails, exps = _ascii_words()
     step = max(1, _BLOCK_VALUES // matrix.shape[1])
     for r in range(0, len(matrix), step):
         block = np.asarray(matrix[r : r + step], dtype=np.float64)
-        starts = np.ones(block.shape, dtype=bool)
-        np.not_equal(block[:, 1:].view(np.int64), block[:, :-1].view(np.int64), out=starts[:, 1:])
-        runs = 8 * np.count_nonzero(starts) <= block.size
-        x = block[starts] if runs else block.ravel()
+        x = block.ravel()
         digits, e, fast = _scientific(x)
         head = np.floor(digits / 1e7)
         body = np.floor(digits / 1e3)
@@ -197,47 +193,101 @@ def _csv_rows(matrix):
             width = buf.shape[1] - 1
             buf[slow, :width] = text.astype(f"S{width}").view(np.uint8).reshape(-1, width)
         buf[:, -1] = ord(",")
-        if runs:
-            lengths = np.diff(np.flatnonzero(starts), append=block.size).tolist()
-            cells = zip(buf.tobytes().replace(b"\0", b"").split(b","), lengths)
-            for count in np.count_nonzero(starts, axis=1).tolist():
-                yield b"".join([(c + b",") * n for c, n in itertools.islice(cells, count)])[:-1] + b"\n"
-            continue
         buf.reshape(block.shape[0], block.shape[1], -1)[:, -1, -1] = ord("\n")
         yield buf.tobytes().replace(b"\0", b"")
 
 
-def _sign_rows(matrix):
-    """Yield the rows of a +-1 integer matrix (T_W) as CSV lines, in bytes:
-    a field is '-' or NUL, '1', and ',' or '\\n'; the NULs are dropped."""
-    step = max(1, _BLOCK_VALUES // matrix.shape[1])
-    for r in range(0, len(matrix), step):
-        block = matrix[r : r + step]
-        negative = block < 0
-        if not np.all(negative | (block == 1)) or np.any(block[negative] != -1):
-            raise ValueError("only matrices of +-1 entries are written as integers")
-        fields = np.empty(block.shape + (3,), dtype=np.uint8)
-        fields[..., 0] = negative
-        fields[..., 0] *= ord("-")
-        fields[..., 1] = ord("1")
-        fields[:, :-1, 2] = ord(",")
-        fields[:, -1, 2] = ord("\n")
-        yield fields.tobytes().replace(b"\0", b"")
-
-
 def _write_matrix(outdir, name, blocks):
-    """Write a matrix given as an iterable of blocks of its rows.  Neither
-    writer keeps more than a block of text."""
-    lines = (_sign_rows(block) if block.dtype.kind == "i" else _csv_rows(block) for block in blocks)
-    return _write(outdir, name, itertools.chain.from_iterable(lines))
+    """Write a float matrix given as an iterable of blocks of its rows,
+    keeping no more than a block of text."""
+    return _write(outdir, name, itertools.chain.from_iterable(map(_csv_rows, blocks)))
+
+
+# The matrices with closed forms are written from runs: row i of an m x m
+# matrix is a list of (count, cell) pairs, a cell being the "%.8e," bytes
+# of one value, which the row repeats count times.
+_ZERO = b"%.8e," % 0.0
+
+
+def _cells(values):
+    """The cells of a 1-D float array, formatted by _csv_rows."""
+    return b"".join(_csv_rows(np.reshape(values, (-1, 1)))).replace(b"\n", b",\n").split(b"\n")[:-1]
+
+
+def _run_lines(m, runs):
+    """Yield the CSV text of the m x m matrix whose row i is runs(i), one
+    bytearray per block of about _BLOCK_VALUES / 2 cells (0.5 MB of text),
+    so that the block being made and the one being written stay under
+    2 MB; the last comma of each row becomes its newline."""
+    step = max(1, _BLOCK_VALUES // (2 * m))
+    for start in range(0, m, step):
+        block = bytearray()
+        for i in range(start, min(start + step, m)):
+            for count, cell in runs(i):
+                block += cell * count
+            block[-1] = ord("\n")
+        yield block
+
+
+def _walsh_runs(m):
+    """The runs of T_W: row n is row rev(n) of Sylvester's Hadamard
+    matrix H, since popcount(n & rev(j)) = popcount(rev(n) & j).  The
+    texts of the rows of H_W, W = min(m, 64), and of their negations are
+    built by doubling, H_2w = [[H_w, H_w], [H_w, -H_w]]; column group g
+    of row r of H is the text of row r % W, negated when
+    popcount(r // W & g) is odd."""
+    width = min(m, 64)
+    texts = [(b"1,", b"-1,")]
+    while len(texts) < width:
+        texts = [(p + p, n + n) for p, n in texts] + [(p + n, n + p) for p, n in texts]
+    rev = _bit_reversal(m).tolist()
+    groups = range(m // width)
+
+    def runs(n):
+        q, u = divmod(rev[n], width)
+        return [(1, b"".join([texts[u][(q & g).bit_count() & 1] for g in groups]))]
+
+    return runs
+
+
+def _triangular_runs(above, diagonal):
+    """The runs of the upper triangular matrix with diagonal[i] on the
+    diagonal of row i, above[i] right of it and +0.0 left of it."""
+    above, diagonal = _cells(above), _cells(diagonal)
+    m = len(diagonal)
+    return lambda i: ((i, _ZERO), (1, diagonal[i]), (m - 1 - i, above[i]))
+
+
+def _sparse_runs(m, nonzeros):
+    """The runs of the m x m matrix whose row i holds the (column, value)
+    pairs nonzeros(i), in column order, and +0.0 elsewhere.  A value is
+    formatted when a row first holds it and found again by equality,
+    which is exact here: equal nonzero floats have equal bits, and a NaN
+    is found only as the object that was formatted."""
+    cells = {}
+
+    def runs(i):
+        row = nonzeros(i)
+        new = [value for _, value in row if value not in cells]
+        if new:
+            cells.update(zip(new, _cells(new)))
+        out, at = [], 0
+        for column, value in row:
+            out += [(column - at, _ZERO), (1, cells[value])]
+            at = column + 1
+        out.append((m - at, _ZERO))
+        return out
+
+    return runs
 
 
 def _dump_paths(outdir, cfg, seed, trials):
     grid = np.arange(2 * cfg.m + 1) * cfg.h / 2.0
     rows = max(1, (1 << 13) // cfg.m)  # paths drawn at once
+    draw = _trial_normals(seed)
     for first in range(1, trials + 1, rows):
         block = range(first, min(first + rows, trials + 1))
-        paths = _path_values(_normals(seed, np.empty((len(block), 2 * cfg.m)), block), cfg.h)
+        paths = _path_values(draw(np.empty((len(block), 2 * cfg.m)), block), cfg.h)
         for trial, path in zip(block, paths):
             _write(outdir, f"path_{trial:03d}.csv", [b"t,B\n", *_csv_rows(np.column_stack([grid, path]))])
 
@@ -310,18 +360,15 @@ def _cmd_matrices(args, seed):
     cfg = BasisConfig.from_resolution(args.m)
     m, h = cfg.m, cfg.h
     path = sample_path(cfg, seed)
-    # Every matrix is built from O(m) data, one block of the rows that
-    # _csv_rows formats together at a time, so no m x m array is made.
-    matrices = {
-        "tw.csv": functools.partial(_walsh_rows, m),
-        "p.csv": functools.partial(_upper_triangular_rows, np.full(m, h), np.full(m, h / 2.0)),
-        "ps.csv": functools.partial(_upper_triangular_rows, *_increments(path)[:2]),
-        "lambda.csv": functools.partial(_walsh_integration_rows, m),
-        "lambda_s.csv": _walsh_stochastic_rows(path),
-    }
-    step = max(1, _BLOCK_VALUES // m)
-    for name, rows in matrices.items():
-        _write_matrix(args.out, name, (rows(r, min(r + step, m)) for r in range(0, m, step)))
+    # T_W, P, P_S and Lambda are written as runs of the cells of their
+    # O(m) distinct values; Lambda_S, whose values are all distinct, as
+    # dense blocks of rows.  No m x m array is made.
+    _write(args.out, "tw.csv", _run_lines(m, _walsh_runs(m)))
+    _write(args.out, "p.csv", _run_lines(m, _triangular_runs(np.full(m, h), np.full(m, h / 2.0))))
+    _write(args.out, "ps.csv", _run_lines(m, _triangular_runs(*_increments(path)[:2])))
+    _write(args.out, "lambda.csv", _run_lines(m, _sparse_runs(m, functools.partial(_walsh_integration_nonzeros, m))))
+    rows, step = _walsh_stochastic_rows(path), max(1, _BLOCK_VALUES // m)
+    _write_matrix(args.out, "lambda_s.csv", (rows(r, min(r + step, m)) for r in range(0, m, step)))
     return 0
 
 

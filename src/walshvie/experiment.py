@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import _normals, _path_config, _path_values
+from .brownian import _path_config, _path_values, _trial_normals
 from .solver import _batch_solver
 from .walsh import BasisConfig, fast_walsh_transform, midpoint_floor_index
 
@@ -114,17 +114,19 @@ def _trial_errors(problem, cfgs, n, base_seed):
     Trial i's normals are drawn once from the key (base_seed, i) for the
     finest m; the path at each m is made from their first 2m, as
     ``sample_path`` makes it.  Trials are drawn a bounded chunk at a time,
-    and each m gathers its paths' (2m + 1) values across draws, in trial
-    order, into a block of fixed size that its engine, built once, solves
-    when full; the part-filled blocks are solved at the end.  The error
-    rows are read from the solved rows of the engine's solutions and of
-    the block, in trial order, and a block in which every row fails calls
-    no ``exact``.  Each row is solved on its own, so a trial's values do
-    not depend on the blocks or the draws.
+    all by one generator, and each m gathers its paths' (2m + 1) values
+    across draws, in trial order, into a block of fixed size that its
+    engine, built once, solves when full; the part-filled blocks are
+    solved at the end.  The error rows are read from the solved rows of
+    the engine's solutions and of the block, in trial order, and a block
+    in which every row fails calls no ``exact``.  Each row is solved on
+    its own, so a trial's values do not depend on the blocks or the
+    draws.
     """
     engines = [_batch_solver(problem, cfg) for cfg in cfgs]
     indices = [midpoint_floor_index(cfg.m, REPORT_TIMES) for cfg in cfgs]
     width = 2 * max(cfg.m for cfg in cfgs)
+    draw = _trial_normals(base_seed)
     normals = np.empty((max(1, _DRAW_ELEMENTS // width), width))
     blocks = [np.empty((min(n, max(1, _CHUNK_ELEMENTS // cfg.m)), 2 * cfg.m + 1)) for cfg in cfgs]
     filled = [0] * len(cfgs)
@@ -141,7 +143,7 @@ def _trial_errors(problem, cfgs, n, base_seed):
 
     for first in range(1, n + 1, len(normals)):
         trials = range(first, min(first + len(normals), n + 1))
-        _normals(base_seed, normals[: len(trials)], trials)
+        draw(normals[: len(trials)], trials)
         for r, (cfg, block) in enumerate(zip(cfgs, blocks)):
             values = _path_values(normals[: len(trials), : 2 * cfg.m], cfg.h)
             while len(values):

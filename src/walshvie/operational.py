@@ -73,21 +73,16 @@ def walsh_domain(M):
     return W
 
 
-def _walsh_integration_rows(m, start, stop):
-    """Rows start..stop-1 of ``walsh_domain(integration_matrix(cfg))``
-    at resolution m, from its closed form (Chen and Hsiao, Proc. IEE
-    122, 1975), without transforms: 1/2 at (0, 0), -1/(4k) at (i, k + i)
-    and 1/(4k) at (k + i, i) for each k = 2**l < m and i < k, and +0.0
-    elsewhere."""
-    L = np.zeros((stop - start, m))
-    if start == 0 < stop:
-        L[0, 0] = 0.5
-    for k in 2 ** np.arange(m.bit_length() - 1):
-        i = np.arange(start, min(stop, k))  # rows i < k: right of the diagonal
-        L[i - start, k + i] = -0.25 / k
-        i = np.arange(max(start, k), min(stop, 2 * k))  # rows k + i: left of it
-        L[i - start, i - k] = 0.25 / k
-    return L
+def _walsh_integration_nonzeros(m, i):
+    """The nonzeros of row i of ``walsh_domain(integration_matrix(cfg))``
+    at resolution m, as (column, value) pairs in column order, from its
+    closed form (Chen and Hsiao, Proc. IEE 122, 1975): 1/2 at (0, 0),
+    1/(4k) at (i, i - k) for k the highest power of two <= i, and
+    -1/(4k) at (i, i + k) for each power of two k with i < k < m.  Every
+    other entry is +0.0."""
+    k = 1 << i.bit_length() >> 1
+    first = (i - k, 0.25 / k) if k else (0, 0.5)
+    return [first] + [(i + (1 << b), -0.25 / (1 << b)) for b in range(i.bit_length(), m.bit_length() - 1)]
 
 
 def _walsh_stochastic_rows(path):

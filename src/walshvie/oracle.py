@@ -13,6 +13,7 @@ kernel is evaluated once, on the arrays of all m steps, so it must take
 numpy arrays; the steps call only beta and sigma, one scalar at a time.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ def euler_maruyama(problem, path):
                 + k1[j] * float(problem.beta(y[j])) * h
                 + k2[j] * float(problem.sigma(y[j])) * dB[j]
             )
-            if not np.isfinite(y[j + 1]):
+            if not math.isfinite(y[j + 1]):
                 raise NonFiniteIterateError(f"oracle iterate is not finite at step {j + 1}")
     # halved before the sum, which then cannot overflow; the bits are
     # those of 0.5 * (y[:-1] + y[1:]) wherever that is finite and normal

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from walshvie import brownian
-from walshvie.brownian import _KEY_BLOCK, _key_block, _normals, _path_config, _path_values, sample_path
+from walshvie.brownian import _KEY_BLOCK, _key_block, _normals, _path_config, _path_values, _trial_normals, sample_path
 from walshvie.cli import main
 from walshvie.experiment import error_at
 from walshvie.operational import stochastic_matrix
@@ -119,16 +119,19 @@ class TestBulkKeys:
 
     @pytest.mark.parametrize("base, first", [(0, 1), (42, _KEY_BLOCK - 25), (2**32 - 1, 2**32 - 50)])
     def test_normals_are_bit_equal(self, base, first):
-        # 50 trials, across a key-block boundary for the second
+        # 50 trials, across a key-block boundary for the second, in two
+        # draws by one generator
         trials = range(first, first + 50)
-        block = _normals(base, np.empty((len(trials), 64)), trials)
+        draw, block = _trial_normals(base), np.empty((len(trials), 64))
+        draw(block[:20], trials[:20])
+        draw(block[20:], trials[20:])
         for row, trial in zip(block, trials):
             assert np.array_equal(row, _seeded((base, trial), 64)), trial
 
     @pytest.mark.parametrize("base, trials", [(2**40, range(3, 4)), (2**32, range(1, 3)), (7, range(2**32 - 1, 2**32 + 1))])
     def test_keys_outside_one_word_take_seed_sequence(self, base, trials, monkeypatch):
         monkeypatch.setattr(brownian, "_key_block", None)  # would fail if called
-        block = _normals(base, np.empty((len(trials), 16)), trials)
+        block = _trial_normals(base)(np.empty((len(trials), 16)), trials)
         for row, trial in zip(block, trials):
             assert np.array_equal(row, _seeded((base, trial), 16))
 

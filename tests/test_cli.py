@@ -11,7 +11,18 @@ import pytest
 
 from walshvie.brownian import sample_path
 from walshvie import cli
-from walshvie.cli import _ascii_words, _csv_rows, _scientific, _write_matrix, main
+from walshvie.cli import (
+    _ascii_words,
+    _csv_rows,
+    _run_lines,
+    _scientific,
+    _sparse_runs,
+    _triangular_runs,
+    _walsh_runs,
+    _write,
+    _write_matrix,
+    main,
+)
 from walshvie.expressions import FUNCTIONS
 from walshvie.operational import integration_matrix, stochastic_matrix, walsh_domain
 from walshvie.solver import builtin_example
@@ -373,23 +384,28 @@ class TestFloatFormatter:
 
 
 class TestMatrixWriter:
-    # m = 512 spans four blocks of 128 rows; P, P_S and Lambda take the
-    # run path there, Lambda_S and T_W do not
-    @pytest.mark.parametrize("m", [64, 256, 512])
+    # T_W, P, P_S and Lambda are written from runs, Lambda_S from dense
+    # blocks of rows.  m = 512 spans eight run blocks of 64 rows and four
+    # dense blocks of 128; below m = 64 a row of T_W is narrower than the
+    # 64-column Hadamard block, m = 2 gives Lambda only its row 0 and one
+    # row of its top octave, and the last row of P and P_S has no run
+    # right of the diagonal.
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64, 256, 512])
     def test_matrices_match_reference(self, tmp_path, m):
-        assert main(["matrices", "--m", str(m), "--seed", "5", "--out", str(tmp_path)]) == 0
         cfg = BasisConfig.from_resolution(m)
         P = integration_matrix(cfg)
-        PS = stochastic_matrix(sample_path(cfg, 5))
-        expected = {
-            "tw.csv": reference_matrix_csv(build_walsh_matrix(cfg), integer=True),
-            "p.csv": reference_matrix_csv(P),
-            "ps.csv": reference_matrix_csv(PS),
-            "lambda.csv": reference_matrix_csv(walsh_domain(P)),
-            "lambda_s.csv": reference_matrix_csv(walsh_domain(PS)),
-        }
-        for name, want in expected.items():
-            assert (tmp_path / name).read_bytes() == want, name
+        for seed in (5, 6):
+            assert main(["matrices", "--m", str(m), "--seed", str(seed), "--out", str(tmp_path)]) == 0
+            PS = stochastic_matrix(sample_path(cfg, seed))
+            expected = {
+                "tw.csv": reference_matrix_csv(build_walsh_matrix(cfg), integer=True),
+                "p.csv": reference_matrix_csv(P),
+                "ps.csv": reference_matrix_csv(PS),
+                "lambda.csv": reference_matrix_csv(walsh_domain(P)),
+                "lambda_s.csv": reference_matrix_csv(walsh_domain(PS)),
+            }
+            for name, want in expected.items():
+                assert (tmp_path / name).read_bytes() == want, (name, seed)
 
     def test_signed_zeros_repeats_and_subnormals(self, tmp_path):
         tiny = 5e-324
@@ -405,39 +421,42 @@ class TestMatrixWriter:
         assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv(M)
 
         # The same values, and TIE and 1e300 that Python formats, in runs
-        # of 16, four a row (the run path: one chunk a row), and in one
-        # column (the block path: one chunk a block).  NaNs with other
-        # payloads or sign and -0.0 next to 0.0 are separate runs.
+        # of 16, four a row, and in one column: the dense writer yields one
+        # chunk a block of rows.  NaNs with other payloads or sign and -0.0
+        # next to 0.0 keep their own text.
         nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64)
         values = np.concatenate([M.ravel(), nans.view(np.float64), [TIE, -TIE, 1e300, -1e300, TIE, 0.0, -0.0, 0.0]])
         runs = np.repeat(values, 16).reshape(-1, 64)
-        for A, chunks in ((runs, len(runs)), (values[:, None], 1)):
+        blocks = np.repeat(np.arange(2 * cli._BLOCK_VALUES // 64 + 3) / 7, 64).reshape(-1, 64)
+        for A, chunks in ((runs, 1), (values[:, None], 1), (blocks, 3)):
             assert len(list(_csv_rows(A))) == chunks
             _write_matrix(tmp_path, "m.csv", [A])
             assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv(A)
 
-        # 64 values a row: at most 8 runs a row on average is the run
-        # path; one run more in the block is the block path
-        below = np.repeat(np.arange(8 * 8, dtype=float) / 7, 8).reshape(8, 64)
-        above = below.copy()
-        above[3, 0] = -1.0
-        for A, chunks in ((below, 8), (above, 1)):
-            assert len(list(_csv_rows(A))) == chunks
-            _write_matrix(tmp_path, "m.csv", [A])
-            assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv(A)
+        # The run writers take the same values as the diagonal and the
+        # runs right of it, and, but for the zeros, as the nonzeros of a
+        # sparse matrix.
+        m = len(values)
+        T = np.zeros((m, m))
+        np.copyto(T, values[::-1, None], where=np.triu(np.ones((m, m), dtype=bool), 1))
+        np.fill_diagonal(T, values)
+        _write(tmp_path, "t.csv", _run_lines(m, _triangular_runs(values[::-1], values)))
+        assert (tmp_path / "t.csv").read_bytes() == reference_matrix_csv(T)
+        nonzero = values[values != 0]
+        m = len(nonzero)
+        S = np.zeros((m, m))
+        entries = [sorted({i, 7 * i % m, m - 1}) for i in range(m)]
+        for i, columns in enumerate(entries):
+            S[i, columns] = nonzero[i]
+        _write(tmp_path, "s.csv", _run_lines(m, _sparse_runs(m, lambda i: [(c, nonzero[i]) for c in entries[i]])))
+        assert (tmp_path / "s.csv").read_bytes() == reference_matrix_csv(S)
 
     def test_integer_signs(self, tmp_path):
-        for m in (1, 16, 512):  # m = 512 spans four blocks of rows
+        # m = 128 and 512 join two and eight doubled Hadamard rows of 64
+        for m in (1, 2, 16, 64, 128, 512):
             T = build_walsh_matrix(BasisConfig.from_resolution(m))
-            _write_matrix(tmp_path, "tw.csv", [T])
+            _write(tmp_path, "tw.csv", _run_lines(m, _walsh_runs(m)))
             assert (tmp_path / "tw.csv").read_bytes() == reference_matrix_csv(T, integer=True), m
-
-    @pytest.mark.parametrize("bad", [0, 2, -2])
-    def test_integers_other_than_signs_rejected(self, tmp_path, bad):
-        T = build_walsh_matrix(BasisConfig.from_resolution(4)).copy()
-        T[3, 1] = bad
-        with pytest.raises(ValueError):
-            _write_matrix(tmp_path, "tw.csv", [T])
 
     def test_memory_is_per_row(self, tmp_path):
         # 1024**2 distinct values: their strings take over 100 MB, so a
@@ -453,10 +472,11 @@ class TestMatrixWriter:
 
     def test_memory_of_runs_is_per_row(self, tmp_path):
         # P at m = 1024 is 16 MB of text in 3070 runs
-        P = integration_matrix(BasisConfig.from_resolution(1024))
+        m = 1024
+        above, diagonal = np.full(m, 1.0 / m), np.full(m, 0.5 / m)
         tracemalloc.start()
         try:
-            _write_matrix(tmp_path, "p.csv", [P])
+            _write(tmp_path, "p.csv", _run_lines(m, _triangular_runs(above, diagonal)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -472,6 +492,17 @@ class TestPaths:
             values = sample_path(cfg, (8, trial))
             want = "t,B\n" + "".join(f"{t:.8e},{v:.8e}\n" for t, v in zip(grid, values))
             assert (tmp_path / f"path_{trial:03d}.csv").read_bytes() == want.encode("ascii")
+
+    def test_one_generator_per_dump(self, tmp_path, monkeypatch):
+        # at m = 4096 paths are drawn two at a time: 5 trials take three
+        # draws, by one generator
+        made, philox = [], np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *args: made.append(args) or philox(*args))
+        assert main(["paths", "--m", "4096", "--trials", "5", "--seed", "8", "--out", str(tmp_path)]) == 0
+        assert len(made) == 1
+        rows, _ = read_rows(tmp_path / "path_005.csv")
+        want = [f"{v:.8e}" for v in sample_path(BasisConfig.from_resolution(4096), (8, 5))]
+        assert [b for _, b in rows[1:]] == want
 
     def test_shapes_and_origin(self, tmp_path):
         rc = main(["paths", "--m", "8", "--trials", "2", "--seed", "3", "--out", str(tmp_path)])

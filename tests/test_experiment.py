@@ -365,25 +365,31 @@ class TestOneDrawPerTrial:
             assert np.array_equal(errors, rows)
             assert rms == float(np.sqrt(np.mean(np.square(rows))))
 
-    def test_each_trial_drawn_once_by_one_generator_per_draw(self, monkeypatch):
-        # every trial's key is drawn once for all resolutions, and a draw
-        # of many trials sets their keys into one generator
+    def test_each_trial_drawn_once_by_one_generator_per_study(self, monkeypatch):
+        # every trial's key is drawn once for all resolutions, and a study
+        # sets the keys of all its draws into one generator; 300 trials at
+        # m = 32 take three draws of _DRAW_ELEMENTS // 64 = 128
         drawn, made = [], []
-        normals, philox = experiment._normals, np.random.Philox
+        trial_normals, philox = experiment._trial_normals, np.random.Philox
 
-        def counting_normals(seed, out, trials):
-            drawn.extend(trials)
-            return normals(seed, out, trials)
+        def counting_trial_normals(seed):
+            draw = trial_normals(seed)
+
+            def counting_draw(out, trials):
+                drawn.append(trials)
+                return draw(out, trials)
+
+            return counting_draw
 
         def counting_philox(*args, **kwargs):
             made.append(args)
             return philox(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "_normals", counting_normals)
+        monkeypatch.setattr(experiment, "_trial_normals", counting_trial_normals)
         monkeypatch.setattr(np.random, "Philox", counting_philox)
-        monte_carlo(builtin_example(1), BasisConfig.from_resolution(8), 70, base_seed=4)
-        convergence_study(builtin_example(1), (8, 16, 32), 70, base_seed=4)
-        assert drawn == [*range(1, 71)] * 2
+        monte_carlo(builtin_example(1), BasisConfig.from_resolution(32), 300, base_seed=4)
+        convergence_study(builtin_example(1), (8, 16, 32), 300, base_seed=4)
+        assert drawn == [range(1, 129), range(129, 257), range(257, 301)] * 2
         assert len(made) == 2
 
     def test_draw_buffer_does_not_grow_with_trials(self):

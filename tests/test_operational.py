@@ -8,7 +8,7 @@ import pytest
 from walshvie.brownian import _increments, sample_path
 from walshvie.operational import (
     _upper_triangular_rows,
-    _walsh_integration_rows,
+    _walsh_integration_nonzeros,
     _walsh_stochastic_rows,
     integration_matrix,
     stochastic_matrix,
@@ -77,6 +77,15 @@ def dense_walsh_integration_matrix(m):
     for k in 2 ** np.arange(m.bit_length() - 1):
         i = np.arange(k)
         L[i, k + i], L[k + i, i] = -0.25 / k, 0.25 / k
+    return L
+
+
+def walsh_integration_from_nonzeros(m):
+    """Lambda filled in from the nonzeros of each of its rows."""
+    L = np.zeros((m, m))
+    for i in range(m):
+        for column, value in _walsh_integration_nonzeros(m, i):
+            L[i, column] = value
     return L
 
 
@@ -208,7 +217,7 @@ class TestWalshDomain:
         # zeros included
         cfg = BasisConfig.from_resolution(m)
         want = walsh_domain(integration_matrix(cfg))
-        got = _walsh_integration_rows(m, 0, m)
+        got = walsh_integration_from_nonzeros(m)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -250,9 +259,12 @@ class TestRowBuilders:
 
     @pytest.mark.parametrize("m", POWERS)
     def test_walsh_integration_matrix(self, m):
+        # the nonzeros of each row, in column order, fill in the closed form
         want = dense_walsh_integration_matrix(m)
-        assert _walsh_integration_rows(m, 0, m).tobytes() == want.tobytes()
-        assert_rows_have_bits(lambda start, stop: _walsh_integration_rows(m, start, stop), want)
+        for i in range(m):
+            columns = [column for column, _ in _walsh_integration_nonzeros(m, i)]
+            assert columns == sorted(set(columns)), i
+        assert walsh_integration_from_nonzeros(m).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", POWERS[:11])
     def test_walsh_stochastic_rows(self, m):
