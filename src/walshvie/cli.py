@@ -142,7 +142,7 @@ def _ascii_words():
     """Four-byte ASCII words as uint32, for gathering by index: sign and
     digits 1-2 ("-d.d", index sign * 100 + dd), digits 3-6, digits 7-9
     with 'e', and the exponent ("+dd" and a spare byte, index e + 99).
-    Built on first use from digit arithmetic, one byte column at a time.
+    Built on first use from the ASCII digits tiled, one byte column at a time.
     """
 
     def table(*columns):
@@ -150,10 +150,11 @@ def _ascii_words():
         words.setflags(write=False)
         return words
 
-    d = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")  # ASCII digits of d
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    d = np.column_stack([np.tile(np.repeat(digits, 10**p), 10 ** (3 - p)) for p in (3, 2, 1, 0)])  # ASCII digits of d
     e = np.arange(-99, 100)
     return (
-        table(np.arange(200) // 100 * ord("-"), d[:200, 2], ord("."), d[:200, 3]),
+        table(np.repeat([0, ord("-")], 100), d[:200, 2], ord("."), d[:200, 3]),
         table(*d.T),
         table(*d[:1000, 1:].T, ord("e")),
         table(np.where(e < 0, ord("-"), ord("+")), *d[abs(e), 2:].T, 0),

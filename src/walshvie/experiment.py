@@ -12,7 +12,7 @@ problems.  A block of trials needs one call of ``exact`` on arrays.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ _CHUNK_ELEMENTS = 1 << 13
 DEGENERATE_RMS = 1e-13
 
 
-@dataclass(frozen=True)
-class ErrorStats:
+class ErrorStats(NamedTuple):
     """Aggregate of |exact - numerical| at one report time.
 
     ``n`` counts the trials that entered the aggregate; together with
@@ -54,8 +53,7 @@ class ErrorStats:
     failures: int
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """RMS error per resolution over the trials that succeeded, and
     ``failures``, the number of trials per resolution that did not."""
 

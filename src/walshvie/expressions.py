@@ -320,6 +320,11 @@ class _Emitter:
         return v, self.op("*", v, self.op("+", log_term, power_term))
 
 
+def _compiled(*fns):
+    """Whether every fn is a one-variable callable of compile_expression."""
+    return all(hasattr(fn, "_tree") for fn in fns)
+
+
 @functools.lru_cache(maxsize=16)
 def _straight_line(outputs):
     """One generated function x -> the value of each one-variable callable

@@ -107,12 +107,13 @@ def _walsh_stochastic_rows(path):
     def rows(start, stop):
         p = np.arange(start, stop)[:, None]
         pc = p ^ c
-        out = a[pc] * diagonal
+        A = a[pc]
+        out = A * diagonal
         for k in 2 ** np.arange(m.bit_length() - 1):
             # the term above reaches the columns of highest bit k before
             # any term below them, which comes from a larger k
-            out[:, k : 2 * k] += a[p ^ c[:k]] * (-m / (4.0 * k))
-            out[:, :k] += a[p ^ (c[:k] + k)] * (m / (4.0 * k))
+            out[:, k : 2 * k] += A[:, :k] * (-m / (4.0 * k))
+            out[:, :k] += A[:, k : 2 * k] * (m / (4.0 * k))
         out += b[pc]
         return out
 

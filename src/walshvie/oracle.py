@@ -10,21 +10,22 @@ solver, and consumes the same sampled path.
 with s_j = j h and grid times t_j = j h.  Kernel evaluations freeze the
 second argument at the target time of the step.  As in ``solve``, each
 kernel is evaluated once, on the arrays of all m steps, so it must take
-numpy arrays; the steps call only beta and sigma, one scalar at a time.
+numpy arrays; each step evaluates beta and sigma at the scalar iterate,
+in one generated call when both are compiled expressions.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import expressions
 from .brownian import _increments, _path_config
 from .solver import NonFiniteIterateError
 from .walsh import _eval_grid, _readonly
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     values: np.ndarray
     midpoint_values: np.ndarray
 
@@ -39,8 +40,14 @@ def euler_maruyama(problem, path):
     m, h = cfg.m, cfg.h
     s = np.arange(m) * h
     dB = _increments(path)[0].tolist()
-    y = np.empty(m + 1)
-    y[0] = float(problem.x0)
+    beta, sigma = problem.beta, problem.sigma
+    if expressions._compiled(beta, sigma):
+        integrands = expressions._straight_line(((beta, False), (sigma, False)))
+    else:
+        integrands = lambda x: (beta(x), sigma(x))
+    # a numpy float, so that beta and sigma give inf or nan where a Python float would raise
+    yj = np.float64(float(problem.x0))
+    ys = [yj]
     # a non-finite kernel value or iterate makes an iterate non-finite,
     # which is raised below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -48,13 +55,12 @@ def euler_maruyama(problem, path):
         k1 = _eval_grid(problem.k1, "k1", s, s + h).tolist()
         k2 = _eval_grid(problem.k2, "k2", s, s + h).tolist()
         for j in range(m):
-            y[j + 1] = (
-                y[j]
-                + k1[j] * float(problem.beta(y[j])) * h
-                + k2[j] * float(problem.sigma(y[j])) * dB[j]
-            )
-            if not math.isfinite(y[j + 1]):
+            b, g = integrands(yj)
+            yj = yj + k1[j] * float(b) * h + k2[j] * float(g) * dB[j]
+            if not math.isfinite(yj):
                 raise NonFiniteIterateError(f"oracle iterate is not finite at step {j + 1}")
+            ys.append(yj)
+    y = np.array(ys)
     # halved before the sum, which then cannot overflow; the bits are
     # those of 0.5 * (y[:-1] + y[1:]) wherever that is finite and normal
     midpoints = 0.5 * y[:-1] + 0.5 * y[1:]

@@ -62,6 +62,7 @@ values therefore never depend on the rows solved beside it.
 
 from dataclasses import dataclass
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,8 +122,7 @@ class ProblemSpec:
     label: str = "problem"
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Converged collocation solution at one resolution m = len(x_colloc).
 
     ``x_colloc[j]`` is a read-only array approximating x(t_j).
@@ -151,7 +151,7 @@ def _integrands(problem, ito):
     step, where a sigma that cannot take complex input is an error, never
     a silent zero slope.  Finiteness is left to the caller, per row."""
     beta, sigma = problem.beta, problem.sigma
-    if hasattr(beta, "_tree") and hasattr(sigma, "_tree"):
+    if expressions._compiled(beta, sigma):
         generated = expressions._straight_line(((beta, False), (sigma, ito)))
         return generated if ito else lambda x: (*generated(x), np.zeros_like(x))
 

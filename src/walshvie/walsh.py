@@ -13,15 +13,18 @@ Conventions used throughout the package:
   reconstruction on block i is m * F[i].
 """
 
-from dataclasses import dataclass
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
 # 5-point Gauss-Legendre rule on [-1, 1], weights normalised to sum to 1
-# so that constants are integrated exactly in floating point.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-_GL_WEIGHTS = _GL_WEIGHTS / _GL_WEIGHTS.sum()
+# so that constants are integrated exactly in floating point: the doubles
+# of numpy.polynomial.legendre.leggauss(5), weights divided by their sum.
+_GL_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664])
+_GL_WEIGHTS = np.array(
+    [0.11846344252809465, 0.23931433524968318, 0.2844444444444444, 0.23931433524968318, 0.11846344252809465]
+)
 
 # Largest temporary, in elements, of the in-place transforms (512 KB of
 # float64): at m = 1024 the transforms then stay within about 1 MB of
@@ -35,8 +38,7 @@ def _readonly(a):
     return a
 
 
-@dataclass(frozen=True)
-class BasisConfig:
+class BasisConfig(NamedTuple):
     """Resolution of the dyadic grid: m = 2**k blocks of width h = 1/m."""
 
     m: int

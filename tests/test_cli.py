@@ -330,6 +330,22 @@ class TestFloatFormatter:
             assert got.dtype == np.uint32 and not got.flags.writeable
             assert np.array_equal(got, table)
 
+    def test_word_tables_match_digit_arithmetic(self):
+        # reference: the digit columns from int64 division and remainder
+        def table(*columns):
+            return np.column_stack(np.broadcast_arrays(*columns)).astype(np.uint8).view(np.uint32).ravel()
+
+        d = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+        e = np.arange(-99, 100)
+        want = (
+            table(np.arange(200) // 100 * ord("-"), d[:200, 2], ord("."), d[:200, 3]),
+            table(*d.T),
+            table(*d[:1000, 1:].T, ord("e")),
+            table(np.where(e < 0, ord("-"), ord("+")), *d[abs(e), 2:].T, 0),
+        )
+        for got, ref in zip(_ascii_words(), want, strict=True):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
     def test_edge_values(self):
         assert formatted(EDGE_VALUES) == reference_values_csv(EDGE_VALUES)
         assert formatted(EDGE_VALUES[:-1], cols=3) == reference_values_csv(EDGE_VALUES[:-1], cols=3)

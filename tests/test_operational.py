@@ -89,6 +89,27 @@ def walsh_integration_from_nonzeros(m):
     return L
 
 
+def walsh_stochastic_rows_by_gather(path):
+    """Reference: the row builder of Lambda_S with one gather of a for
+    every term, a[p ^ c[:k]] above and a[p ^ (c[:k] + k)] below."""
+    m = (len(path) - 1) // 2
+    a, b = fast_walsh_transform(np.column_stack(_increments(path)[:2])).T / m
+    c = np.arange(m)
+    diagonal = np.full(m, -0.5)
+    diagonal[0] = (m - 1) / 2.0
+
+    def rows(start, stop):
+        p = np.arange(start, stop)[:, None]
+        out = a[p ^ c] * diagonal
+        for k in 2 ** np.arange(m.bit_length() - 1):
+            out[:, k : 2 * k] += a[p ^ c[:k]] * (-m / (4.0 * k))
+            out[:, :k] += a[p ^ (c[:k] + k)] * (m / (4.0 * k))
+        out += b[p ^ c]
+        return out
+
+    return rows
+
+
 def diag_lift(v):
     """Reference: square diagonal matrix with the coefficient vector on the diagonal."""
     arr = np.asarray(v, dtype=float)
@@ -277,6 +298,16 @@ class TestRowBuilders:
             got = rows(0, m)
             assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want).max())
             assert_rows_have_bits(rows, got)
+
+    @pytest.mark.parametrize("m", POWERS[1:])
+    def test_walsh_stochastic_rows_gather_once_per_block(self, m):
+        # slicing one gather per block reads the values the per-term
+        # gathers read and adds them in the same order
+        path = sample_path(BasisConfig.from_resolution(m), seed=9001 + m)
+        rows, want = _walsh_stochastic_rows(path), walsh_stochastic_rows_by_gather(path)
+        step = min(m, 256)
+        for start in range(0, m, step):
+            assert rows(start, start + step).tobytes() == want(start, start + step).tobytes(), start
 
 
 class TestMemory:

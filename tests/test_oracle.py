@@ -8,6 +8,7 @@ from numbers import Real
 import numpy as np
 import pytest
 
+from walshvie import expressions
 from walshvie.brownian import sample_path
 from walshvie.oracle import euler_maruyama
 from walshvie.problemfile import problem_from_text
@@ -174,6 +175,25 @@ class TestMatchesScalarLoop:
             out = euler_maruyama(prob, path)
             assert out.values.tobytes() == values.tobytes()
             assert out.midpoint_values.tobytes() == midpoints.tobytes()
+
+    @pytest.mark.parametrize("m", [64, 2048])
+    @pytest.mark.parametrize("name", ["kernel-file", "example-1", "example-2"])
+    def test_one_generated_call_per_step(self, name, m):
+        # compiled beta and sigma are evaluated by one generated function
+        # per step, the same pair wrapped in lambdas by two calls; both
+        # give the bits of the scalar loop
+        prob = self.PROBLEMS[name]()
+        assert expressions._compiled(prob.beta, prob.sigma)
+        wrapped = dataclasses.replace(prob, beta=lambda x: prob.beta(x), sigma=lambda x: prob.sigma(x))
+        assert not expressions._compiled(wrapped.beta, wrapped.sigma)
+        cfg = BasisConfig.from_resolution(m)
+        for seed in range(3):
+            path = sample_path(cfg, (37, seed))
+            values, midpoints = scalar_loop(prob, path)
+            for problem in (prob, wrapped):
+                out = euler_maruyama(problem, path)
+                assert out.values.tobytes() == values.tobytes()
+                assert out.midpoint_values.tobytes() == midpoints.tobytes()
 
 
 class TestValidation:

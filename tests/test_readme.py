@@ -1,6 +1,7 @@
 """Documented usage runs: README python blocks and the package quick start,
 and the public names stay the ones listed here and in the benchmark."""
 
+import dataclasses
 import importlib
 import json
 import re
@@ -58,6 +59,34 @@ def test_public_names_are_pinned():
     assert set(walshvie.__all__) == PUBLIC_NAMES
     for name in walshvie.__all__:
         assert getattr(walshvie, name) is not None
+
+
+RECORD_FIELDS = {
+    "BasisConfig": ("m", "h", "midpoints"),
+    "SolveResult": ("x_colloc", "iterations", "residual"),
+    "ErrorStats": ("t", "mean", "sd", "ci_lower", "ci_upper", "n", "failures"),
+    "ConvergenceReport": ("resolutions", "rms_errors", "estimated_order", "failures"),
+    "OracleResult": ("values", "midpoint_values"),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_FIELDS)
+def test_result_records_are_read_only_named_tuples(name):
+    cls = getattr(walshvie, name)
+    assert issubclass(cls, tuple) and cls._fields == RECORD_FIELDS[name]
+    record = cls(*range(len(cls._fields)))
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], -1)
+    assert record._replace(**{cls._fields[0]: -1}) == (-1, *range(1, len(cls._fields)))
+
+
+def test_problem_spec_stays_a_dataclass():
+    # callers vary one of its fields with dataclasses.replace
+    prob = walshvie.builtin_example(1)
+    assert dataclasses.is_dataclass(prob)
+    assert dataclasses.replace(prob, x0=0.5).x0 == 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.x0 = 0.5
 
 
 # The benchmark's per-layer metrics X.Y.* time the public function Y of

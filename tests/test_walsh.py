@@ -1,6 +1,9 @@
 """Walsh basis, projections, and the midpoint grid."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walshvie
 from walshvie.expressions import compile_expression
 from walshvie.walsh import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     BasisConfig,
     _project_lag_row,
     build_walsh_matrix,
@@ -242,6 +248,21 @@ def block_integrals(antiderivative, m):
     """The integral over each block of the grid of m blocks."""
     edges = np.arange(m + 1) / m
     return antiderivative(edges[1:]) - antiderivative(edges[:-1])
+
+
+class TestGaussLegendre:
+    def test_constants_are_leggauss(self):
+        # the literals are numpy's nodes and its weights divided by their sum
+        nodes, weights = np.polynomial.legendre.leggauss(5)
+        assert _GL_NODES.tobytes() == nodes.tobytes()
+        assert _GL_WEIGHTS.tobytes() == (weights / weights.sum()).tobytes()
+
+    def test_import_leaves_numpy_polynomial_out(self):
+        src = os.path.dirname(os.path.dirname(walshvie.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, walshvie, walshvie.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
 
 class TestProjection:
