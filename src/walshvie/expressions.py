@@ -167,56 +167,16 @@ class _Parser:
         raise ExpressionError(f"expected a value, found {value!r}", 1, col)
 
 
-# Per binary operator: its Python spelling, how tightly it binds and how
-# tightly its operands must bind to go without parentheses (atoms 5, unary
-# minus 3); the module's grammar is Python's with ^ for **.
-_BINARY = {"+": ("+", 1, 1, 2), "-": ("-", 1, 1, 2), "*": ("*", 2, 2, 3), "/": ("/", 2, 2, 3),
-           "^": ("**", 4, 5, 3)}
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
-
-
-def _source(node, constants, reads, folds, binding=0):
-    """Python source of a tree, in parentheses if it binds less tightly
-    than ``binding``.  Numbers are appended to ``constants`` and read as
-    ``_c[i]``, so Python folds none of the tree's operations; variable
-    references are appended to ``reads`` as (name, column).  Each
-    largest sub-tree that reads no variable, within a tree that does, is
-    appended to ``folds`` with its source."""
-    kind = node[0]
-    if kind == "num":
-        constants.append(node[1])
-        return f"_c[{len(constants) - 1}]"
-    if kind == "var":
-        reads.append(node[1:])
-        return node[1]
-    if kind == "call":
-        return f"_f[{node[1]!r}]({_source(node[2], constants, reads, folds)})"
-    if kind == "neg":
-        text, strength = "-" + _source(node[1], constants, reads, folds, 3), 3
-    else:
-        op, strength, left, right = _BINARY[node[1]]
-        start = len(reads)
-        a = _source(node[2], constants, reads, folds, left)
-        middle = len(reads)
-        b = _source(node[3], constants, reads, folds, right)
-        # exactly one operand reads a variable: the other is a largest
-        # variable-free sub-tree
-        if start == middle < len(reads):
-            folds.append((node[2], a))
-        elif start < middle == len(reads):
-            folds.append((node[3], b))
-        text = f"{a} {op} {b}"
-    return text if strength >= binding else f"({text})"
-
-
-# The functions the slopes call besides FUNCTIONS, and every operation of
-# the generated code, with the source of those that are not calls
+# Per operator: its Python template, how tightly it binds and how tightly
+# each operand must bind to go without parentheses (names and calls 5)
+_OPERATORS = {"+": ("{} + {}", 1, 1, 2), "-": ("{} - {}", 1, 1, 2), "*": ("{} * {}", 2, 2, 3),
+              "/": ("{} / {}", 2, 2, 3), "^": ("{} ** {}", 4, 5, 3), "neg": ("-{}", 3, 3)}
+# the functions the slopes call besides FUNCTIONS, and every operation of the generated code
 _SLOPE_FUNCTIONS = {"cosh": np.cosh, "hypot": np.hypot, "log": np.log}
-_OPERATIONS = {**_ARITHMETIC, "neg": operator.neg, **FUNCTIONS, **_SLOPE_FUNCTIONS}
-_TEMPLATES = {**{op: f"{{}} {spelling} {{}}" for op, (spelling, *_) in _BINARY.items()}, "neg": "-{}"}
+_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow,
+               "neg": operator.neg, **FUNCTIONS, **_SLOPE_FUNCTIONS}
 
-# d/da f(a) of each function, as operations of an _Emitter e on the names
-# of a and of the value v = f(a)
+# d/da f(a) of each function, as operations of an _Emitter e on a and v = f(a)
 _DERIVATIVES = {
     "sin": lambda e, a, v: e.op("cos", a),
     "cos": lambda e, a, v: e.op("neg", e.op("sin", a)),
@@ -236,22 +196,24 @@ def _shaped(slope, x):
 
 
 class _Emitter:
-    """Straight-line Python source of the values and forward-mode slopes
-    of one-variable parse trees at ``x``, in real arithmetic.  Each
-    distinct operation on distinct operand names is one assignment, so a
-    part that trees or derivative terms share is computed once.  An
-    operation on constants only (folded sub-trees, the slope 1.0 of x and
-    the slopes made from them) is made here with the tree walk's Python
-    operation, and a product with the float 1.0 is its other operand,
-    which is exact.  A node whose operands' slopes are all the constant
-    0.0 has the slope 0.0, so a derivative that is infinite there (sqrt
-    at 0) is never taken.  The tree walk judges that per call instead, so
-    the two can differ where a scalar x makes another slope exactly 0."""
+    """The one generator of Python source: values and forward-mode slopes
+    of parse trees in real arithmetic, as functions of v0, v1, ...  Each
+    distinct operation on distinct operands is made once.  One on
+    constants only (a sub-tree that reads no variable, the slope 1.0 of a
+    variable and slopes made from them) is made here by the tree walk's
+    Python operation; ``failed`` records a raise, and ``parts`` names each
+    largest variable-free sub-tree of a tree that reads one, in tree order;
+    such a sub-tree has the slope +0.0, even under a minus.  A node whose
+    operands' slopes are all the constant 0.0 has the slope 0.0, so an
+    infinite derivative there (sqrt at 0) is never taken; the tree walk
+    judges that per call, so the two can differ where a scalar x makes
+    another slope exactly 0."""
 
     def __init__(self):
-        self.lines = []
+        self.operations = []  # (symbol, *operand names) of t0, t1, ...
         self.names = {}  # operation or (type, repr) of a constant -> name
         self.constants = {}  # name -> value
+        self.parts, self.failed = [], False
         self.scope = {**FUNCTIONS, **_SLOPE_FUNCTIONS, "_shaped": _shaped, "__builtins__": {}}
 
     def const(self, value):
@@ -261,52 +223,55 @@ class _Emitter:
             self.constants[name] = self.scope[name] = value
         return self.names[key]
 
-    def op(self, symbol, *args):
-        """The name of symbol applied to args, names or Python floats."""
-        args = tuple(a if isinstance(a, str) else self.const(a) for a in args)
-        if all(a in self.constants for a in args):
-            with np.errstate(all="ignore"):
-                return self.const(_OPERATIONS[symbol](*(self.constants[a] for a in args)))
+    def op(self, symbol, *args, written=False):
+        """The name of symbol applied to args, names or Python floats.  A
+        product with the float 1.0 is its other operand, which is exact in
+        a real slope, unless it is ``written`` in the expression."""
+        args = [a if isinstance(a, str) else self.const(a) for a in args]
+        if all(map(self.constants.__contains__, args)):
+            try:
+                with np.errstate(all="ignore"):
+                    value = _OPERATIONS[symbol](*map(self.constants.get, args))
+            except (ZeroDivisionError, OverflowError, ValueError):
+                self.failed, value = True, float("nan")
+            return self.const(value)
         one = self.names.get((float, "1.0"))
-        if symbol == "*" and one in args:
+        if symbol == "*" and one in args and not written:
             return args[1] if args[0] == one else args[0]
         key = (symbol, *args)
         if key not in self.names:
-            text = _TEMPLATES[symbol].format(*args) if symbol in _TEMPLATES else f"{symbol}({', '.join(args)})"
-            self.names[key] = f"t{len(self.lines)}"
-            self.lines.append(f"    {self.names[key]} = {text}\n")
+            self.names[key] = f"t{len(self.operations)}"
+            self.operations.append(key)
         return self.names[key]
 
     def varies(self, slope):
         return slope not in self.constants or self.constants[slope] != 0.0
 
-    def walk(self, node, folded, sloped):
-        """(value, slope) names of a tree, whose ``folded`` maps the id of
-        each largest sub-tree that reads no variable to its value; without
-        ``sloped`` the slope is None and no slope is computed."""
-        if id(node) in folded:
-            return self.const(folded[id(node)]), self.const(0.0) if sloped else None
+    def walk(self, node, params, sloped):
+        """(value, slope) names of a tree whose variables ``params`` names; no slope unless sloped."""
         kind = node[0]
+        if kind == "num":
+            return self.const(node[1]), self.const(0.0) if sloped else None
         if kind == "var":
-            return "x", self.const(1.0) if sloped else None
+            if node[1] not in params:
+                raise ExpressionError(f"unknown name {node[1]!r}", 1, node[2])
+            return params[node[1]], self.const(1.0) if sloped else None
         if kind == "neg":
-            a, da = self.walk(node[1], folded, sloped)
-            return self.op("neg", a), self.op("neg", da) if sloped else None
+            a, da = self.walk(node[1], params, sloped)
+            return self.op("neg", a), self.op("neg", da) if sloped and a not in self.constants else da
         if kind == "call":
-            a, da = self.walk(node[2], folded, sloped)
+            a, da = self.walk(node[2], params, sloped)
             v = self.op(node[1], a)
-            if not sloped:
-                return v, None
-            if not self.varies(da):
-                return v, self.const(0.0)
+            if not (sloped and self.varies(da)):
+                return v, self.const(0.0) if sloped else None
             return v, self.op("*", _DERIVATIVES[node[1]](self, a, v), da)
         op = node[1]
-        (a, da), (b, db) = self.walk(node[2], folded, sloped), self.walk(node[3], folded, sloped)
-        v = self.op(op, a, b)
-        if not sloped:
-            return v, None
-        if not (self.varies(da) or self.varies(db)):
-            return v, self.const(0.0)
+        (a, da), (b, db) = self.walk(node[2], params, sloped), self.walk(node[3], params, sloped)
+        if (a in self.constants) != (b in self.constants):
+            self.parts.append(a if a in self.constants else b)
+        v = self.op(op, a, b, written=True)
+        if not (sloped and (self.varies(da) or self.varies(db))):
+            return v, self.const(0.0) if sloped else None
         if op in "+-":
             return v, self.op(op, da, db)
         if op == "*":
@@ -318,6 +283,37 @@ class _Emitter:
             return v, self.op("*", self.op("*", b, self.op("^", a, self.op("-", b, 1.0))), da)
         log_term, power_term = self.op("*", db, self.op("log", a)), self.op("/", self.op("*", b, da), a)
         return v, self.op("*", v, self.op("+", log_term, power_term))
+
+    def function(self, arity, returns):
+        """The generated function of v0 .. v{arity-1} returning the names
+        ``returns``.  An operation used once is written inside the one that
+        uses it (``inline`` holds its source and how tightly that binds),
+        with the fewest parentheses, so numpy may reuse its temporary in
+        place; one used more often, or holding over 100 parentheses (Python
+        nests at most 200), is assigned once.  A loop writes them in the
+        order they were made, so a long chain does not recurse."""
+        uses = {}
+        for name in returns + [a for _, *args in self.operations for a in args]:
+            uses[name] = uses.get(name, 0) + 1
+        lines, inline = [f"def generated({', '.join(f'v{i}' for i in range(arity))}):\n"], {}
+
+        def operand(name, binding):
+            text, strength = inline.pop(name, (name, 5))
+            return text if strength >= binding else f"({text})"
+
+        for i, (symbol, *args) in enumerate(self.operations):
+            if symbol in _OPERATORS:
+                template, strength, *bindings = _OPERATORS[symbol]
+                text = template.format(*map(operand, args, bindings))
+            else:
+                text, strength = f"{symbol}({', '.join(operand(a, 0) for a in args)})", 5
+            if uses[f"t{i}"] > 1 or text.count("(") > 100:
+                lines.append(f"    t{i} = {text}\n")
+            else:
+                inline[f"t{i}"] = text, strength
+        lines.append(f"    return {', '.join(operand(name, 0) for name in returns)}\n")
+        exec(compile("".join(lines), "<expression>", "exec"), self.scope)
+        return self.scope["generated"]
 
 
 def _compiled(*fns):
@@ -331,14 +327,12 @@ def _straight_line(outputs):
     of compile_expression in ``outputs``, a tuple of (callable, sloped),
     followed by its slope in x's shape when ``sloped``.  It is made once
     per ``outputs``, on first use."""
-    e = _Emitter()
-    returns = []
+    e, returns = _Emitter(), []
     for fn, sloped in outputs:
-        value, slope = e.walk(*fn._tree, sloped)
-        returns += [value, f"_shaped({slope}, x)"] if sloped else [value]
-    source = f"def generated(x):\n{''.join(e.lines)}    return {', '.join(returns)}\n"
-    exec(compile(source, "<expression>", "exec"), e.scope)
-    return e.scope["generated"]
+        node, variable = fn._tree
+        value, slope = e.walk(node, {variable: "v0"}, sloped)
+        returns += [value, e.op("_shaped", slope, "v0")] if sloped else [value]
+    return e.function(1, returns)
 
 
 def _only_in_differences(node, a, b):
@@ -361,47 +355,37 @@ def compile_expression(src, variables=()):
     """Compile ``src`` to a float (no variables used) or a callable.
 
     The callable takes the declared variables positionally and accepts
-    scalars or numpy arrays.  It is the parsed tree emitted once as a
-    Python lambda without builtins that makes the tree's operations in
-    the tree's order.  Every largest sub-tree that reads no variable,
-    the whole tree for a constant, is evaluated once here from the same
-    source, and one that raises or is not a finite real number is an
-    ExpressionError at column 1; a constant returns that value.  Its
-    ``difference_kernel`` attribute is True when there are two variables
-    and the expression reads them only as the operands of their
-    difference (``exp(-(t-s))``, not ``-s + t``).
+    scalars or numpy arrays: a function without builtins, written by
+    ``_Emitter``, that makes the tree's operations in the tree's order.
+    Every largest sub-tree that reads no variable, the whole tree for a
+    constant, is evaluated once here and never per call; an evaluation
+    that raises, or a part that is not a finite real number, is an
+    ExpressionError at column 1.  ``difference_kernel`` is True when there
+    are two variables, read only as the operands of their difference
+    (``exp(-(t-s))``, not ``-s + t``).
     A one-variable callable also has ``with_slope(x) -> (value, slope)``:
-    its value, bit for bit, and its derivative in x's shape, from one
-    function generated on first use that makes the forward
-    differentiation of the parsed tree in real arithmetic (``_Emitter``)
-    and takes each of those sub-trees as its value with slope 0.  Error
-    positions are on line 1; callers parsing multi-line files move them
-    to the real line.
+    its value, bit for bit, and its derivative in x's shape, from a
+    function generated on first use that differentiates the parsed tree
+    forward in real arithmetic, each of those sub-trees with slope 0.
+    Error positions are on line 1; callers parsing multi-line files move
+    them to the real line.
     """
     node = _Parser(src).parse()
-    names, constants, reads, folds = tuple(variables), [], [], []
-    body = _source(node, constants, reads, folds)
-    for name, col in reads:
-        if name not in names:
-            raise ExpressionError(f"unknown name {name!r}", 1, col)
-    scope = {"_c": tuple(constants), "_f": FUNCTIONS, "__builtins__": {}}
-    parts = "".join(f"{text}, " for _, text in folds) if reads else f"{body}, "
-    with np.errstate(all="ignore"):
-        try:
-            values = eval(compile(f"({parts})", "<expression>", "eval"), scope)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            values = (float("nan"),)
-    for value in values:
-        if np.iscomplexobj(value):
+    names, e = tuple(variables), _Emitter()
+    value, _ = e.walk(node, {name: f"v{i}" for i, name in enumerate(names)}, False)
+    if e.failed:
+        raise ExpressionError("constant expression is not finite", 1, 1)
+    constant = value in e.constants
+    for part in [e.constants[value]] if constant else map(e.constants.get, e.parts):
+        if np.iscomplexobj(part):
             raise ExpressionError("constant expression is not real", 1, 1)
-        if not np.isfinite(value):
+        if not np.isfinite(part):
             raise ExpressionError("constant expression is not finite", 1, 1)
-    if not reads:
-        return float(values[0])
-    folded = {id(sub): value for (sub, _), value in zip(folds, values)}
-    fn = eval(compile(f"lambda {', '.join(names)}: {body}", "<expression>", "eval"), scope)
+    if constant:
+        return float(e.constants[value])
+    fn = e.function(len(names), [value])
     fn.difference_kernel = len(names) == 2 and _only_in_differences(node, *names)
     if len(names) == 1:
-        fn._tree = (node, folded)
+        fn._tree = node, names[0]
         fn.with_slope = lambda x: _straight_line(((fn, True),))(x)
     return fn

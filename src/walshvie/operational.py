@@ -19,17 +19,17 @@ from .brownian import _increments, _path_config
 from .walsh import _TEMP_ELEMENTS, _readonly, fast_walsh_transform
 
 
-def _upper_triangular_rows(above, diagonal, start, stop):
-    """Rows start..stop-1 of the m x m upper triangular matrix with
-    diagonal[i] on the diagonal of row i, above[i] right of it and +0.0
-    left of it, m = len(diagonal)."""
+def _upper_triangular(above, diagonal):
+    """The read-only m x m upper triangular matrix with diagonal[i] on the
+    diagonal of row i, above[i] right of it and +0.0 left of it,
+    m = len(diagonal)."""
     m = len(diagonal)
-    out = np.zeros((stop - start, m))
+    out = np.zeros((m, m))
     # row i's mask j > i is a window on 2m booleans: an m x m mask left holes in the heap
-    right = np.lib.stride_tricks.sliding_window_view(np.arange(2 * m) >= m, m)[::-1][start:stop]
-    np.copyto(out, above[start:stop, None], where=right)
-    out[np.arange(stop - start), np.arange(start, stop)] = diagonal[start:stop]
-    return out
+    right = np.lib.stride_tricks.sliding_window_view(np.arange(2 * m) >= m, m)[::-1][:m]
+    np.copyto(out, above[:, None], where=right)
+    np.fill_diagonal(out, diagonal)
+    return _readonly(out)
 
 
 def integration_matrix(cfg):
@@ -39,7 +39,7 @@ def integration_matrix(cfg):
     up to a midpoint is exact.
     """
     m, h = cfg.m, cfg.h
-    return _readonly(_upper_triangular_rows(np.full(m, h), np.full(m, h / 2.0), 0, m))
+    return _upper_triangular(np.full(m, h), np.full(m, h / 2.0))
 
 
 def stochastic_matrix(path):
@@ -52,8 +52,8 @@ def stochastic_matrix(path):
     midpoint values of the integrand it gives the Stratonovich, not the
     Ito, integral.
     """
-    m = _path_config(path).m
-    return _readonly(_upper_triangular_rows(*_increments(path)[:2], 0, m))
+    _path_config(path)  # checks that path is a sampled path
+    return _upper_triangular(*_increments(path)[:2])
 
 
 def walsh_domain(M):

@@ -89,22 +89,15 @@ def build_walsh_matrix(cfg):
 
     Returns the read-only (m, m) int64 matrix T with T[n][j] = w_n(t_j).
     Entries are +-1; T is symmetric and satisfies T @ T = m * I exactly
-    in integer arithmetic.
+    in integer arithmetic.  T is Sylvester's Hadamard matrix with
+    bit-reversed columns, so T[n][j] = (-1)**parity(n & rev(j)); the
+    parity of the log2(m) bits is xor-folded into bit 0, a chunk of about
+    _TEMP_ELEMENTS entries at a time so that the shifted copies stay small.
     """
-    return _readonly(_walsh_rows(cfg.m, 0, cfg.m))
-
-
-def _walsh_rows(m, start, stop):
-    """Rows start..stop-1 of the Walsh matrix of m, as a new int64 array.
-
-    T is Sylvester's Hadamard matrix with bit-reversed columns, so
-    T[n][j] = (-1)**parity(n & rev(j)); the parity of the log2(m) bits
-    is xor-folded into bit 0, a chunk of about _TEMP_ELEMENTS entries
-    at a time so that the shifted copies stay small.
-    """
-    x = np.arange(start, stop, dtype=np.int64)[:, None] & _bit_reversal(m)
+    m = cfg.m
+    x = np.arange(m, dtype=np.int64)[:, None] & _bit_reversal(m)
     rows = max(1, _TEMP_ELEMENTS // m)
-    for r in range(0, len(x), rows):
+    for r in range(0, m, rows):
         chunk = x[r : r + rows]
         shift = 1
         while shift < m.bit_length() - 1:
@@ -113,7 +106,7 @@ def _walsh_rows(m, start, stop):
     x &= 1
     x *= -2
     x += 1
-    return x
+    return _readonly(x)
 
 
 def fast_walsh_transform(a):

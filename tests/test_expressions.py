@@ -6,7 +6,15 @@ import operator
 import numpy as np
 import pytest
 
-from walshvie.expressions import FUNCTIONS, ExpressionError, _Parser, _straight_line, compile_expression
+from walshvie.expressions import (
+    _SLOPE_FUNCTIONS,
+    FUNCTIONS,
+    ExpressionError,
+    _Parser,
+    _shaped,
+    _straight_line,
+    compile_expression,
+)
 
 
 def _evaluate(node, env):
@@ -52,28 +60,33 @@ def _varies(slope):
     return np.ndim(slope) != 0 or slope != 0.0
 
 
-def _evaluate_with_slope(node, x, folded):
+def _reads(node):
+    """Whether a tree reads a variable."""
+    return node[0] == "var" or any(isinstance(child, tuple) and _reads(child) for child in node[1:])
+
+
+def _evaluate_with_slope(node, x):
     """Reference: (value, d value / dx) of a one-variable tree at x by a
     recursive walk, forward differentiation in real arithmetic that the
-    generated slopes must match operation for operation.  ``folded`` maps
-    the id of each largest sub-tree that reads no variable to its value,
-    whose slope is 0.  A node none of whose operands' slopes varies has
-    the scalar slope 0.0."""
-    if id(node) in folded:
-        return folded[id(node)], 0.0
+    generated slopes must match operation for operation.  Each largest
+    sub-tree that reads no variable takes its value from ``_evaluate``,
+    with slope 0.  A node none of whose operands' slopes varies has the
+    scalar slope 0.0."""
+    if not _reads(node):
+        return _evaluate(node, {}), 0.0
     kind = node[0]
     if kind == "var":
         return x, 1.0
     if kind == "neg":
-        v, dv = _evaluate_with_slope(node[1], x, folded)
+        v, dv = _evaluate_with_slope(node[1], x)
         return -v, -dv
     if kind == "call":
-        a, da = _evaluate_with_slope(node[2], x, folded)
+        a, da = _evaluate_with_slope(node[2], x)
         v = FUNCTIONS[node[1]](a)
         return v, _DERIVATIVES[node[1]](a, v) * da if _varies(da) else 0.0
     op = node[1]
-    a, da = _evaluate_with_slope(node[2], x, folded)
-    b, db = _evaluate_with_slope(node[3], x, folded)
+    a, da = _evaluate_with_slope(node[2], x)
+    b, db = _evaluate_with_slope(node[3], x)
     v = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}[op](a, b)
     if not (_varies(da) or _varies(db)):
         return v, 0.0
@@ -90,10 +103,10 @@ def _evaluate_with_slope(node, x, folded):
     return v, v * (db * np.log(a) + b * da / a)
 
 
-def _reference_with_slope(f, x):
-    """with_slope by the reference walk, its slope in x's shape."""
-    node, folded = f._tree
-    value, slope = _evaluate_with_slope(node, x, folded)
+def _reference_with_slope(src, x):
+    """with_slope of the one-variable ``src`` by the reference walk, its
+    slope in x's shape."""
+    value, slope = _evaluate_with_slope(_Parser(src).parse(), x)
     return value, slope if np.shape(slope) == np.shape(x) else np.broadcast_to(slope, np.shape(x))
 
 
@@ -242,12 +255,65 @@ class TestMatchesTreeWalk:
     def test_constants_fold_to_the_tree_walk(self, src):
         assert same_bits(compile_expression(src), float(_evaluate(_Parser(src).parse(), {})))
 
+    @pytest.mark.parametrize("src, x", [
+        ("x * 1", complex(1, math.inf)), ("1 * x", np.array([1, 2])), ("x * (2-1)", 3),
+    ])
+    def test_a_written_product_with_one_is_made(self, src, x):
+        # x * 1.0 is not x for every input: not for a complex infinity or an int
+        assert same_bits(compile_expression(src, ("x",))(x), _evaluate(_Parser(src).parse(), {"x": x}))
+
     def test_globals_hold_only_constants_and_functions(self):
-        f = compile_expression("exp(-(t-s)) * 2", ("s", "t"))
-        assert set(f.__globals__) == {"_c", "_f", "__builtins__"}
-        assert f.__globals__["__builtins__"] == {}
-        assert f.__globals__["_f"] is FUNCTIONS
-        assert f.__globals__["_c"] == (2.0,)
+        # no builtin is reachable; every other global is a function of the
+        # language or of its slopes, a folded constant or the function itself
+        f = compile_expression("exp(-(t-s)) * 2 + sech(1/3)", ("s", "t"))
+        functions = {**FUNCTIONS, **_SLOPE_FUNCTIONS, "_shaped": _shaped}
+        constants = set()
+        for name, value in f.__globals__.items():
+            if name == "__builtins__":
+                assert value == {}
+            elif name in functions:
+                assert value is functions[name]
+            elif value is not f:
+                assert type(value) in (float, np.float64), name
+                constants.add(name)
+        # the code reads the two folded parts and nothing it could not find
+        assert set(f.__code__.co_names) <= set(f.__globals__)
+        read = {f.__globals__[name] for name in constants & set(f.__code__.co_names)}
+        assert read == {2.0, FUNCTIONS["sech"](1 / 3)}
+
+    @pytest.mark.parametrize("name", ["_c", "_f", "k0", "t0", "v0", "generated", "exp"])
+    def test_variables_do_not_shadow_the_generated_names(self, name):
+        # a declared variable is a parameter of its own, whatever its name
+        x = self.INPUTS["array"]
+        for src, names, values in [
+            (f"{name} + 2 * exp({name}) - sin({name} / 3)", (name,), (x,)),
+            (f"exp(-(s - {name})) * {name} + 1/3", ("s", name), (x, x.T * 2.0)),
+            (f"exp(-(s - {name})) * {name} + 1/3", (name, "s"), (x.T * 2.0, x)),
+        ]:
+            got = compile_expression(src, names)(*values)
+            assert same_bits(got, _evaluate(_Parser(src).parse(), dict(zip(names, values))))
+
+    @pytest.mark.parametrize("src", ["-(1/30)^2*exp(-(t-s))", "exp(-s*t)/4"])
+    def test_a_tree_without_shared_parts_is_one_expression(self, src):
+        # an operation used once is written inside its user, so numpy may
+        # reuse its temporary in place: the function has no local but its
+        # parameters
+        assert compile_expression(src, ("s", "t")).__code__.co_varnames == ("v0", "v1")
+
+    def test_a_shared_part_is_assigned_once(self):
+        # t - s is used twice, so it is the one local beside the parameters
+        k = compile_expression("(t-s) * exp(-(t-s))", ("s", "t"))
+        assert len(k.__code__.co_varnames) == 3
+
+    def test_constant_parts_are_computed_once(self):
+        # 1/exp(1000) folds to 0.0 here; evaluating it per call would warn
+        # of the overflow in exp, which the suite raises as an error
+        f = compile_expression("x + 1/exp(1000)", ("x",))
+        assert f(2.0) == 2.0
+        assert f.with_slope(np.full(3, 2.0))[0].tolist() == [2.0] * 3
+        s, t = np.array([[0.1], [0.3]]), np.array([[0.2, 0.4]])
+        k = compile_expression("exp(-(t-s)) + 1/exp(1000)", ("s", "t"))
+        assert same_bits(k(s, t), np.exp(-(t - s)))
 
 
 class TestSlopes:
@@ -314,7 +380,7 @@ class TestGeneratedSlopes:
         x = self.INPUTS[kind]
         f = compile_expression(src, ("x",))
         with np.errstate(all="ignore"):
-            (value, slope), (want_value, want_slope) = f.with_slope(x), _reference_with_slope(f, x)
+            (value, slope), (want_value, want_slope) = f.with_slope(x), _reference_with_slope(src, x)
             assert same_bits(value, f(x))
         assert same_bits(value, want_value)
         assert same_bits(slope, want_slope)
@@ -334,7 +400,7 @@ class TestGeneratedSlopes:
         x = self.INPUTS[kind]
         b, s = compile_expression(beta, ("x",)), compile_expression(sigma, ("x",))
         with np.errstate(all="ignore"):
-            want_sigma, want_slope = _reference_with_slope(s, x)
+            want_sigma, want_slope = _reference_with_slope(sigma, x)
             got, want_beta, pair = _integrands(b, s, True)(x), b(x), _integrands(b, s, False)(x)
             # the compiled lambdas themselves still take complex input
             assert np.iscomplexobj(b(x + 0.1j)) and np.iscomplexobj(s(x + 0.1j))
@@ -350,6 +416,21 @@ class TestGeneratedSlopes:
             monkeypatch.setitem(FUNCTIONS, name, lambda a, name=name, fn=fn: calls.append(name) or fn(a))
         _integrands(beta, sigma, True)(np.full((2, 3), 0.25))
         assert sorted(calls) == ["sech", "tanh"]
+
+    @pytest.mark.parametrize("src", ["x / -3", "-sech(x) / (-30)", "-asinh(0) / sinh(8-x) - 30", "cos(x) * -2"])
+    def test_negated_constant_part_has_the_slope_plus_zero(self, src):
+        # a part that reads no variable has the slope +0.0, also under a
+        # minus sign; -0.0 would flip signed zeros and nans at x = inf or 0
+        x = self.INPUTS["non-finite"]
+        with np.errstate(all="ignore"):
+            got, want = compile_expression(src, ("x",)).with_slope(x), _reference_with_slope(src, x)
+        assert all(same_bits(a, w) for a, w in zip(got, want))
+
+    def test_a_long_product_has_a_slope(self):
+        # its product-rule terms nest parentheses, of which Python allows 200
+        src, x = " * ".join(["sin(x)"] * 300), self.INPUTS["array"]
+        got, want = compile_expression(src, ("x",)).with_slope(x), _reference_with_slope(src, x)
+        assert all(same_bits(a, w) for a, w in zip(got, want))
 
     def test_slope_that_cannot_vary_is_the_scalar_zero(self):
         # sqrt' is infinite at x - x = 0, so it is never evaluated
@@ -406,11 +487,31 @@ class TestErrors:
         assert "y" in str(err.value)
         assert err.value.col == 5
 
-    @pytest.mark.parametrize("src", ["__import__", "_c", "_f", "abs", "exp", "x + s"])
-    def test_names_of_the_compiled_lambda_are_unknown(self, src):
+    @pytest.mark.parametrize(
+        "src", ["__import__", "_c", "_f", "abs", "exp", "x + s", "v0", "k0", "t0", "generated", "_shaped", "hypot"]
+    )
+    def test_names_of_the_generated_code_are_unknown(self, src):
         # names the compiled code could see, or builtins, are not variables
         with pytest.raises(ExpressionError, match="unknown name"):
             compile_expression(src, ("x", "t"))
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            # an unknown name comes first, then any operation on constants
+            # that raised, then each largest constant part in tree order
+            ("y + 1/0", "unknown name 'y'"),
+            ("(x + (-8)^(1/3)) * (x + 0^-1)", "constant expression is not finite"),
+            # 0^-1 raises, so its nan^0 = 1 is not a value
+            ("x + (0^-1)^0", "constant expression is not finite"),
+            ("(x+1e999)*(x+(-8)^(1/3))", "constant expression is not finite"),
+            ("(x+(-8)^(1/3))*(x+1e999)", "constant expression is not real"),
+        ],
+    )
+    def test_error_order(self, src, message):
+        with pytest.raises(ExpressionError) as err:
+            compile_expression(src, ("x",))
+        assert err.value.bare_message == message
 
     def test_trailing_input(self):
         with pytest.raises(ExpressionError):

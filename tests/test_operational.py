@@ -7,7 +7,7 @@ import pytest
 
 from walshvie.brownian import _increments, sample_path
 from walshvie.operational import (
-    _upper_triangular_rows,
+    _upper_triangular,
     _walsh_integration_nonzeros,
     _walsh_stochastic_rows,
     integration_matrix,
@@ -18,7 +18,6 @@ from walshvie.walsh import (
     BasisConfig,
     _bit_reversal,
     _butterflies,
-    _walsh_rows,
     build_walsh_matrix,
     fast_walsh_transform,
 )
@@ -249,26 +248,23 @@ class TestWalshDomain:
 
 
 class TestRowBuilders:
-    # Each matrix is built from O(m) data by one row builder; over all
-    # rows and over every block split it has the bits of the dense
-    # construction it replaced, signed zeros included.
+    # Each matrix is built from O(m) data with no m x m temporary; it has
+    # the bits of the dense construction it replaced, signed zeros
+    # included, and the Walsh-domain P_S rows that the CLI builds by
+    # blocks have them over every block split.
 
     @pytest.mark.parametrize("m", POWERS)
     def test_walsh_matrix(self, m):
         want = dense_walsh_matrix(m)
         got = build_walsh_matrix(BasisConfig.from_resolution(m))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        del got
-        assert_rows_have_bits(lambda start, stop: _walsh_rows(m, start, stop), want)
 
     @pytest.mark.parametrize("m", POWERS)
     def test_integration_matrix(self, m):
         cfg = BasisConfig.from_resolution(m)
         want = dense_upper_triangular(m, cfg.h, cfg.h / 2.0)
         assert integration_matrix(cfg).tobytes() == want.tobytes()
-        assert_rows_have_bits(
-            lambda start, stop: _upper_triangular_rows(np.full(m, cfg.h), np.full(m, cfg.h / 2.0), start, stop), want
-        )
+        assert _upper_triangular(np.full(m, cfg.h), np.full(m, cfg.h / 2.0)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", POWERS[:11])
     def test_stochastic_matrix(self, m):
@@ -276,7 +272,7 @@ class TestRowBuilders:
         full, half, _ = _increments(path)
         want = dense_upper_triangular(m, full[:, None], half)
         assert stochastic_matrix(path).tobytes() == want.tobytes()
-        assert_rows_have_bits(lambda start, stop: _upper_triangular_rows(full, half, start, stop), want)
+        assert _upper_triangular(full, half).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", POWERS)
     def test_walsh_integration_matrix(self, m):
