@@ -119,11 +119,12 @@ def _path_values(normals, h):
     return values
 
 
-def _increments(values):
+def _increments(values, out=(None, None, None)):
     """The increments of block i of paths' values along the last axis:
     the full block B((i+1)h) - B(ih) and its halves dB1 = B(t_i) - B(ih)
-    and dB2 = B((i+1)h) - B(t_i).  Every module decodes a path here."""
-    full = values[..., 2::2] - values[..., :-2:2]
-    dB1 = values[..., 1::2] - values[..., :-2:2]
-    dB2 = values[..., 2::2] - values[..., 1::2]
+    and dB2 = B((i+1)h) - B(t_i), written into ``out`` where it holds
+    arrays.  Every module decodes a path here."""
+    full = np.subtract(values[..., 2::2], values[..., :-2:2], out=out[0])
+    dB1 = np.subtract(values[..., 1::2], values[..., :-2:2], out=out[1])
+    dB2 = np.subtract(values[..., 2::2], values[..., 1::2], out=out[2])
     return full, dB1, dB2

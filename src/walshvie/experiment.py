@@ -28,7 +28,9 @@ REPORT_TIMES = (0.1, 0.3, 0.5, 0.7, 0.9)
 # memory stays bounded for any trial count and a small m pays few engine
 # calls.  On a 1000-trial converge ladder (m = 8..256) the peak RSS was
 # 38.8 MB (median of 10 runs, 38.8-39.4), against 38.2 MB with 2048-element
-# blocks that never spanned a draw of 2**15 elements.
+# blocks that never spanned a draw of 2**15 elements.  The largest block
+# also sizes the one workspace that every rung's engine works in: its
+# slots hold at most max(_CHUNK_ELEMENTS, m) values each.
 _DRAW_ELEMENTS = 1 << 13
 _CHUNK_ELEMENTS = 1 << 13
 
@@ -117,9 +119,10 @@ def _trial_errors(problem, cfgs, n, base_seed):
     engine, built once, solves when full; the part-filled blocks are
     solved at the end.  The error rows are read from the solved rows of
     the engine's solutions and of the block, in trial order, and a block
-    in which every row fails calls no ``exact``.  Each row is solved on
-    its own, so a trial's values do not depend on the blocks or the
-    draws.
+    in which every row fails calls no ``exact``.  Every engine works in
+    one workspace, allocated once for the largest block.  Each row is
+    solved on its own, so a trial's values do not depend on the blocks,
+    the draws or what the workspace held.
     """
     engines = [_batch_solver(problem, cfg) for cfg in cfgs]
     indices = [midpoint_floor_index(cfg.m, REPORT_TIMES) for cfg in cfgs]
@@ -127,12 +130,13 @@ def _trial_errors(problem, cfgs, n, base_seed):
     draw = _trial_normals(base_seed)
     normals = np.empty((max(1, _DRAW_ELEMENTS // width), width))
     blocks = [np.empty((min(n, max(1, _CHUNK_ELEMENTS // cfg.m)), 2 * cfg.m + 1)) for cfg in cfgs]
+    workspace = np.empty(max(e.slots for e in engines) * max(len(b) * cfg.m for b, cfg in zip(blocks, cfgs)))
     filled = [0] * len(cfgs)
     errors = [np.empty((n, len(REPORT_TIMES))) for _ in cfgs]
     solved = [0] * len(cfgs)
 
     def solve_block(r, block):
-        x, _, _, failed = engines[r](block)
+        x, _, _, failed = engines[r](block, workspace)
         ok = np.array([f is None for f in failed])
         if ok.any():
             rows = _midpoint_errors(problem, x[ok], block[ok], REPORT_TIMES, indices[r])

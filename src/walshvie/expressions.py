@@ -175,6 +175,8 @@ _OPERATORS = {"+": ("{} + {}", 1, 1, 2), "-": ("{} - {}", 1, 1, 2), "*": ("{} * 
 _SLOPE_FUNCTIONS = {"cosh": np.cosh, "hypot": np.hypot, "log": np.log}
 _OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow,
                "neg": operator.neg, **FUNCTIONS, **_SLOPE_FUNCTIONS}
+# the ufunc of each operator in the out rendering, which calls it by its numpy name
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power, "neg": np.negative}
 
 # d/da f(a) of each function, as operations of an _Emitter e on a and v = f(a)
 _DERIVATIVES = {
@@ -312,6 +314,48 @@ class _Emitter:
             else:
                 inline[f"t{i}"] = text, strength
         lines.append(f"    return {', '.join(operand(name, 0) for name in returns)}\n")
+        return self._define(lines)
+
+    def out_function(self, returns):
+        """The out rendering of a one-variable function returning the names
+        ``returns``: generated(v0, s0, .., s{k-1}) calls the ufunc of each
+        operation with out= one of the k slots, x-shaped arrays that it
+        writes before it reads them, and returns slots, v0 or constants.
+        sech is cosh, then 1.0 divided by it in place.  A slot is free
+        after the operation that last reads it, which may write into it;
+        a returned name keeps its slot to the end, so a name returned
+        twice is one slot.  ``slots`` holds k.  On arrays it gives the bits
+        of ``function``, where x ** 2.0 is the same np.power call."""
+        last = {}
+        for i, (_, *args) in enumerate(self.operations):
+            last.update(dict.fromkeys(args, i))
+        last.update(dict.fromkeys(returns, len(self.operations)))
+        slot, free, count, lines = {}, [], 0, []
+
+        def operand(name):
+            return f"s{slot[name]}" if name in slot else name
+
+        for i, (symbol, *args) in enumerate(self.operations):
+            text = ", ".join(map(operand, args))
+            if symbol == "_shaped":  # a constant slope, as a broadcast view
+                lines.append(f"    t{i} = _shaped({text})\n")
+                continue
+            free += sorted({slot[a] for a in args if a in slot and last[a] == i})
+            slot[f"t{i}"] = k = free.pop(0) if free else count
+            count = max(count, k + 1)
+            if symbol == "sech":
+                lines += [f"    cosh({text}, out=s{k})\n", f"    divide(1.0, s{k}, out=s{k})\n"]
+            else:
+                ufunc = _UFUNCS[symbol].__name__ if symbol in _UFUNCS else symbol
+                lines.append(f"    {ufunc}({text}, out=s{k})\n")
+        lines.insert(0, f"def generated({', '.join(['v0'] + [f's{k}' for k in range(count)])}):\n")
+        lines.append(f"    return {', '.join(map(operand, returns))}\n")
+        self.scope.update((fn.__name__, fn) for fn in _UFUNCS.values())
+        generated = self._define(lines)
+        generated.slots = count
+        return generated
+
+    def _define(self, lines):
         exec(compile("".join(lines), "<expression>", "exec"), self.scope)
         return self.scope["generated"]
 
@@ -322,17 +366,22 @@ def _compiled(*fns):
 
 
 @functools.lru_cache(maxsize=16)
-def _straight_line(outputs):
+def _straight_line(outputs, out=False):
     """One generated function x -> the value of each one-variable callable
     of compile_expression in ``outputs``, a tuple of (callable, sloped),
-    followed by its slope in x's shape when ``sloped``.  It is made once
-    per ``outputs``, on first use."""
+    followed by its slope in x's shape when ``sloped``: the expression
+    rendering, or with ``out`` the out rendering of the same operations
+    (``_Emitter.out_function``), which writes them into slots that its
+    caller lends.  It is made once per ``outputs`` and rendering, on first
+    use."""
     e, returns = _Emitter(), []
     for fn, sloped in outputs:
         node, variable = fn._tree
         value, slope = e.walk(node, {variable: "v0"}, sloped)
-        returns += [value, e.op("_shaped", slope, "v0")] if sloped else [value]
-    return e.function(1, returns)
+        # a slope that varies is in x's shape already
+        shaped = e.op("_shaped", slope, "v0") if slope in e.constants else slope
+        returns += [value, shaped] if sloped else [value]
+    return e.out_function(returns) if out else e.function(1, returns)
 
 
 def _only_in_differences(node, a, b):
@@ -370,8 +419,11 @@ def compile_expression(src, variables=()):
     Error positions are on line 1; callers parsing multi-line files move
     them to the real line.
     """
-    node = _Parser(src).parse()
     names, e = tuple(variables), _Emitter()
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ExpressionError(f"variable {name!r} is declared twice", 1, 1)
+    node = _Parser(src).parse()
     value, _ = e.walk(node, {name: f"v{i}" for i, name in enumerate(names)}, False)
     if e.failed:
         raise ExpressionError("constant expression is not finite", 1, 1)

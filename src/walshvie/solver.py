@@ -30,15 +30,20 @@ Milstein term.  Each sweep evaluates beta, sigma and sigma' with one
 call.  For beta and sigma compiled from the expression language it is
 one generated function that differentiates sigma's parse tree forward
 in real arithmetic and computes a part they share once, with the bits of
-evaluating each alone; a sigma given as any other callable is
-differentiated by the complex step Im sigma(x + i eta) / eta, exact to
-rounding for analytic sigma.
+evaluating each alone, each operation a ufunc writing into the engine's
+workspace; a sigma given as any other callable is differentiated by the
+complex step Im sigma(x + i eta) / eta, exact to rounding for analytic
+sigma.
 
 One engine solves a block of paths, the (n, 2m + 1) array of their
 values, as the rows of an (n, m) array and returns arrays: the
 solutions, sweep counts and residuals, and the error of each row that
 failed.  ``solve`` is its one-path case and Monte Carlo runs feed it
-chunks of trials.  The operators that do not depend on the path are
+chunks of trials.  It works in a flat workspace that its caller may
+lend, where it writes the path data, the iterate and every temporary
+of a sweep, so that with constant kernels and compiled beta and sigma a
+sweep allocates nothing of the block's size; a convergence study lends
+one workspace to every rung.  The operators that do not depend on the path are
 built once per engine, one per kernel by ``_kernel_operator``, which
 owns the kernel's form and what happens to its diagonal: k1's is halved
 and k2's is split off as the Ito weight k2(s, s).  A constant kernel c
@@ -144,21 +149,26 @@ _COMPLEX_STEP = 1e-20
 
 
 def _integrands(problem, ito):
-    """The one evaluation of a sweep, x -> (beta(x), sigma(x), sigma'(x)),
-    with sigma' zero when ``ito`` is False: one generated function for a
-    compiled beta and sigma.  Any other pair is evaluated beta first, and
-    sigma' by sigma's ``with_slope`` if it has one, else by the complex
-    step, where a sigma that cannot take complex input is an error, never
-    a silent zero slope.  Finiteness is left to the caller, per row."""
+    """The one evaluation of a sweep, (x, *slots) -> (beta(x), sigma(x),
+    sigma'(x)), with sigma' the scalar 0.0 when ``ito`` is False, and the
+    number of x-shaped slots it writes into.  A compiled beta and sigma are
+    one generated function in the out rendering, which may return x itself
+    or one slot twice.  Any other pair takes no slots and is evaluated beta
+    first, and sigma' by sigma's ``with_slope`` if it has one, else by the
+    complex step, where a sigma that cannot take complex input is an
+    error, never a silent zero slope.  Finiteness is left to the caller,
+    per row."""
     beta, sigma = problem.beta, problem.sigma
     if expressions._compiled(beta, sigma):
-        generated = expressions._straight_line(((beta, False), (sigma, ito)))
-        return generated if ito else lambda x: (*generated(x), np.zeros_like(x))
+        generated = expressions._straight_line(((beta, False), (sigma, ito)), True)
+        if ito:
+            return generated, generated.slots
+        return (lambda x, *slots: (*generated(x, *slots), 0.0)), generated.slots
 
-    def composed(x):
+    def composed(x, *slots):
         b = _eval_grid(beta, "beta", x)
         if not ito:
-            return b, _eval_grid(sigma, "sigma", x), np.zeros_like(x)
+            return b, _eval_grid(sigma, "sigma", x), 0.0
         if hasattr(sigma, "with_slope"):
             return (b, *sigma.with_slope(x))
         z = x + 1j * _COMPLEX_STEP
@@ -174,18 +184,24 @@ def _integrands(problem, ito):
             )
         return b, vals.real, vals.imag / _COMPLEX_STEP
 
-    return composed
+    return composed, 0
 
 
-def _exclusive_cumsum(a, diagonal):
-    """Per row, out[:, j] = a[:, 0] + ... + a[:, j-1], summed in order,
-    plus diagonal * a[:, j] when diagonal is not zero."""
-    out = np.empty_like(a)
-    out[:, 0] = 0.0
-    np.add.accumulate(a[:, :-1], axis=1, out=out[:, 1:])
-    if diagonal:
-        out += diagonal * a
-    return out
+def _exclusive_cumsum(c, diagonal):
+    """z -> per row, out[:, j] = c (z[:, 0] + ... + z[:, j-1], summed in
+    order, plus diagonal * z[:, j] when diagonal is not zero), written
+    into ``out`` with ``scratch`` holding diagonal * z; either is
+    allocated when not given."""
+
+    def apply(z, out=None, scratch=None):
+        out = np.empty_like(z) if out is None else out
+        out[:, 0] = 0.0
+        np.add.accumulate(z[:, :-1], axis=1, out=out[:, 1:])
+        if diagonal:
+            out += np.multiply(diagonal, z, out=scratch)
+        return np.multiply(c, out, out=out)
+
+    return apply
 
 
 def _by_row(a, M):
@@ -201,23 +217,23 @@ def _causal_convolution(g):
     transform, so a row's bits do not depend on the rows beside it."""
     m = len(g)
     spectrum = np.fft.rfft(g, 2 * m)
-    return lambda z: np.fft.irfft(np.fft.rfft(z, 2 * m) * spectrum, 2 * m)[:, :m]
+    return lambda z, *_: np.fft.irfft(np.fft.rfft(z, 2 * m) * spectrum, 2 * m)[:, :m]
 
 
 def _kernel_operator(kernel, cfg, name, diagonal):
     """The product of one projected kernel with a block of rows, built
     once.
 
-    Returns (apply, diag): apply(z) = z @ m^2 K, each row on its own,
-    where K is the projected triangle of ``kernel`` with its diagonal
-    scaled by ``diagonal``, and diag = m^2 diag(K) before that scaling,
-    the block averages of k on the diagonal blocks.  A zero
-    ``diagonal`` sets the diagonal to +0.0, so a negative entry never
-    becomes -0.0.  The kernel takes one of three forms, and only the
-    last builds an m x m array:
+    Returns (apply, diag): apply(z, out=None, scratch=None) = z @ m^2 K,
+    each row on its own, where K is the projected triangle of ``kernel``
+    with its diagonal scaled by ``diagonal``, and diag = m^2 diag(K)
+    before that scaling, the block averages of k on the diagonal blocks.
+    A zero ``diagonal`` sets the diagonal to +0.0, so a negative entry
+    never becomes -0.0.  The kernel takes one of three forms, and only
+    the last builds an m x m array:
 
-    * a constant c applies c exclusive_cumsum(z, diagonal), and diag
-      is c;
+    * a constant c is an exclusive cumulative sum written into ``out``
+      (with ``scratch`` for its diagonal term), and diag is c;
     * a difference kernel (an expression of t - s alone, see
       ``expressions.compile_expression``) has a Toeplitz projection,
       K[i][i + d] = row[d], so its row 0 alone is projected and applied
@@ -225,11 +241,13 @@ def _kernel_operator(kernel, cfg, name, diagonal):
       diag is the scalar m^2 row[0];
     * any other callable is projected on the triangle and applied with
       one GEMV per row, and diag is an array.
+
+    The last two return a new array and ignore ``out`` and ``scratch``.
     """
     m = cfg.m
     if isinstance(kernel, Real):
         c = float(kernel)
-        return (lambda z: c * _exclusive_cumsum(z, diagonal)), c
+        return _exclusive_cumsum(c, diagonal), c
     if getattr(kernel, "difference_kernel", False):
         g = m * m * _project_lag_row(kernel, cfg, name)
         diag = float(g[0])
@@ -238,7 +256,13 @@ def _kernel_operator(kernel, cfg, name, diagonal):
     G = m * m * project_kernel(kernel, cfg, name)
     diag = np.diagonal(G).copy()
     np.fill_diagonal(G, diagonal * diag if diagonal else 0.0)
-    return (lambda z: _by_row(z, G)), diag
+    return (lambda z, *_: _by_row(z, G)), diag
+
+
+def _gather(a, index, out):
+    """The rows ``index`` of a, written into the first len(index) rows of
+    ``out`` (mode="raise" would allocate a buffer for them)."""
+    return np.take(a, index, axis=0, out=out[: len(index)], mode="clip")
 
 
 _BETA = "beta(x) is not finite at the current iterate"
@@ -249,16 +273,8 @@ def _fail_non_finite(rows, checks, errors):
     """Record a NonFiniteIterateError for each row of ``rows`` where an
     array of ``checks`` (pairs of array and message, in the order they
     are checked) is not finite, with the message of the first such
-    array.  Returns the mask of the failed rows.
-
-    One sum of every entry screens them first: an inf or nan term makes
-    the sum non-finite, so a finite sum clears them all, and only a sum
-    that is not (a failure, or finite terms that overflow) is checked
-    array by array."""
+    array.  Returns the mask of the failed rows."""
     failed = np.zeros(len(rows), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(sum(np.add.reduce(a, axis=None) for a, _ in checks)):
-            return failed
     for a, message in checks:
         new = ~np.isfinite(a).all(axis=1) & ~failed
         for r in rows[new]:
@@ -271,18 +287,30 @@ def _batch_solver(problem, cfg):
     """The solve engine at resolution cfg.m.
 
     Builds the path-independent operators once and returns
-    ``solve_paths(values)``, which solves the paths of that resolution
-    held in the rows of an (n, 2m + 1) values block as the rows of one
-    (n, m) array.  It returns ``(x, sweeps, residuals, errors)``: the
-    read-only solutions (n, m) and each row's sweep count and final
-    residual, which hold nan, 0 and nan in the rows that failed, and a
-    list that holds, per row, None or the NonFiniteIterateError /
-    NonConvergenceError that ended it.  Every row runs the sweeps of
-    ``solve``'s docstring with its own residual and damping flag, and a
-    row that finishes leaves the block, so no row depends on the others.
-    A sweep screens beta, sigma, sigma' and the iterate of all its rows
-    with one finite sum and checks them row by row only when that sum is
-    not finite.
+    ``solve_paths(values, workspace=None)``, which solves the paths of
+    that resolution held in the rows of an (n, 2m + 1) values block as
+    the rows of one (n, m) array.  It returns ``(x, sweeps, residuals,
+    errors)``: the read-only solutions (n, m) and each row's sweep count
+    and final residual, which hold nan, 0 and nan in the rows that
+    failed, and a list that holds, per row, None or the
+    NonFiniteIterateError / NonConvergenceError that ended it.  Every row
+    runs the sweeps of ``solve``'s docstring with its own residual and
+    damping flag, and a row that finishes leaves the block, so no row
+    depends on the others.
+
+    A call works in ``solve_paths.slots`` (n, m) arrays, the first
+    slots * n * m values of ``workspace``, a flat float64 array that the
+    caller lends (or that the call allocates when it is None).  The
+    increments, Ito weights, iterate, candidate, integrands and every
+    temporary of a sweep are written there with out=, and the rows that
+    stay are gathered into a free slot when others leave.  A call reads
+    nothing it has not written, so the workspace may hold anything, and
+    returns nothing that is a view of it.
+
+    A non-finite beta, sigma, sigma' or iterate makes its row's candidate
+    and residual non-finite, so one sum of a sweep's residuals screens
+    its rows, which are checked array by array only when that sum is not
+    finite (a failure, or finite residuals that overflow).
     """
     m, h = cfg.m, cfg.h
     # h is a power of two, so m^3 (K1 o P) is exactly m^2 K1 with its
@@ -291,70 +319,91 @@ def _batch_solver(problem, cfg):
     drift, _ = _kernel_operator(problem.k1, cfg, "k1", 0.5)
     noise, k2_ss = _kernel_operator(problem.k2, cfg, "k2", 0.0)
     ito = bool(np.any(k2_ss))
-    integrands = _integrands(problem, ito)
+    integrands, integrand_slots = _integrands(problem, ito)
     x0 = float(problem.x0)
+    # the engine's eight arrays, named in solve_paths, then the integrands' slots
+    count = 8 + integrand_slots
 
-    def step(rows, x, full, dB1, c_full, c_half, errors):
-        """The candidate of one sweep from the iterates x of the live
-        rows, and the mask of the rows it fails.  Its temporaries end
-        with it, so they are not held into the next sweep."""
+    def solve_paths(values, workspace=None):
+        n = len(values)
+        workspace = np.empty(count * n * m) if workspace is None else workspace
+        # the rows' own arrays, gathered as rows leave, then the sweep's
+        x, full, dB1, c_full, c_half, candidate, z, w, *slots = workspace[: count * n * m].reshape(count, n, m)
         # a row whose beta, sigma, sigma' or iterate is not finite fails
-        # below with that cause, so numpy need not warn of it
+        # with that cause, so numpy need not warn of it
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            b, sig, slope = integrands(x)
-            z1 = h * b
-            w = sig * (full + slope * c_full)
-            u = sig * (dB1 + slope * c_half)
-            candidate = x0 + drift(z1) + noise(w) + k2_ss * u
-        checks = ((z1, _BETA), (sig, _SIGMA), (slope, _SIGMA), (candidate, "iterate is not finite"))
-        return candidate, _fail_non_finite(rows, checks, errors)
-
-    def solve_paths(v):
-        n = len(v)
-        full, dB1, dB2 = _increments(v)
-        # the correction per unit sigma*sigma'(x[i]), above and on the
-        # diagonal; dB2 is not needed after it.  A square that
-        # overflows makes the iterates it reaches non-finite, which
-        # fails their row in the first sweep
-        with np.errstate(over="ignore", invalid="ignore"):
-            c_full = k2_ss * 0.5 * (dB2**2 - dB1**2 - h)
-            c_half = k2_ss * (-0.5 * dB1**2 - h / 4.0)
-        del dB2
-        solutions = np.full((n, m), np.nan)
-        sweeps = np.zeros(n, dtype=int)
-        residuals = np.full(n, np.nan)
-        errors = [None] * n
-        # the rows still iterating: index, iterate, residual, damping
-        # flag and their path data
-        live = (
-            np.arange(n), np.full((n, m), x0), np.full(n, np.inf), np.zeros(n, dtype=bool),
-            full, dB1, c_full, c_half,
-        )
-        for sweep in range(1, _MAX_ITER + 1):
-            rows, x, previous, damped, full, dB1, c_full, c_half = live
-            candidate, failed = step(rows, x, full, dB1, c_full, c_half, errors)
-            # iterates too far apart have an infinite residual, which damps
-            # the row; a damped step that overflows fails it in the next sweep
-            with np.errstate(over="ignore", invalid="ignore"):
-                residual = np.maximum.reduce(np.abs(candidate - x), axis=1)
-                damped = damped | (residual > previous)
+            # the correction per unit sigma*sigma'(x[i]), above and on the
+            # diagonal; dB2, in z, and dB1^2, in w, are not needed after
+            # it.  A square that overflows makes the iterates it reaches
+            # non-finite, which fails their row in the first sweep
+            _increments(values, out=(full, dB1, z))
+            dB1_squared = np.power(dB1, 2, out=w)
+            np.subtract(np.power(z, 2, out=c_full), dB1_squared, out=c_full)
+            np.multiply(k2_ss * 0.5, np.subtract(c_full, h, out=c_full), out=c_full)
+            np.multiply(-0.5, dB1_squared, out=c_half)
+            np.multiply(k2_ss, np.subtract(c_half, h / 4.0, out=c_half), out=c_half)
+            x.fill(x0)
+            solutions = np.full((n, m), np.nan)
+            sweeps = np.zeros(n, dtype=int)
+            residuals = np.full(n, np.nan)
+            errors = [None] * n
+            # the rows still iterating: index, residual, damping flag and count
+            rows, previous, damped, k = np.arange(n), np.full(n, np.inf), np.zeros(n, dtype=bool), n
+            for sweep in range(1, _MAX_ITER + 1):
+                xs, cand, zs, ws = x[:k], candidate[:k], z[:k], w[:k]
+                b, sig, slope = integrands(xs, *(a[:k] for a in slots))
+                # candidate = x0 + drift(h beta) + noise(w) + k2_ss u, where
+                # w = sigma (full + sigma' c_full) and then
+                # u = sigma (dB1 + sigma' c_half) are made in ws, h beta and
+                # then noise(w) in zs
+                np.add(x0, drift(np.multiply(h, b, out=zs), cand, ws), out=cand)
+                np.add(full[:k], np.multiply(slope, c_full[:k], out=ws), out=ws)
+                np.add(cand, noise(np.multiply(sig, ws, out=ws), zs), out=cand)
+                np.add(dB1[:k], np.multiply(slope, c_half[:k], out=ws), out=ws)
+                np.multiply(k2_ss, np.multiply(sig, ws, out=ws), out=ws)
+                np.add(cand, ws, out=cand)
+                # iterates too far apart have an infinite residual, which damps
+                # the row; a damped step that overflows fails it in the next sweep
+                residual = np.maximum.reduce(np.abs(np.subtract(cand, xs, out=ws), out=ws), axis=1)
+                if np.isfinite(np.add.reduce(residual)):
+                    failed = np.zeros(k, dtype=bool)
+                else:
+                    # h beta, which h <= 1 cannot overflow, is finite where beta is
+                    slopes = [(slope, _SIGMA)] if ito else []
+                    checks = [(b, _BETA), (sig, _SIGMA), *slopes, (cand, "iterate is not finite")]
+                    failed = _fail_non_finite(rows, checks, errors)
+                damped |= residual > previous
                 if damped.any():
-                    candidate[damped] = x[damped] + _DAMPING * (candidate[damped] - x[damped])
-                    residual[damped] = np.maximum.reduce(np.abs(candidate[damped] - x[damped]), axis=1)
-            done = (residual <= _TOL) & ~failed
-            live = (rows, candidate, residual, damped, full, dB1, c_full, c_half)
-            if done.any() or failed.any():
-                solutions[rows[done]] = candidate[done]
-                residuals[rows[done]] = residual[done]
-                sweeps[rows[done]] = sweep
-                keep = ~(failed | done)
-                live = tuple(a[keep] for a in live)
-                if not keep.any():
-                    break
-        for r, residual in zip(live[0], live[2]):
-            errors[r] = NonConvergenceError(residual=float(residual), iterations=_MAX_ITER)
+                    # x + 0.5 (candidate - x) on the damped rows, gathered
+                    d = np.flatnonzero(damped)
+                    xd, step = _gather(xs, d, ws), _gather(cand, d, zs)
+                    np.add(xd, np.multiply(_DAMPING, np.subtract(step, xd, out=step), out=step), out=step)
+                    cand[d] = step
+                    residual[d] = np.maximum.reduce(np.abs(np.subtract(step, xd, out=step), out=step), axis=1)
+                done = (residual <= _TOL) & ~failed
+                # the candidate is the next iterate, and the old iterate's slot is free
+                x, candidate, previous = candidate, x, residual
+                if done.any() or failed.any():
+                    finished = np.flatnonzero(done)
+                    solutions[rows[finished]] = _gather(x[:k], finished, candidate)
+                    residuals[rows[finished]] = residual[finished]
+                    sweeps[rows[finished]] = sweep
+                    keep = np.flatnonzero(~(failed | done))
+                    if not len(keep):
+                        break
+                    gathered = []
+                    for a in (x, full, dB1, c_full, c_half):
+                        _gather(a[:k], keep, candidate)
+                        gathered.append(candidate)
+                        candidate = a
+                    x, full, dB1, c_full, c_half = gathered
+                    rows, previous, damped, k = rows[keep], previous[keep], damped[keep], len(keep)
+            else:
+                for row, residual in zip(rows, previous):
+                    errors[row] = NonConvergenceError(residual=float(residual), iterations=_MAX_ITER)
         return _readonly(solutions), sweeps, residuals, errors
 
+    solve_paths.slots = count
     return solve_paths
 
 

@@ -441,6 +441,93 @@ class TestGeneratedSlopes:
         assert np.array_equal(slope, np.zeros((2, 3)))
 
 
+def _constant_tree(value):
+    """A one-variable callable whose tree is the constant ``value``, which
+    compile_expression itself would fold to a float."""
+
+    def constant(x):
+        return value
+
+    constant._tree = ("num", value), "x"
+    return constant
+
+
+class TestOutRendering:
+    # the engine evaluates beta, sigma and sigma' by the out rendering,
+    # which must give the bits of the expression rendering on arrays,
+    # whatever its slots held before
+    X = np.array([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan],
+        [0.3, -0.3, 1.5, -2.0, 0.999, 1e300, -1e-300, 7.0],
+    ])
+    SOURCES = [f"{name}(x)" for name in FUNCTIONS] + [
+        "x + 2", "2 + x", "x - 2", "2 - x", "2 * x", "x * x", "x / 3", "3 / x", "x / x", "-x", "--x",
+        # the constant exponents numpy may treat apart, and varying ones
+        "x ^ 2", "x ^ 0.5", "x ^ 1", "x ^ -1", "x ^ 3", "(x - 1) ^ 2", "(-x) ^ 0.5", "2 ^ x", "x ^ x",
+        "(1 + x) ^ sech(x)",
+        "x", "3*x - 1", "1 + sqrt(x-x)", "exp(0) + 1 * x",
+        "x*(1-x^2)", "tanh(x)*sech(x)^2", "sqrt(exp(x)^2) - sin(cos(x))", "atanh(x/2) + asinh(x)^2",
+    ]
+
+    @staticmethod
+    def render(outputs, x):
+        """Both renderings of ``outputs`` at x, as tuples, and the slots the
+        out rendering was lent, filled with nan beforehand."""
+        out = _straight_line(outputs, True)
+        slots = [np.full_like(x, np.nan) for _ in range(out.slots)]
+        with np.errstate(all="ignore"):
+            want, got = _straight_line(outputs)(x), out(x, *slots)
+        return (want, got, slots) if isinstance(want, tuple) else ((want,), (got,), slots)
+
+    @pytest.mark.parametrize("sloped", [False, True], ids=["value", "slope"])
+    @pytest.mark.parametrize("src", SOURCES)
+    def test_matches_the_expression_rendering(self, src, sloped):
+        f = compile_expression(src, ("x",))
+        want, got, slots = self.render(((f, sloped),), self.X)
+        assert len(got) == len(want) == 1 + sloped
+        assert all(same_bits(a, w) for a, w in zip(got, want))
+        # each array is x, a lent slot or a view of a constant slope
+        for a in got:
+            assert a is self.X or any(a is s for s in slots) or not a.flags.writeable
+
+    @pytest.mark.parametrize("beta, sigma", [
+        ("tanh(x)*sech(x)^2", "sech(x)"), ("x*(1-x^2)", "1-x^2"), ("sin(x) * cos(x)", "cos(x) + sin(x)^2"),
+    ])
+    def test_integrands_match_the_expression_rendering(self, beta, sigma):
+        b, s = compile_expression(beta, ("x",)), compile_expression(sigma, ("x",))
+        for sloped in (False, True):
+            want, got, _ = self.render(((b, False), (s, sloped)), self.X)
+            assert all(same_bits(a, w) for a, w in zip(got, want))
+
+    def test_one_function_twice_is_one_slot(self):
+        # beta = sigma: the engine reads both and writes neither
+        f = compile_expression("1 - x^2", ("x",))
+        want, (b, s, slope), slots = self.render(((f, False), (f, True)), self.X)
+        assert b is s and any(b is slot for slot in slots)
+        assert all(same_bits(a, w) for a, w in zip((b, s, slope), want))
+
+    def test_sigma_x_is_the_iterate(self):
+        f = compile_expression("x", ("x",))
+        want, (b, s, slope), _ = self.render(((f, False), (f, True)), self.X)
+        assert b is s is self.X
+        assert all(same_bits(a, w) for a, w in zip((b, s, slope), want))
+        assert not slope.flags.writeable and np.all(slope == 1.0)
+
+    def test_a_constant_and_its_slope(self):
+        f = _constant_tree(2.0)
+        want, got, slots = self.render(((f, True),), self.X)
+        assert slots == [] and got[0] == 2.0
+        assert all(same_bits(a, w) for a, w in zip(got, want))
+
+    def test_slots_are_reused(self):
+        # a term's slot is free once it is added, so a long sum of
+        # distinct terms needs two slots, and each term is made in place
+        f = compile_expression(" + ".join(f"sin(x + {k})" for k in range(1, 41)), ("x",))
+        assert _straight_line(((f, False),), True).slots == 2
+        want, got, _ = self.render(((f, True),), self.X[1:])
+        assert all(same_bits(a, w) for a, w in zip(got, want))
+
+
 class TestDifferenceKernels:
     @pytest.mark.parametrize(
         "src, marked",
@@ -480,6 +567,13 @@ class TestErrors:
             compile_expression("foo(3)")
         assert "foo" in str(err.value)
         assert err.value.col == 1
+
+    def test_repeated_variable(self):
+        # it would be two parameters of which only the last is read
+        with pytest.raises(ExpressionError, match="variable 'x' is declared twice"):
+            compile_expression("x", ("x", "x"))
+        with pytest.raises(ExpressionError, match="variable 't' is declared twice"):
+            compile_expression("s - t", ("s", "t", "t"))
 
     def test_unknown_name(self):
         with pytest.raises(ExpressionError) as err:

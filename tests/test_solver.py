@@ -428,9 +428,15 @@ class TestItoCorrection:
         calls = []
         fuse = expressions._straight_line
 
-        def counting(outputs):
-            generated = fuse(outputs)
-            return lambda x: calls.append(x.shape) or generated(x)
+        def counting(outputs, out=False):
+            generated = fuse(outputs, out)
+
+            def call(x, *slots):
+                calls.append(x.shape)
+                return generated(x, *slots)
+
+            call.slots = generated.slots
+            return call
 
         monkeypatch.setattr(expressions, "_straight_line", counting)
         cfg = BasisConfig.from_resolution(32)
@@ -606,9 +612,165 @@ class TestFailureModes:
             solve(prob, sample_path(cfg, seed=2))
 
 
+class TestWorkspace:
+    """The engine works in a workspace its caller lends: a flat float64
+    array of at least slots * n * m values, whose contents never reach
+    the results."""
+
+    FORMS = {
+        "constant": ("{c1}", "{c2}"),
+        "difference": ("{c1}*exp(-(t-s))", "{c2}*exp(-(t-s))"),
+        "triangle": ("{c1}*exp(-(t-s))", "{c2}*exp(-(t-s))"),
+    }
+    # per problem: x0, the kernels' factors, beta and sigma
+    PROBLEMS = {
+        "example 1, a = 1/2": ("0", "-1/8", "1/2", "tanh(x)*sech(x)^2", "sech(x)"),
+        "example 2, a = 2": ("1/10", "-4", "2", "x*(1-x^2)", "1-x^2"),
+        "sqrt sigma": ("1/10", "0", "1", "0*x", "sqrt(x)"),
+        "exp(x*x) beta": ("1", "1/4", "1", "exp(x*x)", "1"),
+        "exp(x*x) beta, varying sigma": ("1", "1/4", "1", "exp(x*x)", "1 + x/4"),
+    }
+    # each row's outcome on the paths (31, 1..12) at m = 16: converged
+    # (.), no convergence (C), or a non-finite beta (B) or sigma (S)
+    OUTCOMES = {
+        ("example 2, a = 2", "constant"): "......BBB...",
+        ("example 2, a = 2", "difference"): "...C...B....",
+        ("example 2, a = 2", "triangle"): "...C...B....",
+        ("sqrt sigma", "constant"): "SSSSSSS.SSSS",
+        ("sqrt sigma", "difference"): "SSSSSSS.SSSS",
+        ("sqrt sigma", "triangle"): "SSSSSSS.SSSS",
+        ("exp(x*x) beta", "constant"): "BBB...BBBBBB",
+        ("exp(x*x) beta", "difference"): "BBB...BBBBBB",
+        ("exp(x*x) beta", "triangle"): "BBB...BBBBBB",
+        ("exp(x*x) beta, varying sigma", "constant"): ".BB...BBBBBB",
+        ("exp(x*x) beta, varying sigma", "difference"): ".BB...BBBBBB",
+        ("exp(x*x) beta, varying sigma", "triangle"): ".BB...BBBBBB",
+    }
+    CODES = {
+        "beta(x) is not finite at the current iterate": "B",
+        "sigma(x) is not finite at the current iterate": "S",
+    }
+
+    @classmethod
+    def problem(cls, name, form):
+        x0, c1, c2, beta, sigma = cls.PROBLEMS[name]
+        k1, k2 = (k.format(c1=c1, c2=c2) for k in cls.FORMS[form])
+        prob = problem_from_sources({"x0": x0, "k1": k1, "k2": k2, "beta": beta, "sigma": sigma})
+        return on_the_triangle(prob) if form == "triangle" else prob
+
+    @staticmethod
+    def paths(m, n=12, key=31):
+        return np.stack([sample_path(BasisConfig.from_resolution(m), (key, trial)) for trial in range(1, n + 1)])
+
+    @classmethod
+    def code(cls, error):
+        if error is None:
+            return "."
+        return "C" if isinstance(error, NonConvergenceError) else cls.CODES[str(error)]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, form", sorted(OUTCOMES))
+    def test_failed_rows_and_their_messages(self, name, form):
+        prob, paths = self.problem(name, form), self.paths(16)
+        engine = _batch_solver(prob, BasisConfig.from_resolution(16))
+        workspace = np.full(engine.slots * paths.size, np.nan)
+        x, sweeps, residuals, errors = engine(paths, workspace)
+        assert "".join(map(self.code, errors)) == self.OUTCOMES[name, form]
+        for row, error in enumerate(errors):
+            if error is None:
+                assert sweeps[row] > 0 and np.isfinite(x[row]).all() and residuals[row] <= solver._TOL
+            else:
+                assert sweeps[row] == 0 and np.isnan(x[row]).all() and np.isnan(residuals[row])
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("name", ["example 1, a = 1/2", "example 2, a = 2"])
+    def test_what_the_workspace_held_does_not_matter(self, name, form):
+        prob = self.problem(name, form)
+        coarse = _batch_solver(prob, BasisConfig.from_resolution(16))
+        fine = _batch_solver(prob, BasisConfig.from_resolution(32))
+        paths = self.paths(32)
+        alone = fine(paths)
+        workspace = np.full(fine.slots * paths.size, np.nan)
+        with_nan = fine(paths, workspace)
+        # another rung worked in the same workspace before
+        coarse(self.paths(16, n=24, key=5), workspace)
+        after_another = fine(paths, workspace)
+        for got in (with_nan, after_another):
+            assert got[0].tobytes() == alone[0].tobytes()
+            assert np.array_equal(got[1], alone[1]) and got[2].tobytes() == alone[2].tobytes()
+            assert list(map(self.code, got[3])) == list(map(self.code, alone[3]))
+        # nothing returned is a view of the workspace
+        x, _, residuals, _ = fine(paths, workspace)
+        workspace[:] = np.inf
+        assert x.tobytes() == alone[0].tobytes() and residuals.tobytes() == alone[2].tobytes()
+
+    @pytest.mark.parametrize(
+        "beta, sigma",
+        [
+            ("1-x^2", "1-x^2"), ("x", "x"), ("x*(1-x^2)", "2"), ("x*(1-x^2)", "3*x - 1"),
+            ("tanh(x)*sech(x)^2", "sech(x)"),
+        ],
+        ids=["beta is sigma", "sigma is x", "constant sigma", "constant slope", "example 1"],
+    )
+    def test_integrands_and_iterate_are_only_read(self, beta, sigma, monkeypatch):
+        # the integrands, which may be the iterate or one slot twice, and
+        # the iterate are handed to the sweep read-only here, so a write
+        # into either would raise
+        prob = problem_from_sources({"x0": "1/10", "k1": "-1/4", "k2": "1/2", "beta": beta, "sigma": sigma})
+        cfg = BasisConfig.from_resolution(32)
+        paths = self.paths(32, n=8)
+        expected = _batch_solver(prob, cfg)(paths)
+        integrands = solver._integrands
+
+        def frozen(a):
+            if isinstance(a, np.ndarray):
+                a = a.view()
+                a.flags.writeable = False
+            return a
+
+        def read_only(problem, ito):
+            evaluate, slots = integrands(problem, ito)
+
+            def guarded(x, *lent):
+                x.flags.writeable = False
+                return tuple(map(frozen, evaluate(x, *lent)))
+
+            return guarded, slots
+
+        monkeypatch.setattr(solver, "_integrands", read_only)
+        got = _batch_solver(prob, cfg)(paths)
+        assert expected[3] == [None] * len(paths)
+        assert got[0].tobytes() == expected[0].tobytes()
+
+    def test_a_sweep_allocates_no_block(self):
+        # numpy reports its data buffers to tracemalloc.  With a lent
+        # workspace a block solve allocates its solutions, one block, and
+        # arrays of one value per row, whatever its sweep count; a
+        # temporary of the block's size made in a sweep would show here
+        cfg = BasisConfig.from_resolution(64)
+        paths = self.paths(64, n=512, key=7)
+        block = paths.shape[0] * cfg.m * 8
+        peaks, sweeps = [], []
+        for a in ("1/30", "1"):
+            engine = _batch_solver(builtin_example(2, a=a), cfg)
+            workspace = np.empty(engine.slots * paths.shape[0] * cfg.m)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _, counts, _, errors = engine(paths, workspace)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert errors == [None] * len(paths)
+            sweeps.append(counts.sum())
+        assert sweeps[1] > 4 * sweeps[0]
+        assert max(peaks) < 1.5 * block
+        assert abs(peaks[1] - peaks[0]) < 0.1 * block
+
+
 class TestNonFiniteScreen:
-    # _fail_non_finite screens its arrays with one sum before checking
-    # them array by array; the screen must warn nothing and miss nothing
+    # _fail_non_finite checks its arrays one by one, in order; it must
+    # warn nothing and miss nothing
     MESSAGES = ("beta", "sigma", "slope", "iterate")
 
     @staticmethod
