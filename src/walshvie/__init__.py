@@ -11,11 +11,10 @@ which collapses the discrete system to m scalar fixed-point equations.
 
 Quick start::
 
-    from walshvie import BasisConfig, builtin_example, sample_path, solve
+    from walshvie import builtin_example, sample_path, solve
 
     problem = builtin_example(1)
-    cfg = BasisConfig.from_resolution(16)
-    path = sample_path(cfg, seed=7)  # m comes from the path from here on
+    path = sample_path(16, seed=7)  # m comes from the path from here on
     result = solve(problem, path)
     print(result.x_colloc)
 """
@@ -23,8 +22,6 @@ Quick start::
 from .brownian import sample_path
 from .experiment import (
     REPORT_TIMES,
-    ConvergenceReport,
-    ErrorStats,
     coefficient_error_norm,
     convergence_study,
     error_at,
@@ -32,7 +29,7 @@ from .experiment import (
 )
 from .expressions import ExpressionError, compile_expression
 from .operational import integration_matrix, stochastic_matrix, walsh_domain
-from .oracle import OracleResult, euler_maruyama
+from .oracle import euler_maruyama
 from .problemfile import parse_problem_file, problem_from_text
 from .solver import (
     NonConvergenceError,
@@ -43,23 +40,14 @@ from .solver import (
     problem_from_sources,
     solve,
 )
-from .walsh import (
-    BasisConfig,
-    build_walsh_matrix,
-    fast_walsh_transform,
-    project_kernel,
-)
+from .walsh import build_walsh_matrix, fast_walsh_transform, project_kernel
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisConfig",
-    "ConvergenceReport",
-    "ErrorStats",
     "ExpressionError",
     "NonConvergenceError",
     "NonFiniteIterateError",
-    "OracleResult",
     "ProblemSpec",
     "REPORT_TIMES",
     "SolveResult",

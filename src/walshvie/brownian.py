@@ -18,26 +18,27 @@ import itertools
 
 import numpy as np
 
-from .walsh import BasisConfig, _readonly
+from .walsh import _readonly, _resolution
 
 
-def _path_config(path):
-    """The BasisConfig of a path: a 1-D array of 2m+1 values that starts
-    at B(0) = 0, with m a power of two; anything else is a ValueError."""
+def _path_resolution(path):
+    """The m of a path: a 1-D array of 2m+1 values that starts at
+    B(0) = 0, with m a power of two; anything else is a ValueError."""
     if np.ndim(path) != 1 or len(path) < 3 or len(path) % 2 == 0:
         raise ValueError("path must be a 1-D array of 2m+1 values")
     if path[0] != 0.0:
         raise ValueError("path must start at B(0) = 0")
-    return BasisConfig.from_resolution((len(path) - 1) // 2)
+    return _resolution((len(path) - 1) // 2)
 
 
-def sample_path(cfg, seed):
-    """Sample a Brownian path on the half-step grid of cfg.
+def sample_path(m, seed):
+    """Sample a Brownian path on the half-step grid of m blocks.
 
     ``seed`` may be an int or a tuple of ints; tuples are how callers
     derive independent per-trial streams from one base seed.
     """
-    return _readonly(_path_values(_normals(seed, np.empty(2 * cfg.m)), cfg.h))
+    m = _resolution(m)
+    return _readonly(_path_values(_normals(seed, np.empty(2 * m)), 1.0 / m))
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx), and the

@@ -29,7 +29,7 @@ from .operational import _walsh_integration_nonzeros, _walsh_stochastic_rows
 from .oracle import euler_maruyama
 from .problemfile import parse_problem_file
 from .solver import NonConvergenceError, NonFiniteIterateError, builtin_example, solve
-from .walsh import BasisConfig, _bit_reversal
+from .walsh import _bit_reversal
 
 DEFAULT_SEED = 42
 MIN_RESOLUTION = 2
@@ -282,65 +282,65 @@ def _sparse_runs(m, nonzeros):
     return runs
 
 
-def _dump_paths(outdir, cfg, seed, trials):
-    grid = np.arange(2 * cfg.m + 1) * cfg.h / 2.0
-    rows = max(1, (1 << 13) // cfg.m)  # paths drawn at once
+def _dump_paths(outdir, m, seed, trials):
+    grid = np.arange(2 * m + 1) / (2 * m)
+    rows = max(1, (1 << 13) // m)  # paths drawn at once
     draw = _trial_normals(seed)
     for first in range(1, trials + 1, rows):
         block = range(first, min(first + rows, trials + 1))
-        paths = _path_values(draw(np.empty((len(block), 2 * cfg.m)), block), cfg.h)
+        paths = _path_values(draw(np.empty((len(block), 2 * m)), block), 1.0 / m)
         for trial, path in zip(block, paths):
             _write(outdir, f"path_{trial:03d}.csv", [b"t,B\n", *_csv_rows(np.column_stack([grid, path]))])
 
 
 def _cmd_run(args, seed):
     problem = _load_problem(args)
-    cfg = BasisConfig.from_resolution(args.m)
-    tag = f"{_slug(problem.label)}_m{cfg.m}"
+    m, h = args.m, 1.0 / args.m
+    midpoints = (2 * np.arange(m) + 1) / (2 * m)
+    tag = f"{_slug(problem.label)}_m{m}"
 
     # Trial 1, its oracle and its exact values go first, so that a failure
     # writes no file.
-    path = sample_path(cfg, (seed, 1))
+    path = sample_path(m, (seed, 1))
     try:
         result = solve(problem, path)
     except (NonConvergenceError, NonFiniteIterateError) as exc:
         raise ValueError(f"solve failed on trial 1 (seed {seed}): {exc}")
     if args.oracle:
         try:
-            em = euler_maruyama(problem, path)
+            _, em_midpoints = euler_maruyama(problem, path)
         except NonFiniteIterateError as exc:
             raise ValueError(f"oracle failed on trial 1 (seed {seed}): {exc}")
 
     if problem.exact is not None:
         with np.errstate(all="ignore"):
-            exact_vals = problem.exact(cfg.midpoints, path[1::2])
+            exact_vals = problem.exact(midpoints, path[1::2])
         if not np.isfinite(exact_vals).all():
             raise ValueError(f"exact solution is not finite on trial 1 (seed {seed})")
-        stats = monte_carlo(problem, cfg, args.trials, seed)
+        stats = monte_carlo(problem, m, args.trials, seed)
         rows = [["t", "mean", "sd", "ci_lower", "ci_upper", "n_effective", "failures"]] + [
-            [_fmt(s.t), _fmt(s.mean), _fmt(s.sd), _fmt(s.ci_lower), _fmt(s.ci_upper), str(s.n), str(s.failures)]
-            for s in stats
+            [*map(_fmt, row[:5]), *map(str, row[5:])] for row in stats.tolist()
         ]
         _write(args.out, f"stats_{tag}.csv", [_lines(rows)])
     else:
         print("note: problem has no exact solution; skipping error statistics", file=sys.stderr)
 
     header = ["t", "x_m"]
-    columns = [cfg.midpoints, result.x_colloc]
+    columns = [midpoints, result.x_colloc]
     comments = []
     if problem.exact is not None:
         header.append("exact")
         columns.append(exact_vals)
-        gap = coefficient_error_norm(result.x_colloc * cfg.h, exact_vals * cfg.h)
+        gap = coefficient_error_norm(result.x_colloc * h, exact_vals * h)
         comments.append(f"coefficient_error_inf = {_fmt(gap)}")
     if args.oracle:
         header.append("em_oracle")
-        columns.append(em.midpoint_values)
+        columns.append(em_midpoints)
     table = _csv_rows(np.column_stack(columns))
     _write(args.out, f"solution_{tag}.csv", [_lines([header]), *table, _lines([f"# {c}"] for c in comments)])
 
     if args.dump_paths:
-        _dump_paths(args.out, cfg, seed, args.trials)
+        _dump_paths(args.out, m, seed, args.trials)
     return 0
 
 
@@ -348,19 +348,16 @@ def _cmd_converge(args, seed):
     problem = _load_problem(args)
     if problem.exact is None:
         raise ValueError("convergence study requires a problem with an exact solution")
-    report = convergence_study(problem, args.resolutions, args.trials, seed)
-    rows = [["m", "h", "rms_error"]] + [
-        [str(m), _fmt(1.0 / m), _fmt(rms)] for m, rms in zip(report.resolutions, report.rms_errors)
-    ]
-    rows += [[f"# estimated_order = {_fmt(report.estimated_order)}"], [f"# failures = {sum(report.failures)}"]]
+    rms_errors, failures, order = convergence_study(problem, args.resolutions, args.trials, seed)
+    rows = [["m", "h", "rms_error"]] + [[str(m), _fmt(1.0 / m), _fmt(e)] for m, e in zip(args.resolutions, rms_errors)]
+    rows += [[f"# estimated_order = {_fmt(order)}"], [f"# failures = {failures.sum()}"]]
     _write(args.out, f"converge_{_slug(problem.label)}.csv", [_lines(rows)])
     return 0
 
 
 def _cmd_matrices(args, seed):
-    cfg = BasisConfig.from_resolution(args.m)
-    m, h = cfg.m, cfg.h
-    path = sample_path(cfg, seed)
+    m, h = args.m, 1.0 / args.m
+    path = sample_path(m, seed)
     # T_W, P, P_S and Lambda are written as runs of the cells of their
     # O(m) distinct values; Lambda_S, whose values are all distinct, as
     # dense blocks of rows.  No m x m array is made.
@@ -374,8 +371,7 @@ def _cmd_matrices(args, seed):
 
 
 def _cmd_paths(args, seed):
-    cfg = BasisConfig.from_resolution(args.m)
-    _dump_paths(args.out, cfg, seed, args.trials)
+    _dump_paths(args.out, args.m, seed, args.trials)
     return 0
 
 

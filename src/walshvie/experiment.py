@@ -12,13 +12,12 @@ problems.  A block of trials needs one call of ``exact`` on arrays.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .brownian import _path_config, _path_values, _trial_normals
+from .brownian import _path_resolution, _path_values, _trial_normals
 from .solver import _batch_solver
-from .walsh import BasisConfig, fast_walsh_transform, midpoint_floor_index
+from .walsh import _readonly, _resolution, fast_walsh_transform, midpoint_floor_index
 
 REPORT_TIMES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -38,31 +37,8 @@ _CHUNK_ELEMENTS = 1 << 13
 # (errors at rounding level carry no slope information).
 DEGENERATE_RMS = 1e-13
 
-
-class ErrorStats(NamedTuple):
-    """Aggregate of |exact - numerical| at one report time.
-
-    ``n`` counts the trials that entered the aggregate; together with
-    ``failures`` it accounts for every trial requested.
-    """
-
-    t: float
-    mean: float
-    sd: float
-    ci_lower: float
-    ci_upper: float
-    n: int
-    failures: int
-
-
-class ConvergenceReport(NamedTuple):
-    """RMS error per resolution over the trials that succeeded, and
-    ``failures``, the number of trials per resolution that did not."""
-
-    resolutions: tuple
-    rms_errors: tuple
-    estimated_order: float
-    failures: tuple
+# One row of monte_carlo's statistics: |exact - numerical| at report time t
+_STATS = np.dtype([(f, float) for f in ("t", "mean", "sd", "ci_lower", "ci_upper")] + [("n", int), ("failures", int)])
 
 
 def _midpoint_errors(problem, x, values, report_times, j):
@@ -85,7 +61,7 @@ def error_at(result, problem, path, t):
     """|exact(t, B) - x[j]| at the last collocation midpoint t_j <= t,
     with B the path's value there: the one-trial case of the per-block
     errors of Monte Carlo runs.  The path must have the result's m."""
-    m = _path_config(path).m
+    m = _path_resolution(path)
     if m != len(result.x_colloc):
         raise ValueError(f"path resolution m={m} does not match the result's m={len(result.x_colloc)}")
     j = midpoint_floor_index(m, (t,))
@@ -107,8 +83,8 @@ def coefficient_error_norm(x, y):
     return float(np.max(np.abs(fast_walsh_transform(x - y))))
 
 
-def _trial_errors(problem, cfgs, n, base_seed):
-    """One (error rows, failure count) pair per resolution of cfgs; failed
+def _trial_errors(problem, ms, n, base_seed):
+    """One (error rows, failure count) pair per resolution of ms; failed
     trials are counted, never absorbed.
 
     Trial i's normals are drawn once from the key (base_seed, i) for the
@@ -124,16 +100,16 @@ def _trial_errors(problem, cfgs, n, base_seed):
     solved on its own, so a trial's values do not depend on the blocks,
     the draws or what the workspace held.
     """
-    engines = [_batch_solver(problem, cfg) for cfg in cfgs]
-    indices = [midpoint_floor_index(cfg.m, REPORT_TIMES) for cfg in cfgs]
-    width = 2 * max(cfg.m for cfg in cfgs)
+    engines = [_batch_solver(problem, m) for m in ms]
+    indices = [midpoint_floor_index(m, REPORT_TIMES) for m in ms]
+    width = 2 * max(ms)
     draw = _trial_normals(base_seed)
     normals = np.empty((max(1, _DRAW_ELEMENTS // width), width))
-    blocks = [np.empty((min(n, max(1, _CHUNK_ELEMENTS // cfg.m)), 2 * cfg.m + 1)) for cfg in cfgs]
-    workspace = np.empty(max(e.slots for e in engines) * max(len(b) * cfg.m for b, cfg in zip(blocks, cfgs)))
-    filled = [0] * len(cfgs)
-    errors = [np.empty((n, len(REPORT_TIMES))) for _ in cfgs]
-    solved = [0] * len(cfgs)
+    blocks = [np.empty((min(n, max(1, _CHUNK_ELEMENTS // m)), 2 * m + 1)) for m in ms]
+    workspace = np.empty(max(e.slots for e in engines) * max(len(b) * m for b, m in zip(blocks, ms)))
+    filled = [0] * len(ms)
+    errors = [np.empty((n, len(REPORT_TIMES))) for _ in ms]
+    solved = [0] * len(ms)
 
     def solve_block(r, block):
         x, _, _, failed = engines[r](block, workspace)
@@ -146,8 +122,8 @@ def _trial_errors(problem, cfgs, n, base_seed):
     for first in range(1, n + 1, len(normals)):
         trials = range(first, min(first + len(normals), n + 1))
         draw(normals[: len(trials)], trials)
-        for r, (cfg, block) in enumerate(zip(cfgs, blocks)):
-            values = _path_values(normals[: len(trials), : 2 * cfg.m], cfg.h)
+        for r, (m, block) in enumerate(zip(ms, blocks)):
+            values = _path_values(normals[: len(trials), : 2 * m], 1.0 / m)
             while len(values):
                 take = min(len(block) - filled[r], len(values))
                 block[filled[r] : filled[r] + take] = values[:take]
@@ -162,63 +138,54 @@ def _trial_errors(problem, cfgs, n, base_seed):
     return [(e[:count], n - count) for e, count in zip(errors, solved)]
 
 
-def monte_carlo(problem, cfg, n, base_seed):
-    """Mean absolute error with a 95% normal confidence interval, one
-    ErrorStats per time of REPORT_TIMES.
+def monte_carlo(problem, m, n, base_seed):
+    """Mean absolute error with a 95% normal confidence interval at
+    resolution m: a read-only structured array with one row per time of
+    REPORT_TIMES and the fields t, mean, sd, ci_lower, ci_upper, n (the
+    trials that entered the row) and failures (the trials that did not).
 
     Trial i draws its path from the key (base_seed, i), so any subset
-    of trials is reproducible in isolation; the aggregation over the
-    trial axis is order independent.
+    of trials is reproducible in isolation; each statistic reduces one
+    column of errors in trial order, so reruns give the same bits.
     """
+    m = _resolution(m)
     if n < 2:
         raise ValueError("need at least two trials")
-    [(errors, failures)] = _trial_errors(problem, [cfg], n, base_seed)
+    [(errors, failures)] = _trial_errors(problem, [m], n, base_seed)
     n_eff = errors.shape[0]
     if n_eff < 2:
         raise ValueError(f"only {n_eff} of {n} trials succeeded; cannot form statistics")
     stats = []
-    for idx, t in enumerate(REPORT_TIMES):
-        col = errors[:, idx]
+    for t, col in zip(REPORT_TIMES, errors.T):
         # errors near the largest double can overflow the mean or sd to
         # inf, which the stats then show
         with np.errstate(over="ignore"):
-            mean = float(np.mean(col))
-            sd = float(np.std(col, ddof=1))
+            mean, sd = float(np.mean(col)), float(np.std(col, ddof=1))
         halfwidth = 1.96 * sd / math.sqrt(n_eff)
-        stats.append(
-            ErrorStats(
-                t=float(t),
-                mean=mean,
-                sd=sd,
-                ci_lower=mean - halfwidth,
-                ci_upper=mean + halfwidth,
-                n=n_eff,
-                failures=failures,
-            )
-        )
-    return stats
+        stats.append((t, mean, sd, mean - halfwidth, mean + halfwidth, n_eff, failures))
+    return _readonly(np.array(stats, dtype=_STATS))
 
 
 def convergence_study(problem, resolutions, n, base_seed):
     """RMS error per resolution, over the trials and REPORT_TIMES, and
-    the least-squares order in h.
+    the least-squares order in h, as ``(rms_errors, failures, order)``:
+    read-only arrays in the order of ``resolutions``, with failures the
+    number of trials per resolution left out of its RMS, and a float.
 
     When every RMS sits at rounding level the order is reported as nan
     rather than a meaningless slope, and an RMS that overflows is a
-    ValueError.  Failed trials are left out of the RMS and counted in
-    the report's ``failures``.  Every rung's engine is alive at once,
-    so a callable kernel that is not a difference kernel holds at most
-    1/3 more triangle memory than the finest rung alone.
+    ValueError.  Every rung's engine is alive at once, so a callable
+    kernel that is not a difference kernel holds at most 1/3 more
+    triangle memory than the finest rung alone.
     """
-    resolutions = tuple(int(m) for m in resolutions)
-    if len(resolutions) < 3:
+    ms = [_resolution(m) for m in resolutions]
+    if len(ms) < 3:
         raise ValueError("need at least three resolutions for an order estimate")
-    if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
+    if any(b <= a for a, b in zip(ms, ms[1:])):
         raise ValueError("resolutions must be strictly increasing")
-    cfgs = [BasisConfig.from_resolution(m) for m in resolutions]
     rms = []
     failures = []
-    for m, (errors, failed) in zip(resolutions, _trial_errors(problem, cfgs, n, base_seed)):
+    for m, (errors, failed) in zip(ms, _trial_errors(problem, ms, n, base_seed)):
         if errors.shape[0] < 1:
             raise ValueError(f"every trial failed at m={m}")
         with np.errstate(over="ignore"):
@@ -229,11 +196,6 @@ def convergence_study(problem, resolutions, n, base_seed):
     if max(rms) <= DEGENERATE_RMS:
         order = math.nan
     else:
-        hs = np.log([1.0 / m for m in resolutions])
+        hs = np.log([1.0 / m for m in ms])
         order = float(np.polyfit(hs, np.log(rms), 1)[0])
-    return ConvergenceReport(
-        resolutions=resolutions,
-        rms_errors=tuple(rms),
-        estimated_order=order,
-        failures=tuple(failures),
-    )
+    return _readonly(np.array(rms)), _readonly(np.array(failures)), order

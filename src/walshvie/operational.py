@@ -15,8 +15,8 @@ Ito-Taylor correction on top of it; see ``walshvie.solver``.
 
 import numpy as np
 
-from .brownian import _increments, _path_config
-from .walsh import _TEMP_ELEMENTS, _readonly, fast_walsh_transform
+from .brownian import _increments, _path_resolution
+from .walsh import _TEMP_ELEMENTS, _readonly, _resolution, fast_walsh_transform
 
 
 def _upper_triangular(above, diagonal):
@@ -32,13 +32,14 @@ def _upper_triangular(above, diagonal):
     return _readonly(out)
 
 
-def integration_matrix(cfg):
+def integration_matrix(m):
     """Upper triangular matrix P: h/2 on the diagonal, h above it.
 
     Column j sums to the midpoint t_j, so integrating the constant 1
     up to a midpoint is exact.
     """
-    m, h = cfg.m, cfg.h
+    m = _resolution(m)
+    h = 1.0 / m
     return _upper_triangular(np.full(m, h), np.full(m, h / 2.0))
 
 
@@ -52,7 +53,7 @@ def stochastic_matrix(path):
     midpoint values of the integrand it gives the Stratonovich, not the
     Ito, integral.
     """
-    _path_config(path)  # checks that path is a sampled path
+    _path_resolution(path)  # checks that path is a sampled path
     return _upper_triangular(*_increments(path)[:2])
 
 
@@ -74,7 +75,7 @@ def walsh_domain(M):
 
 
 def _walsh_integration_nonzeros(m, i):
-    """The nonzeros of row i of ``walsh_domain(integration_matrix(cfg))``
+    """The nonzeros of row i of ``walsh_domain(integration_matrix(m))``
     at resolution m, as (column, value) pairs in column order, from its
     closed form (Chen and Hsiao, Proc. IEE 122, 1975): 1/2 at (0, 0),
     1/(4k) at (i, i - k) for k the highest power of two <= i, and
@@ -98,7 +99,7 @@ def _walsh_stochastic_rows(path):
     highest bit k of c) and one below (row c + k) for each power of two
     k > c.
     """
-    m = _path_config(path).m
+    m = _path_resolution(path)
     a, b = fast_walsh_transform(np.column_stack(_increments(path)[:2])).T / m
     c = np.arange(m)
     diagonal = np.full(m, -0.5)

@@ -15,29 +15,24 @@ in one generated call when both are compiled expressions.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import expressions
-from .brownian import _increments, _path_config
+from .brownian import _increments, _path_resolution
 from .solver import NonFiniteIterateError
 from .walsh import _eval_grid, _readonly
-
-
-class OracleResult(NamedTuple):
-    values: np.ndarray
-    midpoint_values: np.ndarray
 
 
 def euler_maruyama(problem, path):
     """Integrate one path on its full grid; m is the path's, a power of two.
 
-    Returns the m+1 grid iterates plus values at the collocation
-    midpoints obtained by averaging adjacent iterates.
+    Returns ``(values, midpoint_values)``, read-only arrays: the m+1 grid
+    iterates and the collocation midpoint values, each the average of
+    its two adjacent iterates.
     """
-    cfg = _path_config(path)
-    m, h = cfg.m, cfg.h
+    m = _path_resolution(path)
+    h = 1.0 / m
     s = np.arange(m) * h
     dB = _increments(path)[0].tolist()
     beta, sigma = problem.beta, problem.sigma
@@ -64,7 +59,4 @@ def euler_maruyama(problem, path):
     # halved before the sum, which then cannot overflow; the bits are
     # those of 0.5 * (y[:-1] + y[1:]) wherever that is finite and normal
     midpoints = 0.5 * y[:-1] + 0.5 * y[1:]
-    return OracleResult(
-        values=_readonly(y),
-        midpoint_values=_readonly(midpoints),
-    )
+    return _readonly(y), _readonly(midpoints)

@@ -72,7 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expressions
-from .brownian import _increments, _path_config
+from .brownian import _increments, _path_resolution
 from .walsh import _eval_grid, _project_lag_row, _readonly, project_kernel
 
 
@@ -220,7 +220,7 @@ def _causal_convolution(g):
     return lambda z, *_: np.fft.irfft(np.fft.rfft(z, 2 * m) * spectrum, 2 * m)[:, :m]
 
 
-def _kernel_operator(kernel, cfg, name, diagonal):
+def _kernel_operator(kernel, m, name, diagonal):
     """The product of one projected kernel with a block of rows, built
     once.
 
@@ -244,16 +244,15 @@ def _kernel_operator(kernel, cfg, name, diagonal):
 
     The last two return a new array and ignore ``out`` and ``scratch``.
     """
-    m = cfg.m
     if isinstance(kernel, Real):
         c = float(kernel)
         return _exclusive_cumsum(c, diagonal), c
     if getattr(kernel, "difference_kernel", False):
-        g = m * m * _project_lag_row(kernel, cfg, name)
+        g = m * m * _project_lag_row(kernel, m, name)
         diag = float(g[0])
         g[0] = diagonal * diag if diagonal else 0.0
         return _causal_convolution(g), diag
-    G = m * m * project_kernel(kernel, cfg, name)
+    G = m * m * project_kernel(kernel, m, name)
     diag = np.diagonal(G).copy()
     np.fill_diagonal(G, diagonal * diag if diagonal else 0.0)
     return (lambda z, *_: _by_row(z, G)), diag
@@ -283,8 +282,8 @@ def _fail_non_finite(rows, checks, errors):
     return failed
 
 
-def _batch_solver(problem, cfg):
-    """The solve engine at resolution cfg.m.
+def _batch_solver(problem, m):
+    """The solve engine at resolution m.
 
     Builds the path-independent operators once and returns
     ``solve_paths(values, workspace=None)``, which solves the paths of
@@ -312,12 +311,12 @@ def _batch_solver(problem, cfg):
     its rows, which are checked array by array only when that sum is not
     finite (a failure, or finite residuals that overflow).
     """
-    m, h = cfg.m, cfg.h
+    h = 1.0 / m
     # h is a power of two, so m^3 (K1 o P) is exactly m^2 K1 with its
     # diagonal halved; m^3 K2 times h sigma is m^2 K2 times sigma, and
     # the diagonal of K2 is the Ito weight k2_ss, applied apart
-    drift, _ = _kernel_operator(problem.k1, cfg, "k1", 0.5)
-    noise, k2_ss = _kernel_operator(problem.k2, cfg, "k2", 0.0)
+    drift, _ = _kernel_operator(problem.k1, m, "k1", 0.5)
+    noise, k2_ss = _kernel_operator(problem.k2, m, "k2", 0.0)
     ito = bool(np.any(k2_ss))
     integrands, integrand_slots = _integrands(problem, ito)
     x0 = float(problem.x0)
@@ -429,8 +428,7 @@ def solve(problem, path):
     This is the one-path case of the batched engine that Monte Carlo
     runs use, and gives the same bits as that path solved in any batch.
     """
-    cfg = _path_config(path)
-    x, sweeps, residuals, [error] = _batch_solver(problem, cfg)(path[None])
+    x, sweeps, residuals, [error] = _batch_solver(problem, _path_resolution(path))(path[None])
     if error is not None:
         raise error
     return SolveResult(x_colloc=x[0], iterations=int(sweeps[0]), residual=float(residuals[0]))

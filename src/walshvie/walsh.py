@@ -13,8 +13,7 @@ Conventions used throughout the package:
   reconstruction on block i is m * F[i].
 """
 
-from numbers import Real
-from typing import NamedTuple
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -38,20 +37,12 @@ def _readonly(a):
     return a
 
 
-class BasisConfig(NamedTuple):
-    """Resolution of the dyadic grid: m = 2**k blocks of width h = 1/m."""
-
-    m: int
-    h: float
-    midpoints: np.ndarray
-
-    @classmethod
-    def from_resolution(cls, m):
-        if m < 1 or m & (m - 1):
-            raise ValueError(f"m must be a power of two >= 1, got {m!r}")
-        m = int(m)
-        mids = (2 * np.arange(m) + 1) / (2 * m)
-        return cls(m=m, h=1.0 / m, midpoints=_readonly(mids))
+def _resolution(m):
+    """m as an int, the number of blocks of width h = 1/m: an integer
+    (numpy's too) that is a power of two >= 1, else a ValueError."""
+    if not isinstance(m, Integral) or m < 1 or m & (m - 1):
+        raise ValueError(f"m must be a power of two >= 1, got {m!r}")
+    return int(m)
 
 
 def rademacher(i, t):
@@ -84,8 +75,8 @@ def midpoint_floor_index(m, t):
     return int(j) if j.ndim == 0 else j
 
 
-def build_walsh_matrix(cfg):
-    """Evaluate all m Walsh functions at the m midpoints of cfg.
+def build_walsh_matrix(m):
+    """Evaluate all m Walsh functions at the m block midpoints.
 
     Returns the read-only (m, m) int64 matrix T with T[n][j] = w_n(t_j).
     Entries are +-1; T is symmetric and satisfies T @ T = m * I exactly
@@ -94,7 +85,7 @@ def build_walsh_matrix(cfg):
     parity of the log2(m) bits is xor-folded into bit 0, a chunk of about
     _TEMP_ELEMENTS entries at a time so that the shifted copies stay small.
     """
-    m = cfg.m
+    m = _resolution(m)
     x = np.arange(m, dtype=np.int64)[:, None] & _bit_reversal(m)
     rows = max(1, _TEMP_ELEMENTS // m)
     for r in range(0, m, rows):
@@ -178,10 +169,10 @@ def _eval_grid(f, name, *args):
         ) from exc
 
 
-def _quadrature_nodes(cfg):
+def _quadrature_nodes(m):
     """The (m, 5) Gauss-Legendre nodes of every block."""
-    starts = np.arange(cfg.m) * cfg.h
-    return starts[:, None] + (_GL_NODES[None, :] + 1.0) * (cfg.h / 2.0)
+    h = 1.0 / m
+    return (np.arange(m) * h)[:, None] + (_GL_NODES[None, :] + 1.0) * (h / 2.0)
 
 
 def _kernel_row(kernel, name, pts, i):
@@ -196,7 +187,7 @@ def _kernel_row(kernel, name, pts, i):
     return (_GL_WEIGHTS @ kv.reshape(5, -1)).reshape(m - i, 5) @ _GL_WEIGHTS
 
 
-def project_kernel(kernel, cfg, name="kernel"):
+def project_kernel(kernel, m, name="kernel"):
     """Project a kernel k(s, t) onto the block pulse product basis.
 
     Returns the read-only (m, m) block integrals K[i][j] of k over the
@@ -209,10 +200,11 @@ def project_kernel(kernel, cfg, name="kernel"):
     to (5, m - i, 5).  A callable must take numpy arrays; one that does
     not is a TypeError naming ``name``.
     """
-    m, h = cfg.m, cfg.h
+    m = _resolution(m)
+    h = 1.0 / m
     if isinstance(kernel, Real):
         return _readonly(np.triu(np.full((m, m), float(kernel) * (h * h))))
-    pts = _quadrature_nodes(cfg)
+    pts = _quadrature_nodes(m)
     entries = np.zeros((m, m))
     for i in range(m):
         entries[i, i:] = _kernel_row(kernel, name, pts, i)
@@ -220,9 +212,10 @@ def project_kernel(kernel, cfg, name="kernel"):
     return _readonly(entries)
 
 
-def _project_lag_row(kernel, cfg, name):
+def _project_lag_row(kernel, m, name):
     """Row 0 of ``project_kernel`` for a kernel of t - s alone, whose
     projection is Toeplitz: K[i][i + d] = row[d] up to how t - s rounds
     at each position.  25 m kernel values instead of about 12.5 m**2,
     and no m x m array.  Returns a new writable array."""
-    return _kernel_row(kernel, name, _quadrature_nodes(cfg), 0) * (cfg.h * cfg.h)
+    h = 1.0 / m
+    return _kernel_row(kernel, name, _quadrature_nodes(m), 0) * (h * h)

@@ -27,7 +27,7 @@ from walshvie.experiment import REPORT_TIMES, convergence_study, error_at, monte
 from walshvie.operational import integration_matrix, stochastic_matrix
 from walshvie.oracle import euler_maruyama
 from walshvie.solver import ProblemSpec, builtin_example, solve
-from walshvie.walsh import BasisConfig, build_walsh_matrix
+from walshvie.walsh import build_walsh_matrix
 
 
 def record(report, number, passed, detail):
@@ -38,10 +38,9 @@ def record(report, number, passed, detail):
 
 
 def rms_error(problem, m, n, base_seed):
-    cfg = BasisConfig.from_resolution(m)
     sq = []
     for trial in range(1, n + 1):
-        path = sample_path(cfg, (base_seed, trial))
+        path = sample_path(m, (base_seed, trial))
         res = solve(problem, path)
         sq.extend(error_at(res, problem, path, t) ** 2 for t in REPORT_TIMES)
     return float(np.sqrt(np.mean(sq)))
@@ -51,16 +50,16 @@ def test_criterion_1_exact_algebraic_identities(acceptance_report):
     start = time.perf_counter()
     ps_gap = 0.0
     for m in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-        cfg = BasisConfig.from_resolution(m)
-        T = build_walsh_matrix(cfg)
+        mids = (2 * np.arange(m) + 1) / (2 * m)
+        T = build_walsh_matrix(m)
         assert (T == T.T).all(), f"T_W not symmetric at m={m}"
         assert (T @ T == m * np.eye(m, dtype=np.int64)).all(), f"T_W^2 != mI at m={m}"
         # orthonormality (1/m) sum_j w_i w_l = delta_il, exact in ints
         assert (T @ T.T == m * np.eye(m, dtype=np.int64)).all()
-        P = integration_matrix(cfg)
-        assert (P.sum(axis=0) == cfg.midpoints).all(), f"P column sums off at m={m}"
+        P = integration_matrix(m)
+        assert (P.sum(axis=0) == mids).all(), f"P column sums off at m={m}"
         for seed in range(100):
-            path = sample_path(cfg, seed)
+            path = sample_path(m, seed)
             sums = stochastic_matrix(path).sum(axis=0)
             ps_gap = max(ps_gap, float(np.max(np.abs(sums - path[1::2]))))
     elapsed = time.perf_counter() - start
@@ -86,11 +85,10 @@ def test_criterion_2_deterministic_reduction(acceptance_report):
         exact=lambda t, B: np.exp(t),
         label="exp",
     )
-    cfg = BasisConfig.from_resolution(32)
-    res = solve(prob, np.zeros(2 * cfg.m + 1))
-    sup = float(np.max(np.abs(res.x_colloc - np.exp(cfg.midpoints))))
-    report = convergence_study(prob, (8, 16, 32, 64, 128), 2, base_seed=1)
-    order = report.estimated_order
+    m = 32
+    res = solve(prob, np.zeros(2 * m + 1))
+    sup = float(np.max(np.abs(res.x_colloc - np.exp((2 * np.arange(m) + 1) / (2 * m)))))
+    _, _, order = convergence_study(prob, (8, 16, 32, 64, 128), 2, base_seed=1)
     elapsed = time.perf_counter() - start
     ok = sup <= 0.05 and 0.8 <= order <= 1.2 and elapsed < 5.0
     record(
@@ -105,15 +103,15 @@ def test_criterion_2_deterministic_reduction(acceptance_report):
 def test_criterion_3_trivial_stochastic_fixed_points(acceptance_report):
     worst = 0.0
     for m in (16, 64):
-        cfg = BasisConfig.from_resolution(m)
+        mids = (2 * np.arange(m) + 1) / (2 * m)
         p1 = builtin_example(1)
-        zp = np.zeros(2 * cfg.m + 1)
+        zp = np.zeros(2 * m + 1)
         res1 = solve(p1, zp)
-        gap1 = max(abs(float(res1.x_colloc[j]) - p1.exact(t, zp[2 * j + 1])) for j, t in enumerate(cfg.midpoints))
+        gap1 = max(abs(float(res1.x_colloc[j]) - p1.exact(t, zp[2 * j + 1])) for j, t in enumerate(mids))
         p2 = builtin_example(2, a="0")
-        path = sample_path(cfg, seed=m)
+        path = sample_path(m, seed=m)
         res2 = solve(p2, path)
-        gap2 = max(abs(float(res2.x_colloc[j]) - p2.exact(t, path[2 * j + 1])) for j, t in enumerate(cfg.midpoints))
+        gap2 = max(abs(float(res2.x_colloc[j]) - p2.exact(t, path[2 * j + 1])) for j, t in enumerate(mids))
         worst = max(worst, gap1, gap2)
     ok = worst <= 1e-10
     record(
@@ -126,14 +124,14 @@ def test_criterion_3_trivial_stochastic_fixed_points(acceptance_report):
 
 
 def test_criterion_4_table_reproduction(acceptance_report):
-    cfg = BasisConfig.from_resolution(16)
+    m = 16
     t0 = time.perf_counter()
     p1 = builtin_example(1)
     rep_means = []
     worst1 = 0.0
     for rep in range(5):
-        stats = monte_carlo(p1, cfg, 50, base_seed=1000 + rep)
-        means = [s.mean for s in stats]
+        stats = monte_carlo(p1, m, 50, base_seed=1000 + rep)
+        means = list(stats["mean"])
         rep_means.append(means)
         worst1 = max(worst1, max(means))
     avg = np.mean(rep_means, axis=0)
@@ -142,8 +140,8 @@ def test_criterion_4_table_reproduction(acceptance_report):
 
     t0 = time.perf_counter()
     p2 = builtin_example(2)
-    stats2 = monte_carlo(p2, cfg, 50, base_seed=2000)
-    worst2 = max(s.mean for s in stats2)
+    stats2 = monte_carlo(p2, m, 50, base_seed=2000)
+    worst2 = max(stats2["mean"])
     t2 = time.perf_counter() - t0
 
     ok = worst1 <= 1e-5 and monotone and worst2 <= 5e-4 and t1 < 30.0 and t2 < 30.0
@@ -187,13 +185,12 @@ def test_criterion_6_oracle_equivalence(acceptance_report):
         prob = builtin_example(example_id)
         mean_disc = {}
         for m in (16, 32, 64):
-            cfg = BasisConfig.from_resolution(m)
             gaps = []
             for seed in range(20):
-                path = sample_path(cfg, (4000 + example_id, seed))
+                path = sample_path(m, (4000 + example_id, seed))
                 res = solve(prob, path)
-                em = euler_maruyama(prob, path)
-                gaps.append(float(np.max(np.abs(res.x_colloc - em.midpoint_values))))
+                _, em_midpoints = euler_maruyama(prob, path)
+                gaps.append(float(np.max(np.abs(res.x_colloc - em_midpoints))))
             mean_disc[m] = float(np.mean(gaps))
         decreasing = decreasing and mean_disc[16] > mean_disc[32] > mean_disc[64]
         ratios.append(mean_disc[16] / mean_disc[32])
@@ -217,8 +214,7 @@ def test_criterion_7_convergence_order_study(acceptance_report):
     orders = {}
     for example_id in (1, 2):
         prob = builtin_example(example_id)
-        report = convergence_study(prob, (8, 16, 32, 64, 128), 50, base_seed=5000 + example_id)
-        orders[example_id] = report.estimated_order
+        _, _, orders[example_id] = convergence_study(prob, (8, 16, 32, 64, 128), 50, base_seed=5000 + example_id)
     elapsed = time.perf_counter() - start
     ok = all(0.5 <= o <= 1.5 for o in orders.values()) and elapsed < 120.0
     record(

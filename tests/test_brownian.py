@@ -6,52 +6,47 @@ import numpy as np
 import pytest
 
 from walshvie import brownian
-from walshvie.brownian import _KEY_BLOCK, _key_block, _normals, _path_config, _path_values, _trial_normals, sample_path
+from walshvie.brownian import _KEY_BLOCK, _key_block, _normals, _path_resolution, _path_values, _trial_normals, sample_path
 from walshvie.cli import main
 from walshvie.experiment import error_at
 from walshvie.operational import stochastic_matrix
 from walshvie.oracle import euler_maruyama
 from walshvie.solver import builtin_example, solve
-from walshvie.walsh import BasisConfig
 
 
 class TestSampling:
     def test_deterministic(self):
-        cfg = BasisConfig.from_resolution(16)
-        a = sample_path(cfg, seed=42)
-        b = sample_path(cfg, seed=42)
+        a = sample_path(16, seed=42)
+        b = sample_path(16, seed=42)
         assert (a == b).all()
 
     def test_distinct_seeds_differ(self):
-        cfg = BasisConfig.from_resolution(16)
-        a = sample_path(cfg, seed=42)
-        b = sample_path(cfg, seed=43)
+        a = sample_path(16, seed=42)
+        b = sample_path(16, seed=43)
         assert not (a == b).all()
 
     def test_tuple_seed_streams(self):
         # per-trial streams keyed (base, trial) are mutually distinct
-        cfg = BasisConfig.from_resolution(8)
-        p1 = sample_path(cfg, (42, 1))
-        p2 = sample_path(cfg, (42, 2))
-        p3 = sample_path(cfg, 42)
+        p1 = sample_path(8, (42, 1))
+        p2 = sample_path(8, (42, 2))
+        p3 = sample_path(8, 42)
         assert not (p1 == p2).all()
         assert not (p1 == p3).all()
 
     def test_starts_at_zero(self):
-        path = sample_path(BasisConfig.from_resolution(4), seed=0)
+        path = sample_path(4, seed=0)
         assert path[0] == 0.0
         assert len(path) == 9
 
     def test_zero_path(self):
         # a path is any array of the 2m + 1 values, here B = 0 at m = 8
-        assert _path_config(np.zeros(17)).m == 8
+        assert _path_resolution(np.zeros(17)) == 8
 
 
 class TestArrays:
     @pytest.mark.parametrize("m", [1, 8, 256])
     def test_paths_are_read_only_float_arrays(self, m):
-        cfg = BasisConfig.from_resolution(m)
-        for path in (sample_path(cfg, (3, 1)),):
+        for path in (sample_path(m, (3, 1)),):
             assert isinstance(path, np.ndarray)
             assert path.dtype == np.float64
             assert path.shape == (2 * m + 1,)
@@ -61,7 +56,7 @@ class TestArrays:
 
     def test_solution_does_not_alias_the_path(self):
         prob = builtin_example(2)
-        path = sample_path(BasisConfig.from_resolution(16), (3, 1))
+        path = sample_path(16, (3, 1))
         copy = path.copy()
         res = solve(prob, copy)
         assert np.array_equal(res.x_colloc, solve(prob, path).x_colloc)
@@ -88,17 +83,17 @@ class TestPrefix:
         for row, key in zip(block, self.KEYS):
             _normals(key, out=row)
         for m in self.RESOLUTIONS:
-            cfg = BasisConfig.from_resolution(m)
-            from_block = _path_values(block[:, : 2 * m], cfg.h)
+            h = 1 / m
+            from_block = _path_values(block[:, : 2 * m], h)
             for key, normals, row in zip(self.KEYS, reference, from_block):
-                expected = np.concatenate([[0.0], np.cumsum(normals[: 2 * m] * np.sqrt(cfg.h / 2.0))])
-                assert np.array_equal(sample_path(cfg, key), expected), (key, m)
+                expected = np.concatenate([[0.0], np.cumsum(normals[: 2 * m] * np.sqrt(h / 2.0))])
+                assert np.array_equal(sample_path(m, key), expected), (key, m)
                 assert np.array_equal(row, expected), (key, m)
 
     def test_resolutions_of_one_key_are_brownian_rescalings(self):
         # the 2m path on [0, 1/2] is the m path scaled by 1/sqrt(2)
-        coarse = sample_path(BasisConfig.from_resolution(8), (3, 1))
-        fine = sample_path(BasisConfig.from_resolution(16), (3, 1))
+        coarse = sample_path(8, (3, 1))
+        fine = sample_path(16, (3, 1))
         assert np.allclose(fine[: len(coarse)], coarse / np.sqrt(2.0), rtol=1e-14, atol=1e-15)
 
 
@@ -183,17 +178,15 @@ class TestValidation:
 class TestDistribution:
     def test_terminal_variance(self):
         # B(1) ~ N(0, 1): over 10000 seeds the sample variance is close
-        cfg = BasisConfig.from_resolution(16)
-        finals = np.array([sample_path(cfg, seed=s)[-1] for s in range(10000)])
+        finals = np.array([sample_path(16, seed=s)[-1] for s in range(10000)])
         assert abs(finals.mean()) <= 0.03
         assert 0.94 <= finals.var() <= 1.06
 
     def test_increment_scale_and_independence(self):
         # one long path: increments ~ N(0, h/2), lag-1 correlation ~ 0
-        cfg = BasisConfig.from_resolution(2048)
-        path = sample_path(cfg, seed=2024)
+        path = sample_path(2048, seed=2024)
         inc = np.diff(path)
-        target = cfg.h / 2.0
+        target = 1 / 2048 / 2.0
         assert abs(inc.var() / target - 1.0) < 0.1
         rho = np.corrcoef(inc[:-1], inc[1:])[0, 1]
         assert abs(rho) < 0.05

@@ -26,7 +26,7 @@ from walshvie.cli import (
 from walshvie.expressions import FUNCTIONS
 from walshvie.operational import integration_matrix, stochastic_matrix, walsh_domain
 from walshvie.solver import builtin_example
-from walshvie.walsh import BasisConfig, build_walsh_matrix
+from walshvie.walsh import build_walsh_matrix
 
 EXAMPLE2_TEXT = """\
 label = file-problem
@@ -80,8 +80,7 @@ class TestRun:
         ts = [float(r[0]) for r in rows[1:]]
         assert ts == [(2 * j + 1) / 16 for j in range(8)]
         # exact reads trial 1's path at the same midpoints
-        cfg = BasisConfig.from_resolution(8)
-        want = builtin_example(2).exact(cfg.midpoints, sample_path(cfg, (1, 1))[1::2])
+        want = builtin_example(2).exact(np.array(ts), sample_path(8, (1, 1))[1::2])
         assert [r[2] for r in rows[1:]] == [f"{v:.8e}" for v in want]
 
     def test_oracle_column_off_by_default(self, tmp_path):
@@ -277,12 +276,11 @@ class TestMatrices:
 
     def test_ps_consistent_with_seeded_path(self, tmp_path):
         from walshvie.brownian import sample_path
-        from walshvie.walsh import BasisConfig
 
         main(["matrices", "--m", "4", "--seed", "11", "--out", str(tmp_path)])
         rows, _ = read_rows(tmp_path / "ps.csv")
         PS = np.array([[float(v) for v in row] for row in rows])
-        path = sample_path(BasisConfig.from_resolution(4), 11)
+        path = sample_path(4, 11)
         v = path
         # CSV carries 9 significant digits
         assert abs(PS[0, 0] - (v[1] - v[0])) < 1e-8
@@ -408,13 +406,12 @@ class TestMatrixWriter:
     # right of the diagonal.
     @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64, 256, 512])
     def test_matrices_match_reference(self, tmp_path, m):
-        cfg = BasisConfig.from_resolution(m)
-        P = integration_matrix(cfg)
+        P = integration_matrix(m)
         for seed in (5, 6):
             assert main(["matrices", "--m", str(m), "--seed", str(seed), "--out", str(tmp_path)]) == 0
-            PS = stochastic_matrix(sample_path(cfg, seed))
+            PS = stochastic_matrix(sample_path(m, seed))
             expected = {
-                "tw.csv": reference_matrix_csv(build_walsh_matrix(cfg), integer=True),
+                "tw.csv": reference_matrix_csv(build_walsh_matrix(m), integer=True),
                 "p.csv": reference_matrix_csv(P),
                 "ps.csv": reference_matrix_csv(PS),
                 "lambda.csv": reference_matrix_csv(walsh_domain(P)),
@@ -470,7 +467,7 @@ class TestMatrixWriter:
     def test_integer_signs(self, tmp_path):
         # m = 128 and 512 join two and eight doubled Hadamard rows of 64
         for m in (1, 2, 16, 64, 128, 512):
-            T = build_walsh_matrix(BasisConfig.from_resolution(m))
+            T = build_walsh_matrix(m)
             _write(tmp_path, "tw.csv", _run_lines(m, _walsh_runs(m)))
             assert (tmp_path / "tw.csv").read_bytes() == reference_matrix_csv(T, integer=True), m
 
@@ -502,10 +499,11 @@ class TestMatrixWriter:
 class TestPaths:
     def test_bytes_match_reference(self, tmp_path):
         assert main(["paths", "--m", "64", "--trials", "3", "--seed", "8", "--out", str(tmp_path)]) == 0
-        cfg = BasisConfig.from_resolution(64)
-        grid = [i * cfg.h / 2.0 for i in range(2 * cfg.m + 1)]
+        m = 64
+        h = 1 / m
+        grid = [i * h / 2.0 for i in range(2 * m + 1)]
         for trial in (1, 2, 3):
-            values = sample_path(cfg, (8, trial))
+            values = sample_path(m, (8, trial))
             want = "t,B\n" + "".join(f"{t:.8e},{v:.8e}\n" for t, v in zip(grid, values))
             assert (tmp_path / f"path_{trial:03d}.csv").read_bytes() == want.encode("ascii")
 
@@ -517,7 +515,7 @@ class TestPaths:
         assert main(["paths", "--m", "4096", "--trials", "5", "--seed", "8", "--out", str(tmp_path)]) == 0
         assert len(made) == 1
         rows, _ = read_rows(tmp_path / "path_005.csv")
-        want = [f"{v:.8e}" for v in sample_path(BasisConfig.from_resolution(4096), (8, 5))]
+        want = [f"{v:.8e}" for v in sample_path(4096, (8, 5))]
         assert [b for _, b in rows[1:]] == want
 
     def test_shapes_and_origin(self, tmp_path):

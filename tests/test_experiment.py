@@ -30,7 +30,7 @@ from walshvie.solver import (
     problem_from_sources,
     solve,
 )
-from walshvie.walsh import BasisConfig, midpoint_floor_index
+from walshvie.walsh import midpoint_floor_index
 
 
 def exp_problem():
@@ -81,34 +81,30 @@ def constant_problem():
 
 class TestErrorAt:
     def test_uses_last_midpoint(self):
-        cfg = BasisConfig.from_resolution(16)
         prob = builtin_example(1)
-        path = sample_path(cfg, seed=21)
+        path = sample_path(16, seed=21)
         res = solve(prob, path)
         # 0.9 maps to midpoint index 13 (27/32)
         expected = abs(prob.exact(0.9, path[2 * 13 + 1]) - res.x_colloc[13])
         assert error_at(res, prob, path, 0.9) == expected
 
     def test_at_exact_midpoint(self):
-        cfg = BasisConfig.from_resolution(8)
         prob = builtin_example(2)
-        path = sample_path(cfg, seed=2)
+        path = sample_path(8, seed=2)
         res = solve(prob, path)
-        t = cfg.midpoints[5]
+        t = 11 / 16  # t_5 at m = 8
         assert error_at(res, prob, path, t) == abs(prob.exact(t, path[2 * 5 + 1]) - res.x_colloc[5])
 
     def test_requires_exact(self):
-        cfg = BasisConfig.from_resolution(8)
         prob = ProblemSpec(x0=0.0, k1=0.0, k2=0.0, beta=lambda x: x, sigma=lambda x: x)
-        path = sample_path(cfg, seed=2)
+        path = sample_path(8, seed=2)
         res = solve(prob, path)
         with pytest.raises(ValueError):
             error_at(res, prob, path, 0.5)
 
     def test_domain(self):
-        cfg = BasisConfig.from_resolution(8)
         prob = constant_problem()
-        path = sample_path(cfg, seed=2)
+        path = sample_path(8, seed=2)
         res = solve(prob, path)
         with pytest.raises(ValueError):
             error_at(res, prob, path, 1.0)
@@ -118,8 +114,8 @@ class TestErrorAt:
         # an m = 32 path read at the m = 16 indices gave a wrong error
         # silently, an m = 8 path an IndexError
         prob = builtin_example(1)
-        res = solve(prob, sample_path(BasisConfig.from_resolution(16), (1, 1)))
-        path = sample_path(BasisConfig.from_resolution(path_m), (1, 1))
+        res = solve(prob, sample_path(16, (1, 1)))
+        path = sample_path(path_m, (1, 1))
         with pytest.raises(ValueError, match=f"m={path_m} does not match the result's m=16"):
             error_at(res, prob, path, 0.9)
 
@@ -147,77 +143,91 @@ class TestMonteCarlo:
         assert REPORT_TIMES == (0.1, 0.3, 0.5, 0.7, 0.9)
 
     def test_stats_shape_and_accounting(self):
-        cfg = BasisConfig.from_resolution(16)
-        stats = monte_carlo(builtin_example(1), cfg, 10, base_seed=42)
-        assert len(stats) == 5
-        for s, t in zip(stats, REPORT_TIMES):
-            assert s.t == t
-            assert s.n == 10
-            assert s.failures == 0
-            assert s.ci_lower <= s.mean <= s.ci_upper
-            assert s.sd >= 0.0
+        stats = monte_carlo(builtin_example(1), 16, 10, base_seed=42)
+        assert stats.shape == (5,)
+        assert stats.dtype.names == ("t", "mean", "sd", "ci_lower", "ci_upper", "n", "failures")
+        assert tuple(stats["t"]) == REPORT_TIMES
+        assert (stats["n"] == 10).all()
+        assert (stats["failures"] == 0).all()
+        assert (stats["ci_lower"] <= stats["mean"]).all() and (stats["mean"] <= stats["ci_upper"]).all()
+        assert (stats["sd"] >= 0.0).all()
+
+    def test_stats_are_read_only(self):
+        stats = monte_carlo(builtin_example(1), 8, 3, base_seed=42)
+        assert not stats.flags.writeable
+        with pytest.raises(ValueError):
+            stats["mean"][0] = 0.0
+        with pytest.raises(ValueError):
+            stats[0] = stats[1]
+
+    def test_each_statistic_reduces_one_column(self):
+        # the bits of np.mean / np.std over each report time's column of
+        # errors, in trial order, and the interval from them; reducing
+        # the (n, 5) errors along axis 0 rounds differently here
+        prob = builtin_example(1)
+        stats = monte_carlo(prob, 8, 256, base_seed=2)
+        [(errors, _)] = _trial_errors(prob, [8], 256, 2)
+        for row, col in zip(stats, errors.T):
+            mean, sd = float(np.mean(col)), float(np.std(col, ddof=1))
+            half = 1.96 * sd / math.sqrt(256)
+            assert row.tolist() == (row["t"], mean, sd, mean - half, mean + half, 256, 0)
+        assert (errors.mean(axis=0) != stats["mean"]).any()
+        assert (errors.std(axis=0, ddof=1) != stats["sd"]).any()
 
     def test_reproducible(self):
-        cfg = BasisConfig.from_resolution(8)
-        a = monte_carlo(builtin_example(2), cfg, 6, base_seed=7)
-        b = monte_carlo(builtin_example(2), cfg, 6, base_seed=7)
-        assert [s.mean for s in a] == [s.mean for s in b]
-        assert [s.sd for s in a] == [s.sd for s in b]
+        a = monte_carlo(builtin_example(2), 8, 6, base_seed=7)
+        b = monte_carlo(builtin_example(2), 8, 6, base_seed=7)
+        assert a.tobytes() == b.tobytes()
 
     def test_trial_keying_matches_manual_loop(self):
         # trial i draws path (base, i); the mean must equal a hand loop
-        cfg = BasisConfig.from_resolution(8)
+        m = 8
         prob = builtin_example(1)
-        stats = monte_carlo(prob, cfg, 5, base_seed=31)
+        stats = monte_carlo(prob, m, 5, base_seed=31)
         manual = []
         for trial in range(1, 6):
-            path = sample_path(cfg, (31, trial))
+            path = sample_path(m, (31, trial))
             res = solve(prob, path)
             manual.append(error_at(res, prob, path, 0.5))
-        assert stats[2].t == 0.5
-        assert stats[2].mean == np.mean(manual)
+        assert stats["t"][2] == 0.5
+        assert stats["mean"][2] == np.mean(manual)
 
     def test_degenerate_problem_errors_vanish(self):
-        cfg = BasisConfig.from_resolution(16)
-        stats = monte_carlo(builtin_example(2, a="0"), cfg, 5, base_seed=3)
-        for s in stats:
-            assert s.mean <= 1e-12
+        stats = monte_carlo(builtin_example(2, a="0"), 16, 5, base_seed=3)
+        assert (stats["mean"] <= 1e-12).all()
 
     def test_needs_two_trials(self):
-        cfg = BasisConfig.from_resolution(8)
         with pytest.raises(ValueError):
-            monte_carlo(builtin_example(1), cfg, 1, base_seed=0)
+            monte_carlo(builtin_example(1), 8, 1, base_seed=0)
 
     def test_failures_counted_not_absorbed(self):
-        cfg = BasisConfig.from_resolution(8)
-        stats = monte_carlo(feedback_problem(), cfg, 12, base_seed=0)
-        assert stats[0].failures >= 1
-        assert stats[0].n >= 2
-        assert stats[0].n + stats[0].failures == 12
+        stats = monte_carlo(feedback_problem(), 8, 12, base_seed=0)
+        assert stats["failures"][0] >= 1
+        assert stats["n"][0] >= 2
+        assert stats["n"][0] + stats["failures"][0] == 12
 
     def test_fewer_than_two_successes_rejected(self):
         # of the feedback problem's trials (0, 1..4) at m = 8, only trial 2
         # converges: one error is no statistic
-        cfg = BasisConfig.from_resolution(8)
-        solved = [isinstance(outcome(feedback_problem(), sample_path(cfg, (0, i))), SolveResult) for i in range(1, 5)]
+        m = 8
+        solved = [isinstance(outcome(feedback_problem(), sample_path(m, (0, i))), SolveResult) for i in range(1, 5)]
         assert solved == [False, True, False, False]
         with pytest.raises(ValueError, match="only 1 of 4 trials succeeded"):
-            monte_carlo(feedback_problem(), cfg, 4, base_seed=0)
+            monte_carlo(feedback_problem(), m, 4, base_seed=0)
 
     def test_zero_trials_rejected(self):
-        cfg = BasisConfig.from_resolution(8)
         with pytest.raises(ValueError):
-            monte_carlo(exp_problem(), cfg, 0, base_seed=1)
+            monte_carlo(exp_problem(), 8, 0, base_seed=1)
 
     def test_ci_width_shrinks_like_sqrt_n(self):
         # doubling trials narrows the mean CI width by roughly sqrt(2)
-        cfg = BasisConfig.from_resolution(8)
         prob = builtin_example(1)
-        ratios = []
-        for base in (50, 51, 52):
-            w20 = np.mean([s.ci_upper - s.ci_lower for s in monte_carlo(prob, cfg, 20, base)])
-            w40 = np.mean([s.ci_upper - s.ci_lower for s in monte_carlo(prob, cfg, 40, base)])
-            ratios.append(w20 / w40)
+
+        def width(n, base):
+            stats = monte_carlo(prob, 8, n, base)
+            return np.mean(stats["ci_upper"] - stats["ci_lower"])
+
+        ratios = [width(20, base) / width(40, base) for base in (50, 51, 52)]
         assert 1.25 <= np.mean(ratios) <= 1.6
 
 
@@ -225,11 +235,10 @@ class TestMonteCarlo:
         # constant kernels need no m x m operator and trials are solved
         # in bounded chunks; dense per-trial operators peaked at 768 MB
         prob = builtin_example(2)
-        cfg = BasisConfig.from_resolution(4096)
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            monte_carlo(prob, cfg, 16, base_seed=42)
+            monte_carlo(prob, 4096, 16, base_seed=42)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -251,15 +260,14 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("example_id, m", sorted(SCALES))
     def test_trial_alone_equals_trial_in_chunk(self, example_id, m, monkeypatch):
         prob = builtin_example(example_id)
-        cfg = BasisConfig.from_resolution(m)
-        paths = np.stack([sample_path(cfg, (42, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)])
+        paths = np.stack([sample_path(m, (42, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)])
         damped, diverging, stalled = self.SCALES[example_id, m]
         base = paths[2].copy()
         paths[1] = base * damped
         paths[2] = base * diverging
         if stalled is not None:
             paths[3] = base * stalled
-        x, sweeps, residuals, errors = _batch_solver(prob, cfg)(paths)
+        x, sweeps, residuals, errors = _batch_solver(prob, m)(paths)
         for path, row, sweep, residual, error in zip(paths, x, sweeps, residuals, errors):
             alone = outcome(prob, path)
             if error is None:
@@ -292,9 +300,9 @@ class TestBatchInvariance:
             beta=lambda x: x * (1 - x * x),
             sigma=lambda x: 1 - x * x,
         )
-        cfg = BasisConfig.from_resolution(64)
-        paths = np.stack([sample_path(cfg, (5, trial)) for trial in range(1, _CHUNK_ELEMENTS // 64 + 1)])
-        x, sweeps, _, _ = _batch_solver(prob, cfg)(paths)
+        m = 64
+        paths = np.stack([sample_path(m, (5, trial)) for trial in range(1, _CHUNK_ELEMENTS // 64 + 1)])
+        x, sweeps, _, _ = _batch_solver(prob, m)(paths)
         for path, row, sweep in zip(paths, x, sweeps):
             alone = solve(prob, path)
             assert np.array_equal(alone.x_colloc, row)
@@ -312,9 +320,8 @@ class TestBatchInvariance:
             "sigma": "1-x^2",
         })
         assert prob.k1.difference_kernel and prob.k2.difference_kernel
-        cfg = BasisConfig.from_resolution(m)
-        paths = np.stack([sample_path(cfg, (5, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)])
-        x, sweeps, residuals, _ = _batch_solver(prob, cfg)(paths)
+        paths = np.stack([sample_path(m, (5, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)])
+        x, sweeps, residuals, _ = _batch_solver(prob, m)(paths)
         assert len(x) >= 16
         for path, row, sweep, residual in zip(paths, x, sweeps, residuals):
             alone = solve(prob, path)
@@ -327,12 +334,11 @@ class TestBatchInvariance:
     def test_trial_errors_match_trials_solved_alone(self, example_id, m):
         # two chunks and a part of a third
         prob = builtin_example(example_id)
-        cfg = BasisConfig.from_resolution(m)
         n = 2 * (_CHUNK_ELEMENTS // m) + 3
-        [(errors, failures)] = _trial_errors(prob, [cfg], n, 17)
+        [(errors, failures)] = _trial_errors(prob, [m], n, 17)
         rows = []
         for trial in range(1, n + 1):
-            path = sample_path(cfg, (17, trial))
+            path = sample_path(m, (17, trial))
             res = solve(prob, path)
             rows.append([error_at(res, prob, path, t) for t in REPORT_TIMES])
         assert failures == 0
@@ -347,15 +353,12 @@ class TestOneDrawPerTrial:
         prob = feedback_problem()
         resolutions = (8, 32, 256)
         n = 2 * (_DRAW_ELEMENTS // (2 * 256)) + 5  # two draw chunks and part of a third
-        cfgs = [BasisConfig.from_resolution(m) for m in resolutions]
-        per_resolution = _trial_errors(prob, cfgs, n, 3)
-        report = convergence_study(prob, resolutions, n, base_seed=3)
-        for cfg, (errors, failed), rms, reported in zip(
-            cfgs, per_resolution, report.rms_errors, report.failures
-        ):
+        per_resolution = _trial_errors(prob, resolutions, n, 3)
+        rms_errors, failures, _ = convergence_study(prob, resolutions, n, base_seed=3)
+        for m, (errors, failed), rms, reported in zip(resolutions, per_resolution, rms_errors, failures):
             rows = []
             for trial in range(1, n + 1):
-                path = sample_path(cfg, (3, trial))
+                path = sample_path(m, (3, trial))
                 res = outcome(prob, path)
                 if isinstance(res, SolveResult):
                     rows.append([error_at(res, prob, path, t) for t in REPORT_TIMES])
@@ -387,7 +390,7 @@ class TestOneDrawPerTrial:
 
         monkeypatch.setattr(experiment, "_trial_normals", counting_trial_normals)
         monkeypatch.setattr(np.random, "Philox", counting_philox)
-        monte_carlo(builtin_example(1), BasisConfig.from_resolution(32), 300, base_seed=4)
+        monte_carlo(builtin_example(1), 32, 300, base_seed=4)
         convergence_study(builtin_example(1), (8, 16, 32), 300, base_seed=4)
         assert drawn == [range(1, 129), range(129, 257), range(257, 301)] * 2
         assert len(made) == 2
@@ -425,10 +428,9 @@ class TestBlockSizes:
         per_resolution = []
         with np.errstate(over="ignore"):
             for m in self.RESOLUTIONS:
-                cfg = BasisConfig.from_resolution(m)
                 rows = []
                 for trial in range(1, self.N + 1):
-                    path = sample_path(cfg, (3, trial))
+                    path = sample_path(m, (3, trial))
                     res = outcome(prob, path)
                     if isinstance(res, SolveResult):
                         rows.append([error_at(res, prob, path, t) for t in REPORT_TIMES])
@@ -447,8 +449,7 @@ class TestBlockSizes:
             return base.exact(t, B)
 
         prob = dataclasses.replace(base, exact=exact)
-        cfgs = [BasisConfig.from_resolution(m) for m in self.RESOLUTIONS]
-        for (errors, failed), rows in zip(_trial_errors(prob, cfgs, self.N, 3), alone):
+        for (errors, failed), rows in zip(_trial_errors(prob, self.RESOLUTIONS, self.N, 3), alone):
             assert 0 < failed < self.N
             assert failed == self.N - len(rows)
             assert np.array_equal(errors, rows)
@@ -461,7 +462,7 @@ class TestBlockSizes:
 class TestMidpointIndices:
     @pytest.mark.parametrize("m", [2**k for k in range(13)])
     def test_equals_midpoint_floor_index(self, m):
-        mids = BasisConfig.from_resolution(m).midpoints
+        mids = (2 * np.arange(m) + 1) / (2 * m)
         times = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], mids, np.nextafter(mids, 0.0)])
         expected = [midpoint_floor_index(m, t) for t in times]
         assert all(type(j) is int for j in expected)
@@ -478,26 +479,32 @@ class TestMidpointIndices:
 class TestConvergenceStudy:
     def test_deterministic_order_near_one(self):
         # block-constant reconstruction at fixed report times: order 1
-        report = convergence_study(exp_problem(), (8, 16, 32, 64, 128), 2, base_seed=1)
-        assert report.resolutions == (8, 16, 32, 64, 128)
-        assert len(report.rms_errors) == 5
-        assert all(e > 0 for e in report.rms_errors)
-        assert 0.8 <= report.estimated_order <= 1.2
+        rms_errors, failures, order = convergence_study(exp_problem(), (8, 16, 32, 64, 128), 2, base_seed=1)
+        assert rms_errors.shape == failures.shape == (5,)
+        assert (rms_errors > 0).all() and (failures == 0).all()
+        assert 0.8 <= order <= 1.2
+
+    def test_arrays_are_read_only(self):
+        rms_errors, failures, order = convergence_study(exp_problem(), (8, 16, 32), 2, base_seed=1)
+        assert type(order) is float
+        for a in (rms_errors, failures):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     def test_rms_decreases(self):
-        report = convergence_study(exp_problem(), (8, 32, 128), 2, base_seed=1)
-        assert report.rms_errors[0] > report.rms_errors[1] > report.rms_errors[2]
+        rms_errors, _, _ = convergence_study(exp_problem(), (8, 32, 128), 2, base_seed=1)
+        assert rms_errors[0] > rms_errors[1] > rms_errors[2]
 
     def test_failures_reported_per_resolution(self):
         prob = feedback_problem()
         resolutions, n = (4, 8, 16), 12
-        report = convergence_study(prob, resolutions, n, base_seed=0)
-        assert len(report.failures) == len(resolutions)
-        for m, failed, rms in zip(resolutions, report.failures, report.rms_errors):
-            cfg = BasisConfig.from_resolution(m)
+        rms_errors, failures, _ = convergence_study(prob, resolutions, n, base_seed=0)
+        assert len(failures) == len(resolutions)
+        for m, failed, rms in zip(resolutions, failures, rms_errors):
             rows = []
             for trial in range(1, n + 1):
-                path = sample_path(cfg, (0, trial))
+                path = sample_path(m, (0, trial))
                 res = outcome(prob, path)
                 if isinstance(res, SolveResult):
                     rows.append([error_at(res, prob, path, t) for t in REPORT_TIMES])
@@ -506,9 +513,9 @@ class TestConvergenceStudy:
             assert rms == float(np.sqrt(np.mean(np.square(np.asarray(rows)))))
 
     def test_degenerate_study_has_no_order(self):
-        report = convergence_study(constant_problem(), (4, 8, 16), 3, base_seed=5)
-        assert max(report.rms_errors) <= DEGENERATE_RMS
-        assert math.isnan(report.estimated_order)
+        rms_errors, _, order = convergence_study(constant_problem(), (4, 8, 16), 3, base_seed=5)
+        assert max(rms_errors) <= DEGENERATE_RMS
+        assert math.isnan(order)
 
     def test_rms_that_overflows_is_an_error(self):
         # errors of 1e200 are finite, but their squares are not: an

@@ -15,7 +15,6 @@ from walshvie.operational import (
     walsh_domain,
 )
 from walshvie.walsh import (
-    BasisConfig,
     _bit_reversal,
     _butterflies,
     build_walsh_matrix,
@@ -127,45 +126,46 @@ def diag_extract(M):
 
 class TestIntegrationMatrix:
     def test_m1(self):
-        P = integration_matrix(BasisConfig.from_resolution(1))
+        P = integration_matrix(1)
         assert P.shape == (1, 1)
         assert P[0, 0] == 0.5
 
     def test_m2(self):
-        P = integration_matrix(BasisConfig.from_resolution(2))
+        P = integration_matrix(2)
         assert (P == np.array([[0.25, 0.5], [0.0, 0.25]])).all()
 
     @pytest.mark.parametrize("m", [1, 2, 4, 16, 128])
     def test_column_sums_are_midpoints(self, m):
         # dyadic values, so the sums come out exact
-        cfg = BasisConfig.from_resolution(m)
-        P = integration_matrix(cfg)
-        assert (P.sum(axis=0) == cfg.midpoints).all()
+        P = integration_matrix(m)
+        assert (P.sum(axis=0) == (2 * np.arange(m) + 1) / (2 * m)).all()
 
     def test_strictly_upper_is_h(self):
-        cfg = BasisConfig.from_resolution(8)
-        P = integration_matrix(cfg)
+        m = 8
+        h = 1 / m
+        P = integration_matrix(m)
         iu = np.triu_indices(8, 1)
-        assert (P[iu] == cfg.h).all()
+        assert (P[iu] == h).all()
         assert (P[np.tril_indices(8, -1)] == 0.0).all()
 
     def test_cumulative_integral_identity(self):
         # for piecewise constant f with block values c, the represented
         # running integral m * (P^T F)[j] equals h*sum(c[:j]) + c[j]*h/2
-        cfg = BasisConfig.from_resolution(8)
-        P = integration_matrix(cfg)
+        m = 8
+        h = 1 / m
+        P = integration_matrix(m)
         c = np.array([3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, -6.0])
-        F = c * cfg.h
-        represented = cfg.m * (P.T @ F)
+        F = c * h
+        represented = m * (P.T @ F)
         for j in range(8):
-            direct = cfg.h * c[:j].sum() + c[j] * cfg.h / 2.0
+            direct = h * c[:j].sum() + c[j] * h / 2.0
             assert abs(represented[j] - direct) < 1e-15
 
 
 class TestStochasticMatrix:
     def test_m2_entries(self):
-        cfg = BasisConfig.from_resolution(2)
-        path = sample_path(cfg, seed=123)
+        m = 2
+        path = sample_path(m, seed=123)
         v = path  # grid 0, 1/4, 1/2, 3/4, 1
         PS = stochastic_matrix(path)
         assert PS[0, 0] == v[1] - v[0]
@@ -175,41 +175,40 @@ class TestStochasticMatrix:
 
     @pytest.mark.parametrize("m", [2, 16, 64])
     def test_column_sums_telescope_to_path(self, m):
-        cfg = BasisConfig.from_resolution(m)
         for seed in range(10):
-            path = sample_path(cfg, seed=seed)
+            path = sample_path(m, seed=seed)
             PS = stochastic_matrix(path)
             sums = PS.sum(axis=0)
             mids = path[1::2]  # B(t_j)
             assert np.allclose(sums, mids, rtol=0, atol=1e-13)
 
     def test_zero_path_gives_zero_matrix(self):
-        cfg = BasisConfig.from_resolution(16)
-        PS = stochastic_matrix(np.zeros(2 * cfg.m + 1))
+        m = 16
+        PS = stochastic_matrix(np.zeros(2 * m + 1))
         assert (PS == 0.0).all()
 
 
 class TestWalshDomain:
     def test_m2_integration(self):
         # (1/2) T P T with T = [[1,1],[1,-1]], hand multiplied
-        cfg = BasisConfig.from_resolution(2)
-        L = walsh_domain(integration_matrix(cfg))
+        m = 2
+        L = walsh_domain(integration_matrix(m))
         expected = np.array([[0.5, -0.25], [0.25, 0.0]])
         assert np.allclose(L, expected, rtol=0, atol=1e-15)
 
     def test_represents_same_operator(self):
         # conjugating the Walsh-domain operator back with T/m recovers P
-        cfg = BasisConfig.from_resolution(16)
-        T = build_walsh_matrix(cfg)
-        P = integration_matrix(cfg)
+        m = 16
+        T = build_walsh_matrix(m)
+        P = integration_matrix(m)
         L = walsh_domain(P)
         # conjugating back must reproduce P
-        back = T @ L @ T / cfg.m
+        back = T @ L @ T / m
         assert np.allclose(back, P, rtol=0, atol=1e-14)
 
     def test_double_transform_is_identity(self):
-        cfg = BasisConfig.from_resolution(8)
-        path = sample_path(cfg, seed=9)
+        m = 8
+        path = sample_path(m, seed=9)
         PS = stochastic_matrix(path)
         again = walsh_domain(walsh_domain(PS))
         assert np.allclose(again, PS, rtol=0, atol=1e-13)
@@ -217,17 +216,15 @@ class TestWalshDomain:
     @pytest.mark.parametrize("m", [1, 2, 8, 64, 1024])
     def test_matches_dense_conjugation(self, m):
         # the fast transform against (1/m) T P_S T with the dense T
-        cfg = BasisConfig.from_resolution(m)
-        T = build_walsh_matrix(cfg).astype(float)
-        PS = stochastic_matrix(sample_path(cfg, seed=m))
+        T = build_walsh_matrix(m).astype(float)
+        PS = stochastic_matrix(sample_path(m, seed=m))
         assert np.allclose(walsh_domain(PS), T @ PS @ T / m, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("m", [1, 2, 64, 1024])
     def test_same_bits_as_two_full_transforms(self, m):
         # the row pass in place, chunk by chunk, and the division in place
         # give the bits of transforming the whole matrix twice
-        cfg = BasisConfig.from_resolution(m)
-        for M in (integration_matrix(cfg), stochastic_matrix(sample_path(cfg, seed=m))):
+        for M in (integration_matrix(m), stochastic_matrix(sample_path(m, seed=m))):
             want = fast_walsh_transform(fast_walsh_transform(M).T).T / m
             assert walsh_domain(M).tobytes() == want.tobytes()
 
@@ -235,8 +232,7 @@ class TestWalshDomain:
     def test_closed_form_of_the_integration_matrix(self, m):
         # Chen and Hsiao's closed form has the transform's bits, signed
         # zeros included
-        cfg = BasisConfig.from_resolution(m)
-        want = walsh_domain(integration_matrix(cfg))
+        want = walsh_domain(integration_matrix(m))
         got = walsh_integration_from_nonzeros(m)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -256,19 +252,19 @@ class TestRowBuilders:
     @pytest.mark.parametrize("m", POWERS)
     def test_walsh_matrix(self, m):
         want = dense_walsh_matrix(m)
-        got = build_walsh_matrix(BasisConfig.from_resolution(m))
+        got = build_walsh_matrix(m)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", POWERS)
     def test_integration_matrix(self, m):
-        cfg = BasisConfig.from_resolution(m)
-        want = dense_upper_triangular(m, cfg.h, cfg.h / 2.0)
-        assert integration_matrix(cfg).tobytes() == want.tobytes()
-        assert _upper_triangular(np.full(m, cfg.h), np.full(m, cfg.h / 2.0)).tobytes() == want.tobytes()
+        h = 1 / m
+        want = dense_upper_triangular(m, h, h / 2.0)
+        assert integration_matrix(m).tobytes() == want.tobytes()
+        assert _upper_triangular(np.full(m, h), np.full(m, h / 2.0)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", POWERS[:11])
     def test_stochastic_matrix(self, m):
-        path = sample_path(BasisConfig.from_resolution(m), seed=m)
+        path = sample_path(m, seed=m)
         full, half, _ = _increments(path)
         want = dense_upper_triangular(m, full[:, None], half)
         assert stochastic_matrix(path).tobytes() == want.tobytes()
@@ -288,7 +284,7 @@ class TestRowBuilders:
         # D_a L_U + D_b sums in another order than the two transforms, so
         # it agrees to rounding; its blocks have the bits of its full build
         for seed in (m, m + 1):
-            path = sample_path(BasisConfig.from_resolution(m), seed=seed)
+            path = sample_path(m, seed=seed)
             rows = _walsh_stochastic_rows(path)
             want = walsh_domain(stochastic_matrix(path))
             got = rows(0, m)
@@ -299,7 +295,7 @@ class TestRowBuilders:
     def test_walsh_stochastic_rows_gather_once_per_block(self, m):
         # slicing one gather per block reads the values the per-term
         # gathers read and adds them in the same order
-        path = sample_path(BasisConfig.from_resolution(m), seed=9001 + m)
+        path = sample_path(m, seed=9001 + m)
         rows, want = _walsh_stochastic_rows(path), walsh_stochastic_rows_by_gather(path)
         step = min(m, 256)
         for start in range(0, m, step):
@@ -312,14 +308,14 @@ class TestMemory:
     LIMIT = 10 * 2**20
 
     def test_integration_matrix(self):
-        assert traced_peak(integration_matrix, BasisConfig.from_resolution(1024)) < self.LIMIT
+        assert traced_peak(integration_matrix, 1024) < self.LIMIT
 
     def test_stochastic_matrix(self):
-        path = sample_path(BasisConfig.from_resolution(1024), seed=1)
+        path = sample_path(1024, seed=1)
         assert traced_peak(stochastic_matrix, path) < self.LIMIT
 
     def test_walsh_domain(self):
-        PS = stochastic_matrix(sample_path(BasisConfig.from_resolution(1024), seed=1))
+        PS = stochastic_matrix(sample_path(1024, seed=1))
         assert traced_peak(walsh_domain, PS) < self.LIMIT
 
 

@@ -13,7 +13,6 @@ from walshvie.brownian import sample_path
 from walshvie.oracle import euler_maruyama
 from walshvie.problemfile import problem_from_text
 from walshvie.solver import NonFiniteIterateError, ProblemSpec, builtin_example, solve
-from walshvie.walsh import BasisConfig
 
 # the time-dependent kernels of the benchmark's kernel-file workload
 KERNEL_FILE = """\
@@ -59,64 +58,62 @@ def exponential_problem():
 class TestDeterministicStepping:
     def test_compound_growth_recursion(self):
         # k1=1, beta=x, sigma=0 steps as y_{j+1} = y_j (1+h) exactly
-        cfg = BasisConfig.from_resolution(16)
-        out = euler_maruyama(exponential_problem(), np.zeros(2 * cfg.m + 1))
+        values, _ = euler_maruyama(exponential_problem(), np.zeros(33))
         y = 1.0
         for j in range(16):
-            y = y * (1 + cfg.h)
-            assert out.values[j + 1] == y
+            y = y * (1 + 1 / 16)
+            assert values[j + 1] == y
 
     def test_approaches_e(self):
-        cfg = BasisConfig.from_resolution(64)
-        out = euler_maruyama(exponential_problem(), np.zeros(2 * cfg.m + 1))
-        assert abs(out.values[-1] - np.e) <= 0.03
+        values, _ = euler_maruyama(exponential_problem(), np.zeros(129))
+        assert abs(values[-1] - np.e) <= 0.03
 
     def test_kernel_frozen_at_step_target(self):
         # k1(s,t) = t evaluated at t_{j+1}: hand-computed at m=4
-        cfg = BasisConfig.from_resolution(4)
         prob = ProblemSpec(
             x0=1.0, k1=lambda s, t: t, k2=0.0, beta=lambda x: x, sigma=lambda x: 0.0 * x
         )
-        out = euler_maruyama(prob, np.zeros(2 * cfg.m + 1))
-        assert out.values[1] == 1.0625
-        assert out.values[2] == 1.1953125
-        assert out.values[3] == 1.419433593750
-        assert out.values[4] == 1.77429199218750
+        values, _ = euler_maruyama(prob, np.zeros(9))
+        assert values[1] == 1.0625
+        assert values[2] == 1.1953125
+        assert values[3] == 1.419433593750
+        assert values[4] == 1.77429199218750
 
     def test_shapes_and_grid(self):
-        cfg = BasisConfig.from_resolution(8)
-        out = euler_maruyama(exponential_problem(), np.zeros(2 * cfg.m + 1))
-        assert out.values.shape == (9,)
-        assert out.midpoint_values.shape == (8,)
+        values, midpoint_values = euler_maruyama(exponential_problem(), np.zeros(17))
+        assert values.shape == (9,)
+        assert midpoint_values.shape == (8,)
+
+    def test_arrays_are_read_only(self):
+        for a in euler_maruyama(exponential_problem(), np.zeros(17)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
     def test_midpoints_average_adjacent(self):
-        cfg = BasisConfig.from_resolution(8)
-        out = euler_maruyama(exponential_problem(), np.zeros(2 * cfg.m + 1))
-        assert (out.midpoint_values == 0.5 * (out.values[:-1] + out.values[1:])).all()
+        values, midpoint_values = euler_maruyama(exponential_problem(), np.zeros(17))
+        assert (midpoint_values == 0.5 * (values[:-1] + values[1:])).all()
 
 
 class TestStochasticFixedPoints:
     def test_example1_zero_path(self):
-        cfg = BasisConfig.from_resolution(32)
-        out = euler_maruyama(builtin_example(1), np.zeros(2 * cfg.m + 1))
-        assert (out.values == 0.0).all()
+        values, _ = euler_maruyama(builtin_example(1), np.zeros(65))
+        assert (values == 0.0).all()
 
     def test_example2_degenerate_noise(self):
-        cfg = BasisConfig.from_resolution(32)
-        out = euler_maruyama(builtin_example(2, a="0"), sample_path(cfg, seed=4))
-        assert np.max(np.abs(out.values - 0.1)) <= 1e-12
+        values, _ = euler_maruyama(builtin_example(2, a="0"), sample_path(32, seed=4))
+        assert np.max(np.abs(values - 0.1)) <= 1e-12
 
 
 class TestCrossValidation:
     def test_tracks_collocation_solution(self):
         # independent schemes on the same path stay close; the gap is
         # dominated by EM's midpoint averaging, scale a*sqrt(h)/2
-        cfg = BasisConfig.from_resolution(32)
         prob = builtin_example(1)
-        path = sample_path(cfg, seed=12)
+        path = sample_path(32, seed=12)
         res = solve(prob, path)
-        out = euler_maruyama(prob, path)
-        disc = np.max(np.abs(res.x_colloc - out.midpoint_values))
+        _, midpoint_values = euler_maruyama(prob, path)
+        disc = np.max(np.abs(res.x_colloc - midpoint_values))
         assert disc <= 0.05
 
     def test_discrepancy_shrinks_with_resolution(self):
@@ -124,13 +121,12 @@ class TestCrossValidation:
         prob = builtin_example(2)
         mean_disc = {}
         for m in (16, 64):
-            cfg = BasisConfig.from_resolution(m)
             gaps = []
             for seed in range(10):
-                path = sample_path(cfg, (100, seed))
+                path = sample_path(m, (100, seed))
                 res = solve(prob, path)
-                out = euler_maruyama(prob, path)
-                gaps.append(np.max(np.abs(res.x_colloc - out.midpoint_values)))
+                _, midpoint_values = euler_maruyama(prob, path)
+                gaps.append(np.max(np.abs(res.x_colloc - midpoint_values)))
             mean_disc[m] = np.mean(gaps)
         assert mean_disc[64] < mean_disc[16]
         assert 1.2 <= mean_disc[16] / mean_disc[64] <= 3.5
@@ -160,9 +156,8 @@ class TestMatchesScalarLoop:
     @pytest.mark.parametrize("name", PROBLEMS)
     def test_same_bits(self, name, m):
         prob = self.PROBLEMS[name]()
-        cfg = BasisConfig.from_resolution(m)
         for seed in range(3):
-            path = sample_path(cfg, (31, seed))
+            path = sample_path(m, (31, seed))
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
@@ -172,9 +167,9 @@ class TestMatchesScalarLoop:
                     euler_maruyama(prob, path)
                 assert str(err.value) == str(exc)
                 continue
-            out = euler_maruyama(prob, path)
-            assert out.values.tobytes() == values.tobytes()
-            assert out.midpoint_values.tobytes() == midpoints.tobytes()
+            got_values, got_midpoints = euler_maruyama(prob, path)
+            assert got_values.tobytes() == values.tobytes()
+            assert got_midpoints.tobytes() == midpoints.tobytes()
 
     @pytest.mark.parametrize("m", [64, 2048])
     @pytest.mark.parametrize("name", ["kernel-file", "example-1", "example-2"])
@@ -186,14 +181,13 @@ class TestMatchesScalarLoop:
         assert expressions._compiled(prob.beta, prob.sigma)
         wrapped = dataclasses.replace(prob, beta=lambda x: prob.beta(x), sigma=lambda x: prob.sigma(x))
         assert not expressions._compiled(wrapped.beta, wrapped.sigma)
-        cfg = BasisConfig.from_resolution(m)
         for seed in range(3):
-            path = sample_path(cfg, (37, seed))
+            path = sample_path(m, (37, seed))
             values, midpoints = scalar_loop(prob, path)
             for problem in (prob, wrapped):
-                out = euler_maruyama(problem, path)
-                assert out.values.tobytes() == values.tobytes()
-                assert out.midpoint_values.tobytes() == midpoints.tobytes()
+                got_values, got_midpoints = euler_maruyama(problem, path)
+                assert got_values.tobytes() == values.tobytes()
+                assert got_midpoints.tobytes() == midpoints.tobytes()
 
 
 class TestValidation:
@@ -205,12 +199,11 @@ class TestValidation:
         )
 
     def test_non_finite_surfaces(self):
-        cfg = BasisConfig.from_resolution(8)
         prob = ProblemSpec(
             x0=2.0, k1=500.0, k2=0.0, beta=lambda x: np.exp(x * x), sigma=lambda x: 0.0 * x
         )
         with pytest.raises(NonFiniteIterateError):
-            euler_maruyama(prob, np.zeros(2 * cfg.m + 1))
+            euler_maruyama(prob, np.zeros(17))
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_raises_without_warnings(self):
@@ -229,4 +222,4 @@ class TestValidation:
         kernel = lambda s, t: math.exp(-(t - s))
         prob = dataclasses.replace(builtin_example(2), **{key: kernel})
         with pytest.raises(TypeError, match=key):
-            euler_maruyama(prob, sample_path(BasisConfig.from_resolution(8), 3))
+            euler_maruyama(prob, sample_path(8, 3))

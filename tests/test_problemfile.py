@@ -8,7 +8,10 @@ from walshvie.brownian import sample_path
 from walshvie.expressions import ExpressionError
 from walshvie.problemfile import parse_problem_file, problem_from_text
 from walshvie.solver import builtin_example, solve
-from walshvie.walsh import BasisConfig
+
+
+def midpoints(m):
+    return (2 * np.arange(m) + 1) / (2 * m)
 
 EXAMPLE2_TEXT = """\
 # benchmark with multiplicative noise
@@ -34,15 +37,14 @@ class TestParsing:
         for x in np.linspace(-0.9, 0.9, 13):
             assert parsed.beta(x) == builtin.beta(x)
             assert parsed.sigma(x) == builtin.sigma(x)
-        cfg = BasisConfig.from_resolution(8)
-        path = sample_path(cfg, seed=17)
-        for j, t in enumerate(cfg.midpoints):
+        m = 8
+        path = sample_path(m, seed=17)
+        for j, t in enumerate(midpoints(m)):
             B = path[2 * j + 1]
             assert parsed.exact(t, B) == builtin.exact(t, B)
 
     def test_solve_agrees_with_builtin(self):
-        cfg = BasisConfig.from_resolution(16)
-        path = sample_path(cfg, seed=5)
+        path = sample_path(16, seed=5)
         a = solve(problem_from_text(EXAMPLE2_TEXT), path)
         b = solve(builtin_example(2), path)
         assert np.array_equal(a.x_colloc, b.x_colloc)
@@ -64,11 +66,11 @@ class TestParsing:
         prob = problem_from_text(text)
         assert prob.sigma(0.7) == 1.0
         assert (prob.sigma(np.zeros(4)) == 1.0).all()
-        cfg = BasisConfig.from_resolution(8)
-        path = sample_path(cfg, seed=13)
+        m = 8
+        path = sample_path(m, seed=13)
         res = solve(prob, path)
         # x(t_j) = (1/30) B(t_j) exactly: the integrand is constant
-        expect = prob.exact(cfg.midpoints, path[1::2])
+        expect = prob.exact(midpoints(m), path[1::2])
         assert np.allclose(res.x_colloc, expect, rtol=0, atol=1e-14)
 
 
@@ -153,10 +155,9 @@ class TestRoundTrip:
         parsed = problem_from_text(doc)
         builtin = builtin_example(2)
         assert parsed.label == builtin.label
-        cfg = BasisConfig.from_resolution(16)
-        path = sample_path(cfg, seed=23)
+        path = sample_path(16, seed=23)
         a = solve(builtin, path)
         b = solve(parsed, path)
         assert np.array_equal(a.x_colloc, b.x_colloc)
         assert a.iterations == b.iterations
-        assert np.array_equal(parsed.exact(cfg.midpoints, path[1::2]), builtin.exact(cfg.midpoints, path[1::2]))
+        assert np.array_equal(parsed.exact(midpoints(16), path[1::2]), builtin.exact(midpoints(16), path[1::2]))

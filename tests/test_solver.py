@@ -20,7 +20,11 @@ from walshvie.solver import (
     problem_from_sources,
     solve,
 )
-from walshvie.walsh import BasisConfig, project_kernel
+from walshvie.walsh import project_kernel
+
+
+def midpoints(m):
+    return (2 * np.arange(m) + 1) / (2 * m)
 
 
 def assemble_H(K, Z, M):
@@ -48,10 +52,10 @@ def dense_solve(problem, path):
     G1 = m^3 K1 o P, m^2 triu(K2, 1) and m^2 diag(K2) built as m x m
     arrays and applied by matrix products.  Returns the solution and
     the sweep count."""
-    cfg = BasisConfig.from_resolution((len(path) - 1) // 2)
-    m, h = cfg.m, cfg.h
-    G1 = m**3 * (project_kernel(problem.k1, cfg) * integration_matrix(cfg))
-    K2 = project_kernel(problem.k2, cfg)
+    m = (len(path) - 1) // 2
+    h = 1 / m
+    G1 = m**3 * (project_kernel(problem.k1, m) * integration_matrix(m))
+    K2 = project_kernel(problem.k2, m)
     upper2 = m * m * np.triu(K2, 1)
     k2_ss = m * m * np.diagonal(K2)
     v = path
@@ -126,9 +130,8 @@ class TestDeterministicSolve:
     def test_matches_forward_substitution(self):
         # with sigma=0 the collocated system is linear triangular:
         # x_j = 1 + h*sum_{i<j} x_i + (h/2) x_j, solvable directly
-        cfg = BasisConfig.from_resolution(16)
-        res = solve(exponential_problem(), np.zeros(2 * cfg.m + 1))
-        h = cfg.h
+        h = 1 / 16
+        res = solve(exponential_problem(), np.zeros(33))
         direct = np.empty(16)
         acc = 0.0
         for j in range(16):
@@ -137,14 +140,14 @@ class TestDeterministicSolve:
         assert np.allclose(res.x_colloc, direct, rtol=0, atol=1e-10)
 
     def test_exponential_accuracy(self):
-        cfg = BasisConfig.from_resolution(32)
-        res = solve(exponential_problem(), np.zeros(2 * cfg.m + 1))
-        err = np.max(np.abs(res.x_colloc - np.exp(cfg.midpoints)))
+        m = 32
+        res = solve(exponential_problem(), np.zeros(2 * m + 1))
+        err = np.max(np.abs(res.x_colloc - np.exp(midpoints(m))))
         assert err <= 0.05
 
     def test_callable_constant_kernel_agrees(self):
-        cfg = BasisConfig.from_resolution(8)
-        res_const = solve(exponential_problem(), np.zeros(2 * cfg.m + 1))
+        m = 8
+        res_const = solve(exponential_problem(), np.zeros(2 * m + 1))
         prob = ProblemSpec(
             x0=1.0,
             k1=lambda s, t: np.ones_like(s * t),
@@ -152,52 +155,52 @@ class TestDeterministicSolve:
             beta=lambda x: x,
             sigma=lambda x: 0.0 * x,
         )
-        res_callable = solve(prob, np.zeros(2 * cfg.m + 1))
+        res_callable = solve(prob, np.zeros(2 * m + 1))
         assert np.allclose(res_const.x_colloc, res_callable.x_colloc, rtol=0, atol=1e-12)
 
 
 class TestStochasticFixedPoints:
     def test_example1_zero_path(self):
         # on the zero path the solution of example 1 is identically 0
-        cfg = BasisConfig.from_resolution(16)
+        m = 16
         prob = builtin_example(1)
-        path = np.zeros(2 * cfg.m + 1)
+        path = np.zeros(2 * m + 1)
         res = solve(prob, path)
         assert np.max(np.abs(res.x_colloc)) <= 1e-10
-        for j, t in enumerate(cfg.midpoints):
+        for j, t in enumerate(midpoints(m)):
             assert abs(prob.exact(t, path[2 * j + 1])) <= 1e-15
 
     def test_example2_degenerate_noise(self):
         # a = 0 freezes example 2 at its initial value 0.1
-        cfg = BasisConfig.from_resolution(16)
+        m = 16
         prob = builtin_example(2, a="0")
-        path = sample_path(cfg, seed=99)
+        path = sample_path(m, seed=99)
         res = solve(prob, path)
         assert np.max(np.abs(res.x_colloc - 0.1)) <= 1e-10
-        for j, t in enumerate(cfg.midpoints):
+        for j, t in enumerate(midpoints(m)):
             assert abs(prob.exact(t, path[2 * j + 1]) - 0.1) <= 1e-12
 
     def test_example1_degenerate_noise(self):
-        cfg = BasisConfig.from_resolution(8)
-        res = solve(builtin_example(1, a="0"), sample_path(cfg, seed=1))
+        m = 8
+        res = solve(builtin_example(1, a="0"), sample_path(m, seed=1))
         assert np.max(np.abs(res.x_colloc)) <= 1e-10
 
 
 class TestSolveOnSampledPaths:
     def test_example1_accuracy(self):
-        cfg = BasisConfig.from_resolution(16)
+        m = 16
         prob = builtin_example(1)
-        path = sample_path(cfg, seed=42)
+        path = sample_path(m, seed=42)
         res = solve(prob, path)
-        exact = prob.exact(cfg.midpoints, path[1::2])
+        exact = prob.exact(midpoints(m), path[1::2])
         assert np.max(np.abs(res.x_colloc - exact)) <= 1e-3
 
     def test_causality(self):
         # x at block j only sees the path up to that block: perturbing
         # later path values must not move earlier solution values
-        cfg = BasisConfig.from_resolution(16)
+        m = 16
         prob = builtin_example(2)
-        base = sample_path(cfg, seed=7)
+        base = sample_path(m, seed=7)
         j = 9
         bumped = base.copy()
         bumped[2 * j + 2 :] += 0.5
@@ -207,10 +210,10 @@ class TestSolveOnSampledPaths:
         assert not np.allclose(res_a.x_colloc[j + 1 :], res_b.x_colloc[j + 1 :], atol=1e-10)
 
     def test_determinism(self):
-        cfg = BasisConfig.from_resolution(16)
+        m = 16
         prob = builtin_example(2)
-        a = solve(prob, sample_path(cfg, seed=5))
-        b = solve(prob, sample_path(cfg, seed=5))
+        a = solve(prob, sample_path(m, seed=5))
+        b = solve(prob, sample_path(m, seed=5))
         assert np.array_equal(a.x_colloc, b.x_colloc)
         assert a.iterations == b.iterations
 
@@ -228,7 +231,6 @@ class TestDenseReference:
         matrices = []
         by_row = solver._by_row
         monkeypatch.setattr(solver, "_by_row", lambda a, M: matrices.append(M) or by_row(a, M))
-        cfg = BasisConfig.from_resolution(m)
         for sign in ("", "-"):
             prob = problem_from_sources({
                 "x0": "1/10",
@@ -238,11 +240,11 @@ class TestDenseReference:
                 "sigma": "1-x^2",
             })
             assert not prob.k1.difference_kernel and not prob.k2.difference_kernel
-            drift, k1_ss = _kernel_operator(prob.k1, cfg, "k1", 0.5)
-            noise, k2_ss = _kernel_operator(prob.k2, cfg, "k2", 0.0)
-            K1 = project_kernel(prob.k1, cfg)
-            K2 = project_kernel(prob.k2, cfg)
-            assert np.array_equal(drift(np.eye(m)), m**3 * (K1 * integration_matrix(cfg)))
+            drift, k1_ss = _kernel_operator(prob.k1, m, "k1", 0.5)
+            noise, k2_ss = _kernel_operator(prob.k2, m, "k2", 0.0)
+            K1 = project_kernel(prob.k1, m)
+            K2 = project_kernel(prob.k2, m)
+            assert np.array_equal(drift(np.eye(m)), m**3 * (K1 * integration_matrix(m)))
             assert np.array_equal(np.diagonal(drift(np.eye(m))), 0.5 * (m * m * np.diagonal(K1)))
             assert np.array_equal(k1_ss, m * m * np.diagonal(K1))
             assert np.array_equal(noise(np.eye(m)), m * m * np.triu(K2, 1))
@@ -254,9 +256,8 @@ class TestDenseReference:
     @pytest.mark.parametrize("m", [8, 256, 1024])
     def test_cumulative_sums_match_dense_operators(self, example_id, m):
         prob = builtin_example(example_id)
-        cfg = BasisConfig.from_resolution(m)
         for trial in range(1, 4):
-            path = sample_path(cfg, (11, trial))
+            path = sample_path(m, (11, trial))
             res = solve(prob, path)
             x_ref, sweeps = dense_solve(prob, path)
             assert np.max(np.abs(res.x_colloc - x_ref)) <= 1e-14
@@ -271,9 +272,9 @@ class TestDenseReference:
         callable_prob = dataclasses.replace(
             prob, k1=lambda s, t: c1 + 0 * s * t, k2=lambda s, t: c2 + 0 * s * t
         )
-        cfg = BasisConfig.from_resolution(64)
+        m = 64
         for trial in range(1, 4):
-            path = sample_path(cfg, (12, trial))
+            path = sample_path(m, (12, trial))
             folded = solve(prob, path).x_colloc
             assert np.max(np.abs(solve(callable_prob, path).x_colloc - folded)) <= 1e-12
 
@@ -308,16 +309,15 @@ class TestDifferenceKernels:
         lag_rows = []
         convolution = solver._causal_convolution
         monkeypatch.setattr(solver, "_causal_convolution", lambda g: lag_rows.append(g.copy()) or convolution(g))
-        cfg = BasisConfig.from_resolution(m)
         for k2 in (DIFFERENCE_SOURCES["k2"], "-" + DIFFERENCE_SOURCES["k2"]):
             prob = problem_from_sources({**DIFFERENCE_SOURCES, "k2": k2})
             lag_rows.clear()
-            drift, k1_ss = _kernel_operator(prob.k1, cfg, "k1", 0.5)
-            noise, k2_ss = _kernel_operator(prob.k2, cfg, "k2", 0.0)
-            K1 = project_kernel(prob.k1, cfg)
-            K2 = project_kernel(prob.k2, cfg)
+            drift, k1_ss = _kernel_operator(prob.k1, m, "k1", 0.5)
+            noise, k2_ss = _kernel_operator(prob.k2, m, "k2", 0.0)
+            K1 = project_kernel(prob.k1, m)
+            K2 = project_kernel(prob.k2, m)
             for got, dense in [
-                (drift(np.eye(m)), m**3 * (K1 * integration_matrix(cfg))),
+                (drift(np.eye(m)), m**3 * (K1 * integration_matrix(m))),
                 (noise(np.eye(m)), m * m * np.triu(K2, 1)),
                 (k2_ss, m * m * np.diagonal(K2)),
             ]:
@@ -331,10 +331,9 @@ class TestDifferenceKernels:
     @pytest.mark.parametrize("m", [8, 256, 2048])
     def test_solve_matches_triangle_path(self, m):
         prob = problem_from_sources(DIFFERENCE_SOURCES)
-        cfg = BasisConfig.from_resolution(m)
-        paths = np.stack([sample_path(cfg, (19, trial)) for trial in range(1, 5)])
-        fast, fast_sweeps, _, _ = _batch_solver(prob, cfg)(paths)
-        slow, slow_sweeps, _, _ = _batch_solver(on_the_triangle(prob), cfg)(paths)
+        paths = np.stack([sample_path(m, (19, trial)) for trial in range(1, 5)])
+        fast, fast_sweeps, _, _ = _batch_solver(prob, m)(paths)
+        slow, slow_sweeps, _, _ = _batch_solver(on_the_triangle(prob), m)(paths)
         for a, b, a_sweeps, b_sweeps in zip(fast, slow, fast_sweeps, slow_sweeps):
             assert np.max(np.abs(a - b)) <= 1e-14
             assert a_sweeps == b_sweeps
@@ -343,20 +342,20 @@ class TestDifferenceKernels:
         calls = []
         monkeypatch.setattr(solver, "project_kernel", lambda *args: calls.append(args) or project_kernel(*args))
         prob = problem_from_sources(DIFFERENCE_SOURCES)
-        cfg = BasisConfig.from_resolution(16)
-        _kernel_operator(prob.k1, cfg, "k1", 0.5)
-        _kernel_operator(prob.k2, cfg, "k2", 0.0)
+        m = 16
+        _kernel_operator(prob.k1, m, "k1", 0.5)
+        _kernel_operator(prob.k2, m, "k2", 0.0)
         assert calls == []
         triangle = on_the_triangle(prob)
-        _kernel_operator(triangle.k1, cfg, "k1", 0.5)
-        _kernel_operator(triangle.k2, cfg, "k2", 0.0)
+        _kernel_operator(triangle.k1, m, "k1", 0.5)
+        _kernel_operator(triangle.k2, m, "k2", 0.0)
         assert [name for _, _, name in calls] == ["k1", "k2"]
 
     def test_memory_at_the_largest_m(self):
         # the triangle path peaks near 270 MB here (two 4096 x 4096
         # arrays); the lag rows and their spectra are O(m)
         prob = problem_from_sources(DIFFERENCE_SOURCES)
-        path = sample_path(BasisConfig.from_resolution(4096), seed=3)
+        path = sample_path(4096, seed=3)
         tracemalloc.start()
         try:
             solve(prob, path)
@@ -373,7 +372,7 @@ class TestItoCorrection:
         # alone converges to the Stratonovich solution, whose mean at
         # the last midpoint is about 1.2; this checks the
         # k2(s,t) k2(s,s) factor of the correction.
-        cfg = BasisConfig.from_resolution(16)
+        m = 16
         prob = ProblemSpec(
             x0=1.0,
             k1=0.0,
@@ -382,7 +381,7 @@ class TestItoCorrection:
             sigma=lambda x: x,
         )
         n = 1000
-        last = np.array([solve(prob, sample_path(cfg, (6000, i))).x_colloc[-1] for i in range(1, n + 1)])
+        last = np.array([solve(prob, sample_path(m, (6000, i))).x_colloc[-1] for i in range(1, n + 1)])
         stderr = last.std(ddof=1) / np.sqrt(n)
         assert abs(last.mean() - 1.0) <= 3.0 * stderr, (last.mean(), stderr)
 
@@ -409,10 +408,11 @@ class TestItoCorrection:
         # on the zero path block 0 sees only the Ito drift of its own
         # half block: x = x0 - (h/4) sigma sigma'(x)
         sigma = problem_from_sources({"x0": "0", "k1": "0", "k2": "1", "beta": "0", "sigma": src}).sigma
-        cfg = BasisConfig.from_resolution(64)
+        m = 64
+        h = 1 / m
         prob = ProblemSpec(x0=0.5, k1=0.0, k2=1.0, beta=lambda x: 0.0 * x, sigma=sigma)
-        x = solve(prob, np.zeros(2 * cfg.m + 1)).x_colloc[0]
-        assert abs(x - (0.5 - cfg.h / 4 * sigma(x) * slope(x))) <= 1e-12
+        x = solve(prob, np.zeros(2 * m + 1)).x_colloc[0]
+        assert abs(x - (0.5 - h / 4 * sigma(x) * slope(x))) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_expression_sigma_finite_where_its_value_is(self):
@@ -439,9 +439,9 @@ class TestItoCorrection:
             return call
 
         monkeypatch.setattr(expressions, "_straight_line", counting)
-        cfg = BasisConfig.from_resolution(32)
-        res = solve(builtin_example(example_id), sample_path(cfg, seed=4))
-        assert calls == [(1, cfg.m)] * res.iterations
+        m = 32
+        res = solve(builtin_example(example_id), sample_path(m, seed=4))
+        assert calls == [(1, m)] * res.iterations
 
     def test_callable_sigma_takes_the_complex_step(self):
         # sigma given as a lambda is not fused: it gets complex input
@@ -452,24 +452,24 @@ class TestItoCorrection:
             return 1.0 - x * x
 
         prob = builtin_example(2)
-        cfg = BasisConfig.from_resolution(16)
-        path = sample_path(cfg, seed=9)
+        m = 16
+        path = sample_path(m, seed=9)
         res = solve(dataclasses.replace(prob, sigma=sigma), path)
         assert set(seen) == {np.dtype(complex)} and len(seen) == res.iterations
         assert np.max(np.abs(res.x_colloc - solve(prob, path).x_colloc)) <= 1e-15
 
     @pytest.mark.parametrize("sigma", [np.abs, lambda x: math.exp(x)], ids=["np.abs", "math.exp"])
     def test_real_only_sigma_is_refused(self, sigma):
-        cfg = BasisConfig.from_resolution(8)
+        m = 8
         prob = ProblemSpec(x0=0.5, k1=0.0, k2=1 / 30, beta=lambda x: 0.0 * x, sigma=sigma)
         with pytest.raises(TypeError, match="sigma"):
-            solve(prob, sample_path(cfg, seed=2))
+            solve(prob, sample_path(m, seed=2))
 
     @pytest.mark.parametrize("sigma", [np.abs], ids=["np.abs"])
     def test_real_only_sigma_without_noise_solves(self, sigma):
-        cfg = BasisConfig.from_resolution(8)
+        m = 8
         prob = ProblemSpec(x0=0.5, k1=0.0, k2=0.0, beta=lambda x: 0.0 * x, sigma=sigma)
-        res = solve(prob, sample_path(cfg, seed=2))
+        res = solve(prob, sample_path(m, seed=2))
         assert np.array_equal(res.x_colloc, np.full(8, 0.5))
 
     def test_folded_constant_sigma_solves(self):
@@ -480,8 +480,8 @@ class TestItoCorrection:
         value, slope = prob.sigma.with_slope(np.ones((2, 3)))
         assert np.array_equal(value, np.full((2, 3), 2.0))
         assert np.array_equal(slope, np.zeros((2, 3)))
-        cfg = BasisConfig.from_resolution(8)
-        path = sample_path(cfg, seed=13)
+        m = 8
+        path = sample_path(m, seed=13)
         res = solve(prob, path)
         assert np.allclose(res.x_colloc, (2 / 30) * path[1::2], rtol=0, atol=1e-15)
 
@@ -493,7 +493,7 @@ class TestItoCorrection:
         prob = problem_from_sources({**sources, "sigma": src})
         value, slope = prob.sigma.with_slope(np.full(3, 0.25))
         assert np.array_equal(value, np.ones(3)) and np.array_equal(slope, np.zeros(3))
-        path = sample_path(BasisConfig.from_resolution(64), (7, 1))
+        path = sample_path(64, (7, 1))
         expected = solve(problem_from_sources({**sources, "sigma": "1"}), path).x_colloc
         assert np.array_equal(solve(prob, path).x_colloc, expected)
 
@@ -529,11 +529,10 @@ class TestExactMoments:
         assert getattr(prob.k1, "difference_kernel", False) == (form == "difference")
         mean_errors, var_errors = [], []
         for m in self.RESOLUTIONS:
-            cfg = BasisConfig.from_resolution(m)
             normals = np.vstack([np.zeros(2 * m), np.eye(2 * m)])
-            x, _, _, errors = _batch_solver(prob, cfg)(_path_values(normals, cfg.h))
+            x, _, _, errors = _batch_solver(prob, m)(_path_values(normals, 1 / m))
             assert errors == [None] * (2 * m + 1)
-            t = cfg.midpoints
+            t = midpoints(m)
             mean_errors.append(np.max(np.abs(x[0] - (1.0 - (np.exp(a * t) - 1.0) / a))))
             var = np.sum((x[1:] - x[0]) ** 2, axis=0)
             var_errors.append(np.max(np.abs(var - 0.25 * (np.exp(2 * a * t) - 1.0) / (2 * a))))
@@ -546,14 +545,14 @@ class TestExactMoments:
 class TestFailureModes:
     def test_non_convergence(self, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_ITER", 2)
-        cfg = BasisConfig.from_resolution(16)
+        m = 16
         with pytest.raises(NonConvergenceError) as err:
-            solve(exponential_problem(), np.zeros(2 * cfg.m + 1))
+            solve(exponential_problem(), np.zeros(2 * m + 1))
         assert err.value.iterations == 2
         assert np.isfinite(err.value.residual)
 
     def test_non_finite_iterate(self):
-        cfg = BasisConfig.from_resolution(8)
+        m = 8
         prob = ProblemSpec(
             x0=2.0,
             k1=50.0,
@@ -562,15 +561,15 @@ class TestFailureModes:
             sigma=lambda x: 0.0 * x,
         )
         with pytest.raises(NonFiniteIterateError):
-            solve(prob, np.zeros(2 * cfg.m + 1))
+            solve(prob, np.zeros(2 * m + 1))
 
     def test_sigma_outside_its_real_domain(self):
         # sqrt'(0) is infinite and sqrt(x) is nan for x < 0: a failure,
         # not the real part of an imaginary root
         prob = problem_from_sources({"x0": "0", "k1": "0", "k2": "1", "beta": "0", "sigma": "sqrt(x)"})
-        cfg = BasisConfig.from_resolution(8)
+        m = 8
         with pytest.raises(NonFiniteIterateError, match="^sigma\\(x\\) is not finite"):
-            solve(prob, sample_path(cfg, (1, 1)))
+            solve(prob, sample_path(m, (1, 1)))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [16, 256])
@@ -579,9 +578,8 @@ class TestFailureModes:
         # sigma sigma' overflow, which numpy would warn of from the
         # expression and from the update.  The engine reports each such
         # row with its cause instead, and the other rows converge
-        cfg = BasisConfig.from_resolution(m)
-        paths = np.stack([sample_path(cfg, (31, trial)) for trial in range(1, 9)])
-        x, sweeps, _, errors = _batch_solver(builtin_example(2, a="2"), cfg)(paths)
+        paths = np.stack([sample_path(m, (31, trial)) for trial in range(1, 9)])
+        x, sweeps, _, errors = _batch_solver(builtin_example(2, a="2"), m)(paths)
         failed = [e is not None for e in errors]
         assert any(failed) and not all(failed)
         for row, error in enumerate(errors):
@@ -607,9 +605,9 @@ class TestFailureModes:
         # refuses them is an error naming its key, never retried one
         # point at a time
         prob = dataclasses.replace(builtin_example(2), **changes)
-        cfg = BasisConfig.from_resolution(8)
+        m = 8
         with pytest.raises(TypeError, match=f"^{key} must take numpy arrays"):
-            solve(prob, sample_path(cfg, seed=2))
+            solve(prob, sample_path(m, seed=2))
 
 
 class TestWorkspace:
@@ -660,7 +658,7 @@ class TestWorkspace:
 
     @staticmethod
     def paths(m, n=12, key=31):
-        return np.stack([sample_path(BasisConfig.from_resolution(m), (key, trial)) for trial in range(1, n + 1)])
+        return np.stack([sample_path(m, (key, trial)) for trial in range(1, n + 1)])
 
     @classmethod
     def code(cls, error):
@@ -672,7 +670,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("name, form", sorted(OUTCOMES))
     def test_failed_rows_and_their_messages(self, name, form):
         prob, paths = self.problem(name, form), self.paths(16)
-        engine = _batch_solver(prob, BasisConfig.from_resolution(16))
+        engine = _batch_solver(prob, 16)
         workspace = np.full(engine.slots * paths.size, np.nan)
         x, sweeps, residuals, errors = engine(paths, workspace)
         assert "".join(map(self.code, errors)) == self.OUTCOMES[name, form]
@@ -686,8 +684,8 @@ class TestWorkspace:
     @pytest.mark.parametrize("name", ["example 1, a = 1/2", "example 2, a = 2"])
     def test_what_the_workspace_held_does_not_matter(self, name, form):
         prob = self.problem(name, form)
-        coarse = _batch_solver(prob, BasisConfig.from_resolution(16))
-        fine = _batch_solver(prob, BasisConfig.from_resolution(32))
+        coarse = _batch_solver(prob, 16)
+        fine = _batch_solver(prob, 32)
         paths = self.paths(32)
         alone = fine(paths)
         workspace = np.full(fine.slots * paths.size, np.nan)
@@ -717,9 +715,9 @@ class TestWorkspace:
         # the iterate are handed to the sweep read-only here, so a write
         # into either would raise
         prob = problem_from_sources({"x0": "1/10", "k1": "-1/4", "k2": "1/2", "beta": beta, "sigma": sigma})
-        cfg = BasisConfig.from_resolution(32)
+        m = 32
         paths = self.paths(32, n=8)
-        expected = _batch_solver(prob, cfg)(paths)
+        expected = _batch_solver(prob, m)(paths)
         integrands = solver._integrands
 
         def frozen(a):
@@ -738,7 +736,7 @@ class TestWorkspace:
             return guarded, slots
 
         monkeypatch.setattr(solver, "_integrands", read_only)
-        got = _batch_solver(prob, cfg)(paths)
+        got = _batch_solver(prob, m)(paths)
         assert expected[3] == [None] * len(paths)
         assert got[0].tobytes() == expected[0].tobytes()
 
@@ -747,13 +745,13 @@ class TestWorkspace:
         # workspace a block solve allocates its solutions, one block, and
         # arrays of one value per row, whatever its sweep count; a
         # temporary of the block's size made in a sweep would show here
-        cfg = BasisConfig.from_resolution(64)
+        m = 64
         paths = self.paths(64, n=512, key=7)
-        block = paths.shape[0] * cfg.m * 8
+        block = paths.shape[0] * m * 8
         peaks, sweeps = [], []
         for a in ("1/30", "1"):
-            engine = _batch_solver(builtin_example(2, a=a), cfg)
-            workspace = np.empty(engine.slots * paths.shape[0] * cfg.m)
+            engine = _batch_solver(builtin_example(2, a=a), m)
+            workspace = np.empty(engine.slots * paths.shape[0] * m)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -839,11 +837,11 @@ class TestBuiltins:
     @pytest.mark.parametrize("example_id", [1, 2])
     def test_exact_on_arrays_matches_scalars(self, example_id):
         exact = builtin_example(example_id).exact
-        cfg = BasisConfig.from_resolution(256)
-        B = np.stack([sample_path(cfg, (3, trial))[1::2] for trial in range(1, 5)])
-        got = exact(cfg.midpoints, B)
+        m = 256
+        B = np.stack([sample_path(m, (3, trial))[1::2] for trial in range(1, 5)])
+        got = exact(midpoints(m), B)
         assert got.shape == B.shape
-        scalar = [[exact(float(t), float(b)) for t, b in zip(cfg.midpoints, row)] for row in B]
+        scalar = [[exact(float(t), float(b)) for t, b in zip(midpoints(m), row)] for row in B]
         assert np.array_equal(got, np.array(scalar))
 
     def test_nonlinearities(self):

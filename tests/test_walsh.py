@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,18 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walshvie
+from walshvie import builtin_example, convergence_study, integration_matrix, monte_carlo, sample_path
 from walshvie.expressions import compile_expression
 from walshvie.walsh import (
     _GL_NODES,
     _GL_WEIGHTS,
-    BasisConfig,
     _project_lag_row,
+    _resolution,
     build_walsh_matrix,
     fast_walsh_transform,
     midpoint_floor_index,
     project_kernel,
     rademacher,
 )
+
+
+def midpoints(m):
+    """The collocation midpoints t_j = (2j+1)/(2m)."""
+    return (2 * np.arange(m) + 1) / (2 * m)
 
 
 def walsh(n, t):
@@ -43,10 +50,9 @@ def walsh(n, t):
 def walsh_matrix_by_definition(m):
     """T[n][j] = w_n(t_j) as the product of the Rademacher rows r_q(t_j)
     over the set bits of n, each entry from scalar ``rademacher``."""
-    cfg = BasisConfig.from_resolution(m)
     T = np.ones((m, m), dtype=np.int64)
     for q in range(1, m.bit_length()):
-        row = np.array([rademacher(q, t) for t in cfg.midpoints], dtype=np.int64)
+        row = np.array([rademacher(q, t) for t in midpoints(m)], dtype=np.int64)
         T[(np.arange(m) >> (q - 1)) & 1 == 1] *= row
     return T
 
@@ -68,11 +74,11 @@ def fast_walsh_transform_by_stack(a):
     return y.reshape(a.shape)
 
 
-def project_kernel_square(kernel, cfg):
+def project_kernel_square(kernel, m):
     """Reference: the block integrals of k over every block rectangle of
     the m x m square, each row from one call on full (5, m, 5) node
     arrays reduced by one three-operand einsum."""
-    m, h = cfg.m, cfg.h
+    h = 1 / m
     nodes, weights = np.polynomial.legendre.leggauss(5)
     weights = weights / weights.sum()
     pts = (np.arange(m) * h)[:, None] + (nodes[None, :] + 1.0) * (h / 2.0)
@@ -92,24 +98,47 @@ def scalar_only_sum(s, t):
     return float(s) + float(t)
 
 
-class TestBasisConfig:
-    def test_from_resolution(self):
-        cfg = BasisConfig.from_resolution(8)
-        assert cfg.m == 8
-        assert cfg.h == 0.125
-        assert cfg.midpoints[0] == 1 / 16
-        assert cfg.midpoints[-1] == 15 / 16
-
+class TestResolution:
     def test_midpoints_exact_dyadic(self):
         # (2j+1)/(2m) is exactly representable, no accumulation error
-        cfg = BasisConfig.from_resolution(64)
+        assert midpoints(8)[0] == 1 / 16
+        assert midpoints(8)[-1] == 15 / 16
         for j in range(64):
-            assert cfg.midpoints[j] == (2 * j + 1) / 128
+            assert midpoints(64)[j] == (2 * j + 1) / 128
 
-    @pytest.mark.parametrize("bad", [0, 3, 6, 12, -4])
+    @pytest.mark.parametrize("m", [1, 8, np.int64(8), np.uint16(4096)], ids=repr)
+    def test_is_an_int(self, m):
+        assert _resolution(m) == m and type(_resolution(m)) is int
+
+    @pytest.mark.parametrize("bad", [0, 3, 6, 12, -4, np.float64(16.0), "16"], ids=repr)
     def test_rejects_non_powers(self, bad):
-        with pytest.raises(ValueError):
-            BasisConfig.from_resolution(bad)
+        with pytest.raises(ValueError, match=f"^m must be a power of two >= 1, got {re.escape(repr(bad))}$"):
+            _resolution(bad)
+
+
+# every public entry that takes a resolution m, called with m; each returns an array
+RESOLUTION_ENTRIES = {
+    "sample_path": lambda m: sample_path(m, 1),
+    "monte_carlo": lambda m: monte_carlo(builtin_example(1), m, 2, 1),
+    "convergence_study": lambda m: convergence_study(builtin_example(1), (m, 64, 128), 2, 1)[0],
+    "project_kernel": lambda m: project_kernel(1.0, m),
+    "build_walsh_matrix": build_walsh_matrix,
+    "integration_matrix": integration_matrix,
+}
+
+
+@pytest.mark.parametrize("bad", [0, -4, 12, 16.0, 8.9])
+@pytest.mark.parametrize("entry", RESOLUTION_ENTRIES)
+def test_entries_reject_a_bad_resolution(entry, bad):
+    # a float is refused too, never truncated (8.9 is not m = 8)
+    with pytest.raises(ValueError, match=f"^m must be a power of two >= 1, got {bad!r}$"):
+        RESOLUTION_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("entry", RESOLUTION_ENTRIES)
+def test_entries_take_numpy_integers(entry):
+    got, want = RESOLUTION_ENTRIES[entry](np.int64(16)), RESOLUTION_ENTRIES[entry](16)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestRademacher:
@@ -159,7 +188,7 @@ class TestWalsh:
 
 class TestWalshMatrix:
     def test_m4_entries(self):
-        T = build_walsh_matrix(BasisConfig.from_resolution(4))
+        T = build_walsh_matrix(4)
         expected = np.array(
             [
                 [1, 1, 1, 1],
@@ -172,7 +201,7 @@ class TestWalshMatrix:
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64, 128, 256])
     def test_involution_and_symmetry(self, m):
-        T = build_walsh_matrix(BasisConfig.from_resolution(m))
+        T = build_walsh_matrix(m)
         assert T.dtype == np.int64
         assert (T == T.T).all()
         assert (T @ T == m * np.eye(m, dtype=np.int64)).all()
@@ -180,7 +209,7 @@ class TestWalshMatrix:
     @pytest.mark.parametrize("m", [2, 8, 32])
     def test_orthonormality(self, m):
         # (1/m) sum_j w_i(t_j) w_l(t_j) = delta_il, exact in ints
-        T = build_walsh_matrix(BasisConfig.from_resolution(m))
+        T = build_walsh_matrix(m)
         gram = T @ T.T
         assert (gram == m * np.eye(m, dtype=np.int64)).all()
 
@@ -224,7 +253,7 @@ class TestWalshMatrix:
         # the output alone is 8 MB at m = 1024
         tracemalloc.start()
         try:
-            build_walsh_matrix(BasisConfig.from_resolution(1024))
+            build_walsh_matrix(1024)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -237,10 +266,10 @@ class TestWalshMatrix:
 
     def test_rows_match_scalar_walsh(self):
         for k in range(8):
-            cfg = BasisConfig.from_resolution(2**k)
-            T = build_walsh_matrix(cfg)
-            for n in range(cfg.m):
-                row = [walsh(n, t) for t in cfg.midpoints]
+            m = 2**k
+            T = build_walsh_matrix(m)
+            for n in range(m):
+                row = [walsh(n, t) for t in midpoints(m)]
                 assert (T[n] == row).all()
 
 
@@ -270,72 +299,64 @@ class TestProjection:
     # t in block j is h times the block integral of that variable's factor
 
     def test_constant(self):
-        cfg = BasisConfig.from_resolution(8)
-        K = project_kernel(lambda s, t: 1.0, cfg)
+        K = project_kernel(lambda s, t: 1.0, 8)
         upper = np.triu_indices(8)
-        assert np.allclose(K[upper], cfg.h * cfg.h, rtol=0, atol=1e-18)
+        assert np.allclose(K[upper], (1 / 8) ** 2, rtol=0, atol=1e-18)
 
     def test_linear(self):
         # integral of t over [0, 1/2) and [1/2, 1), times h = 1/2 for s
-        cfg = BasisConfig.from_resolution(2)
-        K = project_kernel(lambda s, t: t, cfg)
+        K = project_kernel(lambda s, t: t, 2)
         assert abs(K[0, 0] - 0.5 * 0.125) < 1e-16
         assert abs(K[0, 1] - 0.5 * 0.375) < 1e-16
         assert abs(K[1, 1] - 0.5 * 0.375) < 1e-16
-        K = project_kernel(lambda s, t: s, cfg)
+        K = project_kernel(lambda s, t: s, 2)
         assert abs(K[0, 1] - 0.5 * 0.125) < 1e-16
         assert abs(K[1, 1] - 0.5 * 0.375) < 1e-16
 
     def test_reconstruction_scale(self):
-        cfg = BasisConfig.from_resolution(16)
-        K = project_kernel(lambda s, t: 3.25, cfg)
-        assert np.allclose(cfg.m**2 * K[np.triu_indices(16)], 3.25, rtol=0, atol=1e-12)
+        K = project_kernel(lambda s, t: 3.25, 16)
+        assert np.allclose(16**2 * K[np.triu_indices(16)], 3.25, rtol=0, atol=1e-12)
 
     def test_quadrature_degree(self):
         # 5-point Gauss is exact for degree 9
-        cfg = BasisConfig.from_resolution(4)
         exact = block_integrals(lambda u: u**10 / 10, 4)
-        K = project_kernel(lambda s, t: t**9, cfg)
-        assert np.allclose(K, np.triu(np.outer(np.full(4, cfg.h), exact)), rtol=1e-13, atol=1e-18)
-        K = project_kernel(lambda s, t: s**9, cfg)
-        assert np.allclose(K, np.triu(np.outer(exact, np.full(4, cfg.h))), rtol=1e-13, atol=1e-18)
+        K = project_kernel(lambda s, t: t**9, 4)
+        assert np.allclose(K, np.triu(np.outer(np.full(4, 1 / 4), exact)), rtol=1e-13, atol=1e-18)
+        K = project_kernel(lambda s, t: s**9, 4)
+        assert np.allclose(K, np.triu(np.outer(exact, np.full(4, 1 / 4))), rtol=1e-13, atol=1e-18)
 
     def test_rejects_non_finite(self):
-        cfg = BasisConfig.from_resolution(4)
         with pytest.raises(ValueError, match="non-finite"):
-            project_kernel(lambda s, t: np.full_like(t, np.inf), cfg)
+            project_kernel(lambda s, t: np.full_like(t, np.inf), 4)
 
     def test_parseval_piecewise_constant(self):
         # coefficients (1/m) T v: sum of squares = mean of squares, exact
-        cfg = BasisConfig.from_resolution(8)
-        T = build_walsh_matrix(cfg)
+        T = build_walsh_matrix(8)
         v = np.array([3, -1, 4, 1, -5, 9, 2, -6])
         coeffs = T @ v  # m times the true coefficients
-        assert (coeffs @ coeffs) == cfg.m * (v @ v)
+        assert (coeffs @ coeffs) == 8 * (v @ v)
 
 
 class TestKernelProjection:
     def test_constant_fast_path(self):
-        cfg = BasisConfig.from_resolution(16)
+        h = 1 / 16
         c = -((1 / 30) ** 2) / 2
-        K = project_kernel(c, cfg)
+        K = project_kernel(c, 16)
         upper = np.triu_indices(16)
-        assert (K[upper] == c * cfg.h * cfg.h).all()
+        assert (K[upper] == c * h * h).all()
         lower = np.tril_indices(16, -1)
         assert (K[lower] == 0.0).all() and not np.signbit(K[lower]).any()
 
     def test_separable_product(self):
         # k(s,t) = s*t over [0,1/2)^2 integrates to (1/8)^2
-        cfg = BasisConfig.from_resolution(2)
-        K = project_kernel(lambda s, t: s * t, cfg)
+        K = project_kernel(lambda s, t: s * t, 2)
         assert abs(K[0, 0] - 0.015625) < 1e-15
         assert abs(K[1, 1] - 0.375**2) < 1e-15
 
     def test_matches_function_projection_on_slices(self):
         # integrating k(s,t)=exp(s-t) over a block rectangle factorises
         # into the block integrals of exp(s) and of exp(-t)
-        cfg = BasisConfig.from_resolution(4)
-        K = project_kernel(lambda s, t: np.exp(s - t), cfg)
+        K = project_kernel(lambda s, t: np.exp(s - t), 4)
         Fs = block_integrals(np.exp, 4)
         Ft = block_integrals(lambda u: -np.exp(-u), 4)
         assert np.allclose(K, np.triu(np.outer(Fs, Ft)), rtol=1e-12, atol=0)
@@ -343,15 +364,15 @@ class TestKernelProjection:
     def test_scalar_only_kernel_is_refused(self):
         # a callable that refuses arrays is an error naming it, never
         # retried one node at a time
-        cfg = BasisConfig.from_resolution(2)
+        m = 2
         with pytest.raises(TypeError, match="^kernel must take numpy arrays"):
-            project_kernel(scalar_only_sum, cfg)
+            project_kernel(scalar_only_sum, m)
         with pytest.raises(TypeError, match="^k2 must take numpy arrays"):
-            project_kernel(scalar_only_sum, cfg, "k2")
+            project_kernel(scalar_only_sum, m, "k2")
         with pytest.raises(TypeError, match="^kernel must take numpy arrays"):
-            project_kernel(lambda s, t: math.exp(t), cfg)
+            project_kernel(lambda s, t: math.exp(t), m)
         with pytest.raises(TypeError, match="broadcast shape"):
-            project_kernel(lambda s, t: np.zeros(3), cfg)
+            project_kernel(lambda s, t: np.zeros(3), m)
 
     @pytest.mark.parametrize("m", [1, 2, 16, 256])
     @pytest.mark.parametrize(
@@ -368,13 +389,12 @@ class TestKernelProjection:
     def test_triangle_of_square_projection(self, kernel, m):
         # the quadrature is unchanged, only the order of the weighted
         # sums is, so each entry stays within a few ulp
-        cfg = BasisConfig.from_resolution(m)
         if kernel is scalar_only_sum:
             with pytest.raises(TypeError, match="kernel"):
-                project_kernel(kernel, cfg)
+                project_kernel(kernel, m)
             return
-        K = project_kernel(kernel, cfg)
-        ref = np.triu(project_kernel_square(kernel, cfg))
+        K = project_kernel(kernel, m)
+        ref = np.triu(project_kernel_square(kernel, m))
         assert not K.flags.writeable
         upper = np.triu_indices(m)
         assert np.all(np.abs(K[upper] - ref[upper]) <= 2e-15 * np.abs(ref[upper]))
@@ -391,26 +411,23 @@ class TestKernelProjection:
         # its position, which is a relative error of a few ulp for
         # kernels bounded away from zero (not, say, for (s-t)^2 at d = 0)
         kernel = compile_expression(src, ("s", "t"))
-        cfg = BasisConfig.from_resolution(m)
-        row = _project_lag_row(kernel, cfg, "k1")
-        K = project_kernel(kernel, cfg)
+        row = _project_lag_row(kernel, m, "k1")
+        K = project_kernel(kernel, m)
         assert row.shape == (m,)
         assert np.array_equal(row, K[0])
         i, j = np.triu_indices(m)
         assert np.all(np.abs(K[i, j] - row[j - i]) <= 2e-15 * np.abs(K[i, j]))
 
     def test_lag_row_checks_finiteness(self):
-        cfg = BasisConfig.from_resolution(8)
         with pytest.raises(ValueError, match="k1 .*non-finite"):
-            _project_lag_row(compile_expression("1/(t-s)", ("s", "t")), cfg, "k1")
+            _project_lag_row(compile_expression("1/(t-s)", ("s", "t")), 8, "k1")
 
     def test_memory_is_the_output(self):
         # the output alone is 8 MB at m = 1024; a row's nodes add little
-        cfg = BasisConfig.from_resolution(1024)
         k1 = compile_expression("-(1/30)^2*exp(-(t-s))", ("s", "t"))
         tracemalloc.start()
         try:
-            project_kernel(k1, cfg)
+            project_kernel(k1, 1024)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -419,8 +436,7 @@ class TestKernelProjection:
 
 class TestMidpointFloorIndex:
     def test_at_midpoints(self):
-        cfg = BasisConfig.from_resolution(16)
-        for j, t in enumerate(cfg.midpoints):
+        for j, t in enumerate(midpoints(16)):
             assert midpoint_floor_index(16, t) == j
 
     def test_report_times(self):
@@ -449,10 +465,10 @@ class TestMidpointFloorIndex:
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0))
 @settings(max_examples=60)
 def test_matrix_rows_equal_scalar_definition(k, n):
-    cfg = BasisConfig.from_resolution(2**k)
-    n = n % cfg.m
-    T = build_walsh_matrix(cfg)
-    assert (T[n] == [walsh(n, t) for t in cfg.midpoints]).all()
+    m = 2**k
+    n = n % m
+    T = build_walsh_matrix(m)
+    assert (T[n] == [walsh(n, t) for t in midpoints(m)]).all()
 
 
 @given(
@@ -462,7 +478,7 @@ def test_matrix_rows_equal_scalar_definition(k, n):
 @settings(max_examples=50)
 def test_transform_preserves_integer_inner_products(u, v):
     # <Tu, Tv> = m <u, v>, the polarised form of Parseval
-    T = build_walsh_matrix(BasisConfig.from_resolution(8))
+    T = build_walsh_matrix(8)
     u = np.array(u)
     v = np.array(v)
     assert (T @ u) @ (T @ v) == 8 * (u @ v)
