@@ -10,7 +10,8 @@ and 2m shares its leading normals, so the 2m path on [0, 1/2] is the m
 path scaled by 1/sqrt(2): neither an independent draw nor a refinement.
 ``convergence_study`` relies on this to draw each trial once.  Trial i
 of a base seed is keyed (base, i); those keys are derived in bulk with
-SeedSequence's own hash and give the same bits.
+SeedSequence's own hash and give the same bits, and a study's trials are
+drawn whole, a bounded block at a time, by one generator.
 """
 
 import functools
@@ -41,12 +42,14 @@ def sample_path(m, seed):
     return _readonly(_path_values(_normals(seed, np.empty(2 * m)), 1.0 / m))
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx), and the
-# number of trials whose keys are derived in one pass
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx), the
+# number of trials whose keys are derived in one pass, and the values a
+# draw of trials, or a block of paths solved at once, holds at most
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _WORD = 1 << 32
 _KEY_BLOCK = 1024
+_BLOCK_ELEMENTS = 1 << 13
 
 
 def _hashmix(const, mult):
@@ -86,30 +89,31 @@ def _normals(seed, out):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).standard_normal(out=out)
 
 
-def _trial_normals(seed):
-    """The function draw(out, trials) that fills row k of ``out`` with the
-    leading normals of the Philox stream keyed (seed, trials[k]), for a
-    range of trials; one is made per study.  When seed and the trials lie
-    in [0, 2^32), each key from _key_block is set into the one generator
-    made here, in the state a seeded Philox starts in: Philox is
+def _trial_draws(seed, n, width):
+    """Yield (trials, normals) for the trials 1..n, max(1,
+    _BLOCK_ELEMENTS // width) at a time: row k of normals holds the
+    leading ``width`` normals of the Philox stream keyed (seed,
+    trials[k]), in one buffer that the next draw overwrites.  When seed
+    and n lie in [0, 2^32), each key from _key_block is set into one
+    generator, in the state a seeded Philox starts in: Philox is
     counter-based, so the key alone fixes the stream (Salmon et al.,
     "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  Other keys
     are built by SeedSequence, which refuses a negative one."""
+    buffer = np.empty((max(1, _BLOCK_ELEMENTS // width), width))
+    fast = isinstance(seed, (int, np.integer)) and 0 <= seed < _WORD and n < _WORD
     bits = np.random.Philox(0)
     generator, state = np.random.Generator(bits), bits.state
-
-    def draw(out, trials):
-        if isinstance(seed, (int, np.integer)) and 0 <= seed < _WORD and 0 <= trials.start and trials.stop <= _WORD:
-            for row, trial in zip(out, trials):
+    for first in range(1, n + 1, len(buffer)):
+        trials = range(first, min(first + len(buffer), n + 1))
+        normals = buffer[: len(trials)]
+        for row, trial in zip(normals, trials):
+            if fast:
                 state["state"]["key"] = _key_block(seed, trial // _KEY_BLOCK)[trial % _KEY_BLOCK]
                 bits.state = state
                 generator.standard_normal(out=row)
-        else:
-            for row, trial in zip(out, trials):
+            else:
                 _normals((seed, trial), row)
-        return out
-
-    return draw
+        yield trials, normals
 
 
 def _path_values(normals, h):

@@ -17,13 +17,12 @@ both.
 
 import argparse
 import functools
-import itertools
 import os
 import sys
 
 import numpy as np
 
-from .brownian import _increments, _path_values, _trial_normals, sample_path
+from .brownian import _increments, _path_values, _trial_draws, sample_path
 from .experiment import coefficient_error_norm, convergence_study, monte_carlo
 from .operational import _walsh_integration_nonzeros, _walsh_stochastic_rows
 from .oracle import euler_maruyama
@@ -198,12 +197,6 @@ def _csv_rows(matrix):
         yield buf.tobytes().replace(b"\0", b"")
 
 
-def _write_matrix(outdir, name, blocks):
-    """Write a float matrix given as an iterable of blocks of its rows,
-    keeping no more than a block of text."""
-    return _write(outdir, name, itertools.chain.from_iterable(map(_csv_rows, blocks)))
-
-
 # The matrices with closed forms are written from runs: row i of an m x m
 # matrix is a list of (count, cell) pairs, a cell being the "%.8e," bytes
 # of one value, which the row repeats count times.
@@ -284,12 +277,8 @@ def _sparse_runs(m, nonzeros):
 
 def _dump_paths(outdir, m, seed, trials):
     grid = np.arange(2 * m + 1) / (2 * m)
-    rows = max(1, (1 << 13) // m)  # paths drawn at once
-    draw = _trial_normals(seed)
-    for first in range(1, trials + 1, rows):
-        block = range(first, min(first + rows, trials + 1))
-        paths = _path_values(draw(np.empty((len(block), 2 * m)), block), 1.0 / m)
-        for trial, path in zip(block, paths):
+    for block, normals in _trial_draws(seed, trials, 2 * m):
+        for trial, path in zip(block, _path_values(normals, 1.0 / m)):
             _write(outdir, f"path_{trial:03d}.csv", [b"t,B\n", *_csv_rows(np.column_stack([grid, path]))])
 
 
@@ -366,7 +355,7 @@ def _cmd_matrices(args, seed):
     _write(args.out, "ps.csv", _run_lines(m, _triangular_runs(*_increments(path)[:2])))
     _write(args.out, "lambda.csv", _run_lines(m, _sparse_runs(m, functools.partial(_walsh_integration_nonzeros, m))))
     rows, step = _walsh_stochastic_rows(path), max(1, _BLOCK_VALUES // m)
-    _write_matrix(args.out, "lambda_s.csv", (rows(r, min(r + step, m)) for r in range(0, m, step)))
+    _write(args.out, "lambda_s.csv", (text for r in range(0, m, step) for text in _csv_rows(rows(r, min(r + step, m)))))
     return 0
 
 

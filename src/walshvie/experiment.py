@@ -12,26 +12,21 @@ problems.  A block of trials needs one call of ``exact`` on arrays.
 """
 
 import math
+from numbers import Integral
 
 import numpy as np
 
-from .brownian import _path_resolution, _path_values, _trial_normals
+from .brownian import _BLOCK_ELEMENTS, _path_resolution, _path_values, _trial_draws
 from .solver import _batch_solver
 from .walsh import _readonly, _resolution, fast_walsh_transform, midpoint_floor_index
 
 REPORT_TIMES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
-# Trials are drawn max(1, _DRAW_ELEMENTS // (2 m)) at a time for the finest
-# m of a study, and each m solves them in full blocks of
-# max(1, _CHUNK_ELEMENTS // m) rows (at most n), gathered across draws, so
-# memory stays bounded for any trial count and a small m pays few engine
-# calls.  On a 1000-trial converge ladder (m = 8..256) the peak RSS was
-# 38.8 MB (median of 10 runs, 38.8-39.4), against 38.2 MB with 2048-element
-# blocks that never spanned a draw of 2**15 elements.  The largest block
-# also sizes the one workspace that every rung's engine works in: its
-# slots hold at most max(_CHUNK_ELEMENTS, m) values each.
-_DRAW_ELEMENTS = 1 << 13
-_CHUNK_ELEMENTS = 1 << 13
+# Each m solves its trials in blocks of max(1, _BLOCK_ELEMENTS // (m D))
+# whole draws of D rows (at most n rows): memory stays bounded for any n
+# and a small m pays few engine calls (a 1000-trial ladder m = 8..256
+# peaked at 38.8 MB, against 38.2 MB with 2048-element blocks).  The
+# largest block sizes the one workspace that every rung's engine uses.
 
 # RMS floor below which a convergence study is treated as degenerate
 # (errors at rounding level carry no slope information).
@@ -39,6 +34,13 @@ DEGENERATE_RMS = 1e-13
 
 # One row of monte_carlo's statistics: |exact - numerical| at report time t
 _STATS = np.dtype([(f, float) for f in ("t", "mean", "sd", "ci_lower", "ci_upper")] + [("n", int), ("failures", int)])
+
+
+def _trial_count(n):
+    """n as an int: an integer (numpy's too) but not a bool, else a ValueError."""
+    if not isinstance(n, Integral) or isinstance(n, bool):
+        raise ValueError(f"the number of trials must be an integer, got {n!r}")
+    return int(n)
 
 
 def _midpoint_errors(problem, x, values, report_times, j):
@@ -89,52 +91,38 @@ def _trial_errors(problem, ms, n, base_seed):
 
     Trial i's normals are drawn once from the key (base_seed, i) for the
     finest m; the path at each m is made from their first 2m, as
-    ``sample_path`` makes it.  Trials are drawn a bounded chunk at a time,
-    all by one generator, and each m gathers its paths' (2m + 1) values
-    across draws, in trial order, into a block of fixed size that its
-    engine, built once, solves when full; the part-filled blocks are
-    solved at the end.  The error rows are read from the solved rows of
-    the engine's solutions and of the block, in trial order, and a block
-    in which every row fails calls no ``exact``.  Every engine works in
-    one workspace, allocated once for the largest block.  Each row is
-    solved on its own, so a trial's values do not depend on the blocks,
-    the draws or what the workspace held.
+    ``sample_path`` makes it.  Each m copies the paths' (2m + 1) values
+    of every draw, in trial order, into a block of a whole number of
+    draws, which its engine, built once, solves when it is full or the
+    draw is the last.  The error rows are read from the rows the engine
+    solved (code 0), in trial order, and a block in which every row fails
+    calls no ``exact``.  Every engine works in one workspace, allocated
+    once for the largest block.  Each row is solved on its own, so a
+    trial's values do not depend on the blocks, the draws or what the
+    workspace held.
     """
     engines = [_batch_solver(problem, m) for m in ms]
     indices = [midpoint_floor_index(m, REPORT_TIMES) for m in ms]
     width = 2 * max(ms)
-    draw = _trial_normals(base_seed)
-    normals = np.empty((max(1, _DRAW_ELEMENTS // width), width))
-    blocks = [np.empty((min(n, max(1, _CHUNK_ELEMENTS // m)), 2 * m + 1)) for m in ms]
+    draw_rows = max(1, _BLOCK_ELEMENTS // width)
+    blocks = [np.empty((min(n, draw_rows * max(1, _BLOCK_ELEMENTS // (m * draw_rows))), 2 * m + 1)) for m in ms]
     workspace = np.empty(max(e.slots for e in engines) * max(len(b) * m for b, m in zip(blocks, ms)))
     filled = [0] * len(ms)
     errors = [np.empty((n, len(REPORT_TIMES))) for _ in ms]
     solved = [0] * len(ms)
-
-    def solve_block(r, block):
-        x, _, _, failed = engines[r](block, workspace)
-        ok = np.array([f is None for f in failed])
-        if ok.any():
-            rows = _midpoint_errors(problem, x[ok], block[ok], REPORT_TIMES, indices[r])
-            errors[r][solved[r] : solved[r] + len(rows)] = rows
-            solved[r] += len(rows)
-
-    for first in range(1, n + 1, len(normals)):
-        trials = range(first, min(first + len(normals), n + 1))
-        draw(normals[: len(trials)], trials)
+    for trials, normals in _trial_draws(base_seed, n, width):
         for r, (m, block) in enumerate(zip(ms, blocks)):
-            values = _path_values(normals[: len(trials), : 2 * m], 1.0 / m)
-            while len(values):
-                take = min(len(block) - filled[r], len(values))
-                block[filled[r] : filled[r] + take] = values[:take]
-                values = values[take:]
-                filled[r] += take
-                if filled[r] == len(block):
-                    solve_block(r, block)
-                    filled[r] = 0
-    for r, block in enumerate(blocks):
-        if filled[r]:
-            solve_block(r, block[: filled[r]])
+            end = filled[r] + len(trials)
+            block[filled[r] : end] = _path_values(normals[:, : 2 * m], 1.0 / m)
+            filled[r] = end
+            if end == len(block) or trials[-1] == n:
+                x, _, _, codes = engines[r](block[:end], workspace)
+                ok = codes == 0
+                if ok.any():
+                    found = _midpoint_errors(problem, x[ok], block[:end][ok], REPORT_TIMES, indices[r])
+                    errors[r][solved[r] : solved[r] + len(found)] = found
+                    solved[r] += len(found)
+                filled[r] = 0
     return [(e[:count], n - count) for e, count in zip(errors, solved)]
 
 
@@ -148,7 +136,7 @@ def monte_carlo(problem, m, n, base_seed):
     of trials is reproducible in isolation; each statistic reduces one
     column of errors in trial order, so reruns give the same bits.
     """
-    m = _resolution(m)
+    m, n = _resolution(m), _trial_count(n)
     if n < 2:
         raise ValueError("need at least two trials")
     [(errors, failures)] = _trial_errors(problem, [m], n, base_seed)
@@ -178,7 +166,7 @@ def convergence_study(problem, resolutions, n, base_seed):
     kernel that is not a difference kernel holds at most 1/3 more
     triangle memory than the finest rung alone.
     """
-    ms = [_resolution(m) for m in resolutions]
+    ms, n = [_resolution(m) for m in resolutions], _trial_count(n)
     if len(ms) < 3:
         raise ValueError("need at least three resolutions for an order estimate")
     if any(b <= a for a, b in zip(ms, ms[1:])):

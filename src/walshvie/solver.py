@@ -37,9 +37,8 @@ sigma.
 
 One engine solves a block of paths, the (n, 2m + 1) array of their
 values, as the rows of an (n, m) array and returns arrays: the
-solutions, sweep counts and residuals, and the error of each row that
-failed.  ``solve`` is its one-path case and Monte Carlo runs feed it
-chunks of trials.  It works in a flat workspace that its caller may
+solutions, sweep counts and residuals, and a failure code per row.
+``solve`` is its one-path case and Monte Carlo runs feed it blocks.  It works in a flat workspace that its caller may
 lend, where it writes the path data, the iterate and every temporary
 of a sweep, so that with constant kernels and compiled beta and sigma a
 sweep allocates nothing of the block's size; a convergence study lends
@@ -60,9 +59,9 @@ the solution stays within 2e-16 of the triangle's.  Other kernels are
 projected once on the triangle s <= t that the sums read and applied
 to one row at a time.  Every row keeps its own sweep count, residual
 and damping flag, and leaves the block when it converges or fails: a
-non-finite beta, sigma or iterate ends it with NonFiniteIterateError,
-_MAX_ITER sweeps with NonConvergenceError, and the other rows go on.  A row's
-values therefore never depend on the rows solved beside it.
+non-finite beta, sigma or iterate ends it with a NonFiniteIterateError
+code, _MAX_ITER sweeps with a NonConvergenceError code, and the other
+rows go on.  A row's values therefore never depend on its neighbours.
 """
 
 from dataclasses import dataclass
@@ -204,12 +203,6 @@ def _exclusive_cumsum(c, diagonal):
     return apply
 
 
-def _by_row(a, M):
-    # one GEMV per row: a GEMM over the block could round a row
-    # differently depending on how many rows share it
-    return np.array([row @ M for row in a])
-
-
 def _causal_convolution(g):
     """z -> per row, out[:, j] = sum of z[:, i] g[j - i] over i <= j: the
     product with the Toeplitz triangle whose rows are g, as a
@@ -255,7 +248,9 @@ def _kernel_operator(kernel, m, name, diagonal):
     G = m * m * project_kernel(kernel, m, name)
     diag = np.diagonal(G).copy()
     np.fill_diagonal(G, diagonal * diag if diagonal else 0.0)
-    return (lambda z, *_: _by_row(z, G)), diag
+    # one GEMV per row: a GEMM over the block could round a row
+    # differently depending on how many rows share it
+    return (lambda z, *_: np.array([row @ G for row in z])), diag
 
 
 def _gather(a, index, out):
@@ -264,22 +259,21 @@ def _gather(a, index, out):
     return np.take(a, index, axis=0, out=out[: len(index)], mode="clip")
 
 
-_BETA = "beta(x) is not finite at the current iterate"
-_SIGMA = "sigma(x) is not finite at the current iterate"
+# A row's code: 0 if solved, else the index of its NonFiniteIterateError
+# message here (beta, then sigma or sigma', then the iterate) or 4
+_NON_FINITE = (None, "beta(x) is not finite at the current iterate",
+               "sigma(x) is not finite at the current iterate", "iterate is not finite")
+_NO_CONVERGENCE = 4
 
 
-def _fail_non_finite(rows, checks, errors):
-    """Record a NonFiniteIterateError for each row of ``rows`` where an
-    array of ``checks`` (pairs of array and message, in the order they
-    are checked) is not finite, with the message of the first such
-    array.  Returns the mask of the failed rows."""
-    failed = np.zeros(len(rows), dtype=bool)
-    for a, message in checks:
-        new = ~np.isfinite(a).all(axis=1) & ~failed
-        for r in rows[new]:
-            errors[r] = NonFiniteIterateError(message)
-        failed |= new
-    return failed
+def _non_finite_codes(checks, k):
+    """Per row of k, the code of the first of ``checks`` (pairs of a
+    (k, m) array and a code, in the order they are checked) that is not
+    finite in that row, else 0."""
+    codes = np.zeros(k, dtype=np.int8)
+    for a, code in checks:
+        codes[(codes == 0) & ~np.isfinite(a).all(axis=1)] = code
+    return codes
 
 
 def _batch_solver(problem, m):
@@ -289,13 +283,12 @@ def _batch_solver(problem, m):
     ``solve_paths(values, workspace=None)``, which solves the paths of
     that resolution held in the rows of an (n, 2m + 1) values block as
     the rows of one (n, m) array.  It returns ``(x, sweeps, residuals,
-    errors)``: the read-only solutions (n, m) and each row's sweep count
-    and final residual, which hold nan, 0 and nan in the rows that
-    failed, and a list that holds, per row, None or the
-    NonFiniteIterateError / NonConvergenceError that ended it.  Every row
-    runs the sweeps of ``solve``'s docstring with its own residual and
-    damping flag, and a row that finishes leaves the block, so no row
-    depends on the others.
+    codes)``: the read-only solutions (n, m), each row's sweep count and
+    final residual, nan, 0 and nan in a failed row but for the last
+    residual of one that did not converge, and its int8 code (_NON_FINITE).
+    Every row runs the sweeps of ``solve``'s docstring with its own
+    residual and damping flag, and a row that finishes leaves the block,
+    so no row depends on the others.
 
     A call works in ``solve_paths.slots`` (n, m) arrays, the first
     slots * n * m values of ``workspace``, a flat float64 array that the
@@ -345,7 +338,7 @@ def _batch_solver(problem, m):
             solutions = np.full((n, m), np.nan)
             sweeps = np.zeros(n, dtype=int)
             residuals = np.full(n, np.nan)
-            errors = [None] * n
+            codes = np.zeros(n, dtype=np.int8)
             # the rows still iterating: index, residual, damping flag and count
             rows, previous, damped, k = np.arange(n), np.full(n, np.inf), np.zeros(n, dtype=bool), n
             for sweep in range(1, _MAX_ITER + 1):
@@ -365,12 +358,10 @@ def _batch_solver(problem, m):
                 # the row; a damped step that overflows fails it in the next sweep
                 residual = np.maximum.reduce(np.abs(np.subtract(cand, xs, out=ws), out=ws), axis=1)
                 if np.isfinite(np.add.reduce(residual)):
-                    failed = np.zeros(k, dtype=bool)
+                    failed = np.zeros(k, dtype=np.int8)
                 else:
                     # h beta, which h <= 1 cannot overflow, is finite where beta is
-                    slopes = [(slope, _SIGMA)] if ito else []
-                    checks = [(b, _BETA), (sig, _SIGMA), *slopes, (cand, "iterate is not finite")]
-                    failed = _fail_non_finite(rows, checks, errors)
+                    failed = _non_finite_codes([(b, 1), (sig, 2), *([(slope, 2)] if ito else []), (cand, 3)], k)
                 damped |= residual > previous
                 if damped.any():
                     # x + 0.5 (candidate - x) on the damped rows, gathered
@@ -379,7 +370,7 @@ def _batch_solver(problem, m):
                     np.add(xd, np.multiply(_DAMPING, np.subtract(step, xd, out=step), out=step), out=step)
                     cand[d] = step
                     residual[d] = np.maximum.reduce(np.abs(np.subtract(step, xd, out=step), out=step), axis=1)
-                done = (residual <= _TOL) & ~failed
+                done = (residual <= _TOL) & (failed == 0)
                 # the candidate is the next iterate, and the old iterate's slot is free
                 x, candidate, previous = candidate, x, residual
                 if done.any() or failed.any():
@@ -387,7 +378,8 @@ def _batch_solver(problem, m):
                     solutions[rows[finished]] = _gather(x[:k], finished, candidate)
                     residuals[rows[finished]] = residual[finished]
                     sweeps[rows[finished]] = sweep
-                    keep = np.flatnonzero(~(failed | done))
+                    codes[rows] = failed
+                    keep = np.flatnonzero(~done & (failed == 0))
                     if not len(keep):
                         break
                     gathered = []
@@ -398,9 +390,8 @@ def _batch_solver(problem, m):
                     x, full, dB1, c_full, c_half = gathered
                     rows, previous, damped, k = rows[keep], previous[keep], damped[keep], len(keep)
             else:
-                for row, residual in zip(rows, previous):
-                    errors[row] = NonConvergenceError(residual=float(residual), iterations=_MAX_ITER)
-        return _readonly(solutions), sweeps, residuals, errors
+                codes[rows], residuals[rows] = _NO_CONVERGENCE, previous
+        return _readonly(solutions), sweeps, residuals, codes
 
     solve_paths.slots = count
     return solve_paths
@@ -428,9 +419,11 @@ def solve(problem, path):
     This is the one-path case of the batched engine that Monte Carlo
     runs use, and gives the same bits as that path solved in any batch.
     """
-    x, sweeps, residuals, [error] = _batch_solver(problem, _path_resolution(path))(path[None])
-    if error is not None:
-        raise error
+    x, sweeps, residuals, [code] = _batch_solver(problem, _path_resolution(path))(path[None])
+    if code == _NO_CONVERGENCE:
+        raise NonConvergenceError(residual=float(residuals[0]), iterations=_MAX_ITER)
+    if code:
+        raise NonFiniteIterateError(_NON_FINITE[code])
     return SolveResult(x_colloc=x[0], iterations=int(sweeps[0]), residual=float(residuals[0]))
 
 

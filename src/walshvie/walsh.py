@@ -39,8 +39,9 @@ def _readonly(a):
 
 def _resolution(m):
     """m as an int, the number of blocks of width h = 1/m: an integer
-    (numpy's too) that is a power of two >= 1, else a ValueError."""
-    if not isinstance(m, Integral) or m < 1 or m & (m - 1):
+    (numpy's too, not a bool) that is a power of two >= 1, else a
+    ValueError."""
+    if not isinstance(m, Integral) or isinstance(m, bool) or m < 1 or m & (m - 1):
         raise ValueError(f"m must be a power of two >= 1, got {m!r}")
     return int(m)
 

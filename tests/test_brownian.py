@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from walshvie import brownian
-from walshvie.brownian import _KEY_BLOCK, _key_block, _normals, _path_resolution, _path_values, _trial_normals, sample_path
+from walshvie.brownian import _KEY_BLOCK, _key_block, _normals, _path_resolution, _path_values, _trial_draws, sample_path
 from walshvie.cli import main
 from walshvie.experiment import error_at
 from walshvie.operational import stochastic_matrix
@@ -112,22 +112,28 @@ class TestBulkKeys:
             key = _key_block(base, trial // _KEY_BLOCK)[trial % _KEY_BLOCK]
             assert np.array_equal(key, np.random.SeedSequence((base, trial)).generate_state(2, np.uint64))
 
-    @pytest.mark.parametrize("base, first", [(0, 1), (42, _KEY_BLOCK - 25), (2**32 - 1, 2**32 - 50)])
-    def test_normals_are_bit_equal(self, base, first):
-        # 50 trials, across a key-block boundary for the second, in two
-        # draws by one generator
-        trials = range(first, first + 50)
-        draw, block = _trial_normals(base), np.empty((len(trials), 64))
-        draw(block[:20], trials[:20])
-        draw(block[20:], trials[20:])
-        for row, trial in zip(block, trials):
+    @pytest.mark.parametrize("base, n", [(0, 50), (42, _KEY_BLOCK + 25), (2**32 - 1, 50)])
+    def test_normals_are_bit_equal(self, base, n):
+        # the trials 1..n in draws of _BLOCK_ELEMENTS // 64 = 128 by one
+        # generator, across a key-block boundary for the second, each a
+        # view of one buffer that the next draw overwrites
+        drawn, buffers = [], set()
+        for trials, normals in _trial_draws(base, n, 64):
+            assert len(trials) == min(128, n + 1 - trials.start) and normals.shape == (len(trials), 64)
+            buffers.add(normals.base.ctypes.data)
+            drawn += zip(trials, normals.copy())
+        assert [trial for trial, _ in drawn] == list(range(1, n + 1)) and len(buffers) == 1
+        for trial, row in drawn:
             assert np.array_equal(row, _seeded((base, trial), 64)), trial
 
-    @pytest.mark.parametrize("base, trials", [(2**40, range(3, 4)), (2**32, range(1, 3)), (7, range(2**32 - 1, 2**32 + 1))])
-    def test_keys_outside_one_word_take_seed_sequence(self, base, trials, monkeypatch):
+    @pytest.mark.parametrize("base, n", [(2**40, 3), (2**32, 2), (7, 2**32)])
+    def test_keys_outside_one_word_take_seed_sequence(self, base, n, monkeypatch):
+        # a study whose seed or trial count leaves [0, 2^32) keys every
+        # trial by SeedSequence; the first draw of 2^32 trials is read
         monkeypatch.setattr(brownian, "_key_block", None)  # would fail if called
-        block = _trial_normals(base)(np.empty((len(trials), 16)), trials)
-        for row, trial in zip(block, trials):
+        trials, normals = next(_trial_draws(base, n, 16))
+        assert len(trials) == min(n, 512)
+        for row, trial in zip(normals, trials):
             assert np.array_equal(row, _seeded((base, trial), 16))
 
     def test_negative_seed_is_refused(self, tmp_path, capsys):

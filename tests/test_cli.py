@@ -1,7 +1,9 @@
 """Command-line interface behaviour."""
 
 import csv
+import importlib.util
 import io
+import pathlib
 import random
 import tracemalloc
 import warnings
@@ -20,7 +22,7 @@ from walshvie.cli import (
     _triangular_runs,
     _walsh_runs,
     _write,
-    _write_matrix,
+    build_parser,
     main,
 )
 from walshvie.expressions import FUNCTIONS
@@ -392,7 +394,7 @@ class TestFloatFormatter:
         M = np.array(EDGE_VALUES[:-1]).reshape(3, -1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _write_matrix(tmp_path, "edge.csv", [M])
+            _write(tmp_path, "edge.csv", _csv_rows(M))
             assert main(["matrices", "--m", "64", "--seed", "2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "edge.csv").read_bytes() == reference_matrix_csv(M)
 
@@ -430,7 +432,7 @@ class TestMatrixWriter:
                 [1e-300, -2.5, 3.0, 7e12, -8.5e-5, 0.25],
             ]
         )
-        _write_matrix(tmp_path, "m.csv", [M])
+        _write(tmp_path, "m.csv", _csv_rows(M))
         assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv(M)
 
         # The same values, and TIE and 1e300 that Python formats, in runs
@@ -443,7 +445,7 @@ class TestMatrixWriter:
         blocks = np.repeat(np.arange(2 * cli._BLOCK_VALUES // 64 + 3) / 7, 64).reshape(-1, 64)
         for A, chunks in ((runs, 1), (values[:, None], 1), (blocks, 3)):
             assert len(list(_csv_rows(A))) == chunks
-            _write_matrix(tmp_path, "m.csv", [A])
+            _write(tmp_path, "m.csv", _csv_rows(A))
             assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv(A)
 
         # The run writers take the same values as the diagonal and the
@@ -477,7 +479,7 @@ class TestMatrixWriter:
         M = np.random.default_rng(3).standard_normal((1024, 1024))
         tracemalloc.start()
         try:
-            _write_matrix(tmp_path, "big.csv", [M])
+            _write(tmp_path, "big.csv", _csv_rows(M))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -689,3 +691,29 @@ class TestGrammarFuzz:
             err = capsys.readouterr().err.splitlines()
             if rc != 0:
                 assert len(err) == 1 and err[0].startswith("error: "), (command, text, err)
+
+
+def _load_manifest_tool():
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_manifest.py"
+    spec = importlib.util.spec_from_file_location("cli_manifest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_manifest_commands_parse():
+    # tools/cli_manifest.py hashes the outputs of these commands, so each
+    # must reach its subcommand, but for the ones argparse refuses, and
+    # name a problem file that the tool writes
+    tool = _load_manifest_tool()
+    assert len(tool.COMMANDS) == 99 and set(tool.PARSER_REJECTS) <= set(tool.COMMANDS)
+    for command in tool.COMMANDS:
+        argv = [*command.split(), "--out", "out"]
+        if command in tool.PARSER_REJECTS:
+            with pytest.raises(SystemExit) as refused:
+                build_parser().parse_args(argv)
+            assert refused.value.code == 2
+            continue
+        args = build_parser().parse_args(argv)
+        assert args.func.__name__ == f"_cmd_{argv[0]}", command
+        assert getattr(args, "problem", None) in (None, *tool.PROBLEMS), command

@@ -2,16 +2,15 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from walshvie import experiment, solver
-from walshvie.brownian import sample_path
+from walshvie import brownian, experiment, solver
+from walshvie.brownian import _BLOCK_ELEMENTS, sample_path
 from walshvie.experiment import (
-    _CHUNK_ELEMENTS,
-    _DRAW_ELEMENTS,
     DEGENERATE_RMS,
     REPORT_TIMES,
     _trial_errors,
@@ -65,6 +64,14 @@ def outcome(problem, path):
         return solve(problem, path)
     except (NonConvergenceError, NonFiniteIterateError) as exc:
         return exc
+
+
+def failure(code, residual):
+    """The exception that ``solve`` raises for a row that ended with
+    ``code`` and ``residual``."""
+    if code == solver._NO_CONVERGENCE:
+        return NonConvergenceError(residual=float(residual), iterations=solver._MAX_ITER)
+    return NonFiniteIterateError(solver._NON_FINITE[code])
 
 
 def constant_problem():
@@ -215,6 +222,17 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="only 1 of 4 trials succeeded"):
             monte_carlo(feedback_problem(), m, 4, base_seed=0)
 
+    @pytest.mark.parametrize("bad", [5.0, True], ids=repr)
+    def test_trial_count_must_be_an_integer(self, bad, monkeypatch):
+        # refused at the entry, before any engine is built
+        monkeypatch.setattr(experiment, "_batch_solver", None)  # would fail if called
+        with pytest.raises(ValueError, match=f"^the number of trials must be an integer, got {bad!r}$"):
+            monte_carlo(builtin_example(1), 16, bad, 1)
+
+    def test_takes_a_numpy_trial_count(self):
+        got = monte_carlo(builtin_example(1), 16, np.int64(5), 1)
+        assert got.tobytes() == monte_carlo(builtin_example(1), 16, 5, 1).tobytes()
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             monte_carlo(exp_problem(), 8, 0, base_seed=1)
@@ -260,35 +278,36 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("example_id, m", sorted(SCALES))
     def test_trial_alone_equals_trial_in_chunk(self, example_id, m, monkeypatch):
         prob = builtin_example(example_id)
-        paths = np.stack([sample_path(m, (42, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)])
+        paths = np.stack([sample_path(m, (42, trial)) for trial in range(1, _BLOCK_ELEMENTS // m + 1)])
         damped, diverging, stalled = self.SCALES[example_id, m]
         base = paths[2].copy()
         paths[1] = base * damped
         paths[2] = base * diverging
         if stalled is not None:
             paths[3] = base * stalled
-        x, sweeps, residuals, errors = _batch_solver(prob, m)(paths)
-        for path, row, sweep, residual, error in zip(paths, x, sweeps, residuals, errors):
+        x, sweeps, residuals, codes = _batch_solver(prob, m)(paths)
+        for path, row, sweep, residual, code in zip(paths, x, sweeps, residuals, codes):
             alone = outcome(prob, path)
-            if error is None:
+            if code == 0:
                 assert isinstance(alone, SolveResult)
                 assert np.array_equal(alone.x_colloc, row)
                 assert alone.iterations == sweep
                 assert alone.residual == residual
             else:
-                assert type(alone) is type(error)
+                error = failure(code, residual)
+                assert type(alone) is type(error) and str(alone) == str(error)
                 if isinstance(alone, NonConvergenceError):
                     assert (alone.residual, alone.iterations) == (error.residual, error.iterations)
         # the chunk holds a row that engaged damping, one that diverged
         # and, for example 1, one that stalled
         monkeypatch.setattr(solver, "_DAMPING", 1.0)
         undamped = outcome(prob, paths[1])
-        assert errors[1] is None
+        assert codes[1] == 0
         assert not (isinstance(undamped, SolveResult) and undamped.iterations == sweeps[1])
-        assert isinstance(errors[2], NonFiniteIterateError)
+        assert isinstance(failure(codes[2], residuals[2]), NonFiniteIterateError)
         if stalled is not None:
-            assert isinstance(errors[3], NonConvergenceError)
-        assert sum(e is None for e in errors) >= len(errors) - 3
+            assert codes[3] == solver._NO_CONVERGENCE
+        assert (codes == 0).sum() >= len(codes) - 3
 
     def test_kernels_that_are_not_constant(self):
         # applied with one GEMV per row: a GEMM over the chunk rounds
@@ -301,7 +320,7 @@ class TestBatchInvariance:
             sigma=lambda x: 1 - x * x,
         )
         m = 64
-        paths = np.stack([sample_path(m, (5, trial)) for trial in range(1, _CHUNK_ELEMENTS // 64 + 1)])
+        paths = np.stack([sample_path(m, (5, trial)) for trial in range(1, _BLOCK_ELEMENTS // 64 + 1)])
         x, sweeps, _, _ = _batch_solver(prob, m)(paths)
         for path, row, sweep in zip(paths, x, sweeps):
             alone = solve(prob, path)
@@ -320,7 +339,7 @@ class TestBatchInvariance:
             "sigma": "1-x^2",
         })
         assert prob.k1.difference_kernel and prob.k2.difference_kernel
-        paths = np.stack([sample_path(m, (5, trial)) for trial in range(1, _CHUNK_ELEMENTS // m + 1)])
+        paths = np.stack([sample_path(m, (5, trial)) for trial in range(1, _BLOCK_ELEMENTS // m + 1)])
         x, sweeps, residuals, _ = _batch_solver(prob, m)(paths)
         assert len(x) >= 16
         for path, row, sweep, residual in zip(paths, x, sweeps, residuals):
@@ -334,7 +353,7 @@ class TestBatchInvariance:
     def test_trial_errors_match_trials_solved_alone(self, example_id, m):
         # two chunks and a part of a third
         prob = builtin_example(example_id)
-        n = 2 * (_CHUNK_ELEMENTS // m) + 3
+        n = 2 * (_BLOCK_ELEMENTS // m) + 3
         [(errors, failures)] = _trial_errors(prob, [m], n, 17)
         rows = []
         for trial in range(1, n + 1):
@@ -346,13 +365,13 @@ class TestBatchInvariance:
 
 
 class TestOneDrawPerTrial:
-    # convergence_study draws each trial's normals once, in chunks of
-    # _DRAW_ELEMENTS // (2 m_max) trials, and derives every resolution's
+    # convergence_study draws each trial's normals once, in draws of
+    # _BLOCK_ELEMENTS // (2 m_max) trials, and derives every resolution's
     # path from them.
     def test_study_equals_each_resolution_sampled_and_solved_alone(self):
         prob = feedback_problem()
         resolutions = (8, 32, 256)
-        n = 2 * (_DRAW_ELEMENTS // (2 * 256)) + 5  # two draw chunks and part of a third
+        n = 2 * (_BLOCK_ELEMENTS // (2 * 256)) + 5  # two draws and part of a third
         per_resolution = _trial_errors(prob, resolutions, n, 3)
         rms_errors, failures, _ = convergence_study(prob, resolutions, n, base_seed=3)
         for m, (errors, failed), rms, reported in zip(resolutions, per_resolution, rms_errors, failures):
@@ -371,24 +390,20 @@ class TestOneDrawPerTrial:
     def test_each_trial_drawn_once_by_one_generator_per_study(self, monkeypatch):
         # every trial's key is drawn once for all resolutions, and a study
         # sets the keys of all its draws into one generator; 300 trials at
-        # m = 32 take three draws of _DRAW_ELEMENTS // 64 = 128
+        # m = 32 take three draws of _BLOCK_ELEMENTS // 64 = 128
         drawn, made = [], []
-        trial_normals, philox = experiment._trial_normals, np.random.Philox
+        trial_draws, philox = experiment._trial_draws, np.random.Philox
 
-        def counting_trial_normals(seed):
-            draw = trial_normals(seed)
-
-            def counting_draw(out, trials):
+        def counting_trial_draws(seed, n, width):
+            for trials, normals in trial_draws(seed, n, width):
                 drawn.append(trials)
-                return draw(out, trials)
-
-            return counting_draw
+                yield trials, normals
 
         def counting_philox(*args, **kwargs):
             made.append(args)
             return philox(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "_trial_normals", counting_trial_normals)
+        monkeypatch.setattr(experiment, "_trial_draws", counting_trial_draws)
         monkeypatch.setattr(np.random, "Philox", counting_philox)
         monte_carlo(builtin_example(1), 32, 300, base_seed=4)
         convergence_study(builtin_example(1), (8, 16, 32), 300, base_seed=4)
@@ -413,10 +428,13 @@ class TestOneDrawPerTrial:
 
 
 class TestBlockSizes:
-    # Each resolution gathers its rows across draws into blocks of
-    # _CHUNK_ELEMENTS // m rows; these sizes cut blocks and draws at
-    # other offsets than the defaults, which TestOneDrawPerTrial checks
-    # on the same trials, down to one row each.
+    # Each resolution copies whole draws of D = _BLOCK_ELEMENTS // (2 m_max)
+    # rows into blocks of D * (_BLOCK_ELEMENTS // (m D)) rows, at most N;
+    # these sizes cut blocks and draws at other offsets than the default,
+    # which TestOneDrawPerTrial checks on the same trials: one-row draws
+    # and blocks (1), one-row draws in blocks of 25, 6 and 1 rows (200),
+    # draws of 3 rows, which do not divide N, in blocks of N, N and 6 rows
+    # (1536), and draws of 9 rows in blocks of N, N and 18 rows (5000).
     RESOLUTIONS = (8, 32, 256)
     N = 37
 
@@ -437,10 +455,10 @@ class TestBlockSizes:
                 per_resolution.append(np.asarray(rows, dtype=float))
         return per_resolution
 
-    @pytest.mark.parametrize("chunk, draw", [(48, 96), (1, 1), (1 << 13, 64), (200, 1536)])
-    def test_block_size_changes_no_bits(self, monkeypatch, alone, chunk, draw):
-        monkeypatch.setattr(experiment, "_CHUNK_ELEMENTS", chunk)
-        monkeypatch.setattr(experiment, "_DRAW_ELEMENTS", draw)
+    @pytest.mark.parametrize("elements", [1, 200, 1536, 5000, 1 << 13])
+    def test_block_size_changes_no_bits(self, monkeypatch, alone, elements):
+        monkeypatch.setattr(brownian, "_BLOCK_ELEMENTS", elements)
+        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", elements)
         base = feedback_problem()
         calls = []
 
@@ -455,8 +473,29 @@ class TestBlockSizes:
             assert np.array_equal(errors, rows)
         # a block in which every row failed calls no exact
         assert min(calls) >= 1
-        if chunk == 1:
+        if elements == 1:
             assert sum(calls) == len(calls) == sum(len(rows) for rows in alone)
+
+
+    def test_engine_calls_per_rung(self, monkeypatch):
+        # converge-small-m's ladder at n = 1000: blocks of min(n, 8192 // m)
+        # rows, so each rung's engine is called ceil(n / block) times
+        calls = []
+
+        def counting_solver(problem, m):
+            engine = _batch_solver(problem, m)
+
+            def solve_paths(values, workspace=None):
+                calls.append(m)
+                return engine(values, workspace)
+
+            solve_paths.slots = engine.slots
+            return solve_paths
+
+        monkeypatch.setattr(experiment, "_batch_solver", counting_solver)
+        resolutions = (8, 16, 32, 64, 128, 256)
+        convergence_study(builtin_example(1), resolutions, 1000, base_seed=42)
+        assert [calls.count(m) for m in resolutions] == [1, 2, 4, 8, 16, 32]
 
 
 class TestMidpointIndices:
@@ -523,6 +562,17 @@ class TestConvergenceStudy:
         prob = dataclasses.replace(constant_problem(), exact=lambda t, B: 1e200 + 0.0 * B)
         with pytest.raises(ValueError, match="RMS error at m=4 is not finite"):
             convergence_study(prob, (4, 8, 16), 2, base_seed=5)
+
+    @pytest.mark.parametrize("bad", [4.5, True, np.float64(5.0)], ids=repr)
+    def test_trial_count_must_be_an_integer(self, bad, monkeypatch):
+        monkeypatch.setattr(experiment, "_batch_solver", None)  # would fail if called
+        with pytest.raises(ValueError, match=f"^the number of trials must be an integer, got {re.escape(repr(bad))}$"):
+            convergence_study(builtin_example(1), (8, 16, 32), bad, 1)
+
+    def test_takes_a_numpy_trial_count(self):
+        got = convergence_study(builtin_example(1), (8, 16, 32), np.int32(3), 1)
+        want = convergence_study(builtin_example(1), (8, 16, 32), 3, 1)
+        assert got[0].tobytes() == want[0].tobytes() and got[2] == want[2]
 
     def test_needs_three_increasing_resolutions(self):
         with pytest.raises(ValueError):

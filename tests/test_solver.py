@@ -220,17 +220,15 @@ class TestSolveOnSampledPaths:
 
 class TestDenseReference:
     @pytest.mark.parametrize("m", [8, 256])
-    def test_callable_kernel_operators_match_dense(self, m, monkeypatch):
+    def test_callable_kernel_operators_match_dense(self, m):
         # the engine builds G1 and the strict upper K2 operator straight
         # from the projected triangle; applied to the identity they must
         # equal the dense products of the same projection bit for bit.
         # The kernels use s outside t - s, so they are not difference
         # kernels and take the triangle.  A negative k2 checks that its
         # diagonal is set to +0.0, which array_equal cannot tell from
-        # -0.0, in the operator's matrix as well as in its product
-        matrices = []
-        by_row = solver._by_row
-        monkeypatch.setattr(solver, "_by_row", lambda a, M: matrices.append(M) or by_row(a, M))
+        # -0.0, in the operator's matrix, the one value its product
+        # holds, as well as in its product
         for sign in ("", "-"):
             prob = problem_from_sources({
                 "x0": "1/10",
@@ -249,7 +247,8 @@ class TestDenseReference:
             assert np.array_equal(k1_ss, m * m * np.diagonal(K1))
             assert np.array_equal(noise(np.eye(m)), m * m * np.triu(K2, 1))
             assert np.diagonal(noise(np.eye(m))).tobytes() == np.zeros(m).tobytes()
-            assert np.diagonal(matrices[-1]).tobytes() == np.zeros(m).tobytes()
+            [G2] = (cell.cell_contents for cell in noise.__closure__)
+            assert np.diagonal(G2).tobytes() == np.zeros(m).tobytes()
             assert np.array_equal(k2_ss, m * m * np.diagonal(K2))
 
     @pytest.mark.parametrize("example_id", [1, 2])
@@ -530,8 +529,8 @@ class TestExactMoments:
         mean_errors, var_errors = [], []
         for m in self.RESOLUTIONS:
             normals = np.vstack([np.zeros(2 * m), np.eye(2 * m)])
-            x, _, _, errors = _batch_solver(prob, m)(_path_values(normals, 1 / m))
-            assert errors == [None] * (2 * m + 1)
+            x, _, _, codes = _batch_solver(prob, m)(_path_values(normals, 1 / m))
+            assert not codes.any()
             t = midpoints(m)
             mean_errors.append(np.max(np.abs(x[0] - (1.0 - (np.exp(a * t) - 1.0) / a))))
             var = np.sum((x[1:] - x[0]) ** 2, axis=0)
@@ -578,16 +577,17 @@ class TestFailureModes:
         # sigma sigma' overflow, which numpy would warn of from the
         # expression and from the update.  The engine reports each such
         # row with its cause instead, and the other rows converge
+        prob = builtin_example(2, a="2")
         paths = np.stack([sample_path(m, (31, trial)) for trial in range(1, 9)])
-        x, sweeps, _, errors = _batch_solver(builtin_example(2, a="2"), m)(paths)
-        failed = [e is not None for e in errors]
-        assert any(failed) and not all(failed)
-        for row, error in enumerate(errors):
-            if error is None:
+        x, sweeps, _, codes = _batch_solver(prob, m)(paths)
+        assert codes.any() and not codes.all()
+        for row, code in enumerate(codes):
+            if code == 0:
                 assert sweeps[row] > 0 and np.isfinite(x[row]).all()
             else:
-                assert isinstance(error, NonFiniteIterateError)
-                assert str(error) == "beta(x) is not finite at the current iterate"
+                assert code == 1
+                with pytest.raises(NonFiniteIterateError, match=r"^beta\(x\) is not finite at the current iterate$"):
+                    solve(prob, paths[row])
                 assert sweeps[row] == 0 and np.isnan(x[row]).all()
 
     @pytest.mark.parametrize(
@@ -629,7 +629,8 @@ class TestWorkspace:
         "exp(x*x) beta, varying sigma": ("1", "1/4", "1", "exp(x*x)", "1 + x/4"),
     }
     # each row's outcome on the paths (31, 1..12) at m = 16: converged
-    # (.), no convergence (C), or a non-finite beta (B) or sigma (S)
+    # (.), no convergence (C), or a non-finite beta (B) or sigma (S), the
+    # letters of the engine's codes 0, 4, 1 and 2
     OUTCOMES = {
         ("example 2, a = 2", "constant"): "......BBB...",
         ("example 2, a = 2", "difference"): "...C...B....",
@@ -660,10 +661,11 @@ class TestWorkspace:
     def paths(m, n=12, key=31):
         return np.stack([sample_path(m, (key, trial)) for trial in range(1, n + 1)])
 
+    LETTERS = ".BSIC"
+
     @classmethod
     def code(cls, error):
-        if error is None:
-            return "."
+        """The letter of the failure that ``solve`` raised."""
         return "C" if isinstance(error, NonConvergenceError) else cls.CODES[str(error)]
 
     @pytest.mark.filterwarnings("error")
@@ -672,13 +674,21 @@ class TestWorkspace:
         prob, paths = self.problem(name, form), self.paths(16)
         engine = _batch_solver(prob, 16)
         workspace = np.full(engine.slots * paths.size, np.nan)
-        x, sweeps, residuals, errors = engine(paths, workspace)
-        assert "".join(map(self.code, errors)) == self.OUTCOMES[name, form]
-        for row, error in enumerate(errors):
-            if error is None:
+        x, sweeps, residuals, codes = engine(paths, workspace)
+        assert codes.dtype == np.int8
+        assert "".join(self.LETTERS[c] for c in codes) == self.OUTCOMES[name, form]
+        for row, code in enumerate(codes):
+            if code == 0:
                 assert sweeps[row] > 0 and np.isfinite(x[row]).all() and residuals[row] <= solver._TOL
+                continue
+            assert sweeps[row] == 0 and np.isnan(x[row]).all()
+            with pytest.raises((NonConvergenceError, NonFiniteIterateError)) as failed:
+                solve(prob, paths[row])
+            assert self.code(failed.value) == self.LETTERS[code]
+            if code == solver._NO_CONVERGENCE:
+                assert residuals[row] == failed.value.residual > solver._TOL
             else:
-                assert sweeps[row] == 0 and np.isnan(x[row]).all() and np.isnan(residuals[row])
+                assert np.isnan(residuals[row])
 
     @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("name", ["example 1, a = 1/2", "example 2, a = 2"])
@@ -696,7 +706,7 @@ class TestWorkspace:
         for got in (with_nan, after_another):
             assert got[0].tobytes() == alone[0].tobytes()
             assert np.array_equal(got[1], alone[1]) and got[2].tobytes() == alone[2].tobytes()
-            assert list(map(self.code, got[3])) == list(map(self.code, alone[3]))
+            assert got[3].tobytes() == alone[3].tobytes()
         # nothing returned is a view of the workspace
         x, _, residuals, _ = fine(paths, workspace)
         workspace[:] = np.inf
@@ -737,7 +747,7 @@ class TestWorkspace:
 
         monkeypatch.setattr(solver, "_integrands", read_only)
         got = _batch_solver(prob, m)(paths)
-        assert expected[3] == [None] * len(paths)
+        assert not expected[3].any()
         assert got[0].tobytes() == expected[0].tobytes()
 
     def test_a_sweep_allocates_no_block(self):
@@ -755,11 +765,11 @@ class TestWorkspace:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                _, counts, _, errors = engine(paths, workspace)
+                _, counts, _, codes = engine(paths, workspace)
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
-            assert errors == [None] * len(paths)
+            assert not codes.any()
             sweeps.append(counts.sum())
         assert sweeps[1] > 4 * sweeps[0]
         assert max(peaks) < 1.5 * block
@@ -767,9 +777,9 @@ class TestWorkspace:
 
 
 class TestNonFiniteScreen:
-    # _fail_non_finite checks its arrays one by one, in order; it must
+    # _non_finite_codes checks its arrays one by one, in order; it must
     # warn nothing and miss nothing
-    MESSAGES = ("beta", "sigma", "slope", "iterate")
+    CODES = (1, 2, 3, 4)
 
     @staticmethod
     def finite(n, m, seed, scale):
@@ -781,14 +791,12 @@ class TestNonFiniteScreen:
         arrays = [self.finite(5, 8, seed, 1.7e308) for seed in range(4)]
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(sum(np.add.reduce(a, axis=None) for a in arrays))
-        errors = [None] * 5
-        failed = solver._fail_non_finite(np.arange(5), tuple(zip(arrays, self.MESSAGES)), errors)
-        assert not failed.any()
-        assert errors == [None] * 5
+        codes = solver._non_finite_codes(tuple(zip(arrays, self.CODES)), 5)
+        assert codes.dtype == np.int8 and codes.tolist() == [0] * 5
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [(np.inf, -np.inf), (np.nan, np.nan)], ids=["inf", "nan"])
-    @pytest.mark.parametrize("first", range(4), ids=MESSAGES)
+    @pytest.mark.parametrize("first", range(4), ids=("beta", "sigma", "slope", "iterate"))
     @pytest.mark.parametrize("scale", [0.5, 1.7e308])
     def test_fails_exactly_the_non_finite_rows(self, scale, first, bad):
         n, m = 6, 4
@@ -796,14 +804,58 @@ class TestNonFiniteScreen:
         arrays[first][1, 2], arrays[first][4, 0] = bad
         for later in arrays[first + 1 :]:
             later[4, 3] = np.nan  # a row keeps the first cause in check order
-        rows = np.arange(10, 10 + n)
-        errors = [None] * (10 + n)
-        failed = solver._fail_non_finite(rows, tuple(zip(arrays, self.MESSAGES)), errors)
-        assert failed.tolist() == [False, True, False, False, True, False]
-        assert errors[:11] == [None] * 11 and errors[12:14] == [None] * 2 and errors[15] is None
-        for r in (11, 14):
-            assert isinstance(errors[r], NonFiniteIterateError)
-            assert str(errors[r]) == self.MESSAGES[first]
+        codes = solver._non_finite_codes(tuple(zip(arrays, self.CODES)), n)
+        assert codes.tolist() == [0, self.CODES[first], 0, 0, self.CODES[first], 0]
+
+
+class TestOutcomeCodes:
+    # each outcome of a row, its code, and the exception that solve
+    # raises for it: type, message and attributes
+    @staticmethod
+    def problem(x0, k1, k2, beta, sigma):
+        return problem_from_sources({"x0": x0, "k1": k1, "k2": k2, "beta": beta, "sigma": sigma})
+
+    OUTCOMES = {
+        "solved": (0, None, None, {}),
+        "beta": (1, NonFiniteIterateError, "beta(x) is not finite at the current iterate", {}),
+        "sigma": (2, NonFiniteIterateError, "sigma(x) is not finite at the current iterate", {}),
+        "slope": (2, NonFiniteIterateError, "sigma(x) is not finite at the current iterate", {}),
+        "iterate": (3, NonFiniteIterateError, "iterate is not finite", {}),
+        "no convergence": (
+            4,
+            NonConvergenceError,
+            "no convergence after 200 iterations (residual 8.198e+01)",
+            {"residual": 81.98470914353894, "iterations": 200},
+        ),
+    }
+
+    def case(self, name):
+        path = sample_path(16, (1, 1))
+        return {
+            "solved": (builtin_example(2), path),
+            "beta": (self.problem("0", "1", "0", "1/x", "1"), path),
+            "sigma": (self.problem("-1", "0", "1", "0", "sqrt(x)"), path),  # sqrt(-1)
+            "slope": (self.problem("0", "0", "1", "0", "sqrt(x)"), path),  # sqrt'(0)
+            "iterate": (self.problem("10^308", "1", "0", "10^308", "0"), path),
+            "no convergence": (builtin_example(1), sample_path(16, (42, 3)) * 3000),
+        }[name]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", OUTCOMES)
+    def test_code_and_exception(self, name):
+        code, kind, message, attributes = self.OUTCOMES[name]
+        prob, path = self.case(name)
+        _, _, residuals, codes = _batch_solver(prob, 16)(path[None])
+        assert codes.dtype == np.int8 and codes.tolist() == [code]
+        if kind is None:
+            assert solve(prob, path).residual == residuals[0] <= solver._TOL
+            return
+        with pytest.raises(kind) as raised:
+            solve(prob, path)
+        assert type(raised.value) is kind and str(raised.value) == message
+        assert vars(raised.value) == attributes
+        # a row that did not converge keeps its last residual
+        assert residuals[0] == attributes["residual"] if attributes else np.isnan(residuals[0])
 
 
 class TestBuiltins:

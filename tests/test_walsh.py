@@ -110,7 +110,7 @@ class TestResolution:
     def test_is_an_int(self, m):
         assert _resolution(m) == m and type(_resolution(m)) is int
 
-    @pytest.mark.parametrize("bad", [0, 3, 6, 12, -4, np.float64(16.0), "16"], ids=repr)
+    @pytest.mark.parametrize("bad", [0, 3, 6, 12, -4, np.float64(16.0), "16", True], ids=repr)
     def test_rejects_non_powers(self, bad):
         with pytest.raises(ValueError, match=f"^m must be a power of two >= 1, got {re.escape(repr(bad))}$"):
             _resolution(bad)
@@ -127,10 +127,11 @@ RESOLUTION_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("bad", [0, -4, 12, 16.0, 8.9])
+@pytest.mark.parametrize("bad", [0, -4, 12, 16.0, 8.9, True])
 @pytest.mark.parametrize("entry", RESOLUTION_ENTRIES)
 def test_entries_reject_a_bad_resolution(entry, bad):
-    # a float is refused too, never truncated (8.9 is not m = 8)
+    # a float is refused too, never truncated (8.9 is not m = 8), and a
+    # bool is not m = 1
     with pytest.raises(ValueError, match=f"^m must be a power of two >= 1, got {bad!r}$"):
         RESOLUTION_ENTRIES[entry](bad)
 
