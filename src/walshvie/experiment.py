@@ -167,6 +167,8 @@ def convergence_study(problem, resolutions, n, base_seed):
     triangle memory than the finest rung alone.
     """
     ms, n = [_resolution(m) for m in resolutions], _trial_count(n)
+    if n < 1:
+        raise ValueError("need at least one trial")
     if len(ms) < 3:
         raise ValueError("need at least three resolutions for an order estimate")
     if any(b <= a for a, b in zip(ms, ms[1:])):

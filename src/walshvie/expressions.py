@@ -192,9 +192,11 @@ _DERIVATIVES = {
 }
 
 
-def _shaped(slope, x):
-    # a slope that does not depend on x is a scalar (1.0 for x)
-    return slope if np.shape(slope) == np.shape(x) else np.broadcast_to(slope, np.shape(x))
+def _shaped(value, *args):
+    # a value or slope that does not depend on the arguments is a scalar
+    # (the slope 1.0 of x), read in the shape and type they broadcast to
+    shape, dtype = np.broadcast(*args).shape, np.result_type(*args, float)
+    return value if np.shape(value) == shape else np.broadcast_to(np.asarray(value, dtype), shape)
 
 
 class _Emitter:
@@ -294,10 +296,10 @@ class _Emitter:
         place; one used more often, or holding over 100 parentheses (Python
         nests at most 200), is assigned once.  A loop writes them in the
         order they were made, so a long chain does not recurse."""
-        uses = {}
+        uses, params = {}, [f"v{i}" for i in range(arity)]
         for name in returns + [a for _, *args in self.operations for a in args]:
             uses[name] = uses.get(name, 0) + 1
-        lines, inline = [f"def generated({', '.join(f'v{i}' for i in range(arity))}):\n"], {}
+        lines, inline = [f"def generated({', '.join(params)}):\n"], {}
 
         def operand(name, binding):
             text, strength = inline.pop(name, (name, 5))
@@ -313,19 +315,19 @@ class _Emitter:
                 lines.append(f"    t{i} = {text}\n")
             else:
                 inline[f"t{i}"] = text, strength
-        lines.append(f"    return {', '.join(operand(name, 0) for name in returns)}\n")
+        lines.append(self._return(returns, lambda name: operand(name, 0), params))
         return self._define(lines)
 
     def out_function(self, returns):
         """The out rendering of a one-variable function returning the names
         ``returns``: generated(v0, s0, .., s{k-1}) calls the ufunc of each
         operation with out= one of the k slots, x-shaped arrays that it
-        writes before it reads them, and returns slots, v0 or constants.
-        sech is cosh, then 1.0 divided by it in place.  A slot is free
-        after the operation that last reads it, which may write into it;
-        a returned name keeps its slot to the end, so a name returned
-        twice is one slot.  ``slots`` holds k.  On arrays it gives the bits
-        of ``function``, where x ** 2.0 is the same np.power call."""
+        writes before it reads them, and returns slots, v0 or constants in
+        x's shape.  sech is cosh, then 1.0 divided by it in place.  A slot
+        is free after the operation that last reads it, which may write
+        into it; a returned name keeps its slot to the end, so a name
+        returned twice is one slot.  ``slots`` holds k.  On arrays it gives
+        the bits of ``function``, where x ** 2.0 is the same np.power call."""
         last = {}
         for i, (_, *args) in enumerate(self.operations):
             last.update(dict.fromkeys(args, i))
@@ -337,9 +339,6 @@ class _Emitter:
 
         for i, (symbol, *args) in enumerate(self.operations):
             text = ", ".join(map(operand, args))
-            if symbol == "_shaped":  # a constant slope, as a broadcast view
-                lines.append(f"    t{i} = _shaped({text})\n")
-                continue
             free += sorted({slot[a] for a in args if a in slot and last[a] == i})
             slot[f"t{i}"] = k = free.pop(0) if free else count
             count = max(count, k + 1)
@@ -349,11 +348,18 @@ class _Emitter:
                 ufunc = _UFUNCS[symbol].__name__ if symbol in _UFUNCS else symbol
                 lines.append(f"    {ufunc}({text}, out=s{k})\n")
         lines.insert(0, f"def generated({', '.join(['v0'] + [f's{k}' for k in range(count)])}):\n")
-        lines.append(f"    return {', '.join(map(operand, returns))}\n")
+        lines.append(self._return(returns, operand, ["v0"]))
         self.scope.update((fn.__name__, fn) for fn in _UFUNCS.values())
         generated = self._define(lines)
         generated.slots = count
         return generated
+
+    def _return(self, returns, operand, params):
+        """The return line of a generated function of ``params``: each name
+        by ``operand``, and a constant in the shape they broadcast to."""
+        texts = [f"_shaped({', '.join([name, *params])})" if name in self.constants else operand(name)
+                 for name in returns]
+        return f"    return {', '.join(texts)}\n"
 
     def _define(self, lines):
         exec(compile("".join(lines), "<expression>", "exec"), self.scope)
@@ -361,15 +367,15 @@ class _Emitter:
 
 
 def _compiled(*fns):
-    """Whether every fn is a one-variable callable of compile_expression."""
+    """Whether every fn is a one-variable generated function (``_function``)."""
     return all(hasattr(fn, "_tree") for fn in fns)
 
 
 @functools.lru_cache(maxsize=16)
 def _straight_line(outputs, out=False):
-    """One generated function x -> the value of each one-variable callable
-    of compile_expression in ``outputs``, a tuple of (callable, sloped),
-    followed by its slope in x's shape when ``sloped``: the expression
+    """One generated function x -> the value of each one-variable generated
+    function in ``outputs``, a tuple of (function, sloped), followed by
+    its slope when ``sloped``, each in x's shape: the expression
     rendering, or with ``out`` the out rendering of the same operations
     (``_Emitter.out_function``), which writes them into slots that its
     caller lends.  It is made once per ``outputs`` and rendering, on first
@@ -378,9 +384,7 @@ def _straight_line(outputs, out=False):
     for fn, sloped in outputs:
         node, variable = fn._tree
         value, slope = e.walk(node, {variable: "v0"}, sloped)
-        # a slope that varies is in x's shape already
-        shaped = e.op("_shaped", slope, "v0") if slope in e.constants else slope
-        returns += [value, shaped] if sloped else [value]
+        returns += [value, slope] if sloped else [value]
     return e.out_function(returns) if out else e.function(1, returns)
 
 
@@ -400,25 +404,9 @@ def _only_in_differences(node, a, b):
     return _only_in_differences(left, a, b) and _only_in_differences(right, a, b)
 
 
-def compile_expression(src, variables=()):
-    """Compile ``src`` to a float (no variables used) or a callable.
-
-    The callable takes the declared variables positionally and accepts
-    scalars or numpy arrays: a function without builtins, written by
-    ``_Emitter``, that makes the tree's operations in the tree's order.
-    Every largest sub-tree that reads no variable, the whole tree for a
-    constant, is evaluated once here and never per call; an evaluation
-    that raises, or a part that is not a finite real number, is an
-    ExpressionError at column 1.  ``difference_kernel`` is True when there
-    are two variables, read only as the operands of their difference
-    (``exp(-(t-s))``, not ``-s + t``).
-    A one-variable callable also has ``with_slope(x) -> (value, slope)``:
-    its value, bit for bit, and its derivative in x's shape, from a
-    function generated on first use that differentiates the parsed tree
-    forward in real arithmetic, each of those sub-trees with slope 0.
-    Error positions are on line 1; callers parsing multi-line files move
-    them to the real line.
-    """
+def _function(src, variables):
+    """compile_expression's callable of ``src``, a constant's too (its value
+    in the arguments' shape and type), and that value as a float or None."""
     names, e = tuple(variables), _Emitter()
     for i, name in enumerate(names):
         if name in names[:i]:
@@ -433,11 +421,27 @@ def compile_expression(src, variables=()):
             raise ExpressionError("constant expression is not real", 1, 1)
         if not np.isfinite(part):
             raise ExpressionError("constant expression is not finite", 1, 1)
-    if constant:
-        return float(e.constants[value])
     fn = e.function(len(names), [value])
     fn.difference_kernel = len(names) == 2 and _only_in_differences(node, *names)
     if len(names) == 1:
         fn._tree = node, names[0]
-        fn.with_slope = lambda x: _straight_line(((fn, True),))(x)
-    return fn
+    return fn, float(e.constants[value]) if constant else None
+
+
+def compile_expression(src, variables=()):
+    """Compile ``src`` to a float (no variables used) or a callable.
+
+    The callable takes the declared variables positionally and accepts
+    scalars or numpy arrays: a function without builtins, written by
+    ``_Emitter``, that makes the tree's operations in the tree's order.
+    Every largest sub-tree that reads no variable, the whole tree for a
+    constant, is evaluated once here and never per call; an evaluation
+    that raises, or a part that is not a finite real number, is an
+    ExpressionError at column 1.  ``difference_kernel`` is True when there
+    are two variables, read only as the operands of their difference
+    (``exp(-(t-s))``, not ``-s + t``), and a one-variable callable can be
+    fused and differentiated (``_straight_line``).  Error positions are
+    on line 1; callers parsing multi-line files move them to the real line.
+    """
+    fn, constant = _function(src, variables)
+    return fn if constant is None else constant

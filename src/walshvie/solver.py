@@ -72,7 +72,7 @@ import numpy as np
 
 from . import expressions
 from .brownian import _increments, _path_resolution
-from .walsh import _eval_grid, _project_lag_row, _readonly, project_kernel
+from .walsh import _block_averages, _eval_grid, _kernel_row, _quadrature_nodes, _readonly
 
 
 class NonConvergenceError(RuntimeError):
@@ -146,6 +146,9 @@ _DAMPING = 0.5
 # Trapp, SIAM Rev. 40, 1998): no subtraction, so no cancellation.
 _COMPLEX_STEP = 1e-20
 
+# The last engine _batch_solver built: its problem, m and solve_paths
+_last_engine = []
+
 
 def _integrands(problem, ito):
     """The one evaluation of a sweep, (x, *slots) -> (beta(x), sigma(x),
@@ -153,9 +156,9 @@ def _integrands(problem, ito):
     number of x-shaped slots it writes into.  A compiled beta and sigma are
     one generated function in the out rendering, which may return x itself
     or one slot twice.  Any other pair takes no slots and is evaluated beta
-    first, and sigma' by sigma's ``with_slope`` if it has one, else by the
-    complex step, where a sigma that cannot take complex input is an
-    error, never a silent zero slope.  Finiteness is left to the caller,
+    first, and sigma' by sigma's generated slope if sigma is compiled, else
+    by the complex step, where a sigma that cannot take complex input is
+    an error, never a silent zero slope.  Finiteness is left to the caller,
     per row."""
     beta, sigma = problem.beta, problem.sigma
     if expressions._compiled(beta, sigma):
@@ -168,8 +171,8 @@ def _integrands(problem, ito):
         b = _eval_grid(beta, "beta", x)
         if not ito:
             return b, _eval_grid(sigma, "sigma", x), 0.0
-        if hasattr(sigma, "with_slope"):
-            return (b, *sigma.with_slope(x))
+        if expressions._compiled(sigma):
+            return (b, *expressions._straight_line(((sigma, True),))(x))
         z = x + 1j * _COMPLEX_STEP
         try:
             vals = np.asarray(sigma(z))
@@ -217,22 +220,21 @@ def _kernel_operator(kernel, m, name, diagonal):
     """The product of one projected kernel with a block of rows, built
     once.
 
-    Returns (apply, diag): apply(z, out=None, scratch=None) = z @ m^2 K,
-    each row on its own, where K is the projected triangle of ``kernel``
-    with its diagonal scaled by ``diagonal``, and diag = m^2 diag(K)
-    before that scaling, the block averages of k on the diagonal blocks.
-    A zero ``diagonal`` sets the diagonal to +0.0, so a negative entry
-    never becomes -0.0.  The kernel takes one of three forms, and only
-    the last builds an m x m array:
+    Returns (apply, diag): apply(z, out=None, scratch=None) = z @ Q,
+    each row on its own, where Q = m^2 K holds the block averages of
+    ``kernel`` on the triangle s <= t as the quadrature makes them, with
+    its diagonal scaled by ``diagonal``, and diag is Q's diagonal before
+    that scaling.  A zero ``diagonal`` sets the diagonal to +0.0, so a
+    negative entry never becomes -0.0.  The kernel takes one of three
+    forms, and only the last builds an m x m array:
 
     * a constant c is an exclusive cumulative sum written into ``out``
       (with ``scratch`` for its diagonal term), and diag is c;
     * a difference kernel (an expression of t - s alone, see
-      ``expressions.compile_expression``) has a Toeplitz projection,
-      K[i][i + d] = row[d], so its row 0 alone is projected and applied
-      as a causal FFT convolution with g = m^2 row, g[0] scaled, and
-      diag is the scalar m^2 row[0];
-    * any other callable is projected on the triangle and applied with
+      ``expressions.compile_expression``) has a Toeplitz Q, Q[i][i + d]
+      = g[d], so its row 0 alone is averaged and applied as a causal FFT
+      convolution with g, g[0] scaled, and diag is the scalar g[0];
+    * any other callable is averaged on the triangle and applied with
       one GEMV per row, and diag is an array.
 
     The last two return a new array and ignore ``out`` and ``scratch``.
@@ -241,11 +243,11 @@ def _kernel_operator(kernel, m, name, diagonal):
         c = float(kernel)
         return _exclusive_cumsum(c, diagonal), c
     if getattr(kernel, "difference_kernel", False):
-        g = m * m * _project_lag_row(kernel, m, name)
+        g = _kernel_row(kernel, name, _quadrature_nodes(m), 0)
         diag = float(g[0])
         g[0] = diagonal * diag if diagonal else 0.0
         return _causal_convolution(g), diag
-    G = m * m * project_kernel(kernel, m, name)
+    G = _block_averages(kernel, m, name)
     diag = np.diagonal(G).copy()
     np.fill_diagonal(G, diagonal * diag if diagonal else 0.0)
     # one GEMV per row: a GEMM over the block could round a row
@@ -303,7 +305,15 @@ def _batch_solver(problem, m):
     and residual non-finite, so one sum of a sweep's residuals screens
     its rows, which are checked array by array only when that sum is not
     finite (a failure, or finite residuals that overflow).
+
+    A call with the problem object (by identity: a field may be
+    unhashable) and m of the last build returns that engine, so a command
+    builds each once; its operators stay in memory until the next build,
+    which drops them first.
     """
+    if _last_engine and _last_engine[0] is problem and _last_engine[1] == m:
+        return _last_engine[2]
+    _last_engine.clear()
     h = 1.0 / m
     # h is a power of two, so m^3 (K1 o P) is exactly m^2 K1 with its
     # diagonal halved; m^3 K2 times h sigma is m^2 K2 times sigma, and
@@ -394,6 +404,7 @@ def _batch_solver(problem, m):
         return _readonly(solutions), sweeps, residuals, codes
 
     solve_paths.slots = count
+    _last_engine[:] = problem, m, solve_paths
     return solve_paths
 
 
@@ -447,20 +458,6 @@ _BUILTIN_FORMS = {
 }
 
 
-def _constant_function(c):
-    """Pointwise constant usable as beta, sigma or exact: the shape its
-    arguments broadcast to."""
-    c = float(c)
-
-    def fn(*args):
-        # complex in, complex out, so the complex-step slope is 0
-        arr = np.full(np.broadcast(*args).shape, c, dtype=np.result_type(*args, float))
-        return arr if arr.ndim else arr[()]
-
-    fn.with_slope = lambda x: (fn(x), np.zeros(np.shape(x)))
-    return fn
-
-
 # The keys every problem needs, and the variables each key's expression
 # may use.
 REQUIRED_KEYS = ("x0", "k1", "k2", "beta", "sigma")
@@ -476,22 +473,24 @@ _VARIABLES = {
 
 def _compile(sources, key):
     try:
-        return expressions.compile_expression(sources[key], _VARIABLES[key])
+        fn, constant = expressions._function(sources[key], _VARIABLES[key])
     except expressions.ExpressionError as exc:
         exc.key = key
         raise
+    return constant if constant is not None and key in ("x0", "k1", "k2") else fn
 
 
 def problem_from_sources(sources, label="problem"):
     """Build a ProblemSpec from a mapping of expression strings.
 
     Required keys (REQUIRED_KEYS): x0, k1, k2, beta, sigma; a missing
-    one is a ValueError.  Optional: exact.  Kernel expressions
-    may use s and t, beta/sigma use x, exact uses t and B, and x0 no
-    variable.  In ``exact``, B is the path value at the last
-    collocation midpoint at or below t (see ``ProblemSpec``).  An
-    ExpressionError raised here names the failing key in its ``key``
-    attribute.
+    one is a ValueError.  Optional: exact.  Kernel expressions may use s
+    and t, beta/sigma use x, exact uses t and B, and x0 no variable.  A
+    constant x0 or kernel is a number, and a constant beta, sigma or
+    exact a generated function like any other expression.  In ``exact``,
+    B is the path value at the last collocation midpoint at or below t
+    (see ``ProblemSpec``).  An ExpressionError raised here names the
+    failing key in its ``key`` attribute.
     """
     missing = [key for key in REQUIRED_KEYS if key not in sources]
     if missing:
@@ -499,9 +498,6 @@ def problem_from_sources(sources, label="problem"):
     compiled = {key: _compile(sources, key) for key in REQUIRED_KEYS}
     if sources.get("exact") is not None:
         compiled["exact"] = _compile(sources, "exact")
-    for key in ("beta", "sigma", "exact"):
-        if isinstance(compiled.get(key), Real):
-            compiled[key] = _constant_function(compiled[key])
     return ProblemSpec(**compiled, label=label)
 
 

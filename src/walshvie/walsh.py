@@ -205,18 +205,15 @@ def project_kernel(kernel, m, name="kernel"):
     h = 1.0 / m
     if isinstance(kernel, Real):
         return _readonly(np.triu(np.full((m, m), float(kernel) * (h * h))))
-    pts = _quadrature_nodes(m)
-    entries = np.zeros((m, m))
-    for i in range(m):
-        entries[i, i:] = _kernel_row(kernel, name, pts, i)
+    entries = _block_averages(kernel, m, name)
     entries *= h * h
     return _readonly(entries)
 
 
-def _project_lag_row(kernel, m, name):
-    """Row 0 of ``project_kernel`` for a kernel of t - s alone, whose
-    projection is Toeplitz: K[i][i + d] = row[d] up to how t - s rounds
-    at each position.  25 m kernel values instead of about 12.5 m**2,
-    and no m x m array.  Returns a new writable array."""
-    h = 1.0 / m
-    return _kernel_row(kernel, name, _quadrature_nodes(m), 0) * (h * h)
+def _block_averages(kernel, m, name):
+    """``project_kernel``'s block integrals of a callable divided by h**2,
+    its averages over the block rectangles, as a new writable array."""
+    averages, pts = np.zeros((m, m)), _quadrature_nodes(m)
+    for i in range(m):
+        averages[i, i:] = _kernel_row(kernel, name, pts, i)
+    return averages

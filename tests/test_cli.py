@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from walshvie.brownian import sample_path
-from walshvie import cli
+from walshvie import cli, solver
 from walshvie.cli import (
     _ascii_words,
     _csv_rows,
@@ -142,6 +142,19 @@ class TestRun:
         assert rc == 1
         assert "solve failed on trial 1" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    def test_one_engine_per_run(self, tmp_path, monkeypatch):
+        # trial 1's table and the statistics share one engine, so each
+        # kernel that is not a difference kernel is averaged once
+        calls, averages = [], solver._block_averages
+        monkeypatch.setattr(solver, "_block_averages", lambda *args: calls.append(args[2]) or averages(*args))
+        f = tmp_path / "triangle.txt"
+        f.write_text(EXAMPLE2_TEXT.replace("k1 = -(1/30)^2", "k1 = -exp(-s*t)/900").replace(
+            "k2 = 1/30", "k2 = cos(s*t)/30"), encoding="utf-8")
+        argv = ["run", "--problem", str(f), "--m", "16", "--trials", "3", "--seed", "1", "--oracle"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert calls == ["k1", "k2"]
+        assert (tmp_path / "stats_file-problem_m16.csv").exists()
 
 
 class TestConverge:
@@ -706,7 +719,7 @@ def test_manifest_commands_parse():
     # must reach its subcommand, but for the ones argparse refuses, and
     # name a problem file that the tool writes
     tool = _load_manifest_tool()
-    assert len(tool.COMMANDS) == 99 and set(tool.PARSER_REJECTS) <= set(tool.COMMANDS)
+    assert len(tool.COMMANDS) == 103 and set(tool.PARSER_REJECTS) <= set(tool.COMMANDS)
     for command in tool.COMMANDS:
         argv = [*command.split(), "--out", "out"]
         if command in tool.PARSER_REJECTS:

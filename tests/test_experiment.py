@@ -569,6 +569,13 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match=f"^the number of trials must be an integer, got {re.escape(repr(bad))}$"):
             convergence_study(builtin_example(1), (8, 16, 32), bad, 1)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_needs_at_least_one_trial(self, n, monkeypatch):
+        # refused at the entry, before any engine is built
+        monkeypatch.setattr(experiment, "_batch_solver", None)  # would fail if called
+        with pytest.raises(ValueError, match="^need at least one trial$"):
+            convergence_study(builtin_example(1), (8, 16, 32), n, 1)
+
     def test_takes_a_numpy_trial_count(self):
         got = convergence_study(builtin_example(1), (8, 16, 32), np.int32(3), 1)
         want = convergence_study(builtin_example(1), (8, 16, 32), 3, 1)

@@ -11,6 +11,8 @@ from walshvie.expressions import (
     FUNCTIONS,
     ExpressionError,
     _Parser,
+    _compiled,
+    _function,
     _shaped,
     _straight_line,
     compile_expression,
@@ -104,10 +106,16 @@ def _evaluate_with_slope(node, x):
 
 
 def _reference_with_slope(src, x):
-    """with_slope of the one-variable ``src`` by the reference walk, its
+    """(value, slope) of the one-variable ``src`` by the reference walk, its
     slope in x's shape."""
     value, slope = _evaluate_with_slope(_Parser(src).parse(), x)
     return value, slope if np.shape(slope) == np.shape(x) else np.broadcast_to(slope, np.shape(x))
+
+
+def _with_slope(f, x):
+    """(value, slope) of a one-variable compiled f at x, from the generated
+    function that differentiates its tree."""
+    return _straight_line(((f, True),))(x)
 
 
 def _integrands(beta, sigma, sloped):
@@ -310,7 +318,7 @@ class TestMatchesTreeWalk:
         # of the overflow in exp, which the suite raises as an error
         f = compile_expression("x + 1/exp(1000)", ("x",))
         assert f(2.0) == 2.0
-        assert f.with_slope(np.full(3, 2.0))[0].tolist() == [2.0] * 3
+        assert _with_slope(f, np.full(3, 2.0))[0].tolist() == [2.0] * 3
         s, t = np.array([[0.1], [0.3]]), np.array([[0.2, 0.4]])
         k = compile_expression("exp(-(t-s)) + 1/exp(1000)", ("s", "t"))
         assert same_bits(k(s, t), np.exp(-(t - s)))
@@ -338,20 +346,20 @@ class TestSlopes:
     )
     def test_matches_complex_step(self, src):
         f = compile_expression(src, ("x",))
-        value, slope = f.with_slope(self.X)
+        value, slope = _with_slope(f, self.X)
         assert np.array_equal(value, f(self.X))
         reference = f(self.X + 1e-20j).imag / 1e-20
         assert np.allclose(slope, reference, rtol=1e-13, atol=0)
 
     def test_slope_has_the_shape_of_x(self):
-        value, slope = compile_expression("2 + x", ("x",)).with_slope(np.zeros((2, 3)))
+        value, slope = _with_slope(compile_expression("2 + x", ("x",)), np.zeros((2, 3)))
         assert value.shape == (2, 3)
         assert np.array_equal(slope, np.ones((2, 3)))
-        assert not hasattr(compile_expression("t - s", ("s", "t")), "with_slope")
+        assert not _compiled(compile_expression("t - s", ("s", "t")))
 
 
 class TestGeneratedSlopes:
-    # with_slope and the engine's fused beta/sigma/sigma' function are
+    # the slope and the engine's fused beta/sigma/sigma' function are
     # generated code that must match the tree walk bit for bit
     INPUTS = {
         "float": 0.3,
@@ -380,7 +388,7 @@ class TestGeneratedSlopes:
         x = self.INPUTS[kind]
         f = compile_expression(src, ("x",))
         with np.errstate(all="ignore"):
-            (value, slope), (want_value, want_slope) = f.with_slope(x), _reference_with_slope(src, x)
+            (value, slope), (want_value, want_slope) = _with_slope(f, x), _reference_with_slope(src, x)
             assert same_bits(value, f(x))
         assert same_bits(value, want_value)
         assert same_bits(slope, want_slope)
@@ -423,33 +431,22 @@ class TestGeneratedSlopes:
         # minus sign; -0.0 would flip signed zeros and nans at x = inf or 0
         x = self.INPUTS["non-finite"]
         with np.errstate(all="ignore"):
-            got, want = compile_expression(src, ("x",)).with_slope(x), _reference_with_slope(src, x)
+            got, want = _with_slope(compile_expression(src, ("x",)), x), _reference_with_slope(src, x)
         assert all(same_bits(a, w) for a, w in zip(got, want))
 
     def test_a_long_product_has_a_slope(self):
         # its product-rule terms nest parentheses, of which Python allows 200
         src, x = " * ".join(["sin(x)"] * 300), self.INPUTS["array"]
-        got, want = compile_expression(src, ("x",)).with_slope(x), _reference_with_slope(src, x)
+        got, want = _with_slope(compile_expression(src, ("x",)), x), _reference_with_slope(src, x)
         assert all(same_bits(a, w) for a, w in zip(got, want))
 
     def test_slope_that_cannot_vary_is_the_scalar_zero(self):
         # sqrt' is infinite at x - x = 0, so it is never evaluated
         f = compile_expression("1 + sqrt(x-x)", ("x",))
-        value, slope = f.with_slope(0.25)
+        value, slope = _with_slope(f, 0.25)
         assert value == 1.0 and type(slope) is float and slope == 0.0
-        value, slope = f.with_slope(np.full((2, 3), 0.25))
+        value, slope = _with_slope(f, np.full((2, 3), 0.25))
         assert np.array_equal(slope, np.zeros((2, 3)))
-
-
-def _constant_tree(value):
-    """A one-variable callable whose tree is the constant ``value``, which
-    compile_expression itself would fold to a float."""
-
-    def constant(x):
-        return value
-
-    constant._tree = ("num", value), "x"
-    return constant
 
 
 class TestOutRendering:
@@ -514,9 +511,13 @@ class TestOutRendering:
         assert not slope.flags.writeable and np.all(slope == 1.0)
 
     def test_a_constant_and_its_slope(self):
-        f = _constant_tree(2.0)
+        # a constant is a generated function that carries its number's
+        # tree, whose value and slope are read-only views in x's shape
+        f, constant = _function("2", ("x",))
+        assert constant == 2.0 and _compiled(f)
         want, got, slots = self.render(((f, True),), self.X)
-        assert slots == [] and got[0] == 2.0
+        assert slots == [] and np.all(got[0] == 2.0) and np.all(got[1] == 0.0)
+        assert not any(a.flags.writeable for a in got)
         assert all(same_bits(a, w) for a, w in zip(got, want))
 
     def test_slots_are_reused(self):

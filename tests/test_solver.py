@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from walshvie import expressions, solver
 from walshvie.brownian import _path_values, sample_path
 from walshvie.operational import integration_matrix, stochastic_matrix
+from walshvie.problemfile import problem_from_text
 from walshvie.solver import (
     NonConvergenceError,
     NonFiniteIterateError,
@@ -338,8 +340,8 @@ class TestDifferenceKernels:
             assert a_sweeps == b_sweeps
 
     def test_builds_no_triangle(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(solver, "project_kernel", lambda *args: calls.append(args) or project_kernel(*args))
+        calls, averages = [], solver._block_averages
+        monkeypatch.setattr(solver, "_block_averages", lambda *args: calls.append(args) or averages(*args))
         prob = problem_from_sources(DIFFERENCE_SOURCES)
         m = 16
         _kernel_operator(prob.k1, m, "k1", 0.5)
@@ -349,6 +351,19 @@ class TestDifferenceKernels:
         _kernel_operator(triangle.k1, m, "k1", 0.5)
         _kernel_operator(triangle.k2, m, "k2", 0.0)
         assert [name for _, _, name in calls] == ["k1", "k2"]
+
+    def test_triangle_operator_is_its_block_averages(self):
+        # the quadrature's averages are applied as they are made, with no
+        # second m x m array: at m = 1024 the peak is near their 8 MB
+        kernel = on_the_triangle(problem_from_sources(DIFFERENCE_SOURCES)).k1
+        m = 1024
+        tracemalloc.start()
+        try:
+            _kernel_operator(kernel, m, "k1", 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * m * m * 8
 
     def test_memory_at_the_largest_m(self):
         # the triangle path peaks near 270 MB here (two 4096 x 4096
@@ -362,6 +377,55 @@ class TestDifferenceKernels:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+class TestOneEngine:
+    def test_same_problem_object_and_m_reuse_the_engine(self):
+        prob = problem_from_sources(DIFFERENCE_SOURCES)
+        engine = _batch_solver(prob, 16)
+        assert _batch_solver(prob, 16) is engine
+        assert _batch_solver(prob, 8) is not engine
+
+    def test_equal_fields_are_another_engine(self):
+        # the engine is keyed by identity: a 0-d array x0 makes the spec
+        # unhashable, and it still solves
+        prob = ProblemSpec(x0=np.array(0.1), k1=-1 / 900, k2=1 / 30, beta=lambda x: x * (1 - x * x),
+                           sigma=lambda x: 1 - x * x)
+        with pytest.raises(TypeError):
+            hash(prob)
+        engine = _batch_solver(prob, 16)
+        assert _batch_solver(prob, 16) is engine
+        twin = dataclasses.replace(prob)
+        assert twin.x0 is prob.x0 and _batch_solver(twin, 16) is not engine
+        path = sample_path(16, (5, 1))
+        want = solve(dataclasses.replace(prob, x0=0.1), path).x_colloc
+        assert np.array_equal(solve(prob, path).x_colloc, want)
+
+    def test_the_last_engine_is_dropped_before_the_next_build(self):
+        prob = problem_from_sources(DIFFERENCE_SOURCES)
+        last = weakref.ref(_batch_solver(prob, 8))
+        assert last() is not None
+        alive = []
+
+        def k1(s, t):
+            alive.append(last() is not None)
+            return prob.k1(s, t)
+
+        _batch_solver(dataclasses.replace(prob, k1=k1), 8)
+        assert alive and not any(alive)
+
+    @pytest.mark.parametrize("sigma, want", [("1/2", (0.25, 0.5, 0.0)), ("1-x^2", (0.25, 1.0, 0.0))])
+    def test_constant_beta_sigma_and_exact_are_compiled(self, sigma, want):
+        text = f"x0 = 0\nk1 = 1\nk2 = 1\nbeta = 1/4\nsigma = {sigma}\nexact = 1/10\n"
+        prob = problem_from_text(text)
+        assert expressions._compiled(prob.beta, prob.sigma)
+        integrands, _ = solver._integrands(prob, True)
+        assert integrands is expressions._straight_line(((prob.beta, False), (prob.sigma, True)), True)
+        x = np.zeros((2, 3))
+        slots = [np.full_like(x, np.nan) for _ in range(integrands.slots)]
+        assert all(np.array_equal(a, np.full((2, 3), w)) for a, w in zip(integrands(x, *slots), want))
+        got = prob.exact(np.array([0.1, 0.3]), np.zeros((3, 2)))
+        assert got.shape == (3, 2) and (got == 0.1).all()
 
 
 class TestItoCorrection:
@@ -418,7 +482,7 @@ class TestItoCorrection:
         # 1/cosh(x) is 0 at x = 1e5, where a complex cosh overflows to
         # inf + inf j and the complex step would give nan
         sigma = problem_from_sources({"x0": "0", "k1": "0", "k2": "1", "beta": "0", "sigma": "sech(x)"}).sigma
-        value, slope = sigma.with_slope(np.array([[1e5, -1e5]]))
+        value, slope = expressions._straight_line(((sigma, True),))(np.array([[1e5, -1e5]]))
         assert np.array_equal(value, [[0.0, 0.0]])
         assert np.array_equal(slope, [[0.0, 0.0]])
 
@@ -472,17 +536,20 @@ class TestItoCorrection:
         assert np.array_equal(res.x_colloc, np.full(8, 0.5))
 
     def test_folded_constant_sigma_solves(self):
-        # sigma = 2 folds to a constant, whose slope is 0, by with_slope
-        # or by the complex step
+        # sigma = 2 folds to a constant, compiled like any expression,
+        # whose slope is 0, generated or by the complex step
         prob = problem_from_sources({"x0": "0", "k1": "0", "k2": "1/30", "beta": "0", "sigma": "2"})
         assert np.iscomplexobj(prob.sigma(np.zeros(3) + 0j))
-        value, slope = prob.sigma.with_slope(np.ones((2, 3)))
+        value, slope = expressions._straight_line(((prob.sigma, True),))(np.ones((2, 3)))
         assert np.array_equal(value, np.full((2, 3), 2.0))
         assert np.array_equal(slope, np.zeros((2, 3)))
         m = 8
         path = sample_path(m, seed=13)
         res = solve(prob, path)
         assert np.allclose(res.x_colloc, (2 / 30) * path[1::2], rtol=0, atol=1e-15)
+        # wrapped in a Python callable, as a tracer does, it takes the complex step
+        wrapped = dataclasses.replace(prob, sigma=lambda x: prob.sigma(x))
+        assert np.array_equal(solve(wrapped, path).x_colloc, res.x_colloc)
 
     @pytest.mark.parametrize("src", ["1 + sqrt(x-x)", "1 + (x-x)^0.5", "1 + sqrt(2*(x-x))"])
     def test_sigma_part_that_cannot_vary_has_slope_zero(self, src):
@@ -490,7 +557,7 @@ class TestItoCorrection:
         # x, so sigma' is 0 and sigma is the constant 1
         sources = {"x0": "1/10", "k1": "-1/900", "k2": "1/30", "beta": "x*(1-x^2)"}
         prob = problem_from_sources({**sources, "sigma": src})
-        value, slope = prob.sigma.with_slope(np.full(3, 0.25))
+        value, slope = expressions._straight_line(((prob.sigma, True),))(np.full(3, 0.25))
         assert np.array_equal(value, np.ones(3)) and np.array_equal(slope, np.zeros(3))
         path = sample_path(64, (7, 1))
         expected = solve(problem_from_sources({**sources, "sigma": "1"}), path).x_colloc

@@ -18,7 +18,9 @@ from walshvie.expressions import compile_expression
 from walshvie.walsh import (
     _GL_NODES,
     _GL_WEIGHTS,
-    _project_lag_row,
+    _block_averages,
+    _kernel_row,
+    _quadrature_nodes,
     _resolution,
     build_walsh_matrix,
     fast_walsh_transform,
@@ -412,16 +414,18 @@ class TestKernelProjection:
         # its position, which is a relative error of a few ulp for
         # kernels bounded away from zero (not, say, for (s-t)^2 at d = 0)
         kernel = compile_expression(src, ("s", "t"))
-        row = _project_lag_row(kernel, m, "k1")
+        averages = _kernel_row(kernel, "k1", _quadrature_nodes(m), 0)
+        row = averages / (m * m)
         K = project_kernel(kernel, m)
         assert row.shape == (m,)
         assert np.array_equal(row, K[0])
+        assert np.array_equal(averages, _block_averages(kernel, m, "k1")[0])
         i, j = np.triu_indices(m)
         assert np.all(np.abs(K[i, j] - row[j - i]) <= 2e-15 * np.abs(K[i, j]))
 
     def test_lag_row_checks_finiteness(self):
         with pytest.raises(ValueError, match="k1 .*non-finite"):
-            _project_lag_row(compile_expression("1/(t-s)", ("s", "t")), 8, "k1")
+            _kernel_row(compile_expression("1/(t-s)", ("s", "t")), "k1", _quadrature_nodes(8), 0)
 
     def test_memory_is_the_output(self):
         # the output alone is 8 MB at m = 1024; a row's nodes add little

@@ -44,6 +44,8 @@ PROBLEMS = {
     "beta = x*(1-x^2)\nsigma = 1-x^2\nexact = tanh(2*B + atanh(1/10))\n",
     "triangle-blowup.txt": "x0 = 1/10\nk1 = -4*exp(-t)*(1+s)\nk2 = 2*exp(-t)*(1+s)\n"
     "beta = x*(1-x^2)\nsigma = 1-x^2\nexact = tanh(2*B + atanh(1/10))\n",
+    "constant-beta.txt": _EXAMPLE2.replace("beta = x*(1-x^2)", "beta = 1/20") + _EXACT,
+    "constant-exact.txt": _EXAMPLE2 + "exact = 1/10\n",
 }
 
 _PER_SEED = [
@@ -90,6 +92,10 @@ COMMANDS = [f"{command} --seed {seed}" for seed in (0, 42, 2**32 - 1, 2**32) for
     f"{command} --problem {name}.txt --seed 7"
     for name in ("same", "linear", "constant", "sqrt", "difference-blowup", "triangle-blowup", "expbeta")
     for command in ("run", "converge")
+] + [
+    f"{command} --problem {name}.txt --seed 7"
+    for name in ("constant-beta", "constant-exact")
+    for command in ("run --oracle", "converge")
 ]
 
 
