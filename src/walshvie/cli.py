@@ -275,13 +275,6 @@ def _sparse_runs(m, nonzeros):
     return runs
 
 
-def _dump_paths(outdir, m, seed, trials):
-    grid = np.arange(2 * m + 1) / (2 * m)
-    for block, normals in _trial_draws(seed, trials, 2 * m):
-        for trial, path in zip(block, _path_values(normals, 1.0 / m)):
-            _write(outdir, f"path_{trial:03d}.csv", [b"t,B\n", *_csv_rows(np.column_stack([grid, path]))])
-
-
 def _cmd_run(args, seed):
     problem = _load_problem(args)
     m, h = args.m, 1.0 / args.m
@@ -328,9 +321,7 @@ def _cmd_run(args, seed):
     table = _csv_rows(np.column_stack(columns))
     _write(args.out, f"solution_{tag}.csv", [_lines([header]), *table, _lines([f"# {c}"] for c in comments)])
 
-    if args.dump_paths:
-        _dump_paths(args.out, m, seed, args.trials)
-    return 0
+    return _cmd_paths(args, seed) if args.dump_paths else 0
 
 
 def _cmd_converge(args, seed):
@@ -360,7 +351,11 @@ def _cmd_matrices(args, seed):
 
 
 def _cmd_paths(args, seed):
-    _dump_paths(args.out, args.m, seed, args.trials)
+    m = args.m
+    grid = np.arange(2 * m + 1) / (2 * m)
+    for block, normals in _trial_draws(seed, args.trials, 2 * m):
+        for trial, path in zip(block, _path_values(normals, 1.0 / m)):
+            _write(args.out, f"path_{trial:03d}.csv", [b"t,B\n", *_csv_rows(np.column_stack([grid, path]))])
     return 0
 
 
@@ -429,7 +424,7 @@ def main(argv=None):
         if getattr(args, "trials", 1) < 1:
             raise ValueError("--trials must be positive")
         return args.func(args, seed)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -167,10 +167,8 @@ class _Parser:
         raise ExpressionError(f"expected a value, found {value!r}", 1, col)
 
 
-# Per operator: its Python template, how tightly it binds and how tightly
-# each operand must bind to go without parentheses (names and calls 5)
-_OPERATORS = {"+": ("{} + {}", 1, 1, 2), "-": ("{} - {}", 1, 1, 2), "*": ("{} * {}", 2, 2, 3),
-              "/": ("{} / {}", 2, 2, 3), "^": ("{} ** {}", 4, 5, 3), "neg": ("-{}", 3, 3)}
+# the Python template of each operator
+_OPERATORS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "{} ** {}", "neg": "-{}"}
 # the functions the slopes call besides FUNCTIONS, and every operation of the generated code
 _SLOPE_FUNCTIONS = {"cosh": np.cosh, "hypot": np.hypot, "log": np.log}
 _OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow,
@@ -290,32 +288,29 @@ class _Emitter:
 
     def function(self, arity, returns):
         """The generated function of v0 .. v{arity-1} returning the names
-        ``returns``.  An operation used once is written inside the one that
-        uses it (``inline`` holds its source and how tightly that binds),
-        with the fewest parentheses, so numpy may reuse its temporary in
-        place; one used more often, or holding over 100 parentheses (Python
-        nests at most 200), is assigned once.  A loop writes them in the
-        order they were made, so a long chain does not recurse."""
+        ``returns``.  An operation used once is written, in parentheses,
+        inside the one that uses it (``inline`` holds its source), so
+        numpy may reuse its temporary in place and the parse tree alone
+        decides the order; one used more often, or holding over 100
+        parentheses (Python nests at most 200), is assigned once.  A loop
+        writes them in the order they were made, so a long chain does not
+        recurse."""
         uses, params = {}, [f"v{i}" for i in range(arity)]
         for name in returns + [a for _, *args in self.operations for a in args]:
             uses[name] = uses.get(name, 0) + 1
         lines, inline = [f"def generated({', '.join(params)}):\n"], {}
 
-        def operand(name, binding):
-            text, strength = inline.pop(name, (name, 5))
-            return text if strength >= binding else f"({text})"
+        def operand(name):
+            return f"({inline.pop(name)})" if name in inline else name
 
         for i, (symbol, *args) in enumerate(self.operations):
-            if symbol in _OPERATORS:
-                template, strength, *bindings = _OPERATORS[symbol]
-                text = template.format(*map(operand, args, bindings))
-            else:
-                text, strength = f"{symbol}({', '.join(operand(a, 0) for a in args)})", 5
+            template = _OPERATORS.get(symbol, f"{symbol}({', '.join(['{}'] * len(args))})")
+            text = template.format(*map(operand, args))
             if uses[f"t{i}"] > 1 or text.count("(") > 100:
                 lines.append(f"    t{i} = {text}\n")
             else:
-                inline[f"t{i}"] = text, strength
-        lines.append(self._return(returns, lambda name: operand(name, 0), params))
+                inline[f"t{i}"] = text
+        lines.append(self._return(returns, operand, params))
         return self._define(lines)
 
     def out_function(self, returns):

@@ -25,9 +25,8 @@ def _upper_triangular(above, diagonal):
     m = len(diagonal)."""
     m = len(diagonal)
     out = np.zeros((m, m))
-    # row i's mask j > i is a window on 2m booleans: an m x m mask left holes in the heap
-    right = np.lib.stride_tricks.sliding_window_view(np.arange(2 * m) >= m, m)[::-1][:m]
-    np.copyto(out, above[:, None], where=right)
+    for i, value in enumerate(above.tolist()):
+        out[i, i + 1 :] = value
     np.fill_diagonal(out, diagonal)
     return _readonly(out)
 
@@ -35,12 +34,12 @@ def _upper_triangular(above, diagonal):
 def integration_matrix(m):
     """Upper triangular matrix P: h/2 on the diagonal, h above it.
 
-    Column j sums to the midpoint t_j, so integrating the constant 1
-    up to a midpoint is exact.
+    P is P_S of the path B(t) = t, whose dyadic values have increments
+    of exactly h and h/2.  Column j sums to the midpoint t_j, so
+    integrating the constant 1 up to a midpoint is exact.
     """
     m = _resolution(m)
-    h = 1.0 / m
-    return _upper_triangular(np.full(m, h), np.full(m, h / 2.0))
+    return stochastic_matrix(np.arange(2 * m + 1) / (2 * m))
 
 
 def stochastic_matrix(path):

@@ -578,6 +578,28 @@ class TestErrorsAndSeeds:
         assert rc == 1
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "run --example 1 --m 8 --trials 2",
+            "converge --example 1 --resolutions 8,16,32 --trials 2",
+            "matrices --m 4",
+            "paths --m 4",
+        ],
+    )
+    def test_out_that_cannot_be_a_directory_is_one_error_line(self, tmp_path, capsys, command, under):
+        # --out names a regular file, or a path under one: makedirs fails
+        # with an OSError, which main reports like any other failure
+        out = tmp_path / "taken"
+        out.write_bytes(b"")
+        rc = main([*command.split(), "--seed", "1", "--out", str(out / "sub" if under else out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert out.read_bytes() == b""
+
     def test_parse_error_position_surfaced(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
         f.write_text("x0 = 0\nk1 = 1\nk2 = 0\nbeta = x*(1-y^2)\nsigma = x\n", encoding="utf-8")
@@ -719,7 +741,8 @@ def test_manifest_commands_parse():
     # must reach its subcommand, but for the ones argparse refuses, and
     # name a problem file that the tool writes
     tool = _load_manifest_tool()
-    assert len(tool.COMMANDS) == 103 and set(tool.PARSER_REJECTS) <= set(tool.COMMANDS)
+    assert len(tool.COMMANDS) == 107 and set(tool.PARSER_REJECTS) <= set(tool.COMMANDS)
+    assert set(tool.OUT_IS_FILE) <= set(tool.COMMANDS)
     for command in tool.COMMANDS:
         argv = [*command.split(), "--out", "out"]
         if command in tool.PARSER_REJECTS:

@@ -6,10 +6,11 @@ Runs each command of COMMANDS as ``python -m walshvie`` with SRC (a
 ``src`` directory that holds the ``walshvie`` package) first on
 PYTHONPATH, one after another, in a new temporary directory that holds
 the problem files of PROBLEMS, with BLAS pinned to one thread and
-WALSHVIE_SEED unset.  It prints the sha256 of the manifest: per command
-its arguments, exit status, stdout and stderr, and the path and sha256
-of every file it wrote.  Two source trees that print the same hash gave
-the same bytes on every command.
+WALSHVIE_SEED unset.  Command i writes into ``out/iii``, which for the
+commands of OUT_IS_FILE is an empty regular file.  It prints the sha256
+of the manifest: per command its arguments, exit status, stdout and
+stderr, and the path and sha256 of every file it wrote.  Two source
+trees that print the same hash gave the same bytes on every command.
 """
 
 import hashlib
@@ -71,6 +72,14 @@ _PER_SEED = [
 # commands that argparse refuses, with exit status 2
 PARSER_REJECTS = ["run --example 1 --m 12", "run --example 1 --m 8192"]
 
+# commands whose --out is an empty regular file, made before they run
+OUT_IS_FILE = [
+    "run --example 1 --seed 1",
+    "converge --example 1 --seed 1",
+    "matrices --m 4 --seed 1",
+    "paths --m 4 --seed 1",
+]
+
 COMMANDS = [f"{command} --seed {seed}" for seed in (0, 42, 2**32 - 1, 2**32) for command in _PER_SEED] + [
     "run --problem syntax.txt",
     "run --problem function.txt",
@@ -96,7 +105,7 @@ COMMANDS = [f"{command} --seed {seed}" for seed in (0, 42, 2**32 - 1, 2**32) for
     f"{command} --problem {name}.txt --seed 7"
     for name in ("constant-beta", "constant-exact")
     for command in ("run --oracle", "converge")
-]
+] + OUT_IS_FILE
 
 
 def manifest(src):
@@ -111,6 +120,9 @@ def manifest(src):
                 fh.write(text)
         for i, command in enumerate(COMMANDS):
             out = os.path.join("out", f"{i:03d}")
+            if command in OUT_IS_FILE:
+                os.makedirs(os.path.join(work, "out"), exist_ok=True)
+                open(os.path.join(work, out), "wb").close()
             argv = [sys.executable, "-m", "walshvie", *command.split(), "--out", out]
             done = subprocess.run(argv, cwd=work, env=env, capture_output=True)
             lines.append(f"{command} -> {done.returncode}")
