@@ -24,11 +24,11 @@ import numpy as np
 
 from .brownian import _increments, _path_values, _trial_draws, sample_path
 from .experiment import coefficient_error_norm, convergence_study, monte_carlo
-from .operational import _walsh_integration_nonzeros, _walsh_stochastic_rows
+from .operational import _grid_path, _walsh_integration_nonzeros, _walsh_stochastic_rows
 from .oracle import euler_maruyama
 from .problemfile import parse_problem_file
 from .solver import NonConvergenceError, NonFiniteIterateError, builtin_example, solve
-from .walsh import _bit_reversal
+from .walsh import _TEMP_ELEMENTS, _bit_reversal
 
 DEFAULT_SEED = 42
 MIN_RESOLUTION = 2
@@ -99,11 +99,6 @@ def _lines(rows):
     return "".join(",".join(row) + "\n" for row in rows).encode("utf-8")
 
 
-# Floats are formatted about 2**16 at a time, so the writer's memory does
-# not grow with the matrix.
-_BLOCK_VALUES = 1 << 16
-
-
 def _scientific(x):
     """The "%.8e" digits of a flat float64 array, where numpy can decide them.
 
@@ -162,7 +157,7 @@ def _ascii_words():
 
 def _csv_rows(matrix):
     """Yield the rows of a 2-D float array as "%.8e" CSV lines, in bytes,
-    one chunk per block of about _BLOCK_VALUES values.
+    one chunk per block of about _TEMP_ELEMENTS values.
 
     A field takes a 16-byte slot, the four words of _ascii_words; the
     last byte becomes ',' or '\\n', and a positive value leaves its sign
@@ -172,7 +167,7 @@ def _csv_rows(matrix):
     The NUL bytes are dropped at the end.
     """
     heads, quads, tails, exps = _ascii_words()
-    step = max(1, _BLOCK_VALUES // matrix.shape[1])
+    step = max(1, _TEMP_ELEMENTS // matrix.shape[1])
     for r in range(0, len(matrix), step):
         block = np.asarray(matrix[r : r + step], dtype=np.float64)
         x = block.ravel()
@@ -210,10 +205,10 @@ def _cells(values):
 
 def _run_lines(m, runs):
     """Yield the CSV text of the m x m matrix whose row i is runs(i), one
-    bytearray per block of about _BLOCK_VALUES / 2 cells (0.5 MB of text),
+    bytearray per block of about _TEMP_ELEMENTS / 2 cells (0.5 MB of text),
     so that the block being made and the one being written stay under
     2 MB; the last comma of each row becomes its newline."""
-    step = max(1, _BLOCK_VALUES // (2 * m))
+    step = max(1, _TEMP_ELEMENTS // (2 * m))
     for start in range(0, m, step):
         block = bytearray()
         for i in range(start, min(start + step, m)):
@@ -336,23 +331,23 @@ def _cmd_converge(args, seed):
 
 
 def _cmd_matrices(args, seed):
-    m, h = args.m, 1.0 / args.m
+    m = args.m
     path = sample_path(m, seed)
     # T_W, P, P_S and Lambda are written as runs of the cells of their
     # O(m) distinct values; Lambda_S, whose values are all distinct, as
     # dense blocks of rows.  No m x m array is made.
     _write(args.out, "tw.csv", _run_lines(m, _walsh_runs(m)))
-    _write(args.out, "p.csv", _run_lines(m, _triangular_runs(np.full(m, h), np.full(m, h / 2.0))))
+    _write(args.out, "p.csv", _run_lines(m, _triangular_runs(*_increments(_grid_path(m))[:2])))
     _write(args.out, "ps.csv", _run_lines(m, _triangular_runs(*_increments(path)[:2])))
     _write(args.out, "lambda.csv", _run_lines(m, _sparse_runs(m, functools.partial(_walsh_integration_nonzeros, m))))
-    rows, step = _walsh_stochastic_rows(path), max(1, _BLOCK_VALUES // m)
+    rows, step = _walsh_stochastic_rows(path), max(1, _TEMP_ELEMENTS // m)
     _write(args.out, "lambda_s.csv", (text for r in range(0, m, step) for text in _csv_rows(rows(r, min(r + step, m)))))
     return 0
 
 
 def _cmd_paths(args, seed):
     m = args.m
-    grid = np.arange(2 * m + 1) / (2 * m)
+    grid = _grid_path(m)
     for block, normals in _trial_draws(seed, args.trials, 2 * m):
         for trial, path in zip(block, _path_values(normals, 1.0 / m)):
             _write(args.out, f"path_{trial:03d}.csv", [b"t,B\n", *_csv_rows(np.column_stack([grid, path]))])

@@ -31,6 +31,11 @@ def _upper_triangular(above, diagonal):
     return _readonly(out)
 
 
+def _grid_path(m):
+    """The path B(t) = t at the 2m + 1 points k h / 2 of resolution m."""
+    return np.arange(2 * m + 1) / (2 * m)
+
+
 def integration_matrix(m):
     """Upper triangular matrix P: h/2 on the diagonal, h above it.
 
@@ -38,8 +43,7 @@ def integration_matrix(m):
     of exactly h and h/2.  Column j sums to the midpoint t_j, so
     integrating the constant 1 up to a midpoint is exact.
     """
-    m = _resolution(m)
-    return stochastic_matrix(np.arange(2 * m + 1) / (2 * m))
+    return stochastic_matrix(_grid_path(_resolution(m)))
 
 
 def stochastic_matrix(path):

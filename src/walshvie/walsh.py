@@ -25,9 +25,9 @@ _GL_WEIGHTS = np.array(
     [0.11846344252809465, 0.23931433524968318, 0.2844444444444444, 0.23931433524968318, 0.11846344252809465]
 )
 
-# Largest temporary, in elements, of the in-place transforms (512 KB of
-# float64): at m = 1024 the transforms then stay within about 1 MB of
-# their m x m output.
+# Largest temporary, in elements, of the in-place transforms and of a CSV
+# block (cli), 512 KB of float64: at m = 1024 the transforms stay within
+# about 1 MB of their m x m output, and the writer's memory is flat in m.
 _TEMP_ELEMENTS = 1 << 16
 
 

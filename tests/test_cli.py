@@ -28,7 +28,7 @@ from walshvie.cli import (
 from walshvie.expressions import FUNCTIONS
 from walshvie.operational import integration_matrix, stochastic_matrix, walsh_domain
 from walshvie.solver import builtin_example
-from walshvie.walsh import build_walsh_matrix
+from walshvie.walsh import _TEMP_ELEMENTS, build_walsh_matrix
 
 EXAMPLE2_TEXT = """\
 label = file-problem
@@ -455,7 +455,7 @@ class TestMatrixWriter:
         nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64)
         values = np.concatenate([M.ravel(), nans.view(np.float64), [TIE, -TIE, 1e300, -1e300, TIE, 0.0, -0.0, 0.0]])
         runs = np.repeat(values, 16).reshape(-1, 64)
-        blocks = np.repeat(np.arange(2 * cli._BLOCK_VALUES // 64 + 3) / 7, 64).reshape(-1, 64)
+        blocks = np.repeat(np.arange(2 * _TEMP_ELEMENTS // 64 + 3) / 7, 64).reshape(-1, 64)
         for A, chunks in ((runs, 1), (values[:, None], 1), (blocks, 3)):
             assert len(list(_csv_rows(A))) == chunks
             _write(tmp_path, "m.csv", _csv_rows(A))
@@ -728,9 +728,9 @@ class TestGrammarFuzz:
                 assert len(err) == 1 and err[0].startswith("error: "), (command, text, err)
 
 
-def _load_manifest_tool():
-    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_manifest.py"
-    spec = importlib.util.spec_from_file_location("cli_manifest", path)
+def _load_tool(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -740,7 +740,7 @@ def test_manifest_commands_parse():
     # tools/cli_manifest.py hashes the outputs of these commands, so each
     # must reach its subcommand, but for the ones argparse refuses, and
     # name a problem file that the tool writes
-    tool = _load_manifest_tool()
+    tool = _load_tool("cli_manifest")
     assert len(tool.COMMANDS) == 107 and set(tool.PARSER_REJECTS) <= set(tool.COMMANDS)
     assert set(tool.OUT_IS_FILE) <= set(tool.COMMANDS)
     for command in tool.COMMANDS:
@@ -753,3 +753,69 @@ def test_manifest_commands_parse():
         args = build_parser().parse_args(argv)
         assert args.func.__name__ == f"_cmd_{argv[0]}", command
         assert getattr(args, "problem", None) in (None, *tool.PROBLEMS), command
+
+
+def test_bench_pairs_command_line_parses():
+    parser = _load_tool("bench_pairs").build_parser()
+    args = parser.parse_args(["e5dbc4b", "HEAD", "--seeds", "3901-3910", "--out", "BENCH_39.json"])
+    assert (args.parent, args.change, args.seeds, args.out) == ("e5dbc4b", "HEAD", range(3901, 3911), "BENCH_39.json")
+    args = parser.parse_args(["A", "B"])
+    assert args.out is None and args.seeds == range(1, 11)
+    for seeds in ("5", "9-3", "a-b", "-1-5"):
+        with pytest.raises(SystemExit) as refused:
+            parser.parse_args(["A", "B", "--seeds", seeds])
+        assert refused.value.code == 2
+
+
+def test_bench_pairs_summary_counts_pairs_quartiles_and_verdicts():
+    tool = _load_tool("bench_pairs")
+    end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                  {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
+    parent = [1.0 + 0.1 * k for k in range(10)]  # quartiles 1.225, 1.45, 1.675
+    # per workload: the change's wall_s, peak_rss_mb and failed trials on each seed
+    changes = {
+        "faster": ([v - 0.5 for v in parent], [40.0] * 9 + [41.0], [0] * 10),
+        "faster-failing": ([v - 0.5 for v in parent], [40.0] * 10, list(range(10))),
+        "slower": ([v * 1.3 for v in parent], [40.0] * 10, [0] * 10),
+        "eight-of-ten": ([v - 0.5 for v in parent[:8]] + [v + 0.01 for v in parent[8:]], [39.0] * 10, [0] * 10),
+    }
+    runs = []
+    for workload, (walls, rss, fails) in changes.items():
+        for seed in range(10):
+            for side, wall, mb, failed in (("parent", parent[seed], 40.0, 0), ("change", walls[seed], rss[seed],
+                                                                               fails[seed])):
+                metrics = {"wall_s": {"value": wall}, "peak_rss_mb": {"value": mb}}
+                runs.append({"side": side, "workload": workload, "seed": seed,
+                             "result": {"correct": True, "attempted": 10, "failed": failed, "metrics": metrics}})
+        # a seed only one side ran is no pair
+        runs.append(dict(runs[-1], seed=10))
+    summary = tool.summarise(runs, end_to_end)
+    assert list(summary) == list(changes)
+    wall = summary["faster"]["wall_s"]
+    assert wall["parent"] == pytest.approx({"n": 10, "q1": 1.225, "median": 1.45, "q3": 1.675})
+    assert wall["change"] == pytest.approx({"n": 10, "q1": 0.725, "median": 0.95, "q3": 1.175})
+    assert wall["change_better_pairs"] == "10/10" and wall["parent_iqr"] == pytest.approx(0.45)
+    assert wall["median_ratio_change_over_parent"] == pytest.approx(0.95 / 1.45)
+    assert wall["bound"] == 0.25 and wall["verdict"] == "gain"
+    # ties count for neither side; one worse run leaves the median
+    assert summary["faster"]["peak_rss_mb"]["change_better_pairs"] == "0/10"
+    assert summary["faster"]["peak_rss_mb"]["verdict"] == "within bound"
+    assert summary["faster"]["failed_share"] == {"parent_max": 0.0, "change_max": 0.0}
+    assert summary["faster"]["correct"]
+    # the same gain is void when the change fails more operations
+    failing = summary["faster-failing"]
+    assert failing["failed_share"] == {"parent_max": 0.0, "change_max": 0.9} and failing["correct"]
+    assert failing["wall_s"]["change_better_pairs"] == "10/10" and failing["wall_s"]["verdict"] == "void"
+    # or when a run is not correct
+    runs[0]["result"] = dict(runs[0]["result"], correct=False)
+    assert runs[0]["workload"] == "faster" and tool.summarise(runs, end_to_end)["faster"]["wall_s"]["verdict"] == "void"
+    assert summary["slower"]["wall_s"]["verdict"] == "worse"
+    # 8 of 10 pairs is no gain, and the parent's spread is wider than the bound
+    eight = summary["eight-of-ten"]
+    assert eight["wall_s"]["change_better_pairs"] == "8/10" and eight["wall_s"]["verdict"] == "unresolved"
+    # 39 MB on every run against 40 MB: every run is better, so no spread hides it
+    assert eight["peak_rss_mb"]["verdict"] == "gain"
+    # a spread wider than the bound is resolved when every run of the change is better
+    assert tool.compare([1.0, 1.0, 3.0, 3.0], [0.5, 0.5, 0.9, 0.9], "lower", 0.25)["verdict"] == "within bound"
+    assert tool.compare([1.0, 3.0, 1.0, 3.0], [3.0, 1.0, 3.0, 1.0], "lower", 0.25)["verdict"] == "unresolved"
+    assert tool.compare([1.0, 3.0, 1.0, 3.0], [0.9, 0.8, 0.9, 0.8], "higher", 0.25)["verdict"] == "worse"

@@ -416,14 +416,31 @@ class TestGeneratedSlopes:
         assert len(pair) == 2 and same_bits(pair[0], want_beta) and same_bits(pair[1], want_sigma)
 
     def test_shared_sub_trees_are_computed_once(self, monkeypatch):
-        # example 1: sech(x) is in beta and sigma, tanh(x) in beta and sech'
+        # example 1: sech(x) = 1.0 / cosh(x) is in beta and sigma, tanh(x)
+        # in beta and sech'
         beta, sigma = compile_expression("tanh(x)*sech(x)^2", ("x",)), compile_expression("sech(x)", ("x",))
         calls = []
-        for name in ("tanh", "sech"):
-            fn = FUNCTIONS[name]
-            monkeypatch.setitem(FUNCTIONS, name, lambda a, name=name, fn=fn: calls.append(name) or fn(a))
+        for table, name in ((FUNCTIONS, "tanh"), (_SLOPE_FUNCTIONS, "cosh")):
+            fn = table[name]
+            monkeypatch.setitem(table, name, lambda a, name=name, fn=fn: calls.append(name) or fn(a))
         _integrands(beta, sigma, True)(np.full((2, 3), 0.25))
-        assert sorted(calls) == ["sech", "tanh"]
+        assert sorted(calls) == ["cosh", "tanh"]
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    @pytest.mark.parametrize("src", ["sech(x)", "sech(2 - x)", "sinh(x) * sech(x)", "sech(sech(x))"])
+    def test_sech_in_both_renderings_matches_the_tree_walk(self, src, kind):
+        # sech is generated as cosh, then 1.0 / it, and FUNCTIONS["sech"]
+        # is the reference; sinh' shares the cosh
+        x = self.INPUTS[kind]
+        f = compile_expression(src, ("x",))
+        out = _straight_line(((f, True),), True)
+        with np.errstate(all="ignore"):
+            want = _reference_with_slope(src, x)
+            got = _with_slope(f, x)
+            lent = out(x, *[np.full_like(x, np.nan) for _ in range(out.slots)])
+        assert all(same_bits(a, w) for a, w in zip(got, want))
+        # the out rendering writes a numpy scalar's value into a 0-d slot
+        assert all(same_bits(a, np.asarray(w)) if np.ndim(x) == 0 else same_bits(a, w) for a, w in zip(lent, want))
 
     @pytest.mark.parametrize("src", ["x / -3", "-sech(x) / (-30)", "-asinh(0) / sinh(8-x) - 30", "cos(x) * -2"])
     def test_negated_constant_part_has_the_slope_plus_zero(self, src):

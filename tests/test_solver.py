@@ -414,6 +414,12 @@ class TestOneEngine:
         _batch_solver(dataclasses.replace(prob, k1=k1), 8)
         assert alive and not any(alive)
 
+    @pytest.mark.parametrize("example_id, slots", [(1, 12), (2, 11)])
+    def test_builtin_examples_take_their_slots(self, example_id, slots):
+        # eight engine arrays and the integrands' slots, which sech, made
+        # as two operations, does not widen
+        assert _batch_solver(builtin_example(example_id), 16).slots == slots
+
     @pytest.mark.parametrize("sigma, want", [("1/2", (0.25, 0.5, 0.0)), ("1-x^2", (0.25, 1.0, 0.0))])
     def test_constant_beta_sigma_and_exact_are_compiled(self, sigma, want):
         text = f"x0 = 0\nk1 = 1\nk2 = 1\nbeta = 1/4\nsigma = {sigma}\nexact = 1/10\n"
